@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import catalog
 from .contact import (ContactError, check_almost_contact,
                       check_contact_metric, check_curvature_identity,
                       check_normality, check_reeb_ricci, check_sasakian)
-from .geometry import (FrameManifold, FrameVector, GeometryError, RicciTensor,
-                       curvature, is_killing, levi_civita, ricci,
-                       scalar_curvature, validate)
+from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
+                       FrameVector, GeometryError, RicciTensor, curvature,
+                       is_killing, levi_civita, ricci, scalar_curvature,
+                       validate)
 from .manifold_format import ManifoldDocument, ParseError, parse_manifold
 from .reports import CheckReport, combine
 from .scalars import ScalarError, parse_rational, parse_scalar
@@ -153,9 +153,9 @@ def _parse_lambda(text: str, M: FrameManifold):
 
 # -- table reports -------------------------------------------------------------
 
-def _connection_report(doc: ManifoldDocument) -> CheckReport:
+def _connection_report(doc: ManifoldDocument,
+                       conn: ConnectionTable) -> CheckReport:
     M = doc.manifold
-    conn = levi_civita(M)
     report = CheckReport(f"{M.name} connection")
     for i, j, v in conn.nonzero():
         report.add(f"nabla_e{i + 1} e{j + 1} = {v.render()}", True)
@@ -168,9 +168,8 @@ def _connection_report(doc: ManifoldDocument) -> CheckReport:
     return report
 
 
-def _curvature_report(doc: ManifoldDocument) -> CheckReport:
+def _curvature_report(doc: ManifoldDocument, R: CurvatureTensor) -> CheckReport:
     M = doc.manifold
-    R = curvature(M, levi_civita(M))
     report = CheckReport(f"{M.name} curvature")
     for i, j, k, v in R.nonzero():
         report.add(f"R(e{i + 1},e{j + 1})e{k + 1} = {v.render()}", True)
@@ -183,9 +182,8 @@ def _curvature_report(doc: ManifoldDocument) -> CheckReport:
     return report
 
 
-def _ricci_report(doc: ManifoldDocument) -> CheckReport:
+def _ricci_report(doc: ManifoldDocument, ric_t: RicciTensor) -> CheckReport:
     M = doc.manifold
-    ric_t = ricci(M, curvature(M, levi_civita(M)))
     report = CheckReport(f"{M.name} ricci")
     for j, k, v in ric_t.nonzero():
         report.add(f"ric[{j + 1}][{k + 1}] = {v.render()}", True)
@@ -201,22 +199,18 @@ def _expected_ricci_tensor(doc: ManifoldDocument) -> RicciTensor:
     M = doc.manifold
     if not doc.expected.ricci:
         raise UsageError(f"{M.name} declares no expected ricci values")
-    tab = [[Fraction(0)] * M.dim for _ in range(M.dim)]
+    tab = {}
     for i, j, q, _src in doc.expected.ricci:
-        tab[i][j] = q
-        tab[j][i] = q
-    from .scalars import ParamScalar
-    return RicciTensor(M, tuple(tuple(ParamScalar.rational(x) for x in row)
-                                for row in tab))
+        tab[i, j] = q
+        tab[j, i] = q
+    return RicciTensor(M, {key: q for key, q in tab.items() if q})
 
 
-def _solve_lambda_report(doc: ManifoldDocument, field_text: str,
+def _solve_lambda_report(doc: ManifoldDocument, conn: ConnectionTable,
+                         engine_ric: RicciTensor, X: FrameVector,
                          flavor: SolitonFlavor,
                          use_expected_ricci: bool) -> CheckReport:
     M = doc.manifold
-    X = _parse_field(field_text, doc)
-    conn = levi_civita(M)
-    engine_ric = ricci(M, curvature(M, conn))
     if use_expected_ricci:
         ric_used = _expected_ricci_tensor(doc)
         srcs = ", ".join(sorted({s for _, _, _, s in doc.expected.ricci}))
@@ -268,15 +262,22 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_connection(args) -> int:
-    return _emit(_connection_report(_load(args)), args.format)
+    doc = _load(args)
+    return _emit(_connection_report(doc, levi_civita(doc.manifold)), args.format)
 
 
 def _cmd_curvature(args) -> int:
-    return _emit(_curvature_report(_load(args)), args.format)
+    doc = _load(args)
+    M = doc.manifold
+    return _emit(_curvature_report(doc, curvature(M, levi_civita(M))),
+                 args.format)
 
 
 def _cmd_ricci(args) -> int:
-    return _emit(_ricci_report(_load(args)), args.format)
+    doc = _load(args)
+    M = doc.manifold
+    return _emit(_ricci_report(doc, ricci(M, curvature(M, levi_civita(M)))),
+                 args.format)
 
 
 def _cmd_check_contact(args) -> int:
@@ -300,7 +301,10 @@ def _cmd_check_normality(args) -> int:
 
 def _cmd_solve_lambda(args) -> int:
     doc = _load(args)
-    report = _solve_lambda_report(doc, args.field,
+    M = doc.manifold
+    X = _parse_field(args.field, doc)
+    conn = levi_civita(M)
+    report = _solve_lambda_report(doc, conn, ricci(M, curvature(M, conn)), X,
                                   SolitonFlavor(args.flavor),
                                   args.use_expected_ricci)
     return _emit(report, args.format)
@@ -354,15 +358,20 @@ def _cmd_check_gradient(args) -> int:
     return _emit(report, args.format)
 
 
-def _cmd_theorem36(args) -> int:
-    try:
-        r = concurrent_soliton_constants(args.dim)
-    except SolitonError as exc:
-        raise UsageError(str(exc)) from exc
+def _theorem36_report(dim: int) -> CheckReport:
+    r = concurrent_soliton_constants(dim)
     report = CheckReport(f"concurrent potential constants, dim {r.dim}")
     report.add(f"lambda = {r.lam.render()}", True)
     report.add(f"einstein constant = {r.einstein_constant}", True)
     report.add(f"classification: {r.classification.render()}", True)
+    return report
+
+
+def _cmd_theorem36(args) -> int:
+    try:
+        report = _theorem36_report(args.dim)
+    except SolitonError as exc:
+        raise UsageError(str(exc)) from exc
     return _emit(report, args.format)
 
 
@@ -375,9 +384,9 @@ def _cmd_verify_paper_example(args) -> int:
     ric_t = ricci(M, R)
 
     sections = [validate(M, strict=True),
-                _connection_report(doc),
-                _curvature_report(doc),
-                _ricci_report(doc)]
+                _connection_report(doc, conn),
+                _curvature_report(doc, R),
+                _ricci_report(doc, ric_t)]
 
     scal = CheckReport(f"{M.name} scalar curvature")
     scal.add(f"r = {scalar_curvature(M, ric_t).render()}", True)
@@ -392,22 +401,17 @@ def _cmd_verify_paper_example(args) -> int:
         check_reeb_ricci(M, ric_t, D),
     ])
 
+    xi = D.xi_vector()
     killing = CheckReport(f"{M.name} reeb field")
-    ok, lx = is_killing(M, conn, FrameVector.from_values(D.xi))
+    ok, lx = is_killing(M, conn, xi)
     killing.add("L_xi g = 0", ok, None if ok else _defect_table(lx))
     sections.append(killing)
 
-    sections.append(_solve_lambda_report(doc, "xi", SolitonFlavor.CONFORMAL,
-                                         use_expected_ricci=False))
-    sections.append(_solve_lambda_report(doc, "xi", SolitonFlavor.CONFORMAL,
-                                         use_expected_ricci=True))
-
-    r36 = concurrent_soliton_constants(M.dim)
-    sec36 = CheckReport(f"concurrent potential constants, dim {M.dim}")
-    sec36.add(f"lambda = {r36.lam.render()}", True)
-    sec36.add(f"einstein constant = {r36.einstein_constant}", True)
-    sec36.add(f"classification: {r36.classification.render()}", True)
-    sections.append(sec36)
+    for use_expected in (False, True):
+        sections.append(_solve_lambda_report(doc, conn, ric_t, xi,
+                                             SolitonFlavor.CONFORMAL,
+                                             use_expected))
+    sections.append(_theorem36_report(M.dim))
 
     return _emit(combine("heisenberg5 worked example", sections), args.format)
 

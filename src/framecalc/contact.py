@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
-                       FrameVector, RicciTensor, covariant_derivative_endo)
+                       FrameVector, RicciTensor, endo_derivative_coeffs,
+                       sparse_columns, vector_of)
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import format_rational
 
@@ -54,14 +55,27 @@ class AlmostContactData:
         return FrameVector.from_values(tuple(self.phi[a][j] for a in range(self.dim)))
 
 
-def _fmt_frac_vec(v) -> str:
-    return FrameVector.from_values(v).render()
+def _fmt_coeffs(dim: int, v: dict) -> str:
+    return vector_of(dim, v).render()
+
+
+def _apply(cols: list, v: dict) -> dict:
+    """The endomorphism with coefficient-map columns cols, applied to v."""
+    out = {}
+    for j, x in v.items():
+        for a, p in cols[j].items():
+            out[a] = out.get(a, 0) + p * x
+    return {a: x for a, x in out.items() if x}
+
+
+def _d_eta(M: FrameManifold, eta: tuple, i: int, j: int) -> Fraction:
+    return -sum((eta[k] * x for k, x in M.brackets.get((i, j), {}).items()),
+                Fraction(0)) / 2
 
 
 def d_eta(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> Fraction:
     """d eta(e_i, e_j) = -1/2 eta([e_i, e_j]) for frame-constant eta."""
-    eta = D.eta(M)
-    return -sum((eta[k] * M.c[i][j][k] for k in range(M.dim)), Fraction(0)) / 2
+    return _d_eta(M, D.eta(M), i, j)
 
 
 def check_almost_contact(M: FrameManifold, D: AlmostContactData) -> CheckReport:
@@ -71,37 +85,40 @@ def check_almost_contact(M: FrameManifold, D: AlmostContactData) -> CheckReport:
     m = M.dim
     report = CheckReport(f"{M.name} almost-contact axioms")
     eta = D.eta(M)
+    cols = sparse_columns(D.phi)
 
     val = sum((eta[i] * D.xi[i] for i in range(m)), Fraction(0))
     report.add("eta(xi) = 1", val == 1, f"eta(xi) = {format_rational(val)}")
 
     bad = []
     for j in range(m):
-        col = D.phi_vec(tuple(D.phi[a][j] for a in range(m)))
-        want = tuple((Fraction(-1) if a == j else Fraction(0)) + D.xi[a] * eta[j]
-                     for a in range(m))
-        if col != want:
-            bad.append(f"phi^2(e{j + 1}) = {_fmt_frac_vec(col)}")
+        col = _apply(cols, cols[j])
+        want = {a: D.xi[a] * eta[j] for a in range(m)}
+        want[j] -= 1
+        if col != {a: x for a, x in want.items() if x}:
+            bad.append(f"phi^2(e{j + 1}) = {_fmt_coeffs(m, col)}")
     report.add("phi^2 = -I + xi(x)eta", not bad, "; ".join(bad) if bad else None)
 
+    gcols = sparse_columns(M.g)
+    g_phi = [_apply(gcols, col) for col in cols]  # g(., phi e_j)
     bad = []
     for i in range(m):
         for j in range(m):
-            pi, pj = D.phi_column(i), D.phi_column(j)
-            lhs = M.g_of(pi, pj)
-            rhs = M.g[i][j] - eta[i] * eta[j]
-            if lhs != rhs:
+            lhs = sum((x * g_phi[j].get(a, 0) for a, x in cols[i].items()),
+                      Fraction(0))
+            if lhs != M.g[i][j] - eta[i] * eta[j]:
                 bad.append(f"({i + 1},{j + 1})")
     report.add("g(phi X, phi Y) = g(X, Y) - eta(X)eta(Y)", not bad,
                "violated at " + "; ".join(bad) if bad else None)
 
-    pxi = D.phi_vec(D.xi)
-    report.add("phi(xi) = 0", not any(pxi), f"phi(xi) = {_fmt_frac_vec(pxi)}")
+    pxi = _apply(cols, {a: x for a, x in enumerate(D.xi) if x})
+    report.add("phi(xi) = 0", not pxi, f"phi(xi) = {_fmt_coeffs(m, pxi)}")
 
-    etaphi = tuple(sum((eta[a] * D.phi[a][j] for a in range(m)), Fraction(0))
-                   for j in range(m))
-    report.add("eta(phi(.)) = 0", not any(etaphi),
-               f"eta(phi(e_j)) = {_fmt_frac_vec(etaphi)}")
+    etaphi = {j: sum((eta[a] * x for a, x in col.items()), Fraction(0))
+              for j, col in enumerate(cols)}
+    etaphi = {j: x for j, x in etaphi.items() if x}
+    report.add("eta(phi(.)) = 0", not etaphi,
+               f"eta(phi(e_j)) = {_fmt_coeffs(m, etaphi)}")
     return report
 
 
@@ -118,57 +135,61 @@ def check_sasakian(M: FrameManifold, conn: ConnectionTable,
 
     m = M.dim
     eta = D.eta(M)
-    xi_vec = D.xi_vector()
-    dphi = covariant_derivative_endo(M, conn, D.phi)
+    phi = {(a, j): x for a, row in enumerate(D.phi)
+           for j, x in enumerate(row) if x}
+    dphi = endo_derivative_coeffs(conn, phi)
     bad = []
     for i in range(m):
-        ei = FrameVector.basis(m, i)
         for j in range(m):
-            want = xi_vec.scaled(M.g[i][j]) - ei.scaled(eta[j])
-            if dphi[i][j] != want:
-                bad.append(f"({i + 1},{j + 1}): {(dphi[i][j] - want).render()}")
+            diff = dict(dphi.get((i, j), {}))
+            if M.g[i][j]:
+                for a, x in enumerate(D.xi):
+                    diff[a] = diff.get(a, 0) - M.g[i][j] * x
+            diff[i] = diff.get(i, 0) + eta[j]
+            diff = {a: x for a, x in diff.items() if x}
+            if diff:
+                bad.append(f"({i + 1},{j + 1}): {_fmt_coeffs(m, diff)}")
     report.add("(nabla_X phi)Y = g(X,Y)xi - eta(Y)X", not bad,
                "; ".join(bad) if bad else None)
     return report
 
 
+def _nijenhuis(M: FrameManifold, cols: list, i: int, j: int) -> dict:
+    br = M.bracket_coeffs
+    ei, ej = {i: 1}, {j: 1}
+    pi, pj = cols[i], cols[j]
+    out = _apply(cols, _apply(cols, M.brackets.get((i, j), {})))
+    for sign, v in ((1, br(pi, pj)), (-1, _apply(cols, br(pi, ej))),
+                    (-1, _apply(cols, br(ei, pj)))):
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + sign * x
+    return out
+
+
 def nijenhuis(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> tuple:
     """[phi, phi](e_i, e_j) =
     phi^2 [e_i,e_j] + [phi e_i, phi e_j] - phi[phi e_i, e_j] - phi[e_i, phi e_j]."""
-    m = M.dim
-
-    def br(x, y):
-        out = [Fraction(0)] * m
-        for a in range(m):
-            if x[a]:
-                for b in range(m):
-                    if y[b]:
-                        for k in range(m):
-                            out[k] += x[a] * y[b] * M.c[a][b][k]
-        return tuple(out)
-
-    ei = tuple(Fraction(1) if a == i else Fraction(0) for a in range(m))
-    ej = tuple(Fraction(1) if a == j else Fraction(0) for a in range(m))
-    pi, pj = D.phi_vec(ei), D.phi_vec(ej)
-    t1 = D.phi_vec(D.phi_vec(br(ei, ej)))
-    t2 = br(pi, pj)
-    t3 = D.phi_vec(br(pi, ej))
-    t4 = D.phi_vec(br(ei, pj))
-    return tuple(t1[k] + t2[k] - t3[k] - t4[k] for k in range(m))
+    n = _nijenhuis(M, sparse_columns(D.phi), i, j)
+    return tuple(Fraction(n.get(k, 0)) for k in range(M.dim))
 
 
 def check_normality(M: FrameManifold, D: AlmostContactData) -> CheckReport:
     """[phi, phi](X, Y) + 2 d eta(X, Y) xi = 0 on all frame pairs."""
     report = CheckReport(f"{M.name} normality")
     m = M.dim
+    eta = D.eta(M)
+    cols = sparse_columns(D.phi)
     bad = []
     for i in range(m):
         for j in range(i + 1, m):
-            n = nijenhuis(M, D, i, j)
-            de = d_eta(M, D, i, j)
-            total = tuple(n[k] + 2 * de * D.xi[k] for k in range(m))
-            if any(total):
-                bad.append(f"({i + 1},{j + 1}): {_fmt_frac_vec(total)}")
+            total = _nijenhuis(M, cols, i, j)
+            de = _d_eta(M, eta, i, j)
+            if de:
+                for k, x in enumerate(D.xi):
+                    total[k] = total.get(k, 0) + 2 * de * x
+            total = {k: x for k, x in total.items() if x}
+            if total:
+                bad.append(f"({i + 1},{j + 1}): {_fmt_coeffs(m, total)}")
     report.add("[phi,phi] + 2 d eta (x) xi = 0", not bad,
                "; ".join(bad) if bad else None)
     return report
@@ -179,12 +200,14 @@ def check_contact_metric(M: FrameManifold, D: AlmostContactData) -> CheckReport:
     contact structures can still fail this; Sasakian ones never do."""
     report = CheckReport(f"{M.name} contact-metric compatibility")
     m = M.dim
+    eta = D.eta(M)
+    gcols = sparse_columns(M.g)
+    g_phi = [_apply(gcols, col) for col in sparse_columns(D.phi)]
     bad = []
     for i in range(m):
-        ei = FrameVector.basis(m, i)
         for j in range(m):
-            lhs = d_eta(M, D, i, j)
-            rhs = M.g_of(ei, D.phi_column(j)).constant_value()
+            lhs = _d_eta(M, eta, i, j)
+            rhs = Fraction(g_phi[j].get(i, 0))
             if lhs != rhs:
                 bad.append(f"({i + 1},{j + 1}): d eta = {format_rational(lhs)}, "
                            f"g(e_i, phi e_j) = {format_rational(rhs)}")
@@ -199,16 +222,18 @@ def check_curvature_identity(M: FrameManifold, R: CurvatureTensor,
     report = CheckReport(f"{M.name} reeb curvature identity")
     m = M.dim
     eta = D.eta(M)
-    xi_vec = D.xi_vector()
+    xi = {a: x for a, x in enumerate(D.xi) if x}
     bad = []
     for yj in range(m):
-        y = FrameVector.basis(m, yj)
         for zk in range(m):
-            z = FrameVector.basis(m, zk)
-            lhs = R.apply(y, xi_vec, z)
-            rhs = y.scaled(eta[zk]) - xi_vec.scaled(M.g[yj][zk])
-            if lhs != rhs:
-                bad.append(f"({yj + 1},{zk + 1}): {(lhs - rhs).render()}")
+            diff = R.apply_coeffs({yj: 1}, xi, {zk: 1})
+            diff[yj] = diff.get(yj, 0) - eta[zk]
+            if M.g[yj][zk]:
+                for a, x in xi.items():
+                    diff[a] = diff.get(a, 0) + M.g[yj][zk] * x
+            diff = {a: x for a, x in diff.items() if x}
+            if diff:
+                bad.append(f"({yj + 1},{zk + 1}): {_fmt_coeffs(m, diff)}")
     report.add("R(Y, xi)Z = eta(Z)Y - g(Y,Z)xi", not bad,
                "; ".join(bad) if bad else None)
     return report
@@ -220,13 +245,15 @@ def check_reeb_ricci(M: FrameManifold, ric_t: RicciTensor,
     report = CheckReport(f"{M.name} reeb ricci identity")
     m = M.dim
     eta = D.eta(M)
-    xi_vec = D.xi_vector()
+    lhs = [Fraction(0)] * m
+    for (j, k), x in ric_t.ric.items():
+        if D.xi[j]:
+            lhs[k] += D.xi[j] * x
     bad = []
     for k in range(m):
-        lhs = ric_t.apply(xi_vec, FrameVector.basis(m, k))
         rhs = (m - 1) * eta[k]
-        if lhs != rhs:
-            bad.append(f"e{k + 1}: ric(xi, e_k) = {lhs.render()}, "
+        if lhs[k] != rhs:
+            bad.append(f"e{k + 1}: ric(xi, e_k) = {format_rational(lhs[k])}, "
                        f"want {format_rational(rhs)}")
     report.add(f"ric(xi, Z) = {m - 1} eta(Z)", not bad,
                "; ".join(bad) if bad else None)

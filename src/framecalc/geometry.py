@@ -6,11 +6,19 @@ A manifold here is a homogeneous presentation: an orthonormal-style frame
 e_1..e_m with constant antisymmetric structure coefficients
 [e_i, e_j] = sum_k c[i][j][k] e_k and a constant symmetric metric g on the
 frame. All indices are 0-based internally; rendered output is 1-based.
+
+Tensors are sparse: a dict from an index tuple to a Fraction, or to a sparse
+vector {k: Fraction} for the upper index, holding nonzero entries only. The
+geometry is built from c and g alone, so it is rational; kernels cost time
+in proportion to the nonzero entries they combine. ParamScalar appears only
+in the accessors and where a caller's vector field or scalar brings in
+parameters.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .reports import CheckReport
 from .scalars import ParamScalar, ZERO, format_rational
@@ -26,6 +34,52 @@ def _as_scalar(x) -> ParamScalar:
     if isinstance(x, ParamScalar):
         return x
     return ParamScalar.rational(x)
+
+
+# -- sparse helpers -----------------------------------------------------------
+# Sparse coefficient maps {index: value} hold Fractions, or ParamScalars where
+# a caller's data is parametric; both support +, * and != 0, so one kernel
+# serves both.
+
+def _plain(c: ParamScalar):
+    """c as a Fraction when it is constant, else c itself."""
+    return c.constant_value() if c.is_constant() else c
+
+
+def _coeff_map(v: "FrameVector") -> dict:
+    """Nonzero coefficients of v; constant ones as Fractions."""
+    return {k: _plain(c) for k, c in enumerate(v.coeffs) if not c.is_zero()}
+
+
+def vector_of(dim: int, coeffs: dict) -> "FrameVector":
+    """FrameVector with the given sparse coefficients (zeros allowed)."""
+    return FrameVector(tuple(_as_scalar(coeffs[k]) if k in coeffs else ZERO
+                             for k in range(dim)))
+
+
+def _matrix_of(dim: int, entries: dict) -> tuple:
+    return tuple(tuple(_as_scalar(entries[i, j]) if (i, j) in entries else ZERO
+                       for j in range(dim)) for i in range(dim))
+
+
+def _prune(vec: dict) -> dict:
+    return {k: x for k, x in vec.items() if x != 0}
+
+
+def _prune_rows(table: dict) -> dict:
+    """table without zero entries and without the rows they leave empty."""
+    out = {}
+    for key, row in table.items():
+        row = _prune(row)
+        if row:
+            out[key] = row
+    return out
+
+
+def sparse_columns(mat) -> list:
+    """col[l] = {k: mat[k][l]} over the nonzero entries of a square matrix."""
+    n = len(mat)
+    return [{k: mat[k][l] for k in range(n) if mat[k][l]} for l in range(n)]
 
 
 # -- exact linear algebra on Fraction matrices -------------------------------
@@ -143,6 +197,8 @@ class FrameVector:
         return self.render()
 
 
+
+
 # -- the manifold ------------------------------------------------------------
 
 class FrameManifold:
@@ -163,6 +219,8 @@ class FrameManifold:
         if len(self.g) != dim or any(len(r) != dim for r in self.g):
             raise GeometryError("metric must be dim x dim")
         self._g_inv = None
+        self._brackets = None
+        self._lowered_brackets = None
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, brackets: dict,
@@ -183,23 +241,53 @@ class FrameManifold:
             self._g_inv = invert_matrix(self.g)
         return self._g_inv
 
+    @property
+    def brackets(self) -> dict:
+        """The nonzero brackets as {(i, j): {k: c[i][j][k]}}, every ordered
+        pair with a nonzero row, in ascending pair order."""
+        if self._brackets is None:
+            m = self.dim
+            table = {}
+            for i in range(m):
+                for j in range(m):
+                    row = {k: x for k, x in enumerate(self.c[i][j]) if x}
+                    if row:
+                        table[i, j] = row
+            self._brackets = table
+        return self._brackets
+
+    @property
+    def lowered_brackets(self) -> dict:
+        """{(i, j, l): C_ijl} with C_ijl = g(e_l, [e_i, e_j]), nonzero only."""
+        if self._lowered_brackets is None:
+            gcols = sparse_columns(self.g)
+            out = {}
+            for (i, j), row in self.brackets.items():
+                for k, x in row.items():
+                    for l, gl in gcols[k].items():
+                        out[i, j, l] = out.get((i, j, l), 0) + gl * x
+            self._lowered_brackets = _prune(out)
+        return self._lowered_brackets
+
     def bracket(self, i: int, j: int) -> FrameVector:
         return FrameVector.from_values(self.c[i][j])
 
+    def bracket_coeffs(self, x: dict, y: dict) -> dict:
+        """[x, y] for sparse coefficient maps, through the bracket table."""
+        table = self.brackets
+        out = {}
+        for a, xa in x.items():
+            for b, yb in y.items():
+                row = table.get((a, b))
+                if row:
+                    w = xa * yb
+                    for k, cab in row.items():
+                        out[k] = out.get(k, 0) + cab * w
+        return _prune(out)
+
     def bracket_vec(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        out = [ZERO] * self.dim
-        for i in range(self.dim):
-            xi = x.coeffs[i]
-            if xi.is_zero():
-                continue
-            for j in range(self.dim):
-                yj = y.coeffs[j]
-                if yj.is_zero():
-                    continue
-                for k in range(self.dim):
-                    if self.c[i][j][k]:
-                        out[k] = out[k] + xi * yj * self.c[i][j][k]
-        return FrameVector(tuple(out))
+        return vector_of(self.dim,
+                         self.bracket_coeffs(_coeff_map(x), _coeff_map(y)))
 
     def g_of(self, x: FrameVector, y: FrameVector) -> ParamScalar:
         total = ZERO
@@ -229,13 +317,20 @@ def identity_metric(dim: int):
 
 # -- validation ---------------------------------------------------------------
 
+def _jacobi_coeffs(M: FrameManifold, i: int, j: int, k: int) -> dict:
+    table = M.brackets
+    out = {}
+    for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+        for s, x in table.get((a, b), {}).items():
+            for l, y in table.get((s, z), {}).items():
+                out[l] = out.get(l, 0) + x * y
+    return _prune(out)
+
+
 def jacobi_defect(M: FrameManifold, i: int, j: int, k: int) -> FrameVector:
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]; zero iff the
     bracket satisfies the Jacobi identity on this triple."""
-    e = [FrameVector.basis(M.dim, a) for a in range(M.dim)]
-    return (M.bracket_vec(M.bracket(i, j), e[k])
-            + M.bracket_vec(M.bracket(j, k), e[i])
-            + M.bracket_vec(M.bracket(k, i), e[j]))
+    return vector_of(M.dim, _jacobi_coeffs(M, i, j, k))
 
 
 def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
@@ -243,9 +338,12 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
     positive-definiteness of the metric. Strict mode also requires the
     Jacobi identity and reports the defect vector of each failing triple."""
     report = CheckReport(f"{M.name} validate" + (" (strict)" if strict else ""))
-    bad = [(i + 1, j + 1, k + 1)
-           for i in range(M.dim) for j in range(M.dim) for k in range(M.dim)
-           if M.c[i][j][k] != -M.c[j][i][k]]
+    bad = set()
+    for (i, j), row in M.brackets.items():
+        for k, x in row.items():
+            if M.c[j][i][k] != -x:
+                bad.update(((i + 1, j + 1, k + 1), (j + 1, i + 1, k + 1)))
+    bad = sorted(bad)
     report.add("bracket antisymmetry", not bad,
                "violated at " + "; ".join(str(t) for t in bad[:8]) if bad else None)
 
@@ -267,9 +365,10 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
         for i in range(M.dim):
             for j in range(i + 1, M.dim):
                 for k in range(j + 1, M.dim):
-                    d = jacobi_defect(M, i, j, k)
-                    if not d.is_zero():
-                        defects.append(f"({i + 1},{j + 1},{k + 1}): {d.render()}")
+                    d = _jacobi_coeffs(M, i, j, k)
+                    if d:
+                        defects.append(f"({i + 1},{j + 1},{k + 1}): "
+                                       f"{vector_of(M.dim, d).render()}")
         report.add("jacobi identity", not defects,
                    "; ".join(defects) if defects else None)
     return report
@@ -280,198 +379,215 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
 @dataclass(frozen=True)
 class ConnectionTable:
     manifold: FrameManifold
-    gamma: tuple  # gamma[i][j] = FrameVector nabla_{e_i} e_j
+    gamma: dict   # {(i, j): {k: Gamma_ij^k}}, nabla_{e_i} e_j = Gamma_ij^k e_k
+    koszul: dict  # {(i, j, l): g(nabla_{e_i} e_j, e_l)}
 
     def entry(self, i: int, j: int) -> FrameVector:
-        return self.gamma[i][j]
+        return vector_of(self.manifold.dim, self.gamma.get((i, j), {}))
 
     def coeff(self, i: int, j: int, k: int) -> ParamScalar:
-        return self.gamma[i][j].coeffs[k]
+        return ParamScalar.rational(self.gamma.get((i, j), {}).get(k, 0))
 
     def nabla_vec(self, i: int, v: FrameVector) -> FrameVector:
         """nabla_{e_i} of a frame-constant vector field."""
-        out = FrameVector.zero(self.manifold.dim)
-        for a, va in enumerate(v.coeffs):
-            if not va.is_zero():
-                out = out + self.gamma[i][a].scaled(va)
-        return out
+        out = {}
+        for a, va in _coeff_map(v).items():
+            for k, x in self.gamma.get((i, a), {}).items():
+                out[k] = out.get(k, 0) + x * va
+        return vector_of(self.manifold.dim, out)
 
     def nonzero(self):
-        for i in range(self.manifold.dim):
-            for j in range(self.manifold.dim):
-                if not self.gamma[i][j].is_zero():
-                    yield i, j, self.gamma[i][j]
+        for (i, j) in sorted(self.gamma):
+            yield i, j, self.entry(i, j)
 
 
 def levi_civita(M: FrameManifold) -> ConnectionTable:
     """Koszul formula reduced for a frame-constant metric:
-    2 g(nabla_{e_i} e_j, e_k) =
-        -g(e_i, [e_j, e_k]) + g(e_j, [e_k, e_i]) + g(e_k, [e_i, e_j]).
+    2 g(nabla_{e_i} e_j, e_l) = C_ijl - C_jli + C_lij with
+    C_ijl = g(e_l, [e_i, e_j]); each nonzero C adds to three entries, and
+    g^{-1} raises the last index.
     """
-    m = M.dim
-    gi = M.g_inv
-
-    def pair(a: int, br) -> Fraction:
-        return sum((M.g[a][l] * br[l] for l in range(m)), Fraction(0))
-
-    gamma = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            rhs = []
-            for k in range(m):
-                t = (-pair(i, M.c[j][k]) + pair(j, M.c[k][i])
-                     + pair(k, M.c[i][j])) / 2
-                rhs.append(t)
-            coeffs = [sum((gi[k][l] * rhs[l] for l in range(m)), Fraction(0))
-                      for k in range(m)]
-            row.append(FrameVector.from_values(coeffs))
-        gamma.append(tuple(row))
-    return ConnectionTable(M, tuple(gamma))
+    lowered = {}
+    for (i, j, l), x in M.lowered_brackets.items():
+        lowered[i, j, l] = lowered.get((i, j, l), 0) + x
+        lowered[l, i, j] = lowered.get((l, i, j), 0) - x
+        lowered[j, l, i] = lowered.get((j, l, i), 0) + x
+    koszul = {key: x / 2 for key, x in lowered.items() if x}
+    gi_cols = sparse_columns(M.g_inv)
+    raised = {}
+    for (i, j, l), x in koszul.items():
+        row = raised.setdefault((i, j), {})
+        for k, gkl in gi_cols[l].items():
+            row[k] = row.get(k, 0) + gkl * x
+    return ConnectionTable(M, _prune_rows(raised), koszul)
 
 
 @dataclass(frozen=True)
 class CurvatureTensor:
     manifold: FrameManifold
-    comp: tuple  # comp[i][j][k] = FrameVector R(e_i, e_j) e_k
+    comp: dict  # {(i, j, k): {l: R_ijk^l}}, R(e_i, e_j) e_k = R_ijk^l e_l
 
     def entry(self, i: int, j: int, k: int) -> FrameVector:
-        return self.comp[i][j][k]
+        return vector_of(self.manifold.dim, self.comp.get((i, j, k), {}))
 
     def lowered(self, i: int, j: int, k: int, l: int) -> ParamScalar:
         """R(e_i, e_j, e_k, e_l) = g(R(e_i, e_j) e_k, e_l)."""
-        M = self.manifold
-        total = ZERO
-        for a in range(M.dim):
-            if M.g[a][l]:
-                total = total + self.comp[i][j][k].coeffs[a] * M.g[a][l]
-        return total
+        g = self.manifold.g
+        return ParamScalar.rational(sum(
+            (x * g[a][l] for a, x in self.comp.get((i, j, k), {}).items()),
+            Fraction(0)))
+
+    def apply_coeffs(self, x: dict, y: dict, z: dict) -> dict:
+        """R(x, y) z for coefficient maps."""
+        out = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                w = xi * yj
+                for k, zk in z.items():
+                    vec = self.comp.get((i, j, k))
+                    if vec:
+                        wk = w * zk
+                        for l, r in vec.items():
+                            out[l] = out.get(l, 0) + r * wk
+        return _prune(out)
 
     def apply(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
         """Trilinear extension of R to frame-constant vector fields."""
-        M = self.manifold
-        out = FrameVector.zero(M.dim)
-        for i, xi in enumerate(x.coeffs):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y.coeffs):
-                if yj.is_zero():
-                    continue
-                for k, zk in enumerate(z.coeffs):
-                    if zk.is_zero():
-                        continue
-                    out = out + self.comp[i][j][k].scaled(xi * yj * zk)
-        return out
+        return vector_of(self.manifold.dim, self.apply_coeffs(
+            _coeff_map(x), _coeff_map(y), _coeff_map(z)))
 
     def nonzero(self):
-        m = self.manifold.dim
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if not self.comp[i][j][k].is_zero():
-                        yield i, j, k, self.comp[i][j][k]
+        for (i, j, k) in sorted(self.comp):
+            yield i, j, k, self.entry(i, j, k)
+
+
+def _integer_rows(table: dict) -> tuple:
+    """({key: {k: int}}, d) with every value of table equal to int / d."""
+    d = 1
+    for row in table.values():
+        for x in row.values():
+            d = lcm(d, x.denominator)
+    return {key: {k: x.numerator * (d // x.denominator)
+                  for k, x in row.items()}
+            for key, row in table.items()}, d
 
 
 def curvature(M: FrameManifold, conn: ConnectionTable) -> CurvatureTensor:
-    """R(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X, Y]} Z."""
-    m = M.dim
-    comp = []
-    for i in range(m):
-        plane = []
-        for j in range(m):
-            row = []
-            for k in range(m):
-                t1 = conn.nabla_vec(i, conn.gamma[j][k])
-                t2 = conn.nabla_vec(j, conn.gamma[i][k])
-                t3 = FrameVector.zero(m)
-                for a in range(m):
-                    if M.c[i][j][a]:
-                        t3 = t3 + conn.gamma[a][k].scaled(M.c[i][j][a])
-                row.append(t1 - t2 - t3)
-            plane.append(tuple(row))
-        comp.append(tuple(plane))
-    return CurvatureTensor(M, tuple(comp))
+    """R(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X, Y]} Z,
+    so R_ijk^l = T_ijk^l - T_jik^l - sum_a c_ij^a Gamma_ak^l with
+    T_ijk^l = sum_a Gamma_jk^a Gamma_ia^l.
+
+    Gamma and c are scaled to integers over common denominators dg and dc,
+    the sums run on ints over dg^2 dc, and each entry is divided once."""
+    gamma, dg = _integer_rows(conn.gamma)
+    brackets, dc = _integer_rows(M.brackets)
+    by_first: dict = {}
+    by_second: dict = {}
+    for (i, a), row in gamma.items():
+        by_first.setdefault(i, []).append((a, row))
+        by_second.setdefault(a, []).append((i, row))
+    acc: dict = {}
+    for (j, k), row_jk in gamma.items():
+        for a, x in row_jk.items():
+            x *= dc
+            for i, row_ia in by_second.get(a, ()):
+                if i == j:
+                    continue
+                plus = acc.setdefault((i, j, k), {})
+                minus = acc.setdefault((j, i, k), {})
+                for l, y in row_ia.items():
+                    t = x * y
+                    plus[l] = plus.get(l, 0) + t
+                    minus[l] = minus.get(l, 0) - t
+    for (i, j), br in brackets.items():
+        for a, x in br.items():
+            x *= dg
+            for k, row_ak in by_first.get(a, ()):
+                vec = acc.setdefault((i, j, k), {})
+                for l, y in row_ak.items():
+                    vec[l] = vec.get(l, 0) - x * y
+    den = dg * dg * dc
+    return CurvatureTensor(M, {key: {l: Fraction(x, den) for l, x in vec.items()}
+                               for key, vec in _prune_rows(acc).items()})
 
 
 def bianchi_defect(R: CurvatureTensor, i: int, j: int, k: int) -> FrameVector:
     """R(e_i,e_j)e_k + R(e_j,e_k)e_i + R(e_k,e_i)e_j (first Bianchi sum)."""
-    return R.comp[i][j][k] + R.comp[j][k][i] + R.comp[k][i][j]
+    return R.entry(i, j, k) + R.entry(j, k, i) + R.entry(k, i, j)
 
 
 @dataclass(frozen=True)
 class RicciTensor:
     manifold: FrameManifold
-    ric: tuple  # ric[j][k] = ParamScalar
+    ric: dict  # {(j, k): ric(e_j, e_k)}, nonzero entries only
 
     def entry(self, j: int, k: int) -> ParamScalar:
-        return self.ric[j][k]
+        return ParamScalar.rational(self.ric.get((j, k), 0))
 
     def apply(self, y: FrameVector, z: FrameVector) -> ParamScalar:
-        total = ZERO
-        for j, yj in enumerate(y.coeffs):
-            if yj.is_zero():
-                continue
-            for k, zk in enumerate(z.coeffs):
-                if not zk.is_zero():
-                    total = total + yj * zk * self.ric[j][k]
-        return total
+        yc, zc = _coeff_map(y), _coeff_map(z)
+        total = 0
+        for (j, k), x in self.ric.items():
+            if j in yc and k in zc:
+                total = total + yc[j] * zc[k] * x
+        return _as_scalar(total)
 
     def nonzero(self):
-        m = self.manifold.dim
-        for j in range(m):
-            for k in range(m):
-                if not self.ric[j][k].is_zero():
-                    yield j, k, self.ric[j][k]
+        for (j, k) in sorted(self.ric):
+            yield j, k, self.entry(j, k)
 
 
 def ricci(M: FrameManifold, R: CurvatureTensor) -> RicciTensor:
     """ric(e_j, e_k) = trace of X -> R(X, e_j) e_k. Equals the contraction of
     the lowered tensor through g^{-1}; for an identity metric this is the
     plain orthonormal-frame sum over R(e_i, e_j, e_k, e_i)."""
-    m = M.dim
-    ric_tab = tuple(tuple(
-        sum((R.comp[i][j][k].coeffs[i] for i in range(m)), ZERO)
-        for k in range(m)) for j in range(m))
-    return RicciTensor(M, ric_tab)
+    acc = {}
+    for (i, j, k), vec in R.comp.items():
+        if i in vec:
+            acc[j, k] = acc.get((j, k), 0) + vec[i]
+    return RicciTensor(M, {key: x for key, x in acc.items() if x})
 
 
 def ricci_via_metric(M: FrameManifold, R: CurvatureTensor) -> RicciTensor:
-    """Same contraction routed through g^{-1} and the lowered tensor; kept as
-    a cross-check for non-identity metrics."""
+    """Same contraction routed through g^{-1} and the lowered tensor, read
+    through the accessors only; kept as the reference that tests compare
+    ricci against, for non-identity metrics."""
     m = M.dim
     gi = M.g_inv
-    tab = []
+    tab = {}
     for j in range(m):
-        row = []
         for k in range(m):
             total = ZERO
             for i in range(m):
                 for l in range(m):
                     if gi[i][l]:
                         total = total + R.lowered(i, j, k, l) * gi[i][l]
-            row.append(total)
-        tab.append(tuple(row))
-    return RicciTensor(M, tuple(tab))
+            if not total.is_zero():
+                tab[j, k] = total.constant_value()
+    return RicciTensor(M, tab)
 
 
 def scalar_curvature(M: FrameManifold, ric_t: RicciTensor) -> ParamScalar:
     gi = M.g_inv
-    total = ZERO
-    for i in range(M.dim):
-        for j in range(M.dim):
-            if gi[i][j]:
-                total = total + ric_t.ric[i][j] * gi[i][j]
-    return total
+    return ParamScalar.rational(sum(
+        (x * gi[i][j] for (i, j), x in ric_t.ric.items() if gi[i][j]),
+        Fraction(0)))
+
+
+def ricci_operator_coeffs(M: FrameManifold, ric_t: RicciTensor) -> dict:
+    """{(a, j): Q_aj} with g(Q e_j, e_k) = ric(e_j, e_k), nonzero only."""
+    gi_cols = sparse_columns(M.g_inv)
+    acc = {}
+    for (l, j), x in ric_t.ric.items():
+        for a, gal in gi_cols[l].items():
+            acc[a, j] = acc.get((a, j), 0) + gal * x
+    return {key: x for key, x in acc.items() if x}
 
 
 def ricci_operator(M: FrameManifold, ric_t: RicciTensor) -> tuple:
     """Endomorphism Q with g(Q e_j, e_k) = ric(e_j, e_k); column j is Q e_j.
     Returned as a matrix q[a][j] of ParamScalar."""
-    m = M.dim
-    gi = M.g_inv
-    return tuple(tuple(
-        sum((ric_t.ric[l][j] * gi[a][l] for l in range(m)), ZERO)
-        for j in range(m)) for a in range(m))
+    return _matrix_of(M.dim, ricci_operator_coeffs(M, ric_t))
 
 
 # -- derived operations --------------------------------------------------------
@@ -479,11 +595,14 @@ def ricci_operator(M: FrameManifold, ric_t: RicciTensor) -> tuple:
 def lie_derivative_metric(M: FrameManifold, conn: ConnectionTable,
                           X: FrameVector) -> tuple:
     """(L_X g)(e_i, e_j) = g(nabla_{e_i} X, e_j) + g(e_i, nabla_{e_j} X)."""
-    m = M.dim
-    e = [FrameVector.basis(m, a) for a in range(m)]
-    nx = [conn.nabla_vec(i, X) for i in range(m)]
-    return tuple(tuple(M.g_of(nx[i], e[j]) + M.g_of(e[i], nx[j])
-                       for j in range(m)) for i in range(m))
+    x = _coeff_map(X)
+    acc = {}
+    for (i, a, j), q in conn.koszul.items():
+        if a in x:
+            t = q * x[a]
+            acc[i, j] = acc.get((i, j), 0) + t
+            acc[j, i] = acc.get((j, i), 0) + t
+    return _matrix_of(M.dim, acc)
 
 
 def is_killing(M: FrameManifold, conn: ConnectionTable, X: FrameVector):
@@ -493,21 +612,42 @@ def is_killing(M: FrameManifold, conn: ConnectionTable, X: FrameVector):
     return ok, lx
 
 
+def endo_derivative_coeffs(conn: ConnectionTable, q: dict) -> dict:
+    """{(i, j): {k: ((nabla_{e_i} Q) e_j)_k}} for a frame-constant
+    endomorphism given as {(a, j): Q_aj}, nonzero entries only:
+    (nabla_{e_i} Q) e_j = nabla_{e_i}(Q e_j) - Q(nabla_{e_i} e_j)."""
+    q_rows: dict = {}
+    q_cols: dict = {}
+    for (a, j), x in q.items():
+        q_rows.setdefault(a, []).append((j, x))
+        q_cols.setdefault(j, []).append((a, x))
+    acc: dict = {}
+    for (i, a), row in conn.gamma.items():
+        for j, qaj in q_rows.get(a, ()):
+            vec = acc.setdefault((i, j), {})
+            for k, x in row.items():
+                vec[k] = vec.get(k, 0) + x * qaj
+        for b, x in row.items():
+            cols = q_cols.get(b)
+            if cols:
+                vec = acc.setdefault((i, a), {})
+                for k, qkb in cols:
+                    vec[k] = vec.get(k, 0) - x * qkb
+    return _prune_rows(acc)
+
+
 def covariant_derivative_endo(M: FrameManifold, conn: ConnectionTable,
                               Q: tuple) -> tuple:
     """(nabla_{e_i} Q) e_j = nabla_{e_i}(Q e_j) - Q(nabla_{e_i} e_j) for a
     frame-constant endomorphism Q given column-wise (Q[a][j] = coeff of e_a
     in Q e_j). Returns a table [i][j] of FrameVector."""
     m = M.dim
-    qcols = [FrameVector.from_values(tuple(Q[a][j] for a in range(m)))
-             for j in range(m)]
-
-    def q_apply(v: FrameVector) -> FrameVector:
-        out = FrameVector.zero(m)
-        for j, vj in enumerate(v.coeffs):
-            if not vj.is_zero():
-                out = out + qcols[j].scaled(vj)
-        return out
-
-    return tuple(tuple(conn.nabla_vec(i, qcols[j]) - q_apply(conn.gamma[i][j])
-                       for j in range(m)) for i in range(m))
+    q = {}
+    for a in range(m):
+        for j in range(m):
+            x = _as_scalar(Q[a][j])
+            if not x.is_zero():
+                q[a, j] = _plain(x)
+    d = endo_derivative_coeffs(conn, q)
+    return tuple(tuple(vector_of(m, d.get((i, j), {})) for j in range(m))
+                 for i in range(m))

@@ -1,6 +1,6 @@
 """Line-based text format for frame manifolds.
 
-    # comments run to end of line; blank lines are ignored
+    # comments run to end of line, except inside "..."; blank lines are ignored
     manifold <ident> dim <int>
     param <ident>
     bracket e<i> e<j> = <vector-expr>
@@ -196,6 +196,17 @@ _EXPECT_RE = re.compile(
     r"expect\s+(nabla|riem|ricci|lambda)\s+(.*?)\s*source\s+\"([^\"]*)\"\s*$")
 
 
+def _strip_comment(raw: str) -> str:
+    """Cut a line at its first # that is not inside a double-quoted string."""
+    quoted = False
+    for pos, ch in enumerate(raw):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return raw[:pos]
+    return raw
+
+
 def parse_manifold(text: str) -> ManifoldDocument:
     """Parse the manifold file grammar. Grammar violations raise ParseError
     with a line and column; the described geometry is not judged here beyond
@@ -217,7 +228,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
-        line = raw.split("#", 1)[0].rstrip("\r").rstrip()
+        line = _strip_comment(raw).rstrip("\r").rstrip()
         if not line.strip():
             continue
         sc = _Scanner(line, lineno)

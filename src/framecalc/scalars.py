@@ -217,8 +217,13 @@ class ParamScalar:
         if not isinstance(n, int) or n < 0:
             raise ScalarError("only non-negative integer powers")
         out = ParamScalar.rational(1)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:  # repeated squaring
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -374,14 +379,15 @@ class _ScalarParser:
         kind, name = self.take()
         if kind != "name":
             self.fail("expected a parameter name")
-        base = ParamScalar.param(name)
+        exp = 1
         if self.peek() == ("op", "^"):
             self.take()
             kind, exp = self.take()
             if kind != "int":
                 self.fail("expected an integer exponent")
-            return base ** exp
-        return base
+            if exp == 0:
+                return ParamScalar.rational(1)
+        return ParamScalar({((name, exp),): Fraction(1)})
 
 
 def parse_scalar(text: str) -> ParamScalar:

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
-                       FrameVector, RicciTensor, covariant_derivative_endo,
-                       lie_derivative_metric, ricci_operator)
+                       FrameVector, RicciTensor, endo_derivative_coeffs,
+                       lie_derivative_metric, ricci_operator_coeffs,
+                       vector_of)
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import (LinearForm, ParamScalar, ZERO, SolveError,
                       format_rational, solve_linear)
@@ -69,11 +70,27 @@ def soliton_residual(M: FrameManifold, conn: ConnectionTable, ric_t: RicciTensor
                      flavor: SolitonFlavor) -> tuple:
     """L_X g + 2 ric - s g as an exact matrix; zero iff (X, lambda) solves the
     flavor's soliton equation on the frame."""
-    m = M.dim
     lx = lie_derivative_metric(M, conn, X)
-    s = _scale(flavor, lam, m)
-    return tuple(tuple(lx[i][j] + 2 * ric_t.ric[i][j] - s * M.g[i][j]
-                       for j in range(m)) for i in range(m))
+    return _metric_residual(M, lx, ric_t, 2, _scale(flavor, lam, M.dim))
+
+
+def _metric_residual(M: FrameManifold, table: tuple, ric_t: RicciTensor,
+                     ric_weight: int, s: ParamScalar) -> tuple:
+    """table + ric_weight * ric - s g as an exact matrix."""
+    m = M.dim
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            e = table[i][j]
+            r = ric_t.ric.get((i, j))
+            if r:
+                e = e + ric_weight * r
+            if M.g[i][j]:
+                e = e - s * M.g[i][j]
+            row.append(e)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -93,11 +110,12 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     m = M.dim
     gi = M.g_inv
     lx = lie_derivative_metric(M, conn, X)
-    trace = ZERO
+    trace = 2 * sum((x * gi[i][j] for (i, j), x in ric_t.ric.items()
+                     if gi[i][j]), Fraction(0))
     for i in range(m):
         for j in range(m):
-            if gi[i][j]:
-                trace = trace + (lx[i][j] + 2 * ric_t.ric[i][j]) * gi[i][j]
+            if gi[i][j] and not lx[i][j].is_zero():
+                trace = lx[i][j] * gi[i][j] + trace
     # trace == m * s; as a linear form in lambda: 2m * lambda + remainder = 0
     shift = (P + Fraction(2, m)) if flavor.is_conformal else ZERO
     form = LinearForm(Fraction(2 * m), -(shift * m) - trace)
@@ -162,10 +180,9 @@ def integrability_defects(M: FrameManifold, df) -> list:
     """Pairs (i, j) with sum_k df[k] c[i][j][k] nonzero. A frame-constant df
     is a genuine differential only when all of these vanish."""
     out = []
-    for i in range(M.dim):
-        for j in range(i + 1, M.dim):
-            d = sum((Fraction(df[k]) * M.c[i][j][k] for k in range(M.dim)),
-                    Fraction(0))
+    for (i, j), row in M.brackets.items():
+        if i < j:
+            d = sum((Fraction(df[k]) * x for k, x in row.items()), Fraction(0))
             if d != 0:
                 out.append(((i, j), d))
     return out
@@ -174,9 +191,11 @@ def integrability_defects(M: FrameManifold, df) -> list:
 def hessian(M: FrameManifold, conn: ConnectionTable, df) -> tuple:
     """Hess f(e_i, e_j) = -(nabla_{e_i} e_j) f = -sum_k Gamma[i][j][k] df[k]."""
     m = M.dim
-    return tuple(tuple(
-        -sum((conn.coeff(i, j, k) * Fraction(df[k]) for k in range(m)), ZERO)
-        for j in range(m)) for i in range(m))
+    hess = {key: -sum((x * Fraction(df[k]) for k, x in row.items()),
+                      Fraction(0))
+            for key, row in conn.gamma.items()}
+    return tuple(tuple(ParamScalar.rational(hess.get((i, j), 0))
+                       for j in range(m)) for i in range(m))
 
 
 def gradient_vector(M: FrameManifold, df) -> FrameVector:
@@ -195,11 +214,8 @@ def gradient_soliton_residual(M: FrameManifold, conn: ConnectionTable,
     bad = integrability_defects(M, gd.df)
     if bad:
         raise IntegrabilityError(bad)
-    m = M.dim
-    hess = hessian(M, conn, gd.df)
-    s = _gradient_scale(flavor, lam, m)
-    return tuple(tuple(hess[i][j] + ric_t.ric[i][j] - s * M.g[i][j]
-                       for j in range(m)) for i in range(m))
+    return _metric_residual(M, hessian(M, conn, gd.df), ric_t, 1,
+                            _gradient_scale(flavor, lam, M.dim))
 
 
 def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
@@ -230,18 +246,22 @@ def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
         return report
 
     m = M.dim
-    df_vec = gradient_vector(M, gd.df)
-    dq = covariant_derivative_endo(M, conn, ricci_operator(M, ric_t))
+    df_vec = dict(enumerate(gradient_vector(M, gd.df).rational_coeffs()))
+    dq = endo_derivative_coeffs(conn, ricci_operator_coeffs(M, ric_t))
     bad = []
     for i in range(m):
-        ei = FrameVector.basis(m, i)
         for j in range(m):
-            ej = FrameVector.basis(m, j)
-            lhs = R.apply(ei, ej, df_vec)
-            rhs = (ej.scaled(gd.dlambda[i]) - ei.scaled(gd.dlambda[j])
-                   - dq[i][j] + dq[j][i])
-            if lhs != rhs:
-                bad.append(f"({i + 1},{j + 1}): {(lhs - rhs).render()}")
+            # lhs - rhs = R(e_i, e_j) Df - dlam_i e_j + dlam_j e_i
+            #             + (nabla_i Q) e_j - (nabla_j Q) e_i
+            diff = R.apply_coeffs({i: 1}, {j: 1}, df_vec)
+            diff[j] = diff.get(j, 0) - gd.dlambda[i]
+            diff[i] = diff.get(i, 0) + gd.dlambda[j]
+            for sign, key in ((1, (i, j)), (-1, (j, i))):
+                for k, x in dq.get(key, {}).items():
+                    diff[k] = diff.get(k, 0) + sign * x
+            diff = {k: x for k, x in diff.items() if x}
+            if diff:
+                bad.append(f"({i + 1},{j + 1}): {vector_of(m, diff).render()}")
     report.add("R(X,Y)Df = (X lam)Y - (Y lam)X - (nabla_X Q)Y + (nabla_Y Q)X",
                not bad, "; ".join(bad) if bad else None)
     return report

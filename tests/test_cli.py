@@ -207,6 +207,25 @@ def test_verify_paper_example(capsys):
     assert sources.count("connection table, duplicated assignment") == 1
 
 
+def test_verify_paper_example_derives_geometry_once(monkeypatch, capsys):
+    import framecalc.cli as cli
+    calls = {"levi_civita": 0, "curvature": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    code, _, _ = run(capsys, "verify-paper-example")
+    assert code == 2
+    assert calls == {"levi_civita": 1, "curvature": 1}
+
+
 # -- files and usage errors -------------------------------------------------------------------
 
 def test_file_input(tmp_path, capsys):
@@ -263,6 +282,15 @@ def test_bad_lambda_expression(capsys):
                            "--lambda", "q + 1")
     assert code == 3
     assert "undeclared parameter" in errtext
+
+
+def test_huge_exponent_does_not_hang():
+    proc = subprocess.run([sys.executable, "-m", "framecalc", "check-soliton",
+                           "--builtin", "heisenberg5", "--field", "xi",
+                           "--flavor", "conformal", "--lambda", "p^5000000"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode in (0, 1, 3)
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_command(capsys):

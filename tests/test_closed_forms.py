@@ -1,0 +1,119 @@
+"""Answers that do not come from the engine, at sizes the naive oracle
+cannot reach: the closed form of the Heisenberg family H_{2n+1} up to
+dimension 17, Milnor's 3-dimensional unimodular family, and the naive oracle
+itself on a non-identity metric in dimension 7."""
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle
+from framecalc.cli import main
+from framecalc.contact import check_normality, check_sasakian
+from framecalc.geometry import (FrameManifold, curvature, levi_civita, ricci,
+                                ricci_via_metric)
+from framecalc.manifold_format import parse_manifold
+from framecalc.scalars import ParamScalar
+from framecalc.solitons import SolitonFlavor, solve_lambda_trace
+
+P = ParamScalar.param("p")
+
+
+def heisenberg_text(n: int) -> str:
+    """H_{2n+1}: xi = e_{n+1}, pairs (e_a, e_{n+1+a}) with
+    [e_a, e_{n+1+a}] = 2 xi, phi e_a = e_{n+1+a}, phi e_{n+1+a} = -e_a."""
+    m, r = 2 * n + 1, n + 1
+    lines = [f"manifold h{m} dim {m}"]
+    for a in range(1, n + 1):
+        lines.append(f"bracket e{a} e{r + a} = 2e{r}")
+    lines += ["metric identity", f"contact xi = e{r}"]
+    for a in range(1, n + 1):
+        lines.append(f"contact phi e{a} = e{r + a}")
+        lines.append(f"contact phi e{r + a} = -e{a}")
+    return "\n".join(lines) + "\n"
+
+
+def test_heisenberg_family_closed_form():
+    for n in range(1, 9):  # m = 3, 5, ..., 17
+        m = 2 * n + 1
+        doc = parse_manifold(heisenberg_text(n))
+        M, D = doc.manifold, doc.contact
+        conn = levi_civita(M)
+        ric = ricci(M, curvature(M, conn))
+        want = {(a, a): (2 * n if a == n else -2) for a in range(m)}
+        assert {(j, k): v.constant_value() for j, k, v in ric.nonzero()} == want, m
+        assert check_sasakian(M, conn, D).overall == "pass", m
+        assert check_normality(M, D).overall == "pass", m
+        solve = solve_lambda_trace(M, conn, ric, D.xi_vector(),
+                                   SolitonFlavor.CONFORMAL)
+        assert solve.lam == P / 2 + Fraction(1 - 2 * n, 2 * n + 1), m
+
+
+def test_heisenberg17_solve_lambda_cli(tmp_path, capsys):
+    path = tmp_path / "h17.fc"
+    path.write_text(heisenberg_text(8))
+    code = main(["solve-lambda", "--file", str(path), "--field", "xi",
+                 "--flavor", "conformal"])
+    assert code == 0
+    assert "lambda = 1/2*p + -15/17" in capsys.readouterr().out
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small, small, small)
+def test_milnor_unimodular_family(l1, l2, l3):
+    # Milnor, Adv. Math. 21 (1976): [e2,e3] = l1 e1, [e3,e1] = l2 e2,
+    # [e1,e2] = l3 e3 in an orthonormal frame has ric(e_i) = 2 mu_j mu_k
+    # with mu_i = (l1 + l2 + l3)/2 - l_i, and no off-diagonal Ricci.
+    M = FrameManifold.from_brackets(
+        "milnor", 3, {(1, 2): {0: l1}, (0, 2): {1: -l2}, (0, 1): {2: l3}})
+    half = (l1 + l2 + l3) / 2
+    mu = (half - l1, half - l2, half - l3)
+    R = curvature(M, levi_civita(M))
+    ric = ricci(M, R)
+    ref = ricci_via_metric(M, R)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        for c in range(3):
+            want = 2 * mu[j] * mu[k] if c == i else 0
+            assert ric.entry(i, c) == ParamScalar.rational(want), (i, c)
+            assert ref.entry(i, c) == ric.entry(i, c)
+
+
+def test_oracle_agreement_non_identity_metric_dim7():
+    rng = random.Random(7)
+    m = 7
+    brackets = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.random() < 0.4:
+                brackets[i, j] = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                  for k in range(m) if rng.random() < 0.3}
+    # tridiagonal and diagonally dominant, hence positive-definite
+    g = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        g[i][i] = Fraction(3 + i % 2)
+        if i + 1 < m:
+            g[i][i + 1] = g[i + 1][i] = Fraction(rng.choice((-1, 1)), 2)
+    M = FrameManifold.from_brackets("dense7", m, brackets, g=g)
+
+    c = [[list(M.c[i][j]) for j in range(m)] for i in range(m)]
+    gamma_o = oracle.naive_koszul(c, g)
+    R_o = oracle.naive_curvature(c, gamma_o)
+    ric_o = oracle.ricci_via_ginv(R_o, g)
+    assert ric_o == oracle.naive_ricci(R_o)
+
+    conn = levi_civita(M)
+    R = curvature(M, conn)
+    ric = ricci(M, R)
+    assert sum(1 for _ in conn.nonzero()) > m * m // 2
+    for i in range(m):
+        for j in range(m):
+            assert conn.entry(i, j).rational_coeffs() == tuple(gamma_o[i][j]), (i, j)
+            assert ric.entry(i, j).constant_value() == ric_o[i][j], (i, j)
+            for k in range(m):
+                assert R.entry(i, j, k).rational_coeffs() == tuple(R_o[i][j][k]), \
+                    (i, j, k)

@@ -249,6 +249,17 @@ def test_parse_render_fixpoint_builtins():
         assert render_manifold(doc2) == text, name
 
 
+def test_hash_inside_source_string_roundtrips():
+    doc = parse_manifold("manifold t dim 3  # three\nmetric identity\n"
+                         'expect ricci 3 3 = 2 source "Eq #3"  # printed\n')
+    assert doc.expected.ricci == ((2, 2, Fraction(2), "Eq #3"),)
+    text = render_manifold(doc)
+    assert 'source "Eq #3"' in text
+    doc2 = parse_manifold(text)
+    assert doc2 == doc
+    assert render_manifold(doc2) == text
+
+
 def test_builtin_names_and_unknown():
     assert builtin_names() == ["abelian3", "abelian5", "heisenberg3",
                                "heisenberg5", "nonjacobi3"]

@@ -90,6 +90,10 @@ def test_division_by_scalar_constant_only():
 def test_power():
     assert P ** 0 == ParamScalar.rational(1)
     assert P ** 3 == P * P * P
+    assert (P + 1) ** 5 == (P + 1) * (P + 1) * (P + 1) * (P + 1) * (P + 1)
+    assert (P ** 5000000).terms() == {(("p", 5000000),): 1}
+    assert parse_scalar("p^5000000*q^2").terms() == {(("p", 5000000), ("q", 2)): 1}
+    assert parse_scalar("p^0") == ParamScalar.rational(1)
 
 
 # -- ring axioms (property-based) ----------------------------------------------
