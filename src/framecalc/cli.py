@@ -13,10 +13,9 @@ from . import catalog
 from .contact import (ContactError, check_almost_contact,
                       check_contact_metric, check_curvature_identity,
                       check_normality, check_reeb_ricci, check_sasakian)
-from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
-                       FrameVector, GeometryError, RicciTensor, curvature,
-                       is_killing, levi_civita, ricci, scalar_curvature,
-                       validate)
+from .geometry import (ConnectionTable, FrameManifold, FrameVector,
+                       GeometryError, RicciTensor, curvature, is_killing,
+                       levi_civita, ricci, scalar_curvature, validate)
 from .manifold_format import ManifoldDocument, ParseError, parse_manifold
 from .reports import CheckReport, combine
 from .scalars import ScalarError, parse_rational, parse_scalar
@@ -103,8 +102,9 @@ def _load(args) -> ManifoldDocument:
         except KeyError as exc:
             raise UsageError(str(exc.args[0])) from exc
     try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     return parse_manifold(text)
 
@@ -153,45 +153,26 @@ def _parse_lambda(text: str, M: FrameManifold):
 
 # -- table reports -------------------------------------------------------------
 
-def _connection_report(doc: ManifoldDocument,
-                       conn: ConnectionTable) -> CheckReport:
-    M = doc.manifold
-    report = CheckReport(f"{M.name} connection")
-    for i, j, v in conn.nonzero():
-        report.add(f"nabla_e{i + 1} e{j + 1} = {v.render()}", True)
-    for i, j, vec, src in doc.expected.nabla:
-        got = conn.entry(i, j)
-        if got != vec:
-            report.add_ledger(src,
-                              f"nabla_e{i + 1} e{j + 1} = {vec.render()}",
-                              f"nabla_e{i + 1} e{j + 1} = {got.render()}")
-    return report
+# Item labels with 1-based index placeholders, one per table kind.
+_NABLA = "nabla_e{} e{}"
+_RIEM = "R(e{},e{})e{}"
+_RIC = "ric[{}][{}]"
 
 
-def _curvature_report(doc: ManifoldDocument, R: CurvatureTensor) -> CheckReport:
-    M = doc.manifold
-    report = CheckReport(f"{M.name} curvature")
-    for i, j, k, v in R.nonzero():
-        report.add(f"R(e{i + 1},e{j + 1})e{k + 1} = {v.render()}", True)
-    for i, j, k, vec, src in doc.expected.riem:
-        got = R.entry(i, j, k)
-        if got != vec:
-            label = f"R(e{i + 1},e{j + 1})e{k + 1}"
-            report.add_ledger(src, f"{label} = {vec.render()}",
-                              f"{label} = {got.render()}")
-    return report
+def _table_report(title: str, label: str, table, expected) -> CheckReport:
+    """A passing item per nonzero entry of table, and a ledger record per
+    expected (*index, value, source) that table.entry does not reproduce."""
+    def name(idx):
+        return label.format(*(i + 1 for i in idx))
 
-
-def _ricci_report(doc: ManifoldDocument, ric_t: RicciTensor) -> CheckReport:
-    M = doc.manifold
-    report = CheckReport(f"{M.name} ricci")
-    for j, k, v in ric_t.nonzero():
-        report.add(f"ric[{j + 1}][{k + 1}] = {v.render()}", True)
-    for i, j, q, src in doc.expected.ricci:
-        got = ric_t.entry(i, j)
-        if got != q:
-            report.add_ledger(src, f"ric[{i + 1}][{j + 1}] = {q}",
-                              f"ric[{i + 1}][{j + 1}] = {got.render()}")
+    report = CheckReport(title)
+    for *idx, value in table.nonzero():
+        report.add(f"{name(idx)} = {value}", True)
+    for *idx, want, src in expected:
+        got = table.entry(*idx)
+        if got != want:
+            report.add_ledger(src, f"{name(idx)} = {want}",
+                              f"{name(idx)} = {got}")
     return report
 
 
@@ -263,21 +244,25 @@ def _cmd_validate(args) -> int:
 
 def _cmd_connection(args) -> int:
     doc = _load(args)
-    return _emit(_connection_report(doc, levi_civita(doc.manifold)), args.format)
+    M = doc.manifold
+    return _emit(_table_report(f"{M.name} connection", _NABLA, levi_civita(M),
+                               doc.expected.nabla), args.format)
 
 
 def _cmd_curvature(args) -> int:
     doc = _load(args)
     M = doc.manifold
-    return _emit(_curvature_report(doc, curvature(M, levi_civita(M))),
-                 args.format)
+    return _emit(_table_report(f"{M.name} curvature", _RIEM,
+                               curvature(M, levi_civita(M)),
+                               doc.expected.riem), args.format)
 
 
 def _cmd_ricci(args) -> int:
     doc = _load(args)
     M = doc.manifold
-    return _emit(_ricci_report(doc, ricci(M, curvature(M, levi_civita(M)))),
-                 args.format)
+    return _emit(_table_report(f"{M.name} ricci", _RIC,
+                               ricci(M, curvature(M, levi_civita(M))),
+                               doc.expected.ricci), args.format)
 
 
 def _cmd_check_contact(args) -> int:
@@ -343,8 +328,7 @@ def _cmd_check_gradient(args) -> int:
                          f"lambda = {lam.render()}")
     defects = integrability_defects(M, df)
     report.add("df integrable", not defects,
-               "; ".join(f"({i + 1},{j + 1}): {d}" for (i, j), d in defects)
-               if defects else None)
+               "; ".join(f"({i + 1},{j + 1}): {d}" for (i, j), d in defects))
     if not defects:
         res = gradient_soliton_residual(M, conn, ric_t, gd, lam, flavor)
         ok = all(e.is_zero() for row in res for e in row)
@@ -384,9 +368,12 @@ def _cmd_verify_paper_example(args) -> int:
     ric_t = ricci(M, R)
 
     sections = [validate(M, strict=True),
-                _connection_report(doc, conn),
-                _curvature_report(doc, R),
-                _ricci_report(doc, ric_t)]
+                _table_report(f"{M.name} connection", _NABLA, conn,
+                              doc.expected.nabla),
+                _table_report(f"{M.name} curvature", _RIEM, R,
+                              doc.expected.riem),
+                _table_report(f"{M.name} ricci", _RIC, ric_t,
+                              doc.expected.ricci)]
 
     scal = CheckReport(f"{M.name} scalar curvature")
     scal.add(f"r = {scalar_curvature(M, ric_t).render()}", True)

@@ -97,7 +97,7 @@ def check_almost_contact(M: FrameManifold, D: AlmostContactData) -> CheckReport:
         want[j] -= 1
         if col != {a: x for a, x in want.items() if x}:
             bad.append(f"phi^2(e{j + 1}) = {_fmt_coeffs(m, col)}")
-    report.add("phi^2 = -I + xi(x)eta", not bad, "; ".join(bad) if bad else None)
+    report.add("phi^2 = -I + xi(x)eta", not bad, "; ".join(bad))
 
     gcols = sparse_columns(M.g)
     g_phi = [_apply(gcols, col) for col in cols]  # g(., phi e_j)
@@ -109,7 +109,7 @@ def check_almost_contact(M: FrameManifold, D: AlmostContactData) -> CheckReport:
             if lhs != M.g[i][j] - eta[i] * eta[j]:
                 bad.append(f"({i + 1},{j + 1})")
     report.add("g(phi X, phi Y) = g(X, Y) - eta(X)eta(Y)", not bad,
-               "violated at " + "; ".join(bad) if bad else None)
+               "violated at " + "; ".join(bad))
 
     pxi = _apply(cols, {a: x for a, x in enumerate(D.xi) if x})
     report.add("phi(xi) = 0", not pxi, f"phi(xi) = {_fmt_coeffs(m, pxi)}")
@@ -150,7 +150,7 @@ def check_sasakian(M: FrameManifold, conn: ConnectionTable,
             if diff:
                 bad.append(f"({i + 1},{j + 1}): {_fmt_coeffs(m, diff)}")
     report.add("(nabla_X phi)Y = g(X,Y)xi - eta(Y)X", not bad,
-               "; ".join(bad) if bad else None)
+               "; ".join(bad))
     return report
 
 
@@ -191,7 +191,7 @@ def check_normality(M: FrameManifold, D: AlmostContactData) -> CheckReport:
             if total:
                 bad.append(f"({i + 1},{j + 1}): {_fmt_coeffs(m, total)}")
     report.add("[phi,phi] + 2 d eta (x) xi = 0", not bad,
-               "; ".join(bad) if bad else None)
+               "; ".join(bad))
     return report
 
 
@@ -212,7 +212,7 @@ def check_contact_metric(M: FrameManifold, D: AlmostContactData) -> CheckReport:
                 bad.append(f"({i + 1},{j + 1}): d eta = {format_rational(lhs)}, "
                            f"g(e_i, phi e_j) = {format_rational(rhs)}")
     report.add("d eta(X,Y) = g(X, phi Y)", not bad,
-               "; ".join(bad) if bad else None)
+               "; ".join(bad))
     return report
 
 
@@ -235,7 +235,7 @@ def check_curvature_identity(M: FrameManifold, R: CurvatureTensor,
             if diff:
                 bad.append(f"({yj + 1},{zk + 1}): {_fmt_coeffs(m, diff)}")
     report.add("R(Y, xi)Z = eta(Z)Y - g(Y,Z)xi", not bad,
-               "; ".join(bad) if bad else None)
+               "; ".join(bad))
     return report
 
 
@@ -256,7 +256,7 @@ def check_reeb_ricci(M: FrameManifold, ric_t: RicciTensor,
             bad.append(f"e{k + 1}: ric(xi, e_k) = {format_rational(lhs[k])}, "
                        f"want {format_rational(rhs)}")
     report.add(f"ric(xi, Z) = {m - 1} eta(Z)", not bad,
-               "; ".join(bad) if bad else None)
+               "; ".join(bad))
     return report
 
 

@@ -4,8 +4,9 @@ Lie derivatives of the metric, covariant derivatives of endomorphisms.
 
 A manifold here is a homogeneous presentation: an orthonormal-style frame
 e_1..e_m with constant antisymmetric structure coefficients
-[e_i, e_j] = sum_k c[i][j][k] e_k and a constant symmetric metric g on the
-frame. All indices are 0-based internally; rendered output is 1-based.
+[e_i, e_j] = sum_k c_ij^k e_k, stored as a sparse table of the nonzero
+brackets, and a constant symmetric metric g on the frame. All indices are
+0-based internally; rendered output is 1-based.
 
 Tensors are sparse: a dict from an index tuple to a Fraction, or to a sparse
 vector {k: Fraction} for the upper index, holding nonzero entries only. The
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .reports import CheckReport
@@ -202,75 +204,71 @@ class FrameVector:
 # -- the manifold ------------------------------------------------------------
 
 class FrameManifold:
-    """Constant structure constants c[i][j][k] plus a constant metric g."""
+    """Constant structure constants plus a constant metric g.
 
-    def __init__(self, name: str, dim: int, c, g, params=()):
+    brackets is the nonzero bracket table {(i, j): {k: c_ij^k}}, 0-based,
+    with both orders of every pair, kept in ascending order of (i, j) and
+    of k; it is the only stored form of c. The constructor takes such a
+    table as given; from_brackets builds one from the pairs i < j.
+    """
+
+    def __init__(self, name: str, dim: int, brackets: dict, g, params=()):
         if dim < 1:
             raise GeometryError("dimension must be positive")
         self.name = name
         self.dim = dim
-        self.c = tuple(tuple(tuple(Fraction(x) for x in row) for row in plane)
-                       for plane in c)
+        table = {}
+        for (i, j), row in sorted(brackets.items()):
+            if not all(0 <= t < dim for t in (i, j, *row)):
+                raise GeometryError(f"bracket index out of range 0..{dim - 1} "
+                                    f"at pair ({i}, {j})")
+            row = {k: Fraction(x) for k, x in sorted(row.items()) if x}
+            if row:
+                table[i, j] = row
+        self.brackets = table
         self.g = tuple(tuple(Fraction(x) for x in row) for row in g)
         self.params = frozenset(params) | {"p"}
-        if len(self.c) != dim or any(len(p) != dim for p in self.c) or \
-                any(len(r) != dim for p in self.c for r in p):
-            raise GeometryError("structure constants must be dim^3")
         if len(self.g) != dim or any(len(r) != dim for r in self.g):
             raise GeometryError("metric must be dim x dim")
-        self._g_inv = None
-        self._brackets = None
-        self._lowered_brackets = None
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, brackets: dict,
                       g=None, params=()) -> "FrameManifold":
         """brackets: {(i, j): {k: coeff}} for i < j, all 0-based."""
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        table = {}
         for (i, j), comps in brackets.items():
-            for k, coeff in comps.items():
-                c[i][j][k] = Fraction(coeff)
-                c[j][i][k] = -Fraction(coeff)
+            table[i, j] = {k: Fraction(x) for k, x in comps.items()}
+            table[j, i] = {k: -Fraction(x) for k, x in comps.items()}
         if g is None:
             g = identity_metric(dim)
-        return cls(name, dim, c, g, params)
+        return cls(name, dim, table, g, params)
 
-    @property
+    @cached_property
+    def c(self) -> tuple:
+        """Dense view c[i][j][k] of the bracket table, built when first read."""
+        m = self.dim
+        zero = Fraction(0)
+        return tuple(tuple(tuple(self.brackets.get((i, j), {}).get(k, zero)
+                                 for k in range(m)) for j in range(m))
+                     for i in range(m))
+
+    @cached_property
     def g_inv(self) -> Matrix:
-        if self._g_inv is None:
-            self._g_inv = invert_matrix(self.g)
-        return self._g_inv
+        return invert_matrix(self.g)
 
-    @property
-    def brackets(self) -> dict:
-        """The nonzero brackets as {(i, j): {k: c[i][j][k]}}, every ordered
-        pair with a nonzero row, in ascending pair order."""
-        if self._brackets is None:
-            m = self.dim
-            table = {}
-            for i in range(m):
-                for j in range(m):
-                    row = {k: x for k, x in enumerate(self.c[i][j]) if x}
-                    if row:
-                        table[i, j] = row
-            self._brackets = table
-        return self._brackets
-
-    @property
+    @cached_property
     def lowered_brackets(self) -> dict:
         """{(i, j, l): C_ijl} with C_ijl = g(e_l, [e_i, e_j]), nonzero only."""
-        if self._lowered_brackets is None:
-            gcols = sparse_columns(self.g)
-            out = {}
-            for (i, j), row in self.brackets.items():
-                for k, x in row.items():
-                    for l, gl in gcols[k].items():
-                        out[i, j, l] = out.get((i, j, l), 0) + gl * x
-            self._lowered_brackets = _prune(out)
-        return self._lowered_brackets
+        gcols = sparse_columns(self.g)
+        out = {}
+        for (i, j), row in self.brackets.items():
+            for k, x in row.items():
+                for l, gl in gcols[k].items():
+                    out[i, j, l] = out.get((i, j, l), 0) + gl * x
+        return _prune(out)
 
     def bracket(self, i: int, j: int) -> FrameVector:
-        return FrameVector.from_values(self.c[i][j])
+        return vector_of(self.dim, self.brackets.get((i, j), {}))
 
     def bracket_coeffs(self, x: dict, y: dict) -> dict:
         """[x, y] for sparse coefficient maps, through the bracket table."""
@@ -303,8 +301,8 @@ class FrameManifold:
     def __eq__(self, other):
         if not isinstance(other, FrameManifold):
             return NotImplemented
-        return (self.name, self.dim, self.c, self.g, self.params) == \
-               (other.name, other.dim, other.c, other.g, other.params)
+        return (self.name, self.dim, self.brackets, self.g, self.params) == \
+               (other.name, other.dim, other.brackets, other.g, other.params)
 
     def __repr__(self):
         return f"FrameManifold({self.name!r}, dim={self.dim})"
@@ -340,17 +338,18 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
     report = CheckReport(f"{M.name} validate" + (" (strict)" if strict else ""))
     bad = set()
     for (i, j), row in M.brackets.items():
+        back = M.brackets.get((j, i), {})
         for k, x in row.items():
-            if M.c[j][i][k] != -x:
+            if back.get(k, 0) != -x:
                 bad.update(((i + 1, j + 1, k + 1), (j + 1, i + 1, k + 1)))
     bad = sorted(bad)
     report.add("bracket antisymmetry", not bad,
-               "violated at " + "; ".join(str(t) for t in bad[:8]) if bad else None)
+               "violated at " + "; ".join(str(t) for t in bad[:8]))
 
     asym = [(i + 1, j + 1) for i in range(M.dim) for j in range(M.dim)
             if M.g[i][j] != M.g[j][i]]
     report.add("metric symmetry", not asym,
-               "violated at " + "; ".join(str(t) for t in asym[:8]) if asym else None)
+               "violated at " + "; ".join(str(t) for t in asym[:8]))
 
     if not asym:
         minors = leading_minor_determinants(M.g)
@@ -369,8 +368,7 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
                     if d:
                         defects.append(f"({i + 1},{j + 1},{k + 1}): "
                                        f"{vector_of(M.dim, d).render()}")
-        report.add("jacobi identity", not defects,
-                   "; ".join(defects) if defects else None)
+        report.add("jacobi identity", not defects, "; ".join(defects))
     return report
 
 

@@ -14,20 +14,28 @@
     expect lambda = <scalar-expr> source "<text>"
 
 A vector-expr is 0 or a sum of signed terms <rational>[*]e<k>; indices are
-1-based and must stay within the declared dimension. Brackets may be declared
-at most once per unordered pair. Expected values are audit data: they never
-feed computation, they only populate discrepancy ledgers, so repeated or
-contradictory expect lines are legal.
+1-based and must stay within the declared dimension, which is at most
+MAX_DIM. Brackets may be declared at most once per unordered pair; the
+parser keeps only their nonzero coefficients and hands them to
+FrameManifold.from_brackets as a sparse table. Expected values are audit
+data: they never feed computation, they only populate discrepancy ledgers,
+so repeated or contradictory expect lines are legal.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .contact import AlmostContactData
-from .geometry import FrameManifold, FrameVector, identity_metric
-from .scalars import ParamScalar, ScalarError, format_rational, parse_scalar
+from .geometry import FrameManifold, FrameVector, identity_metric, vector_of
+from .scalars import ScalarError, format_rational, parse_scalar
+
+# Largest accepted dimension. Brackets are stored sparse, but the metric and
+# its inverse stay dense (m^2 entries), the leading minors take one
+# elimination each and the strict Jacobi scan visits all m^3 / 6 triples, so
+# the declared dimension alone sets a floor on the cost of a command.
+MAX_DIM = 128
 
 
 class ParseError(ValueError):
@@ -147,21 +155,18 @@ class _Scanner:
         return k - 1
 
 
-def _parse_vector(sc: _Scanner, dim: int, stop_word: str | None = None) -> FrameVector:
-    coeffs = [Fraction(0)] * dim
+def _parse_vector(sc: _Scanner, dim: int) -> dict:
+    """The nonzero coefficients {k: Fraction} of a vector-expr."""
+    coeffs: dict = {}
     # bare zero
     if sc.peek() == "0":
         save = sc.pos
         sc.pos += 1
-        if sc.eof() or (stop_word and sc.peek_word() == stop_word):
-            return FrameVector.from_values(coeffs)
+        if sc.eof():
+            return coeffs
         sc.pos = save
     first = True
-    while True:
-        if sc.eof() or (stop_word and sc.peek_word() == stop_word):
-            if first:
-                sc.error("expected a vector expression")
-            break
+    while not sc.eof():
         sign = Fraction(1)
         saw_sign = False
         while sc.peek() and sc.peek() in "+-":
@@ -178,18 +183,16 @@ def _parse_vector(sc: _Scanner, dim: int, stop_word: str | None = None) -> Frame
             if sc.peek() == "*":
                 sc.pos += 1
         k = sc.basis_index(dim)
-        coeffs[k] += sign * q
+        coeffs[k] = coeffs.get(k, 0) + sign * q
         first = False
-    return FrameVector.from_values(coeffs)
+    if first:
+        sc.error("expected a vector expression")
+    return {k: x for k, x in coeffs.items() if x}
 
 
 def parse_vector_text(text: str, dim: int, lineno: int = 1,
                       col_base: int = 1) -> FrameVector:
-    sc = _Scanner(text, lineno, col_base)
-    v = _parse_vector(sc, dim)
-    if not sc.eof():
-        sc.error("trailing text after vector expression")
-    return v
+    return vector_of(dim, _parse_vector(_Scanner(text, lineno, col_base), dim))
 
 
 _EXPECT_RE = re.compile(
@@ -239,9 +242,13 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 sc.error("duplicate manifold declaration")
             name = sc.word()
             sc.keyword("dim")
+            sc.skip_ws()
+            dim_pos = sc.pos
             dim = sc.integer()
             if dim < 1:
                 sc.error("dimension must be positive")
+            if dim > MAX_DIM:
+                sc.error(f"dimension {dim} exceeds the limit {MAX_DIM}", dim_pos)
             if not sc.eof():
                 sc.error("trailing text")
             continue
@@ -264,13 +271,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                          f"already declared on line {bracket_lines[key]}")
             sc.char("=")
             v = _parse_vector(sc, dim)
-            if not sc.eof():
-                sc.error("trailing text")
-            coeffs = v.rational_coeffs()
-            if i < j:
-                brackets[key] = coeffs
-            else:
-                brackets[key] = tuple(-x for x in coeffs)
+            brackets[key] = v if i < j else {k: -x for k, x in v.items()}
             bracket_lines[key] = lineno
         elif head == "metric":
             which = sc.peek_word()
@@ -309,19 +310,13 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 if xi is not None:
                     sc.error("contact xi already declared")
                 sc.char("=")
-                v = _parse_vector(sc, dim)
-                if not sc.eof():
-                    sc.error("trailing text")
-                xi = v.rational_coeffs()
+                xi = _parse_vector(sc, dim)
             elif which == "phi":
                 j = sc.basis_index(dim)
                 if j in phi_cols:
                     sc.error(f"contact phi e{j + 1} already declared")
                 sc.char("=")
-                v = _parse_vector(sc, dim)
-                if not sc.eof():
-                    sc.error("trailing text")
-                phi_cols[j] = v.rational_coeffs()
+                phi_cols[j] = _parse_vector(sc, dim)
             else:
                 sc.error("expected 'xi' or 'phi'")
         elif head == "expect":
@@ -381,9 +376,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
         g = tuple(tuple(metric_entries.get((i, j), Fraction(0))
                         for j in range(dim)) for i in range(dim))
 
-    M = FrameManifold.from_brackets(
-        name, dim, {k: dict(enumerate(v)) for k, v in brackets.items()},
-        g, params)
+    M = FrameManifold.from_brackets(name, dim, brackets, g, params)
 
     allowed = M.params
     for lam, _src in exp_lam:
@@ -397,9 +390,11 @@ def parse_manifold(text: str) -> ManifoldDocument:
     if phi_cols and xi is None:
         raise ParseError(last_line + 1, 1, "contact phi requires contact xi")
     if xi is not None:
-        phi = tuple(tuple(phi_cols.get(j, (Fraction(0),) * dim)[a]
-                          for j in range(dim)) for a in range(dim))
-        contact = AlmostContactData(phi, tuple(xi))
+        zero = Fraction(0)
+        phi = tuple(tuple(phi_cols.get(j, {}).get(a, zero) for j in range(dim))
+                    for a in range(dim))
+        contact = AlmostContactData(phi, tuple(xi.get(a, zero)
+                                               for a in range(dim)))
 
     expected = ExpectedValues(tuple(exp_nabla), tuple(exp_riem),
                               tuple(exp_ricci), tuple(exp_lam))
@@ -412,11 +407,10 @@ def render_manifold(doc: ManifoldDocument) -> str:
     lines = [f"manifold {M.name} dim {M.dim}"]
     for p in sorted(M.params - {"p"}):
         lines.append(f"param {p}")
-    for i in range(M.dim):
-        for j in range(i + 1, M.dim):
-            if any(M.c[i][j]):
-                vec = FrameVector.from_values(M.c[i][j])
-                lines.append(f"bracket e{i + 1} e{j + 1} = {vec.render()}")
+    for (i, j), row in M.brackets.items():
+        if i < j:
+            lines.append(f"bracket e{i + 1} e{j + 1} = "
+                         f"{vector_of(M.dim, row).render()}")
     if M.g == identity_metric(M.dim):
         lines.append("metric identity")
     else:

@@ -263,7 +263,7 @@ def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
             if diff:
                 bad.append(f"({i + 1},{j + 1}): {vector_of(m, diff).render()}")
     report.add("R(X,Y)Df = (X lam)Y - (Y lam)X - (nabla_X Q)Y + (nabla_Y Q)X",
-               not bad, "; ".join(bad) if bad else None)
+               not bad, "; ".join(bad))
     return report
 
 
@@ -296,13 +296,13 @@ def check_distribution_gradient(M: FrameManifold, D, gd: GradientData,
         if val + gd.dlambda[i] != 0:
             bad.append(f"e{i + 1}: {format_rational(val + gd.dlambda[i])}")
     report.add("g(Df, e_i) + dlambda[i] = 0 on the distribution", not bad,
-               "; ".join(bad) if bad else None)
+               "; ".join(bad))
 
     if lam is not None and lam == P / 2 and not any(gd.dlambda):
         still = [f"e{i + 1}: df = {format_rational(gd.df[i])}"
                  for i in dist if gd.df[i] != 0]
         report.add("lambda = p/2 forces df = 0 on the distribution", not still,
-                   "; ".join(still) if still else None)
+                   "; ".join(still))
     return report
 
 
@@ -316,13 +316,13 @@ def check_lambda_f_constant(M: FrameManifold, gd: GradientData) -> CheckReport:
     bad = [f"e{i + 1}: {format_rational(gd.df[i] + gd.dlambda[i])}"
            for i in range(M.dim) if gd.df[i] + gd.dlambda[i] != 0]
     report.add("df[i] + dlambda[i] = 0 for every i", not bad,
-               "; ".join(bad) if bad else None)
+               "; ".join(bad))
     if not any(gd.dlambda):
         # corollary: constant lambda leaves no room for a varying potential
         still = [f"e{i + 1}: {format_rational(gd.df[i])}"
                  for i in range(M.dim) if gd.df[i] != 0]
         report.add("constant lambda forces constant f", not still,
-                   "; ".join(still) if still else None)
+                   "; ".join(still))
     return report
 
 
@@ -345,14 +345,14 @@ def concurrent_check(M: FrameManifold, conn: ConnectionTable, V: FrameVector,
         bad = [f"e{i + 1}: nabla V = {nv[i].render()}"
                for i in range(m) if nv[i] != e[i]]
         report.add("nabla_{e_i} V = e_i", not bad,
-                   "; ".join(bad[:6]) if bad else None)
+                   "; ".join(bad[:6]))
 
     lv = tuple(tuple(M.g_of(nv[i], e[j]) + M.g_of(e[i], nv[j])
                      for j in range(m)) for i in range(m))
     bad = [f"({i + 1},{j + 1}): {(lv[i][j] - 2 * M.g[i][j]).render()}"
            for i in range(m) for j in range(m)
            if lv[i][j] != ParamScalar.rational(2 * M.g[i][j])]
-    report.add("L_V g = 2 g", not bad, "; ".join(bad[:6]) if bad else None)
+    report.add("L_V g = 2 g", not bad, "; ".join(bad[:6]))
     return report
 
 

@@ -246,6 +246,17 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert "line 2" in errtext
 
 
+def test_non_utf8_file_exits_3(tmp_path):
+    f = tmp_path / "binary.txt"
+    f.write_bytes(b"manifold demo dim 3\n\xff\nmetric identity\n")
+    proc = subprocess.run([sys.executable, "-m", "framecalc", "validate",
+                           "--file", str(f)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3
+    assert "cannot read" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_file(capsys):
     code, _, errtext = run(capsys, "validate", "--file", "/nonexistent/x.txt")
     assert code == 3

@@ -6,7 +6,7 @@ import pytest
 
 from framecalc.catalog import FIXTURES, builtin_names, load_builtin
 from framecalc.geometry import FrameVector, identity_metric
-from framecalc.manifold_format import (ParseError, parse_manifold,
+from framecalc.manifold_format import (MAX_DIM, ParseError, parse_manifold,
                                        parse_vector_text, render_manifold)
 from framecalc.scalars import ParamScalar
 
@@ -204,6 +204,16 @@ def test_zero_denominator():
 def test_trailing_text():
     e = err("manifold t dim 2 junk\nmetric identity\n")
     assert "trailing text" in e.message
+
+
+def test_dimension_limit():
+    assert MAX_DIM == 128
+    doc = parse_manifold("manifold big dim 128\nmetric identity\n")
+    assert doc.manifold.dim == 128
+    for dim in ("129", "100000000"):
+        e = err(f"manifold big dim {dim}\nmetric identity\n")
+        assert str(e).startswith("line 1, col 18: ")
+        assert f"dimension {dim} exceeds the limit 128" in e.message
 
 
 # -- rendering ----------------------------------------------------------------------------

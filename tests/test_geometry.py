@@ -1,5 +1,6 @@
 """Connection, curvature, Ricci machinery against the naive oracle and
 exhaustively enumerated tensor identities."""
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from framecalc.geometry import (FrameManifold, FrameVector, GeometryError,
                                 leading_minor_determinants, levi_civita,
                                 lie_derivative_metric, ricci, ricci_operator,
                                 ricci_via_metric, scalar_curvature, validate)
+from framecalc.manifold_format import parse_manifold
 from framecalc.scalars import ParamScalar
 
 NAMES = ("heisenberg5", "heisenberg3", "abelian3", "abelian5", "nonjacobi3")
@@ -119,6 +121,46 @@ def test_validate_asymmetric_metric():
     rep = validate(M)
     assert any(i.name == "metric symmetry" and i.status == "fail"
                for i in rep.items)
+
+
+def test_validate_reports_nonantisymmetric_table():
+    # a table given straight to the constructor with [e1, e2] but no [e2, e1]
+    M = FrameManifold("skew", 3, {(0, 1): {2: Fraction(1)}}, identity_metric(3))
+    rep = validate(M)
+    item = next(i for i in rep.items if i.name == "bracket antisymmetry")
+    assert item.status == "fail"
+    assert item.defect == "violated at (1, 2, 3); (2, 1, 3)"
+
+
+def test_bracket_index_out_of_range():
+    for table in ({(0, 3): {1: Fraction(1)}}, {(0, 1): {3: Fraction(1)}},
+                  {(-1, 1): {2: Fraction(1)}}):
+        with pytest.raises(GeometryError):
+            FrameManifold("bad", 3, table, identity_metric(3))
+
+
+def test_bracket_table_is_sparse_and_c_is_a_view():
+    M = FrameManifold.from_brackets("h3", 3, {(0, 1): {2: 2, 0: 0}})
+    assert M.brackets == {(0, 1): {2: 2}, (1, 0): {2: -2}}
+    assert list(M.brackets) == [(0, 1), (1, 0)]
+    assert "c" not in vars(M)
+    assert M.c[0][1] == (0, 0, 2) and M.c[1][0] == (0, 0, -2)
+    assert M.c[2][2] == (0, 0, 0)
+
+
+def test_large_dimension_stays_small_in_memory():
+    # the structure constants of dim 128 would be 2.1M dense entries
+    text = "manifold big dim 128\nbracket e1 e2 = e3\nmetric identity\n"
+    tracemalloc.start()
+    try:
+        M = parse_manifold(text).manifold
+        ric_t = ricci(M, curvature(M, levi_civita(M)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ric_t.ric == {(0, 0): Fraction(-1, 2), (1, 1): Fraction(-1, 2),
+                         (2, 2): Fraction(1, 2)}
+    assert peak < 8 * 2**20
 
 
 def test_jacobi_defect_values():
