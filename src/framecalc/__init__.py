@@ -9,8 +9,7 @@ from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        bianchi_defect, covariant_derivative_endo, curvature,
                        identity_metric, is_killing, jacobi_defect,
                        levi_civita, lie_derivative_metric, ricci,
-                       ricci_operator, ricci_via_metric, scalar_curvature,
-                       validate)
+                       ricci_operator, scalar_curvature, validate)
 from .contact import (AlmostContactData, ContactError, check_almost_contact,
                       check_contact_metric, check_curvature_identity,
                       check_normality, check_reeb_ricci, check_sasakian,
@@ -50,6 +49,6 @@ __all__ = [
     "is_killing", "jacobi_defect", "levi_civita", "lie_derivative_metric",
     "load_builtin", "nijenhuis", "parse_manifold", "parse_rational",
     "parse_scalar", "parse_vector_text", "render_manifold", "ricci",
-    "ricci_operator", "ricci_via_metric", "scalar_curvature", "solve_linear",
+    "ricci_operator", "scalar_curvature", "solve_linear",
     "solve_lambda_trace", "soliton_residual", "validate",
 ]

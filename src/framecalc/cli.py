@@ -327,8 +327,8 @@ def _cmd_check_gradient(args) -> int:
     report = CheckReport(f"{M.name} gradient soliton [{flavor.value}] "
                          f"lambda = {lam.render()}")
     defects = integrability_defects(M, df)
-    report.add("df integrable", not defects,
-               "; ".join(f"({i + 1},{j + 1}): {d}" for (i, j), d in defects))
+    report.add_check("df integrable", [f"({i + 1},{j + 1}): {d}"
+                                       for (i, j), d in defects])
     if not defects:
         res = gradient_soliton_residual(M, conn, ric_t, gd, lam, flavor)
         ok = all(e.is_zero() for row in res for e in row)

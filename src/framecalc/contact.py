@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
-                       FrameVector, RicciTensor, endo_derivative_coeffs,
-                       sparse_columns, vector_of)
+                       FrameVector, RicciTensor, apply_columns as _apply,
+                       bracket_sum, divided, endo_derivative_int, integer_map,
+                       integer_rows, sparse_columns, vector_of)
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import format_rational
 
@@ -37,16 +39,15 @@ class AlmostContactData:
     def dim(self) -> int:
         return len(self.xi)
 
+    @cached_property
+    def phi_int(self) -> tuple:
+        """(columns {j: {a: int}} of phi, d), each value being int / d."""
+        return integer_rows(dict(enumerate(sparse_columns(self.phi))))
+
     def eta(self, M: FrameManifold) -> tuple:
         """eta(e_i) = g(e_i, xi)."""
-        m = M.dim
-        return tuple(sum((M.g[i][j] * self.xi[j] for j in range(m)), Fraction(0))
-                     for i in range(m))
-
-    def phi_vec(self, v) -> tuple:
-        m = self.dim
-        return tuple(sum((self.phi[a][j] * v[j] for j in range(m)), Fraction(0))
-                     for a in range(m))
+        _, _, eta, de = _xi_eta(M, self)
+        return tuple(Fraction(eta.get(i, 0), de) for i in range(M.dim))
 
     def xi_vector(self) -> FrameVector:
         return FrameVector.from_values(self.xi)
@@ -55,17 +56,21 @@ class AlmostContactData:
         return FrameVector.from_values(tuple(self.phi[a][j] for a in range(self.dim)))
 
 
-def _fmt_coeffs(dim: int, v: dict) -> str:
-    return vector_of(dim, v).render()
+def _fmt_coeffs(dim: int, v: dict, d: int = 1) -> str:
+    return vector_of(dim, divided(v, d)).render()
 
 
-def _apply(cols: list, v: dict) -> dict:
-    """The endomorphism with coefficient-map columns cols, applied to v."""
-    out = {}
-    for j, x in v.items():
-        for a, p in cols[j].items():
-            out[a] = out.get(a, 0) + p * x
-    return {a: x for a, x in out.items() if x}
+def _minus(a: dict, da: int, b: dict, db: int) -> tuple:
+    """a / da - b / db for integer maps, as numerators over da * db."""
+    return {k: a.get(k, 0) * db - b.get(k, 0) * da
+            for k in a.keys() | b.keys()}, da * db
+
+
+def _xi_eta(M: FrameManifold, D: AlmostContactData) -> tuple:
+    """(xi, dx, eta, de): xi and eta = g(., xi) as integer maps over dx, de."""
+    xi, dx = integer_map({a: x for a, x in enumerate(D.xi) if x})
+    gcols, dg = M.g_int
+    return xi, dx, _apply(gcols, xi), dg * dx
 
 
 def _d_eta(M: FrameManifold, eta: tuple, i: int, j: int) -> Fraction:
@@ -81,42 +86,41 @@ def d_eta(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> Fraction:
 def check_almost_contact(M: FrameManifold, D: AlmostContactData) -> CheckReport:
     """The defining axioms: eta(xi) = 1, phi^2 = -I + xi (x) eta, the metric
     phi-compatibility g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y), phi(xi) = 0
-    and eta(phi(.)) = 0."""
+    and eta(phi(.)) = 0. Each side is a sum of integer numerators."""
     m = M.dim
     report = CheckReport(f"{M.name} almost-contact axioms")
-    eta = D.eta(M)
-    cols = sparse_columns(D.phi)
+    (cols, dp), (gcols, dg) = D.phi_int, M.g_int
+    xi, dx, eta, de = _xi_eta(M, D)
 
-    val = sum((eta[i] * D.xi[i] for i in range(m)), Fraction(0))
+    val = Fraction(sum(eta.get(a, 0) * x for a, x in xi.items()), de * dx)
     report.add("eta(xi) = 1", val == 1, f"eta(xi) = {format_rational(val)}")
 
     bad = []
     for j in range(m):
-        col = _apply(cols, cols[j])
-        want = {a: D.xi[a] * eta[j] for a in range(m)}
-        want[j] -= 1
-        if col != {a: x for a, x in want.items() if x}:
-            bad.append(f"phi^2(e{j + 1}) = {_fmt_coeffs(m, col)}")
-    report.add("phi^2 = -I + xi(x)eta", not bad, "; ".join(bad))
+        col = _apply(cols, cols[j])  # over dp^2
+        want = {a: x * eta.get(j, 0) for a, x in xi.items()}  # over dx de
+        want[j] = want.get(j, 0) - dx * de
+        if any(_minus(col, dp * dp, want, dx * de)[0].values()):
+            bad.append(f"phi^2(e{j + 1}) = {_fmt_coeffs(m, col, dp * dp)}")
+    report.add_check("phi^2 = -I + xi(x)eta", bad)
 
-    gcols = sparse_columns(M.g)
-    g_phi = [_apply(gcols, col) for col in cols]  # g(., phi e_j)
+    g_phi = [_apply(gcols, cols[j]) for j in range(m)]  # g(., phi e_j)
     bad = []
     for i in range(m):
         for j in range(m):
-            lhs = sum((x * g_phi[j].get(a, 0) for a, x in cols[i].items()),
-                      Fraction(0))
-            if lhs != M.g[i][j] - eta[i] * eta[j]:
+            lhs = sum(x * g_phi[j].get(a, 0) for a, x in cols[i].items())
+            rhs = (gcols[j].get(i, 0) * de * de
+                   - dg * eta.get(i, 0) * eta.get(j, 0))
+            if lhs * de * de != rhs * dp * dp:  # over dp^2 dg and dg de^2
                 bad.append(f"({i + 1},{j + 1})")
-    report.add("g(phi X, phi Y) = g(X, Y) - eta(X)eta(Y)", not bad,
-               "violated at " + "; ".join(bad))
+    report.add_check("g(phi X, phi Y) = g(X, Y) - eta(X)eta(Y)", bad,
+                     "violated at ")
 
-    pxi = _apply(cols, {a: x for a, x in enumerate(D.xi) if x})
-    report.add("phi(xi) = 0", not pxi, f"phi(xi) = {_fmt_coeffs(m, pxi)}")
+    pxi = _apply(cols, xi)
+    report.add("phi(xi) = 0", not pxi, f"phi(xi) = {_fmt_coeffs(m, pxi, dp * dx)}")
 
-    etaphi = {j: sum((eta[a] * x for a, x in col.items()), Fraction(0))
-              for j, col in enumerate(cols)}
-    etaphi = {j: x for j, x in etaphi.items() if x}
+    etaphi = divided({j: sum(eta.get(a, 0) * x for a, x in col.items())
+                      for j, col in cols.items()}, de * dp)
     report.add("eta(phi(.)) = 0", not etaphi,
                f"eta(phi(e_j)) = {_fmt_coeffs(m, etaphi)}")
     return report
@@ -134,33 +138,33 @@ def check_sasakian(M: FrameManifold, conn: ConnectionTable,
         return report
 
     m = M.dim
-    eta = D.eta(M)
+    gcols, dg = M.g_int
+    xi, dx, eta, de = _xi_eta(M, D)
     phi = {(a, j): x for a, row in enumerate(D.phi)
            for j, x in enumerate(row) if x}
-    dphi = endo_derivative_coeffs(conn, phi)
+    dphi, dd = endo_derivative_int(conn, phi)
     bad = []
     for i in range(m):
         for j in range(m):
-            diff = dict(dphi.get((i, j), {}))
-            if M.g[i][j]:
-                for a, x in enumerate(D.xi):
-                    diff[a] = diff.get(a, 0) - M.g[i][j] * x
-            diff[i] = diff.get(i, 0) + eta[j]
-            diff = {a: x for a, x in diff.items() if x}
-            if diff:
-                bad.append(f"({i + 1},{j + 1}): {_fmt_coeffs(m, diff)}")
-    report.add("(nabla_X phi)Y = g(X,Y)xi - eta(Y)X", not bad,
-               "; ".join(bad))
+            rhs = {a: gcols[j].get(i, 0) * x * de for a, x in xi.items()}
+            rhs[i] = rhs.get(i, 0) - eta.get(j, 0) * dg * dx  # over dg dx de
+            diff, den = _minus(dphi.get((i, j), {}), dd, rhs, dg * dx * de)
+            if any(diff.values()):
+                bad.append(f"({i + 1},{j + 1}): {_fmt_coeffs(m, diff, den)}")
+    report.add_check("(nabla_X phi)Y = g(X,Y)xi - eta(Y)X", bad)
     return report
 
 
-def _nijenhuis(M: FrameManifold, cols: list, i: int, j: int) -> dict:
-    br = M.bracket_coeffs
+def _nijenhuis(M: FrameManifold, cols, i: int, j: int) -> dict:
+    """[phi, phi](e_i, e_j) as numerators over dp^2 dc, for the integer
+    columns cols of phi over dp and the bracket table over dc."""
+    table = M.brackets_int[0]
     ei, ej = {i: 1}, {j: 1}
     pi, pj = cols[i], cols[j]
-    out = _apply(cols, _apply(cols, M.brackets.get((i, j), {})))
-    for sign, v in ((1, br(pi, pj)), (-1, _apply(cols, br(pi, ej))),
-                    (-1, _apply(cols, br(ei, pj)))):
+    out = _apply(cols, _apply(cols, table.get((i, j), {})))
+    for sign, v in ((1, bracket_sum(table, pi, pj)),
+                    (-1, _apply(cols, bracket_sum(table, pi, ej))),
+                    (-1, _apply(cols, bracket_sum(table, ei, pj)))):
         for k, x in v.items():
             out[k] = out.get(k, 0) + sign * x
     return out
@@ -169,29 +173,28 @@ def _nijenhuis(M: FrameManifold, cols: list, i: int, j: int) -> dict:
 def nijenhuis(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> tuple:
     """[phi, phi](e_i, e_j) =
     phi^2 [e_i,e_j] + [phi e_i, phi e_j] - phi[phi e_i, e_j] - phi[e_i, phi e_j]."""
-    n = _nijenhuis(M, sparse_columns(D.phi), i, j)
-    return tuple(Fraction(n.get(k, 0)) for k in range(M.dim))
+    cols, dp = D.phi_int
+    n = _nijenhuis(M, cols, i, j)
+    d = dp * dp * M.brackets_int[1]
+    return tuple(Fraction(n.get(k, 0), d) for k in range(M.dim))
 
 
 def check_normality(M: FrameManifold, D: AlmostContactData) -> CheckReport:
-    """[phi, phi](X, Y) + 2 d eta(X, Y) xi = 0 on all frame pairs."""
+    """[phi, phi](X, Y) + 2 d eta(X, Y) xi = 0 on all frame pairs, where
+    2 d eta(X, Y) = -eta([X, Y])."""
     report = CheckReport(f"{M.name} normality")
     m = M.dim
-    eta = D.eta(M)
-    cols = sparse_columns(D.phi)
+    (cols, dp), (table, dc) = D.phi_int, M.brackets_int
+    xi, dx, eta, de = _xi_eta(M, D)
     bad = []
     for i in range(m):
         for j in range(i + 1, m):
-            total = _nijenhuis(M, cols, i, j)
-            de = _d_eta(M, eta, i, j)
-            if de:
-                for k, x in enumerate(D.xi):
-                    total[k] = total.get(k, 0) + 2 * de * x
-            total = {k: x for k, x in total.items() if x}
-            if total:
-                bad.append(f"({i + 1},{j + 1}): {_fmt_coeffs(m, total)}")
-    report.add("[phi,phi] + 2 d eta (x) xi = 0", not bad,
-               "; ".join(bad))
+            e = sum(eta.get(k, 0) * x for k, x in table.get((i, j), {}).items())
+            total, den = _minus(_nijenhuis(M, cols, i, j), dp * dp * dc,
+                                {k: e * x for k, x in xi.items()}, de * dc * dx)
+            if any(total.values()):
+                bad.append(f"({i + 1},{j + 1}): {_fmt_coeffs(m, total, den)}")
+    report.add_check("[phi,phi] + 2 d eta (x) xi = 0", bad)
     return report
 
 
@@ -211,8 +214,7 @@ def check_contact_metric(M: FrameManifold, D: AlmostContactData) -> CheckReport:
             if lhs != rhs:
                 bad.append(f"({i + 1},{j + 1}): d eta = {format_rational(lhs)}, "
                            f"g(e_i, phi e_j) = {format_rational(rhs)}")
-    report.add("d eta(X,Y) = g(X, phi Y)", not bad,
-               "; ".join(bad))
+    report.add_check("d eta(X,Y) = g(X, phi Y)", bad)
     return report
 
 
@@ -221,21 +223,18 @@ def check_curvature_identity(M: FrameManifold, R: CurvatureTensor,
     """R(Y, xi) Z = eta(Z) Y - g(Y, Z) xi on all frame pairs."""
     report = CheckReport(f"{M.name} reeb curvature identity")
     m = M.dim
-    eta = D.eta(M)
-    xi = {a: x for a, x in enumerate(D.xi) if x}
+    (_, dr), (gcols, dg) = R.comp_int, M.g_int
+    xi, dx, eta, de = _xi_eta(M, D)
     bad = []
     for yj in range(m):
         for zk in range(m):
-            diff = R.apply_coeffs({yj: 1}, xi, {zk: 1})
-            diff[yj] = diff.get(yj, 0) - eta[zk]
-            if M.g[yj][zk]:
-                for a, x in xi.items():
-                    diff[a] = diff.get(a, 0) + M.g[yj][zk] * x
-            diff = {a: x for a, x in diff.items() if x}
-            if diff:
-                bad.append(f"({yj + 1},{zk + 1}): {_fmt_coeffs(m, diff)}")
-    report.add("R(Y, xi)Z = eta(Z)Y - g(Y,Z)xi", not bad,
-               "; ".join(bad))
+            lhs = R.apply_int({yj: 1}, xi, {zk: 1})  # over dr dx
+            rhs = {a: -gcols[zk].get(yj, 0) * x * de for a, x in xi.items()}
+            rhs[yj] = rhs.get(yj, 0) + eta.get(zk, 0) * dg * dx  # over de dg dx
+            diff, den = _minus(lhs, dr * dx, rhs, de * dg * dx)
+            if any(diff.values()):
+                bad.append(f"({yj + 1},{zk + 1}): {_fmt_coeffs(m, diff, den)}")
+    report.add_check("R(Y, xi)Z = eta(Z)Y - g(Y,Z)xi", bad)
     return report
 
 
@@ -255,8 +254,7 @@ def check_reeb_ricci(M: FrameManifold, ric_t: RicciTensor,
         if lhs[k] != rhs:
             bad.append(f"e{k + 1}: ric(xi, e_k) = {format_rational(lhs[k])}, "
                        f"want {format_rational(rhs)}")
-    report.add(f"ric(xi, Z) = {m - 1} eta(Z)", not bad,
-               "; ".join(bad))
+    report.add_check(f"ric(xi, Z) = {m - 1} eta(Z)", bad)
     return report
 
 

@@ -64,18 +64,44 @@ def _matrix_of(dim: int, entries: dict) -> tuple:
                        for j in range(dim)) for i in range(dim))
 
 
-def _prune(vec: dict) -> dict:
-    return {k: x for k, x in vec.items() if x != 0}
+# Kernels multiply and add on ints: a rational table is scaled to integers
+# over one common denominator and each output entry is divided once. A
+# ParamScalar value on the vector side rides along with denominator 1.
+
+def integer_map(vec: dict) -> tuple:
+    """({k: int}, d) with vec[k] = int / d, or (vec, 1) if it has a ParamScalar."""
+    if any(isinstance(x, ParamScalar) for x in vec.values()):
+        return vec, 1
+    d = lcm(*(x.denominator for x in vec.values()))
+    return {k: x.numerator * (d // x.denominator) for k, x in vec.items()}, d
 
 
-def _prune_rows(table: dict) -> dict:
-    """table without zero entries and without the rows they leave empty."""
+def integer_rows(table: dict) -> tuple:
+    """({key: {k: int}}, d) with every value of table equal to int / d."""
+    d = lcm(*(x.denominator for row in table.values() for x in row.values()))
+    return {key: {k: x.numerator * (d // x.denominator)
+                  for k, x in row.items()}
+            for key, row in table.items()}, d
+
+
+def divided(vec: dict, d: int) -> dict:
+    """The nonzero entries of vec, each divided by d (ints to Fractions)."""
+    return {k: Fraction(x, d) if isinstance(x, int) else x if d == 1 else x / d
+            for k, x in vec.items() if x}
+
+
+def divided_rows(table: dict, d: int) -> dict:
+    """divided over each row, without the rows it leaves empty."""
+    return {key: row for key, r in table.items() if (row := divided(r, d))}
+
+
+def apply_columns(cols, v: dict) -> dict:
+    """The endomorphism with coefficient-map columns cols, applied to v."""
     out = {}
-    for key, row in table.items():
-        row = _prune(row)
-        if row:
-            out[key] = row
-    return out
+    for j, x in v.items():
+        for a, p in cols[j].items():
+            out[a] = out.get(a, 0) + p * x
+    return {a: x for a, x in out.items() if x}
 
 
 def sparse_columns(mat) -> list:
@@ -84,55 +110,60 @@ def sparse_columns(mat) -> list:
     return [{k: mat[k][l] for k in range(n) if mat[k][l]} for l in range(n)]
 
 
-# -- exact linear algebra on Fraction matrices -------------------------------
+# -- exact linear algebra: fraction-free elimination ---------------------------
+
+def _integer_matrix(g: Matrix) -> tuple:
+    """(rows of ints, d) with g = rows / d, for int or Fraction entries."""
+    d = lcm(*(x.denominator for row in g for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in g], d
+
+
+def _bareiss(a: list) -> tuple:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
+    integer rows a in place over their square part, with exact divisions.
+    Returns (det, leading minors up to the first zero one, read off the
+    pivots before any row swap). With columns beyond the square part, rows
+    above each pivot are eliminated too, leaving p * I beside p * inverse
+    for the last pivot p."""
+    n = len(a)
+    above = any(len(row) > n for row in a)
+    prev, sign, minors = 1, 1, []
+    for k in range(n):
+        if sign == 1 and len(minors) == k:  # no row swap so far
+            minors.append(a[k][k])
+        if not a[k][k]:
+            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if piv is None:
+                return 0, minors
+            a[k], a[piv], sign = a[piv], a[k], -sign
+        p, rk = a[k][k], a[k]
+        for i in range(0 if above else k + 1, n):
+            f = a[i][k]
+            if i != k and (f or p != prev):
+                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], rk)]
+        prev = p
+    return sign * prev, minors
+
 
 def leading_minor_determinants(g: Matrix) -> list:
-    """Determinants of the leading principal k x k submatrices, k = 1..m."""
-    m = len(g)
-    out = []
-    for k in range(1, m + 1):
-        out.append(_det([[Fraction(g[i][j]) for j in range(k)] for i in range(k)]))
-    return out
-
-
-def _det(rows: list) -> Fraction:
-    n = len(rows)
-    sign = Fraction(1)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return sign * det
+    """Determinants of the leading principal k x k submatrices, k = 1..m, from
+    one elimination; each one after a zero minor takes its own elimination."""
+    a, d = _integer_matrix(g)
+    minors = _bareiss([row[:] for row in a])[1]
+    minors += [_bareiss([row[:k] for row in a[:k]])[0]
+               for k in range(len(minors) + 1, len(a) + 1)]
+    return [Fraction(x, d ** k) for k, x in enumerate(minors, start=1)]
 
 
 def invert_matrix(g: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination."""
-    n = len(g)
-    aug = [[Fraction(g[i][j]) for j in range(n)] +
-           [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise GeometryError("metric is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(aug[i][n:]) for i in range(n))
+    """Exact inverse adj / det by fraction-free Gauss-Jordan elimination."""
+    a, d = _integer_matrix(g)
+    n = len(a)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    if not _bareiss(aug)[0]:
+        raise GeometryError("metric is singular")
+    return tuple(tuple(Fraction(d * x, row[i]) for x in row[n:])
+                 for i, row in enumerate(aug))
 
 
 # -- vectors -----------------------------------------------------------------
@@ -256,36 +287,26 @@ class FrameManifold:
     def g_inv(self) -> Matrix:
         return invert_matrix(self.g)
 
+    # integer forms (table, d), each value being int / d; g by columns
     @cached_property
-    def lowered_brackets(self) -> dict:
-        """{(i, j, l): C_ijl} with C_ijl = g(e_l, [e_i, e_j]), nonzero only."""
-        gcols = sparse_columns(self.g)
-        out = {}
-        for (i, j), row in self.brackets.items():
-            for k, x in row.items():
-                for l, gl in gcols[k].items():
-                    out[i, j, l] = out.get((i, j, l), 0) + gl * x
-        return _prune(out)
+    def brackets_int(self) -> tuple:
+        return integer_rows(self.brackets)
+
+    @cached_property
+    def g_int(self) -> tuple:
+        return integer_rows(dict(enumerate(sparse_columns(self.g))))
+
+    @cached_property
+    def g_inv_int(self) -> tuple:
+        return integer_rows(dict(enumerate(sparse_columns(self.g_inv))))
 
     def bracket(self, i: int, j: int) -> FrameVector:
         return vector_of(self.dim, self.brackets.get((i, j), {}))
 
-    def bracket_coeffs(self, x: dict, y: dict) -> dict:
-        """[x, y] for sparse coefficient maps, through the bracket table."""
-        table = self.brackets
-        out = {}
-        for a, xa in x.items():
-            for b, yb in y.items():
-                row = table.get((a, b))
-                if row:
-                    w = xa * yb
-                    for k, cab in row.items():
-                        out[k] = out.get(k, 0) + cab * w
-        return _prune(out)
-
     def bracket_vec(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return vector_of(self.dim,
-                         self.bracket_coeffs(_coeff_map(x), _coeff_map(y)))
+        table, dc = self.brackets_int
+        (x, dx), (y, dy) = integer_map(_coeff_map(x)), integer_map(_coeff_map(y))
+        return vector_of(self.dim, divided(bracket_sum(table, x, y), dc * dx * dy))
 
     def g_of(self, x: FrameVector, y: FrameVector) -> ParamScalar:
         total = ZERO
@@ -313,16 +334,30 @@ def identity_metric(dim: int):
                        for j in range(dim)) for i in range(dim))
 
 
+def bracket_sum(table: dict, x: dict, y: dict) -> dict:
+    """sum of x_a y_b table[a, b] over a bracket table {(a, b): {k: c}} and
+    coefficient maps x, y, unscaled and unpruned."""
+    out = {}
+    for a, xa in x.items():
+        for b, yb in y.items():
+            row = table.get((a, b))
+            if row:
+                w = xa * yb
+                for k, cab in row.items():
+                    out[k] = out.get(k, 0) + cab * w
+    return out
+
+
 # -- validation ---------------------------------------------------------------
 
 def _jacobi_coeffs(M: FrameManifold, i: int, j: int, k: int) -> dict:
-    table = M.brackets
+    table, dc = M.brackets_int
     out = {}
     for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
         for s, x in table.get((a, b), {}).items():
             for l, y in table.get((s, z), {}).items():
                 out[l] = out.get(l, 0) + x * y
-    return _prune(out)
+    return divided(out, dc * dc)
 
 
 def jacobi_defect(M: FrameManifold, i: int, j: int, k: int) -> FrameVector:
@@ -337,19 +372,18 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
     Jacobi identity and reports the defect vector of each failing triple."""
     report = CheckReport(f"{M.name} validate" + (" (strict)" if strict else ""))
     bad = set()
-    for (i, j), row in M.brackets.items():
-        back = M.brackets.get((j, i), {})
+    table = M.brackets_int[0]
+    for (i, j), row in table.items():
+        back = table.get((j, i), {})
         for k, x in row.items():
             if back.get(k, 0) != -x:
                 bad.update(((i + 1, j + 1, k + 1), (j + 1, i + 1, k + 1)))
     bad = sorted(bad)
-    report.add("bracket antisymmetry", not bad,
-               "violated at " + "; ".join(str(t) for t in bad[:8]))
+    report.add_check("bracket antisymmetry", bad[:8], "violated at ")
 
     asym = [(i + 1, j + 1) for i in range(M.dim) for j in range(M.dim)
             if M.g[i][j] != M.g[j][i]]
-    report.add("metric symmetry", not asym,
-               "violated at " + "; ".join(str(t) for t in asym[:8]))
+    report.add_check("metric symmetry", asym[:8], "violated at ")
 
     if not asym:
         minors = leading_minor_determinants(M.g)
@@ -368,7 +402,7 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
                     if d:
                         defects.append(f"({i + 1},{j + 1},{k + 1}): "
                                        f"{vector_of(M.dim, d).render()}")
-        report.add("jacobi identity", not defects, "; ".join(defects))
+        report.add_check("jacobi identity", defects)
     return report
 
 
@@ -379,6 +413,10 @@ class ConnectionTable:
     manifold: FrameManifold
     gamma: dict   # {(i, j): {k: Gamma_ij^k}}, nabla_{e_i} e_j = Gamma_ij^k e_k
     koszul: dict  # {(i, j, l): g(nabla_{e_i} e_j, e_l)}
+
+    @cached_property
+    def gamma_int(self) -> tuple:  # (table, d) as FrameManifold.brackets_int
+        return integer_rows(self.gamma)
 
     def entry(self, i: int, j: int) -> FrameVector:
         return vector_of(self.manifold.dim, self.gamma.get((i, j), {}))
@@ -403,27 +441,35 @@ def levi_civita(M: FrameManifold) -> ConnectionTable:
     """Koszul formula reduced for a frame-constant metric:
     2 g(nabla_{e_i} e_j, e_l) = C_ijl - C_jli + C_lij with
     C_ijl = g(e_l, [e_i, e_j]); each nonzero C adds to three entries, and
-    g^{-1} raises the last index.
+    g^{-1} raises the last index. All sums run on integer numerators.
     """
-    lowered = {}
-    for (i, j, l), x in M.lowered_brackets.items():
-        lowered[i, j, l] = lowered.get((i, j, l), 0) + x
-        lowered[l, i, j] = lowered.get((l, i, j), 0) - x
-        lowered[j, l, i] = lowered.get((j, l, i), 0) + x
-    koszul = {key: x / 2 for key, x in lowered.items() if x}
-    gi_cols = sparse_columns(M.g_inv)
+    table, dc = M.brackets_int
+    gcols, dg = M.g_int
+    gi_cols, dgi = M.g_inv_int
+    twice = {}
+    for (i, j), row in table.items():
+        for l, x in apply_columns(gcols, row).items():  # C_ijl
+            twice[i, j, l] = twice.get((i, j, l), 0) + x
+            twice[l, i, j] = twice.get((l, i, j), 0) - x
+            twice[j, l, i] = twice.get((j, l, i), 0) + x
     raised = {}
-    for (i, j, l), x in koszul.items():
-        row = raised.setdefault((i, j), {})
-        for k, gkl in gi_cols[l].items():
-            row[k] = row.get(k, 0) + gkl * x
-    return ConnectionTable(M, _prune_rows(raised), koszul)
+    for (i, j, l), x in twice.items():
+        if x:
+            row = raised.setdefault((i, j), {})
+            for k, gkl in gi_cols[l].items():
+                row[k] = row.get(k, 0) + gkl * x
+    return ConnectionTable(M, divided_rows(raised, 2 * dc * dg * dgi),
+                           divided(twice, 2 * dc * dg))
 
 
 @dataclass(frozen=True)
 class CurvatureTensor:
     manifold: FrameManifold
     comp: dict  # {(i, j, k): {l: R_ijk^l}}, R(e_i, e_j) e_k = R_ijk^l e_l
+
+    @cached_property
+    def comp_int(self) -> tuple:  # (table, d) as FrameManifold.brackets_int
+        return integer_rows(self.comp)
 
     def entry(self, i: int, j: int, k: int) -> FrameVector:
         return vector_of(self.manifold.dim, self.comp.get((i, j, k), {}))
@@ -437,17 +483,23 @@ class CurvatureTensor:
 
     def apply_coeffs(self, x: dict, y: dict, z: dict) -> dict:
         """R(x, y) z for coefficient maps."""
+        (x, dx), (y, dy), (z, dz) = map(integer_map, (x, y, z))
+        return divided(self.apply_int(x, y, z), self.comp_int[1] * dx * dy * dz)
+
+    def apply_int(self, x: dict, y: dict, z: dict) -> dict:
+        """R(x, y) z for integer maps, as numerators over comp_int's d."""
+        comp = self.comp_int[0]
         out = {}
         for i, xi in x.items():
             for j, yj in y.items():
                 w = xi * yj
                 for k, zk in z.items():
-                    vec = self.comp.get((i, j, k))
+                    vec = comp.get((i, j, k))
                     if vec:
                         wk = w * zk
                         for l, r in vec.items():
                             out[l] = out.get(l, 0) + r * wk
-        return _prune(out)
+        return out
 
     def apply(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
         """Trilinear extension of R to frame-constant vector fields."""
@@ -459,17 +511,6 @@ class CurvatureTensor:
             yield i, j, k, self.entry(i, j, k)
 
 
-def _integer_rows(table: dict) -> tuple:
-    """({key: {k: int}}, d) with every value of table equal to int / d."""
-    d = 1
-    for row in table.values():
-        for x in row.values():
-            d = lcm(d, x.denominator)
-    return {key: {k: x.numerator * (d // x.denominator)
-                  for k, x in row.items()}
-            for key, row in table.items()}, d
-
-
 def curvature(M: FrameManifold, conn: ConnectionTable) -> CurvatureTensor:
     """R(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X, Y]} Z,
     so R_ijk^l = T_ijk^l - T_jik^l - sum_a c_ij^a Gamma_ak^l with
@@ -477,8 +518,8 @@ def curvature(M: FrameManifold, conn: ConnectionTable) -> CurvatureTensor:
 
     Gamma and c are scaled to integers over common denominators dg and dc,
     the sums run on ints over dg^2 dc, and each entry is divided once."""
-    gamma, dg = _integer_rows(conn.gamma)
-    brackets, dc = _integer_rows(M.brackets)
+    gamma, dg = conn.gamma_int
+    brackets, dc = M.brackets_int
     by_first: dict = {}
     by_second: dict = {}
     for (i, a), row in gamma.items():
@@ -504,9 +545,7 @@ def curvature(M: FrameManifold, conn: ConnectionTable) -> CurvatureTensor:
                 vec = acc.setdefault((i, j, k), {})
                 for l, y in row_ak.items():
                     vec[l] = vec.get(l, 0) - x * y
-    den = dg * dg * dc
-    return CurvatureTensor(M, {key: {l: Fraction(x, den) for l, x in vec.items()}
-                               for key, vec in _prune_rows(acc).items()})
+    return CurvatureTensor(M, divided_rows(acc, dg * dg * dc))
 
 
 def bianchi_defect(R: CurvatureTensor, i: int, j: int, k: int) -> FrameVector:
@@ -539,30 +578,12 @@ def ricci(M: FrameManifold, R: CurvatureTensor) -> RicciTensor:
     """ric(e_j, e_k) = trace of X -> R(X, e_j) e_k. Equals the contraction of
     the lowered tensor through g^{-1}; for an identity metric this is the
     plain orthonormal-frame sum over R(e_i, e_j, e_k, e_i)."""
+    comp, d = R.comp_int
     acc = {}
-    for (i, j, k), vec in R.comp.items():
+    for (i, j, k), vec in comp.items():
         if i in vec:
             acc[j, k] = acc.get((j, k), 0) + vec[i]
-    return RicciTensor(M, {key: x for key, x in acc.items() if x})
-
-
-def ricci_via_metric(M: FrameManifold, R: CurvatureTensor) -> RicciTensor:
-    """Same contraction routed through g^{-1} and the lowered tensor, read
-    through the accessors only; kept as the reference that tests compare
-    ricci against, for non-identity metrics."""
-    m = M.dim
-    gi = M.g_inv
-    tab = {}
-    for j in range(m):
-        for k in range(m):
-            total = ZERO
-            for i in range(m):
-                for l in range(m):
-                    if gi[i][l]:
-                        total = total + R.lowered(i, j, k, l) * gi[i][l]
-            if not total.is_zero():
-                tab[j, k] = total.constant_value()
-    return RicciTensor(M, tab)
+    return RicciTensor(M, divided(acc, d))
 
 
 def scalar_curvature(M: FrameManifold, ric_t: RicciTensor) -> ParamScalar:
@@ -574,12 +595,13 @@ def scalar_curvature(M: FrameManifold, ric_t: RicciTensor) -> ParamScalar:
 
 def ricci_operator_coeffs(M: FrameManifold, ric_t: RicciTensor) -> dict:
     """{(a, j): Q_aj} with g(Q e_j, e_k) = ric(e_j, e_k), nonzero only."""
-    gi_cols = sparse_columns(M.g_inv)
+    gi_cols, dgi = M.g_inv_int
+    ric, dr = integer_map(ric_t.ric)
     acc = {}
-    for (l, j), x in ric_t.ric.items():
+    for (l, j), x in ric.items():
         for a, gal in gi_cols[l].items():
             acc[a, j] = acc.get((a, j), 0) + gal * x
-    return {key: x for key, x in acc.items() if x}
+    return divided(acc, dgi * dr)
 
 
 def ricci_operator(M: FrameManifold, ric_t: RicciTensor) -> tuple:
@@ -593,14 +615,15 @@ def ricci_operator(M: FrameManifold, ric_t: RicciTensor) -> tuple:
 def lie_derivative_metric(M: FrameManifold, conn: ConnectionTable,
                           X: FrameVector) -> tuple:
     """(L_X g)(e_i, e_j) = g(nabla_{e_i} X, e_j) + g(e_i, nabla_{e_j} X)."""
-    x = _coeff_map(X)
+    x, dx = integer_map(_coeff_map(X))
+    koszul, dk = integer_map(conn.koszul)
     acc = {}
-    for (i, a, j), q in conn.koszul.items():
+    for (i, a, j), q in koszul.items():
         if a in x:
             t = q * x[a]
             acc[i, j] = acc.get((i, j), 0) + t
             acc[j, i] = acc.get((j, i), 0) + t
-    return _matrix_of(M.dim, acc)
+    return _matrix_of(M.dim, divided(acc, dk * dx))
 
 
 def is_killing(M: FrameManifold, conn: ConnectionTable, X: FrameVector):
@@ -614,13 +637,20 @@ def endo_derivative_coeffs(conn: ConnectionTable, q: dict) -> dict:
     """{(i, j): {k: ((nabla_{e_i} Q) e_j)_k}} for a frame-constant
     endomorphism given as {(a, j): Q_aj}, nonzero entries only:
     (nabla_{e_i} Q) e_j = nabla_{e_i}(Q e_j) - Q(nabla_{e_i} e_j)."""
+    return divided_rows(*endo_derivative_int(conn, q))
+
+
+def endo_derivative_int(conn: ConnectionTable, q: dict) -> tuple:
+    """(table, d): endo_derivative_coeffs as numerators over d, zeros kept."""
+    gamma, dg = conn.gamma_int
+    q, dq = integer_map(q)
     q_rows: dict = {}
     q_cols: dict = {}
     for (a, j), x in q.items():
         q_rows.setdefault(a, []).append((j, x))
         q_cols.setdefault(j, []).append((a, x))
     acc: dict = {}
-    for (i, a), row in conn.gamma.items():
+    for (i, a), row in gamma.items():
         for j, qaj in q_rows.get(a, ()):
             vec = acc.setdefault((i, j), {})
             for k, x in row.items():
@@ -631,7 +661,7 @@ def endo_derivative_coeffs(conn: ConnectionTable, q: dict) -> dict:
                 vec = acc.setdefault((i, a), {})
                 for k, qkb in cols:
                     vec[k] = vec.get(k, 0) - x * qkb
-    return _prune_rows(acc)
+    return acc, dg * dq
 
 
 def covariant_derivative_endo(M: FrameManifold, conn: ConnectionTable,
@@ -640,12 +670,8 @@ def covariant_derivative_endo(M: FrameManifold, conn: ConnectionTable,
     frame-constant endomorphism Q given column-wise (Q[a][j] = coeff of e_a
     in Q e_j). Returns a table [i][j] of FrameVector."""
     m = M.dim
-    q = {}
-    for a in range(m):
-        for j in range(m):
-            x = _as_scalar(Q[a][j])
-            if not x.is_zero():
-                q[a, j] = _plain(x)
+    q = {(a, j): _plain(x) for a, row in enumerate(Q)
+         for j, x in enumerate(map(_as_scalar, row)) if not x.is_zero()}
     d = endo_derivative_coeffs(conn, q)
     return tuple(tuple(vector_of(m, d.get((i, j), {})) for j in range(m))
                  for i in range(m))

@@ -15,9 +15,10 @@
 
 A vector-expr is 0 or a sum of signed terms <rational>[*]e<k>; indices are
 1-based and must stay within the declared dimension, which is at most
-MAX_DIM. Brackets may be declared at most once per unordered pair; the
-parser keeps only their nonzero coefficients and hands them to
-FrameManifold.from_brackets as a sparse table. Expected values are audit
+MAX_DIM; integer literals have at most scalars.MAX_DIGITS digits. Brackets
+may be declared at most once per unordered pair; the parser keeps only
+their nonzero coefficients and hands them to FrameManifold.from_brackets
+as a sparse table. Expected values are audit
 data: they never feed computation, they only populate discrepancy ledgers,
 so repeated or contradictory expect lines are legal.
 """
@@ -29,12 +30,12 @@ from fractions import Fraction
 
 from .contact import AlmostContactData
 from .geometry import FrameManifold, FrameVector, identity_metric, vector_of
-from .scalars import ScalarError, format_rational, parse_scalar
+from .scalars import ScalarError, format_rational, literal_int, parse_scalar
 
 # Largest accepted dimension. Brackets are stored sparse, but the metric and
-# its inverse stay dense (m^2 entries), the leading minors take one
-# elimination each and the strict Jacobi scan visits all m^3 / 6 triples, so
-# the declared dimension alone sets a floor on the cost of a command.
+# its inverse stay dense (m^2 entries, one elimination each) and the strict
+# Jacobi scan visits all m^3 / 6 triples, so the declared dimension alone
+# sets a floor on the cost of a command.
 MAX_DIM = 128
 
 
@@ -112,13 +113,21 @@ class _Scanner:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
+    def literal(self, m, group: int) -> int:
+        """The integer literal in group of the match m at self.pos."""
+        try:
+            return literal_int(m.group(group))
+        except ScalarError as exc:
+            self.error(str(exc), self.pos + m.start(group))
+
     def integer(self) -> int:
         self.skip_ws()
         m = re.match(r"\d+", self.text[self.pos:])
         if not m:
             self.error("expected an integer")
+        value = self.literal(m, 0)
         self.pos += m.end()
-        return int(m.group(0))
+        return value
 
     def rational(self) -> Fraction:
         self.skip_ws()
@@ -126,9 +135,9 @@ class _Scanner:
         m = re.match(r"(\d+)\s*(?:/\s*(\d+))?", self.text[self.pos:])
         if not m:
             self.error("expected a rational number")
+        num = self.literal(m, 1)
+        den = self.literal(m, 2) if m.group(2) else 1
         self.pos += m.end()
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
         if den == 0:
             self.error("zero denominator", start)
         return Fraction(num, den)
@@ -140,8 +149,8 @@ class _Scanner:
         m = re.match(r"e(\d+)", self.text[self.pos:])
         if not m:
             self.error("expected a frame vector e<k>")
+        k = self.literal(m, 1)
         self.pos += m.end()
-        k = int(m.group(1))
         if not 1 <= k <= dim:
             self.error(f"frame index e{k} out of range 1..{dim}", start)
         return k - 1

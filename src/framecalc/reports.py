@@ -42,6 +42,10 @@ class CheckReport:
         self.items.append(CheckItem(name, PASS if ok else FAIL,
                                     None if ok else defect))
 
+    def add_check(self, name: str, defects: list, prefix: str = "") -> None:
+        """An item that passes when defects is empty, else lists them."""
+        self.add(name, not defects, prefix + "; ".join(map(str, defects)))
+
     def add_item(self, item: CheckItem) -> None:
         self.items.append(item)
 

@@ -34,13 +34,28 @@ class SolveError(ScalarError):
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
+# Longest integer literal accepted in scalars and manifold files, in digits;
+# Python reads and prints at most 4300 by default.
+MAX_DIGITS = 1000
+
+
+def literal_int(digits: str) -> int:
+    """int(digits) for a signed literal of at most MAX_DIGITS digits."""
+    if len(digits) > MAX_DIGITS and len(digits.lstrip("+-")) > MAX_DIGITS:
+        raise ScalarError(f"integer literal of {len(digits.lstrip('+-'))} "
+                          f"digits exceeds the limit of {MAX_DIGITS}")
+    return int(digits)
+
 
 def format_rational(q: Fraction) -> str:
     """Render as "a/b", omitting the denominator when it is 1."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # beyond Python's int-to-string digit limit
+        raise ScalarError("a computed value has too many digits to print") from exc
 
 
 def parse_rational(text: str) -> Fraction:
@@ -49,8 +64,8 @@ def parse_rational(text: str) -> Fraction:
     m = re.fullmatch(r"([+-]?\d+)\s*(?:/\s*([+-]?\d+))?", s)
     if not m:
         raise ScalarError(f"not a rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = literal_int(m.group(1))
+    den = literal_int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ScalarError(f"zero denominator in rational: {text!r}")
     return Fraction(num, den)
@@ -116,6 +131,9 @@ class ParamScalar:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
 
     def is_constant(self) -> bool:
         return all(mono == () for mono in self._terms)
@@ -283,7 +301,10 @@ def _tokenize(text: str):
                 break
             raise ScalarError(f"unexpected character {rest[0]!r} in scalar {text!r}")
         if m.group(1):
-            tokens.append(("int", int(m.group(1))))
+            try:
+                tokens.append(("int", literal_int(m.group(1))))
+            except ScalarError as exc:
+                raise ScalarError(f"{exc} at offset {m.start(1)}") from None
         elif m.group(2):
             tokens.append(("name", m.group(2)))
         else:

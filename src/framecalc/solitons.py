@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
-                       FrameVector, RicciTensor, endo_derivative_coeffs,
+                       FrameVector, RicciTensor, divided,
+                       endo_derivative_coeffs, integer_map,
                        lie_derivative_metric, ricci_operator_coeffs,
                        vector_of)
 from .reports import PRECONDITION, CheckItem, CheckReport
@@ -246,14 +247,16 @@ def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
         return report
 
     m = M.dim
-    df_vec = dict(enumerate(gradient_vector(M, gd.df).rational_coeffs()))
+    df_vec, dd = integer_map(dict(enumerate(
+        gradient_vector(M, gd.df).rational_coeffs())))
     dq = endo_derivative_coeffs(conn, ricci_operator_coeffs(M, ric_t))
     bad = []
     for i in range(m):
         for j in range(m):
             # lhs - rhs = R(e_i, e_j) Df - dlam_i e_j + dlam_j e_i
             #             + (nabla_i Q) e_j - (nabla_j Q) e_i
-            diff = R.apply_coeffs({i: 1}, {j: 1}, df_vec)
+            diff = divided(R.apply_int({i: 1}, {j: 1}, df_vec),
+                           R.comp_int[1] * dd)
             diff[j] = diff.get(j, 0) - gd.dlambda[i]
             diff[i] = diff.get(i, 0) + gd.dlambda[j]
             for sign, key in ((1, (i, j)), (-1, (j, i))):
@@ -262,8 +265,8 @@ def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
             diff = {k: x for k, x in diff.items() if x}
             if diff:
                 bad.append(f"({i + 1},{j + 1}): {vector_of(m, diff).render()}")
-    report.add("R(X,Y)Df = (X lam)Y - (Y lam)X - (nabla_X Q)Y + (nabla_Y Q)X",
-               not bad, "; ".join(bad))
+    report.add_check(
+        "R(X,Y)Df = (X lam)Y - (Y lam)X - (nabla_X Q)Y + (nabla_Y Q)X", bad)
     return report
 
 
@@ -295,14 +298,13 @@ def check_distribution_gradient(M: FrameManifold, D, gd: GradientData,
         val = M.g_of(df_vec, FrameVector.basis(m, i)).constant_value()
         if val + gd.dlambda[i] != 0:
             bad.append(f"e{i + 1}: {format_rational(val + gd.dlambda[i])}")
-    report.add("g(Df, e_i) + dlambda[i] = 0 on the distribution", not bad,
-               "; ".join(bad))
+    report.add_check("g(Df, e_i) + dlambda[i] = 0 on the distribution", bad)
 
     if lam is not None and lam == P / 2 and not any(gd.dlambda):
         still = [f"e{i + 1}: df = {format_rational(gd.df[i])}"
                  for i in dist if gd.df[i] != 0]
-        report.add("lambda = p/2 forces df = 0 on the distribution", not still,
-                   "; ".join(still))
+        report.add_check("lambda = p/2 forces df = 0 on the distribution",
+                         still)
     return report
 
 
@@ -315,14 +317,12 @@ def check_lambda_f_constant(M: FrameManifold, gd: GradientData) -> CheckReport:
         return report
     bad = [f"e{i + 1}: {format_rational(gd.df[i] + gd.dlambda[i])}"
            for i in range(M.dim) if gd.df[i] + gd.dlambda[i] != 0]
-    report.add("df[i] + dlambda[i] = 0 for every i", not bad,
-               "; ".join(bad))
+    report.add_check("df[i] + dlambda[i] = 0 for every i", bad)
     if not any(gd.dlambda):
         # corollary: constant lambda leaves no room for a varying potential
         still = [f"e{i + 1}: {format_rational(gd.df[i])}"
                  for i in range(M.dim) if gd.df[i] != 0]
-        report.add("constant lambda forces constant f", not still,
-                   "; ".join(still))
+        report.add_check("constant lambda forces constant f", still)
     return report
 
 
@@ -344,15 +344,14 @@ def concurrent_check(M: FrameManifold, conn: ConnectionTable, V: FrameVector,
         nv = [conn.nabla_vec(i, V) for i in range(m)]
         bad = [f"e{i + 1}: nabla V = {nv[i].render()}"
                for i in range(m) if nv[i] != e[i]]
-        report.add("nabla_{e_i} V = e_i", not bad,
-                   "; ".join(bad[:6]))
+        report.add_check("nabla_{e_i} V = e_i", bad[:6])
 
     lv = tuple(tuple(M.g_of(nv[i], e[j]) + M.g_of(e[i], nv[j])
                      for j in range(m)) for i in range(m))
     bad = [f"({i + 1},{j + 1}): {(lv[i][j] - 2 * M.g[i][j]).render()}"
            for i in range(m) for j in range(m)
            if lv[i][j] != ParamScalar.rational(2 * M.g[i][j])]
-    report.add("L_V g = 2 g", not bad, "; ".join(bad[:6]))
+    report.add_check("L_V g = 2 g", bad[:6])
     return report
 
 

@@ -128,6 +128,15 @@ def ricci_via_ginv(R, g):
              for k in range(n)] for j in range(n)]
 
 
+def ricci_via_metric(M, R):
+    """ric[j][k] through g^{-1} and the lowered tensor, for an engine
+    manifold M and its curvature R, read through their accessors only."""
+    n = M.dim
+    Rd = [[[list(R.entry(i, j, k).rational_coeffs()) for k in range(n)]
+           for j in range(n)] for i in range(n)]
+    return ricci_via_ginv(Rd, [list(row) for row in M.g])
+
+
 def mk_c(n, entries):
     c = zeros(n, n, n)
     for (i, j, k), val in entries.items():
@@ -138,3 +147,51 @@ def mk_c(n, entries):
 
 def ident(n):
     return [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+
+
+# Reference linear algebra: one Fraction elimination per leading minor, and
+# Gauss-Jordan on [g | I]; the engine's fraction-free elimination is checked
+# against these.
+
+def det(rows):
+    rows = [[F(x) for x in row] for row in rows]
+    n = len(rows)
+    sign = F(1)
+    d = F(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            sign = -sign
+        d *= rows[col][col]
+        inv_p = 1 / rows[col][col]
+        for r in range(col + 1, n):
+            if rows[r][col] != 0:
+                f = rows[r][col] * inv_p
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return sign * d
+
+
+def leading_minors(g):
+    return [det([row[:k] for row in g[:k]]) for k in range(1, len(g) + 1)]
+
+
+def gauss_jordan_inverse(g):
+    """The inverse of g as a tuple of tuples, or None when g is singular."""
+    n = len(g)
+    aug = [[F(g[i][j]) for j in range(n)] +
+           [F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(aug[i][n:]) for i in range(n))

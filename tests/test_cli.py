@@ -304,6 +304,66 @@ def test_huge_exponent_does_not_hang():
     assert "Traceback" not in proc.stderr
 
 
+# Literals longer than MAX_DIGITS, and computed values longer than Python
+# prints, end in exit 3 with a message, never in a traceback.
+HUGE = "9" * 5000
+
+
+def test_huge_bracket_literal_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.fc"
+    path.write_text(f"manifold b dim 3\nbracket e1 e2 = {HUGE}*e3\n"
+                    "metric identity\n")
+    code, _, errtext = run(capsys, "validate", "--file", str(path))
+    assert code == 3
+    assert "line 2, col 17: integer literal of 5000 digits exceeds the " \
+           "limit of 1000" in errtext
+
+
+def test_huge_metric_literal_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.fc"
+    path.write_text(f"manifold b dim 1\nmetric g 1 1 = 1/{HUGE}\n")
+    code, _, errtext = run(capsys, "validate", "--file", str(path))
+    assert code == 3
+    assert "line 2, col 18: integer literal of 5000 digits" in errtext
+
+
+def test_huge_frame_index_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.fc"
+    path.write_text(f"manifold b dim 3\nbracket e1 e{HUGE} = e3\n")
+    code, _, errtext = run(capsys, "validate", "--file", str(path))
+    assert code == 3
+    assert "line 2, col 13: integer literal of 5000 digits" in errtext
+
+
+def test_huge_lambda_literal_exits_3(capsys):
+    code, _, errtext = run(capsys, "check-soliton", "--builtin", "heisenberg5",
+                           "--field", "xi", "--flavor", "ricci",
+                           "--lambda", "1" + "0" * 5000)
+    assert code == 3
+    assert "integer literal of 5001 digits exceeds the limit of 1000 at offset 0" in errtext
+
+
+def test_huge_df_literal_exits_3(capsys):
+    code, _, errtext = run(capsys, "check-gradient", "--builtin", "heisenberg5",
+                           "--df", f"0,0,{HUGE},0,0", "--flavor", "ricci",
+                           "--lambda", "0")
+    assert code == 3
+    assert "integer literal of 5000 digits" in errtext
+
+
+def test_unprintable_computed_value_exits_3(tmp_path, capsys):
+    # literals within the limit whose curvature has over 4300 digits
+    big = "1" + "0" * 999
+    path = tmp_path / "big.fc"
+    path.write_text(f"manifold b dim 3\nbracket e1 e2 = {big}*e3\n"
+                    f"bracket e2 e3 = {big}*e1\nmetric g 1 1 = 1/{big}\n"
+                    f"metric g 2 2 = 1\nmetric g 3 3 = {big}\n")
+    code, out, errtext = run(capsys, "curvature", "--file", str(path))
+    assert code == 3
+    assert out == ""
+    assert "a computed value has too many digits to print" in errtext
+
+
 def test_unknown_command(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 3

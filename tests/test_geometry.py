@@ -4,6 +4,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from framecalc.catalog import load_builtin
@@ -13,7 +15,7 @@ from framecalc.geometry import (FrameManifold, FrameVector, GeometryError,
                                 is_killing, jacobi_defect,
                                 leading_minor_determinants, levi_civita,
                                 lie_derivative_metric, ricci, ricci_operator,
-                                ricci_via_metric, scalar_curvature, validate)
+                                scalar_curvature, validate)
 from framecalc.manifold_format import parse_manifold
 from framecalc.scalars import ParamScalar
 
@@ -188,6 +190,49 @@ def test_invert_matrix():
     with pytest.raises(GeometryError):
         invert_matrix(((Fraction(1), Fraction(1)),
                        (Fraction(1), Fraction(1))))
+
+
+entry = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices, plain or of lower rank (B^T D B with
+    zeros in D), so that zero leading minors, indefinite and singular
+    matrices all come up."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        upper = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+        return tuple(tuple(upper[min(i, j) * n + max(i, j)] for j in range(n))
+                     for i in range(n))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    d = draw(st.lists(st.sampled_from((0, 0, 1, -1, Fraction(1, 2))),
+                      min_size=n, max_size=n))
+    return tuple(tuple(sum((b[k][i] * d[k] * b[k][j] for k in range(n)),
+                           Fraction(0)) for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_matrices())
+@example(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
+@example(((Fraction(1), Fraction(2), Fraction(0)),
+          (Fraction(2), Fraction(4), Fraction(1)),
+          (Fraction(0), Fraction(1), Fraction(1))))
+@example(((Fraction(0),) * 3,) * 3)
+def test_fraction_free_elimination_matches_oracle(g):
+    minors = leading_minor_determinants(g)
+    assert minors == oracle.leading_minors(g)
+    assert all(type(x) is Fraction for x in minors)
+    want = oracle.gauss_jordan_inverse(g)
+    if want is None:
+        with pytest.raises(GeometryError, match="metric is singular"):
+            invert_matrix(g)
+    else:
+        gi = invert_matrix(g)
+        assert gi == want
+        assert all(type(x) is Fraction for row in gi for x in row)
 
 
 # -- connection -------------------------------------------------------------------
@@ -383,10 +428,10 @@ def test_ricci_via_metric_agrees():
     for M in ALL:
         R = curvature(M, levi_civita(M))
         a = ricci(M, R)
-        b = ricci_via_metric(M, R)
+        b = oracle.ricci_via_metric(M, R)
         for j in range(M.dim):
             for k in range(M.dim):
-                assert a.entry(j, k) == b.entry(j, k), (M.name, j, k)
+                assert a.entry(j, k) == sc(b[j][k]), (M.name, j, k)
 
 
 # -- oracle equivalence ------------------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framecalc.scalars import (EvaluationError, LinearForm, ParamScalar,
-                               ScalarError, SolveError, format_rational,
-                               parse_rational, parse_scalar, solve_linear)
+from framecalc.scalars import (MAX_DIGITS, EvaluationError, LinearForm,
+                               ParamScalar, ScalarError, SolveError,
+                               format_rational, parse_rational, parse_scalar,
+                               solve_linear)
 
 P = ParamScalar.param("p")
 Q = ParamScalar.param("q")
@@ -42,6 +43,18 @@ def test_parse_rational():
         parse_rational("1.5")
 
 
+def test_literal_digit_limit():
+    edge, over = "7" * MAX_DIGITS, "7" * (MAX_DIGITS + 1)
+    assert parse_rational(f"-{edge}/3") == Fraction(-int(edge), 3)
+    assert parse_scalar(f"{edge}*p").affine_in("p") == (int(edge), 0)
+    for bad in (lambda: parse_rational(over), lambda: parse_rational(f"1/{over}"),
+                lambda: parse_scalar(f"p + {over}")):
+        with pytest.raises(ScalarError, match="exceeds the limit of 1000"):
+            bad()
+    with pytest.raises(ScalarError, match="too many digits to print"):
+        format_rational(Fraction(1, 10 ** 5000))
+
+
 # -- construction and queries -------------------------------------------------
 
 def test_constant_queries():
@@ -50,6 +63,7 @@ def test_constant_queries():
     assert c.constant_value() == Fraction(3, 4)
     assert c.symbols() == frozenset()
     assert ParamScalar.rational(0).is_zero()
+    assert c and P - P + 1 and not ParamScalar.rational(0) and not P - P
 
 
 def test_param_queries():
