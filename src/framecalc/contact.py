@@ -7,7 +7,6 @@ entries are exact rationals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -15,6 +14,7 @@ from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, RicciTensor, apply_columns as _apply,
                        bracket_sum, divided, endo_derivative_int, integer_map,
                        integer_rows, sparse_columns, vector_of)
+from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import format_rational
 
@@ -23,12 +23,12 @@ class ContactError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AlmostContactData:
+class AlmostContactData(Record):
     """phi[a][j] = coefficient of e_a in phi(e_j); xi = Reeb vector coeffs."""
 
-    phi: tuple
-    xi: tuple
+    def __init__(self, phi: tuple, xi: tuple):
+        self.phi = phi
+        self.xi = xi
 
     @classmethod
     def from_values(cls, phi, xi) -> "AlmostContactData":

@@ -17,11 +17,11 @@ parameters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+from .record import Record
 from .reports import CheckReport
 from .scalars import ParamScalar, ZERO, format_rational
 
@@ -168,11 +168,11 @@ def invert_matrix(g: Matrix) -> Matrix:
 
 # -- vectors -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrameVector:
+class FrameVector(Record):
     """A vector field with constant coefficients in the frame."""
 
-    coeffs: tuple
+    def __init__(self, coeffs: tuple):
+        self.coeffs = coeffs
 
     @classmethod
     def from_values(cls, values) -> "FrameVector":
@@ -408,11 +408,11 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
 
 # -- connection, curvature, ricci ---------------------------------------------
 
-@dataclass(frozen=True)
-class ConnectionTable:
-    manifold: FrameManifold
-    gamma: dict   # {(i, j): {k: Gamma_ij^k}}, nabla_{e_i} e_j = Gamma_ij^k e_k
-    koszul: dict  # {(i, j, l): g(nabla_{e_i} e_j, e_l)}
+class ConnectionTable(Record):
+    def __init__(self, manifold: FrameManifold, gamma: dict, koszul: dict):
+        self.manifold = manifold
+        self.gamma = gamma    # {(i, j): {k: Gamma_ij^k}}, nabla_{e_i} e_j = Gamma_ij^k e_k
+        self.koszul = koszul  # {(i, j, l): g(nabla_{e_i} e_j, e_l)}
 
     @cached_property
     def gamma_int(self) -> tuple:  # (table, d) as FrameManifold.brackets_int
@@ -462,10 +462,10 @@ def levi_civita(M: FrameManifold) -> ConnectionTable:
                            divided(twice, 2 * dc * dg))
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
-    manifold: FrameManifold
-    comp: dict  # {(i, j, k): {l: R_ijk^l}}, R(e_i, e_j) e_k = R_ijk^l e_l
+class CurvatureTensor(Record):
+    def __init__(self, manifold: FrameManifold, comp: dict):
+        self.manifold = manifold
+        self.comp = comp  # {(i, j, k): {l: R_ijk^l}}, R(e_i, e_j) e_k = R_ijk^l e_l
 
     @cached_property
     def comp_int(self) -> tuple:  # (table, d) as FrameManifold.brackets_int
@@ -553,10 +553,10 @@ def bianchi_defect(R: CurvatureTensor, i: int, j: int, k: int) -> FrameVector:
     return R.entry(i, j, k) + R.entry(j, k, i) + R.entry(k, i, j)
 
 
-@dataclass(frozen=True)
-class RicciTensor:
-    manifold: FrameManifold
-    ric: dict  # {(j, k): ric(e_j, e_k)}, nonzero entries only
+class RicciTensor(Record):
+    def __init__(self, manifold: FrameManifold, ric: dict):
+        self.manifold = manifold
+        self.ric = ric  # {(j, k): ric(e_j, e_k)}, nonzero entries only
 
     def entry(self, j: int, k: int) -> ParamScalar:
         return ParamScalar.rational(self.ric.get((j, k), 0))

@@ -25,11 +25,11 @@ so repeated or contradictory expect lines are legal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .contact import AlmostContactData
 from .geometry import FrameManifold, FrameVector, identity_metric, vector_of
+from .record import Record
 from .scalars import ScalarError, format_rational, literal_int, parse_scalar
 
 # Largest accepted dimension. Brackets are stored sparse, but the metric and
@@ -47,22 +47,33 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class ExpectedValues:
-    nabla: tuple = ()   # (i, j, FrameVector, source)
-    riem: tuple = ()    # (i, j, k, FrameVector, source)
-    ricci: tuple = ()   # (i, j, Fraction, source)
-    lam: tuple = ()     # (ParamScalar, source)
+class ExpectedValues(Record):
+    def __init__(self, nabla: tuple = (), riem: tuple = (),
+                 ricci: tuple = (), lam: tuple = ()):
+        self.nabla = nabla  # (i, j, FrameVector, source)
+        self.riem = riem    # (i, j, k, FrameVector, source)
+        self.ricci = ricci  # (i, j, Fraction, source)
+        self.lam = lam      # (ParamScalar, source)
 
     def is_empty(self) -> bool:
         return not (self.nabla or self.riem or self.ricci or self.lam)
 
 
-@dataclass(frozen=True)
-class ManifoldDocument:
-    manifold: FrameManifold
-    contact: AlmostContactData | None
-    expected: ExpectedValues
+class ManifoldDocument(Record):
+    def __init__(self, manifold: FrameManifold,
+                 contact: AlmostContactData | None, expected: ExpectedValues):
+        self.manifold = manifold
+        self.contact = contact
+        self.expected = expected
+
+
+# Scanner tokens, matched in place at the scan position.
+_WS = re.compile(r"[ \t]*")
+_WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_INTEGER = re.compile(r"\d+")
+_RATIONAL = re.compile(r"(\d+)\s*(?:/\s*(\d+))?")
+_BASIS = re.compile(r"e(\d+)")
+_ONE = Fraction(1)
 
 
 class _Scanner:
@@ -77,8 +88,7 @@ class _Scanner:
         raise ParseError(self.lineno, self.col_base + p, msg)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+        self.pos = _WS.match(self.text, self.pos).end()
 
     def eof(self) -> bool:
         self.skip_ws()
@@ -86,19 +96,19 @@ class _Scanner:
 
     def peek(self) -> str:
         self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
     def peek_word(self) -> str:
         self.skip_ws()
-        m = re.match(r"[A-Za-z_][A-Za-z_0-9]*", self.text[self.pos:])
+        m = _WORD.match(self.text, self.pos)
         return m.group(0) if m else ""
 
     def word(self) -> str:
         self.skip_ws()
-        m = re.match(r"[A-Za-z_][A-Za-z_0-9]*", self.text[self.pos:])
+        m = _WORD.match(self.text, self.pos)
         if not m:
             self.error("expected an identifier")
-        self.pos += m.end()
+        self.pos = m.end()
         return m.group(0)
 
     def keyword(self, lit: str):
@@ -113,31 +123,39 @@ class _Scanner:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
+    def signs(self) -> bool:
+        """Read a run of + and - signs; True when it negates."""
+        negative = False
+        while (ch := self.peek()) in ("+", "-"):
+            negative ^= ch == "-"
+            self.pos += 1
+        return negative
+
     def literal(self, m, group: int) -> int:
-        """The integer literal in group of the match m at self.pos."""
+        """The integer literal in group of the match m."""
         try:
             return literal_int(m.group(group))
         except ScalarError as exc:
-            self.error(str(exc), self.pos + m.start(group))
+            self.error(str(exc), m.start(group))
 
     def integer(self) -> int:
         self.skip_ws()
-        m = re.match(r"\d+", self.text[self.pos:])
+        m = _INTEGER.match(self.text, self.pos)
         if not m:
             self.error("expected an integer")
         value = self.literal(m, 0)
-        self.pos += m.end()
+        self.pos = m.end()
         return value
 
     def rational(self) -> Fraction:
         self.skip_ws()
         start = self.pos
-        m = re.match(r"(\d+)\s*(?:/\s*(\d+))?", self.text[self.pos:])
+        m = _RATIONAL.match(self.text, self.pos)
         if not m:
             self.error("expected a rational number")
         num = self.literal(m, 1)
         den = self.literal(m, 2) if m.group(2) else 1
-        self.pos += m.end()
+        self.pos = m.end()
         if den == 0:
             self.error("zero denominator", start)
         return Fraction(num, den)
@@ -146,11 +164,11 @@ class _Scanner:
         """Read e<k> and return the 0-based index."""
         self.skip_ws()
         start = self.pos
-        m = re.match(r"e(\d+)", self.text[self.pos:])
+        m = _BASIS.match(self.text, self.pos)
         if not m:
             self.error("expected a frame vector e<k>")
         k = self.literal(m, 1)
-        self.pos += m.end()
+        self.pos = m.end()
         if not 1 <= k <= dim:
             self.error(f"frame index e{k} out of range 1..{dim}", start)
         return k - 1
@@ -176,23 +194,19 @@ def _parse_vector(sc: _Scanner, dim: int) -> dict:
         sc.pos = save
     first = True
     while not sc.eof():
-        sign = Fraction(1)
-        saw_sign = False
-        while sc.peek() and sc.peek() in "+-":
-            if sc.peek() == "-":
-                sign = -sign
-            sc.pos += 1
-            sc.skip_ws()
-            saw_sign = True
-        if not first and not saw_sign:
+        start = sc.pos
+        negative = sc.signs()
+        if not first and sc.pos == start:
             sc.error("expected '+' or '-' between terms")
-        q = Fraction(1)
+        q = _ONE
         if sc.peek().isdigit():
             q = sc.rational()
             if sc.peek() == "*":
                 sc.pos += 1
         k = sc.basis_index(dim)
-        coeffs[k] = coeffs.get(k, 0) + sign * q
+        if negative:
+            q = -q
+        coeffs[k] = coeffs[k] + q if k in coeffs else q
         first = False
     if first:
         sc.error("expected a vector expression")
@@ -210,6 +224,8 @@ _EXPECT_RE = re.compile(
 
 def _strip_comment(raw: str) -> str:
     """Cut a line at its first # that is not inside a double-quoted string."""
+    if "#" not in raw:
+        return raw
     quoted = False
     for pos, ch in enumerate(raw):
         if ch == '"':
@@ -301,12 +317,8 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 if (i, j) in metric_entries or (j, i) in metric_entries:
                     sc.error(f"metric entry ({i + 1},{j + 1}) already declared")
                 sc.char("=")
-                sign = Fraction(1)
-                while sc.peek() and sc.peek() in "+-":
-                    if sc.peek() == "-":
-                        sign = -sign
-                    sc.pos += 1
-                q = sign * sc.rational()
+                negative = sc.signs()
+                q = -sc.rational() if negative else sc.rational()
                 if not sc.eof():
                     sc.error("trailing text")
                 metric_entries[(i, j)] = q
@@ -354,12 +366,8 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 i = bsc.index_1based(dim)
                 j = bsc.index_1based(dim)
                 bsc.char("=")
-                sign = Fraction(1)
-                while bsc.peek() and bsc.peek() in "+-":
-                    if bsc.peek() == "-":
-                        sign = -sign
-                    bsc.pos += 1
-                q = sign * bsc.rational()
+                negative = bsc.signs()
+                q = -bsc.rational() if negative else bsc.rational()
                 if not bsc.eof():
                     bsc.error("trailing text")
                 exp_ricci.append((i, j, q, source))

@@ -7,8 +7,7 @@ order.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from .record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -18,25 +17,28 @@ PRECONDITION = "precondition_violated"
 _BAD = (FAIL, ERROR, PRECONDITION)
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    status: str
-    defect: str | None = None
+class CheckItem(Record):
+    def __init__(self, name: str, status: str, defect: str | None = None):
+        self.name = name
+        self.status = status
+        self.defect = defect
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    source: str
-    expected: str
-    computed: str
+class LedgerEntry(Record):
+    def __init__(self, source: str, expected: str, computed: str):
+        self.source = source
+        self.expected = expected
+        self.computed = computed
 
 
-@dataclass
-class CheckReport:
-    subject: str
-    items: list = field(default_factory=list)
-    ledger: list = field(default_factory=list)
+class CheckReport(Record):
+    __hash__ = None
+
+    def __init__(self, subject: str, items: list | None = None,
+                 ledger: list | None = None):
+        self.subject = subject
+        self.items = [] if items is None else items
+        self.ledger = [] if ledger is None else ledger
 
     def add(self, name: str, ok: bool, defect: str | None = None) -> None:
         self.items.append(CheckItem(name, PASS if ok else FAIL,
@@ -83,6 +85,7 @@ class CheckReport:
         }
 
     def render_json(self) -> str:
+        import json  # here, not at the top: only JSON output pays its import
         return json.dumps(self.to_obj(), indent=2, sort_keys=True) + "\n"
 
     def render_text(self) -> str:

@@ -8,8 +8,9 @@ monomials to rational coefficients; no floats anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 Rational = Fraction
 
@@ -418,12 +419,12 @@ def parse_scalar(text: str) -> ParamScalar:
 
 # -- linear forms ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """coefficient * unknown + remainder == 0; the unknown is implicit."""
 
-    coefficient: Fraction
-    remainder: ParamScalar
+    def __init__(self, coefficient: Fraction, remainder: ParamScalar):
+        self.coefficient = coefficient
+        self.remainder = remainder
 
     def equation_str(self, unknown: str = "lambda") -> str:
         return f"{format_rational(self.coefficient)}*{unknown} = {(-self.remainder).render()}"

@@ -13,7 +13,6 @@ the conformal flavors.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
@@ -21,6 +20,7 @@ from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        endo_derivative_coeffs, integer_map,
                        lie_derivative_metric, ricci_operator_coeffs,
                        vector_of)
+from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import (LinearForm, ParamScalar, ZERO, SolveError,
                       format_rational, solve_linear)
@@ -94,12 +94,13 @@ def _metric_residual(M: FrameManifold, table: tuple, ric_t: RicciTensor,
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class LambdaSolve:
-    lam: ParamScalar
-    form: LinearForm
-    status: str  # "einstein_exact" or "trace_only"
-    residual: tuple
+class LambdaSolve(Record):
+    def __init__(self, lam: ParamScalar, form: LinearForm, status: str,
+                 residual: tuple):
+        self.lam = lam
+        self.form = form
+        self.status = status  # "einstein_exact" or "trace_only"
+        self.residual = residual
 
 
 def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
@@ -128,11 +129,12 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
 
 # -- classification ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str  # shrinking | steady | expanding | conditional
-    condition: str | None = None  # predicate on p under which it shrinks
-    threshold: Fraction | None = None
+class Classification(Record):
+    def __init__(self, verdict: str, condition: str | None = None,
+                 threshold: Fraction | None = None):
+        self.verdict = verdict      # shrinking | steady | expanding | conditional
+        self.condition = condition  # predicate on p under which it shrinks
+        self.threshold = threshold
 
     def render(self) -> str:
         if self.verdict == "conditional":
@@ -163,13 +165,13 @@ def classify(lam: ParamScalar) -> Classification:
 
 # -- gradient solitons ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradientData:
+class GradientData(Record):
     """Frame-constant first derivatives df of the potential and, when known,
     dlambda of the soliton function lambda."""
 
-    df: tuple
-    dlambda: tuple | None = None
+    def __init__(self, df: tuple, dlambda: tuple | None = None):
+        self.df = df
+        self.dlambda = dlambda
 
     @classmethod
     def from_values(cls, df, dlambda=None) -> "GradientData":
@@ -357,12 +359,13 @@ def concurrent_check(M: FrameManifold, conn: ConnectionTable, V: FrameVector,
 
 # -- closed-form constants for a concurrent potential ---------------------------
 
-@dataclass(frozen=True)
-class ConcurrentSolitonResult:
-    dim: int
-    lam: ParamScalar
-    einstein_constant: Fraction
-    classification: Classification
+class ConcurrentSolitonResult(Record):
+    def __init__(self, dim: int, lam: ParamScalar,
+                 einstein_constant: Fraction, classification: Classification):
+        self.dim = dim
+        self.lam = lam
+        self.einstein_constant = einstein_constant
+        self.classification = classification
 
 
 def concurrent_soliton_constants(m: int) -> ConcurrentSolitonResult:

@@ -1,23 +1,26 @@
 """Frame-change invariance: writing a frame e in the frame e' = e A, for A a
 product of rational elementary matrices, must transform the connection, the
 curvature and the Ricci tensor as tensors, leave the scalar curvature and
-the conformal lambda for X = xi unchanged, and leave every verdict of
-validate and of the contact checks unchanged. The expected tensors come
-from the engine's own output in the frame e and the exact arithmetic of
-``frames``; no value is copied from the engine in the frame e'."""
+the conformal lambda for X = xi unchanged, leave the lambda solved for
+every flavor and a general rational field X (A^{-1} X in the frame e')
+unchanged, and leave every verdict of validate and of the contact checks
+unchanged. The expected tensors come from the engine's own output in the
+frame e and the exact arithmetic of ``frames``; no value is copied from the
+engine in the frame e'."""
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frames import change_frame, document, elementary_change, heisenberg
+from frames import (change_frame, document, elementary_change, heisenberg,
+                    matvec)
 from framecalc.catalog import load_builtin
 from framecalc.contact import (check_almost_contact, check_contact_metric,
                                check_curvature_identity, check_normality,
                                check_reeb_ricci, check_sasakian)
-from framecalc.geometry import (curvature, leading_minor_determinants,
-                                levi_civita, ricci, scalar_curvature,
-                                validate)
+from framecalc.geometry import (FrameVector, curvature,
+                                leading_minor_determinants, levi_civita,
+                                ricci, scalar_curvature, validate)
 from framecalc.manifold_format import parse_manifold
 from framecalc.solitons import SolitonFlavor, solve_lambda_trace
 
@@ -68,7 +71,8 @@ def frames_and_changes(draw):
         st.tuples(st.just("add"), index, index, nonzero).filter(
             lambda s: s[1] != s[2]),
         st.tuples(st.just("scale"), index, nonzero))
-    return base, draw(st.lists(step, min_size=1, max_size=6))
+    field = draw(st.lists(small, min_size=m, max_size=m))
+    return base, draw(st.lists(step, min_size=1, max_size=6)), field
 
 
 def _along(T: dict, mat, axis: int, m: int) -> dict:
@@ -94,7 +98,7 @@ def _flat(table: dict) -> dict:
     return {(*key, k): x for key, row in table.items() for k, x in row.items()}
 
 
-def _derive(text: str) -> dict:
+def _derive(text: str, field) -> dict:
     doc = parse_manifold(text)
     M, D = doc.manifold, doc.contact
     conn = levi_civita(M)
@@ -103,6 +107,9 @@ def _derive(text: str) -> dict:
     out = {"M": M, "conn": conn, "R": R, "ric": ric,
            "r": scalar_curvature(M, ric),
            "validate": validate(M, strict=True).overall}
+    X = FrameVector.from_values(field)
+    out["lambdas"] = [solve_lambda_trace(M, conn, ric, X, flavor).lam
+                      for flavor in SolitonFlavor]
     if D is not None:
         out["contact"] = [check_almost_contact(M, D).overall,
                           check_sasakian(M, conn, D).overall,
@@ -118,10 +125,11 @@ def _derive(text: str) -> dict:
 @settings(max_examples=40, deadline=None)
 @given(frames_and_changes())
 def test_frame_change_invariance(case):
-    (m, c, g, *contact), steps = case
+    (m, c, g, *contact), steps, field = case
     A, Ainv = elementary_change(m, steps)
-    old = _derive(document("old", c, g, *contact))
-    new = _derive(document("new", *change_frame(c, g, A, Ainv, *contact)))
+    old = _derive(document("old", c, g, *contact), field)
+    new = _derive(document("new", *change_frame(c, g, A, Ainv, *contact)),
+                  matvec(Ainv, field))
 
     assert _flat(new["conn"].gamma) == \
         _transformed(_flat(old["conn"].gamma), 2, A, Ainv, m)
@@ -129,7 +137,7 @@ def test_frame_change_invariance(case):
         _transformed(_flat(old["R"].comp), 3, A, Ainv, m)
     assert new["ric"].ric == _transformed(old["ric"].ric, 2, A, Ainv, m)
     assert new["r"] == old["r"]
-    for key in ("validate", "contact", "lambda"):
+    for key in ("validate", "contact", "lambda", "lambdas"):
         assert new.get(key) == old.get(key), key
 
     # no float may slip into a table through an int / int division
