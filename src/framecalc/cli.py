@@ -13,9 +13,8 @@ from . import catalog
 from .contact import (ContactError, check_almost_contact,
                       check_contact_metric, check_curvature_identity,
                       check_normality, check_reeb_ricci, check_sasakian)
-from .geometry import (ConnectionTable, FrameManifold, FrameVector,
-                       GeometryError, RicciTensor, curvature, is_killing,
-                       levi_civita, ricci, scalar_curvature, validate)
+from .geometry import (FrameManifold, FrameVector, GeometryError,
+                       RicciTensor, is_killing, scalar_curvature, validate)
 from .manifold_format import ManifoldDocument, ParseError, parse_manifold
 from .reports import CheckReport, combine
 from .scalars import ScalarError, parse_rational, parse_scalar
@@ -41,26 +40,31 @@ def _build_parser() -> _Parser:
                             "soliton checks.")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, help_: str, subject: bool = True):
+    def add(name: str, help_: str, run, subject: bool = True):
         s = sub.add_parser(name, help=help_)
         if subject:
             s.add_argument("--builtin", metavar="NAME",
                            help="catalog manifold: " + ", ".join(catalog.builtin_names()))
             s.add_argument("--file", metavar="PATH", help="manifold file")
         s.add_argument("--format", choices=("text", "json"), default="text")
+        s.set_defaults(run=run, subject=subject)
         return s
 
-    s = add("validate", "check structure constants and metric")
+    s = add("validate", "check structure constants and metric",
+            lambda doc, args: validate(doc.manifold, strict=args.strict))
     s.add_argument("--strict", action="store_true",
                    help="also require the Jacobi identity")
-    add("connection", "Levi-Civita connection table")
-    add("curvature", "curvature tensor components")
-    add("ricci", "Ricci tensor")
-    add("check-contact", "almost-contact axioms")
-    add("check-sasakian", "Sasakian equation")
-    add("check-normality", "normality tensor")
+    add("connection", "Levi-Civita connection table", _connection)
+    add("curvature", "curvature tensor components", _curvature)
+    add("ricci", "Ricci tensor", _ricci)
+    add("check-contact", "almost-contact axioms", _check_contact)
+    add("check-sasakian", "Sasakian equation", _check_sasakian)
+    add("check-normality", "normality tensor", _check_normality)
 
-    s = add("solve-lambda", "solve the trace of the soliton equation for lambda")
+    s = add("solve-lambda", "solve the trace of the soliton equation for lambda",
+            lambda doc, args: _solve_lambda_report(
+                doc, _parse_field(args.field, doc), SolitonFlavor(args.flavor),
+                args.use_expected_ricci))
     s.add_argument("--field", required=True, metavar="X",
                    help="'xi' or comma-separated frame components")
     s.add_argument("--flavor", required=True,
@@ -69,13 +73,15 @@ def _build_parser() -> _Parser:
                    help="solve with the declared expected Ricci values instead "
                         "of the computed tensor")
 
-    s = add("check-soliton", "evaluate the soliton equation residual")
+    s = add("check-soliton", "evaluate the soliton equation residual",
+            _check_soliton)
     s.add_argument("--field", required=True, metavar="X")
     s.add_argument("--flavor", required=True,
                    choices=[f.value for f in SolitonFlavor])
     s.add_argument("--lambda", dest="lam", required=True, metavar="EXPR")
 
-    s = add("check-gradient", "evaluate the gradient soliton equation")
+    s = add("check-gradient", "evaluate the gradient soliton equation",
+            _check_gradient)
     s.add_argument("--df", required=True, metavar="C1,..,CM")
     s.add_argument("--dlambda", metavar="C1,..,CM")
     s.add_argument("--flavor", required=True,
@@ -83,17 +89,17 @@ def _build_parser() -> _Parser:
     s.add_argument("--lambda", dest="lam", required=True, metavar="EXPR")
 
     s = add("theorem36", "closed-form soliton constants for a concurrent "
-                         "potential field", subject=False)
+                         "potential field",
+            lambda doc, args: _theorem36(args.dim), subject=False)
     s.add_argument("--dim", type=int, required=True)
 
     add("verify-paper-example", "full audit of the heisenberg5 worked example",
-        subject=False)
+        lambda doc, args: _verify_paper_example(), subject=False)
     return p
 
 
 def _load(args) -> ManifoldDocument:
-    builtin = getattr(args, "builtin", None)
-    path = getattr(args, "file", None)
+    builtin, path = args.builtin, args.file
     if (builtin is None) == (path is None):
         raise UsageError("exactly one of --builtin or --file is required")
     if builtin is not None:
@@ -107,12 +113,6 @@ def _load(args) -> ManifoldDocument:
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     return parse_manifold(text)
-
-
-def _emit(report: CheckReport, fmt: str) -> int:
-    out = report.render_json() if fmt == "json" else report.render_text()
-    sys.stdout.write(out)
-    return report.exit_code
 
 
 def _require_contact(doc: ManifoldDocument):
@@ -187,8 +187,7 @@ def _expected_ricci_tensor(doc: ManifoldDocument) -> RicciTensor:
     return RicciTensor(M, {key: q for key, q in tab.items() if q})
 
 
-def _solve_lambda_report(doc: ManifoldDocument, conn: ConnectionTable,
-                         engine_ric: RicciTensor, X: FrameVector,
+def _solve_lambda_report(doc: ManifoldDocument, X: FrameVector,
                          flavor: SolitonFlavor,
                          use_expected_ricci: bool) -> CheckReport:
     M = doc.manifold
@@ -197,9 +196,9 @@ def _solve_lambda_report(doc: ManifoldDocument, conn: ConnectionTable,
         srcs = ", ".join(sorted({s for _, _, _, s in doc.expected.ricci}))
         label = f" [ricci override: {srcs}]"
     else:
-        ric_used = engine_ric
+        ric_used = M.ric
         label = ""
-    solve = solve_lambda_trace(M, conn, ric_used, X, flavor)
+    solve = solve_lambda_trace(M, M.conn, ric_used, X, flavor)
     report = CheckReport(f"{M.name} solve-lambda [{flavor.value}] "
                          f"X = {X.render()}{label}")
     report.add(f"lambda = {solve.lam.render()}", True)
@@ -216,7 +215,7 @@ def _solve_lambda_report(doc: ManifoldDocument, conn: ConnectionTable,
         expected_str = f"lambda = {lam_exp.render()}"
         if doc.expected.ricci:
             # show the trace equation the expected values would give
-            alt = solve_lambda_trace(M, conn, _expected_ricci_tensor(doc),
+            alt = solve_lambda_trace(M, M.conn, _expected_ricci_tensor(doc),
                                      X, flavor)
             if alt.lam == lam_exp:
                 expected_str += f" [trace: {alt.form.equation_str()}]"
@@ -226,93 +225,59 @@ def _solve_lambda_report(doc: ManifoldDocument, conn: ConnectionTable,
     return report
 
 
-def _defect_table(res) -> str:
-    out = []
-    for i, row in enumerate(res):
-        for j, e in enumerate(row):
-            if not e.is_zero():
-                out.append(f"({i + 1},{j + 1}): {e.render()}")
-    return "; ".join(out)
+def _add_zero_check(report: CheckReport, name: str, res) -> None:
+    """An item that passes when the matrix res vanishes, else lists its
+    nonzero entries."""
+    report.add_check(name, [f"({i + 1},{j + 1}): {e.render()}"
+                            for i, row in enumerate(res)
+                            for j, e in enumerate(row) if not e.is_zero()])
 
 
-# -- command handlers ----------------------------------------------------------
+# -- sections: one report per subcommand, run as run(doc, args) -------------
 
-def _cmd_validate(args) -> int:
-    doc = _load(args)
-    return _emit(validate(doc.manifold, strict=args.strict), args.format)
-
-
-def _cmd_connection(args) -> int:
-    doc = _load(args)
+def _connection(doc: ManifoldDocument, args=None) -> CheckReport:
     M = doc.manifold
-    return _emit(_table_report(f"{M.name} connection", _NABLA, levi_civita(M),
-                               doc.expected.nabla), args.format)
+    return _table_report(f"{M.name} connection", _NABLA, M.conn,
+                         doc.expected.nabla)
 
 
-def _cmd_curvature(args) -> int:
-    doc = _load(args)
+def _curvature(doc: ManifoldDocument, args=None) -> CheckReport:
     M = doc.manifold
-    return _emit(_table_report(f"{M.name} curvature", _RIEM,
-                               curvature(M, levi_civita(M)),
-                               doc.expected.riem), args.format)
+    return _table_report(f"{M.name} curvature", _RIEM, M.riem,
+                         doc.expected.riem)
 
 
-def _cmd_ricci(args) -> int:
-    doc = _load(args)
+def _ricci(doc: ManifoldDocument, args=None) -> CheckReport:
     M = doc.manifold
-    return _emit(_table_report(f"{M.name} ricci", _RIC,
-                               ricci(M, curvature(M, levi_civita(M))),
-                               doc.expected.ricci), args.format)
+    return _table_report(f"{M.name} ricci", _RIC, M.ric, doc.expected.ricci)
 
 
-def _cmd_check_contact(args) -> int:
-    doc = _load(args)
-    return _emit(check_almost_contact(doc.manifold, _require_contact(doc)),
-                 args.format)
+def _check_contact(doc: ManifoldDocument, args=None) -> CheckReport:
+    return check_almost_contact(doc.manifold, _require_contact(doc))
 
 
-def _cmd_check_sasakian(args) -> int:
-    doc = _load(args)
-    conn = levi_civita(doc.manifold)
-    return _emit(check_sasakian(doc.manifold, conn, _require_contact(doc)),
-                 args.format)
-
-
-def _cmd_check_normality(args) -> int:
-    doc = _load(args)
-    return _emit(check_normality(doc.manifold, _require_contact(doc)),
-                 args.format)
-
-
-def _cmd_solve_lambda(args) -> int:
-    doc = _load(args)
+def _check_sasakian(doc: ManifoldDocument, args=None) -> CheckReport:
     M = doc.manifold
-    X = _parse_field(args.field, doc)
-    conn = levi_civita(M)
-    report = _solve_lambda_report(doc, conn, ricci(M, curvature(M, conn)), X,
-                                  SolitonFlavor(args.flavor),
-                                  args.use_expected_ricci)
-    return _emit(report, args.format)
+    return check_sasakian(M, M.conn, _require_contact(doc))
 
 
-def _cmd_check_soliton(args) -> int:
-    doc = _load(args)
+def _check_normality(doc: ManifoldDocument, args=None) -> CheckReport:
+    return check_normality(doc.manifold, _require_contact(doc))
+
+
+def _check_soliton(doc: ManifoldDocument, args) -> CheckReport:
     M = doc.manifold
     X = _parse_field(args.field, doc)
     lam = _parse_lambda(args.lam, M)
     flavor = SolitonFlavor(args.flavor)
-    conn = levi_civita(M)
-    ric_t = ricci(M, curvature(M, conn))
-    res = soliton_residual(M, conn, ric_t, X, lam, flavor)
     report = CheckReport(f"{M.name} soliton [{flavor.value}] X = {X.render()} "
                          f"lambda = {lam.render()}")
-    ok = all(e.is_zero() for row in res for e in row)
-    report.add("L_X g + 2 ric - s g = 0", ok, None if ok else _defect_table(res))
-    return _emit(report, args.format)
+    _add_zero_check(report, "L_X g + 2 ric - s g = 0",
+                    soliton_residual(M, M.conn, M.ric, X, lam, flavor))
+    return report
 
 
-def _cmd_check_gradient(args) -> int:
-    doc = _load(args)
+def _check_gradient(doc: ManifoldDocument, args) -> CheckReport:
     M = doc.manifold
     df = _parse_fraction_list(args.df, M.dim, "--df")
     dlam = (None if args.dlambda is None
@@ -320,9 +285,6 @@ def _cmd_check_gradient(args) -> int:
     gd = GradientData.from_values(df, dlam)
     lam = _parse_lambda(args.lam, M)
     flavor = SolitonFlavor(args.flavor)
-    conn = levi_civita(M)
-    R = curvature(M, conn)
-    ric_t = ricci(M, R)
 
     report = CheckReport(f"{M.name} gradient soliton [{flavor.value}] "
                          f"lambda = {lam.render()}")
@@ -330,19 +292,18 @@ def _cmd_check_gradient(args) -> int:
     report.add_check("df integrable", [f"({i + 1},{j + 1}): {d}"
                                        for (i, j), d in defects])
     if not defects:
-        res = gradient_soliton_residual(M, conn, ric_t, gd, lam, flavor)
-        ok = all(e.is_zero() for row in res for e in row)
-        report.add("Hess f + ric - s' g = 0", ok,
-                   None if ok else _defect_table(res))
+        _add_zero_check(report, "Hess f + ric - s' g = 0",
+                        gradient_soliton_residual(M, M.conn, M.ric, gd, lam,
+                                                  flavor))
         if dlam is not None:
-            sub = check_gradient_curvature_identity(M, conn, R, ric_t, gd,
-                                                    lam, flavor)
+            sub = check_gradient_curvature_identity(M, M.conn, M.riem, M.ric,
+                                                    gd, lam, flavor)
             for item in sub.items:
                 report.add_item(item)
-    return _emit(report, args.format)
+    return report
 
 
-def _theorem36_report(dim: int) -> CheckReport:
+def _theorem36(dim: int) -> CheckReport:
     r = concurrent_soliton_constants(dim)
     report = CheckReport(f"concurrent potential constants, dim {r.dim}")
     report.add(f"lambda = {r.lam.render()}", True)
@@ -351,86 +312,42 @@ def _theorem36_report(dim: int) -> CheckReport:
     return report
 
 
-def _cmd_theorem36(args) -> int:
-    try:
-        report = _theorem36_report(args.dim)
-    except SolitonError as exc:
-        raise UsageError(str(exc)) from exc
-    return _emit(report, args.format)
-
-
-def _cmd_verify_paper_example(args) -> int:
+def _verify_paper_example() -> CheckReport:
+    """The single-subject sections on heisenberg5 joined together, with the
+    checks only the paper's audit runs: scalar curvature, the contact metric
+    and Reeb curvature identities, and the Killing property of xi."""
     doc = catalog.load_builtin("heisenberg5")
     M = doc.manifold
     D = doc.contact
-    conn = levi_civita(M)
-    R = curvature(M, conn)
-    ric_t = ricci(M, R)
-
-    sections = [validate(M, strict=True),
-                _table_report(f"{M.name} connection", _NABLA, conn,
-                              doc.expected.nabla),
-                _table_report(f"{M.name} curvature", _RIEM, R,
-                              doc.expected.riem),
-                _table_report(f"{M.name} ricci", _RIC, ric_t,
-                              doc.expected.ricci)]
-
-    scal = CheckReport(f"{M.name} scalar curvature")
-    scal.add(f"r = {scalar_curvature(M, ric_t).render()}", True)
-    sections.append(scal)
-
-    sections.extend([
-        check_almost_contact(M, D),
-        check_sasakian(M, conn, D),
-        check_normality(M, D),
-        check_contact_metric(M, D),
-        check_curvature_identity(M, R, D),
-        check_reeb_ricci(M, ric_t, D),
-    ])
-
     xi = D.xi_vector()
+    scal = CheckReport(f"{M.name} scalar curvature")
+    scal.add(f"r = {scalar_curvature(M, M.ric).render()}", True)
     killing = CheckReport(f"{M.name} reeb field")
-    ok, lx = is_killing(M, conn, xi)
-    killing.add("L_xi g = 0", ok, None if ok else _defect_table(lx))
-    sections.append(killing)
-
-    for use_expected in (False, True):
-        sections.append(_solve_lambda_report(doc, conn, ric_t, xi,
-                                             SolitonFlavor.CONFORMAL,
-                                             use_expected))
-    sections.append(_theorem36_report(M.dim))
-
-    return _emit(combine("heisenberg5 worked example", sections), args.format)
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "connection": _cmd_connection,
-    "curvature": _cmd_curvature,
-    "ricci": _cmd_ricci,
-    "check-contact": _cmd_check_contact,
-    "check-sasakian": _cmd_check_sasakian,
-    "check-normality": _cmd_check_normality,
-    "solve-lambda": _cmd_solve_lambda,
-    "check-soliton": _cmd_check_soliton,
-    "check-gradient": _cmd_check_gradient,
-    "theorem36": _cmd_theorem36,
-    "verify-paper-example": _cmd_verify_paper_example,
-}
+    _add_zero_check(killing, "L_xi g = 0", is_killing(M, M.conn, xi)[1])
+    sections = [
+        validate(M, strict=True), _connection(doc), _curvature(doc),
+        _ricci(doc), scal, _check_contact(doc), _check_sasakian(doc),
+        _check_normality(doc), check_contact_metric(M, D),
+        check_curvature_identity(M, M.riem, D), check_reeb_ricci(M, M.ric, D),
+        killing,
+        *(_solve_lambda_report(doc, xi, SolitonFlavor.CONFORMAL, use_expected)
+          for use_expected in (False, True)),
+        _theorem36(M.dim)]
+    return combine("heisenberg5 worked example", sections)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        args = _build_parser().parse_args(argv)
+        report = args.run(_load(args) if args.subject else None, args)
+        sys.stdout.write(report.render_json() if args.format == "json"
+                         else report.render_text())
+        return report.exit_code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
-    except (ScalarError, GeometryError, ContactError, SolitonError) as exc:
+    except (UsageError, ScalarError, GeometryError, ContactError,
+            SolitonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

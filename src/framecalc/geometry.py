@@ -38,6 +38,11 @@ def _as_scalar(x) -> ParamScalar:
     return ParamScalar.rational(x)
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction, converted only when it is not one already."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 # -- sparse helpers -----------------------------------------------------------
 # Sparse coefficient maps {index: value} hold Fractions, or ParamScalars where
 # a caller's data is parametric; both support +, * and != 0, so one kernel
@@ -253,11 +258,11 @@ class FrameManifold:
             if not all(0 <= t < dim for t in (i, j, *row)):
                 raise GeometryError(f"bracket index out of range 0..{dim - 1} "
                                     f"at pair ({i}, {j})")
-            row = {k: Fraction(x) for k, x in sorted(row.items()) if x}
+            row = {k: _fraction(x) for k, x in sorted(row.items()) if x}
             if row:
                 table[i, j] = row
         self.brackets = table
-        self.g = tuple(tuple(Fraction(x) for x in row) for row in g)
+        self.g = tuple(tuple(map(_fraction, row)) for row in g)
         self.params = frozenset(params) | {"p"}
         if len(self.g) != dim or any(len(r) != dim for r in self.g):
             raise GeometryError("metric must be dim x dim")
@@ -268,8 +273,8 @@ class FrameManifold:
         """brackets: {(i, j): {k: coeff}} for i < j, all 0-based."""
         table = {}
         for (i, j), comps in brackets.items():
-            table[i, j] = {k: Fraction(x) for k, x in comps.items()}
-            table[j, i] = {k: -Fraction(x) for k, x in comps.items()}
+            table[i, j] = row = {k: _fraction(x) for k, x in comps.items()}
+            table[j, i] = {k: -x for k, x in row.items()}
         if g is None:
             g = identity_metric(dim)
         return cls(name, dim, table, g, params)
@@ -299,6 +304,21 @@ class FrameManifold:
     @cached_property
     def g_inv_int(self) -> tuple:
         return integer_rows(dict(enumerate(sparse_columns(self.g_inv))))
+
+    # the derivation, each stage computed once, on first read; the kernels
+    # are looked up in this module at call time, so a wrapper set there
+    # (a tracer, a test's counter) sees every call
+    @cached_property
+    def conn(self) -> "ConnectionTable":
+        return levi_civita(self)
+
+    @cached_property
+    def riem(self) -> "CurvatureTensor":
+        return curvature(self, self.conn)
+
+    @cached_property
+    def ric(self) -> "RicciTensor":
+        return ricci(self, self.riem)
 
     def bracket(self, i: int, j: int) -> FrameVector:
         return vector_of(self.dim, self.brackets.get((i, j), {}))

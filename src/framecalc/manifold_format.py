@@ -347,21 +347,13 @@ def parse_manifold(text: str) -> ManifoldDocument:
             kind, body, source = m.group(1), m.group(2), m.group(3)
             body_col = line.find(body) + 1 if body else 1
             bsc = _Scanner(body, lineno, body_col)
-            if kind == "nabla":
-                i = bsc.basis_index(dim)
-                j = bsc.basis_index(dim)
+            if kind in ("nabla", "riem"):
+                nabla = kind == "nabla"
+                idx = [bsc.basis_index(dim) for _ in range(2 if nabla else 3)]
                 bsc.char("=")
-                rest = body[bsc.pos:]
-                v = parse_vector_text(rest, dim, lineno, body_col + bsc.pos)
-                exp_nabla.append((i, j, v, source))
-            elif kind == "riem":
-                i = bsc.basis_index(dim)
-                j = bsc.basis_index(dim)
-                k = bsc.basis_index(dim)
-                bsc.char("=")
-                rest = body[bsc.pos:]
-                v = parse_vector_text(rest, dim, lineno, body_col + bsc.pos)
-                exp_riem.append((i, j, k, v, source))
+                v = parse_vector_text(body[bsc.pos:], dim, lineno,
+                                      body_col + bsc.pos)
+                (exp_nabla if nabla else exp_riem).append((*idx, v, source))
             elif kind == "ricci":
                 i = bsc.index_1based(dim)
                 j = bsc.index_1based(dim)
@@ -390,7 +382,8 @@ def parse_manifold(text: str) -> ManifoldDocument:
     if metric_mode == "identity":
         g = identity_metric(dim)
     else:
-        g = tuple(tuple(metric_entries.get((i, j), Fraction(0))
+        zero = Fraction(0)
+        g = tuple(tuple(metric_entries.get((i, j), zero)
                         for j in range(dim)) for i in range(dim))
 
     M = FrameManifold.from_brackets(name, dim, brackets, g, params)
@@ -447,12 +440,12 @@ def render_manifold(doc: ManifoldDocument) -> str:
             col = doc.contact.phi_column(j)
             if not col.is_zero():
                 lines.append(f"contact phi e{j + 1} = {col.render()}")
-    for i, j, v, src in doc.expected.nabla:
-        lines.append(f"expect nabla e{i + 1} e{j + 1} = {v.render()} "
-                     f"source \"{src}\"")
-    for i, j, k, v, src in doc.expected.riem:
-        lines.append(f"expect riem e{i + 1} e{j + 1} e{k + 1} = {v.render()} "
-                     f"source \"{src}\"")
+    for kind, entries in (("nabla", doc.expected.nabla),
+                          ("riem", doc.expected.riem)):
+        for *idx, v, src in entries:
+            frames = " ".join(f"e{i + 1}" for i in idx)
+            lines.append(f"expect {kind} {frames} = {v.render()} "
+                         f"source \"{src}\"")
     for i, j, q, src in doc.expected.ricci:
         lines.append(f"expect ricci {i + 1} {j + 1} = {format_rational(q)} "
                      f"source \"{src}\"")

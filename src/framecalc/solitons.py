@@ -22,7 +22,7 @@ from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        vector_of)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
-from .scalars import (LinearForm, ParamScalar, ZERO, SolveError,
+from .scalars import (LinearForm, ParamScalar, ZERO, ScalarError, SolveError,
                       format_rational, solve_linear)
 
 P = ParamScalar.param("p")
@@ -150,7 +150,7 @@ def classify(lam: ParamScalar) -> Classification:
         raise SolitonError(f"classification needs a scalar in p only: {lam}")
     try:
         a, b = lam.affine_in("p")
-    except Exception as exc:
+    except ScalarError as exc:
         raise SolitonError(f"unsupported: {exc}") from exc
     if a == 0:
         if b > 0:

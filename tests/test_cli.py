@@ -207,12 +207,15 @@ def test_verify_paper_example(capsys):
     assert sources.count("connection table, duplicated assignment") == 1
 
 
-def test_verify_paper_example_derives_geometry_once(monkeypatch, capsys):
-    import framecalc.cli as cli
+def kernel_calls(monkeypatch, capsys, *argv):
+    """Exit code of the command and its calls of levi_civita and curvature,
+    counted in framecalc.geometry, where the manifold's cached conn, riem
+    and ric call them."""
+    import framecalc.geometry as geometry
     calls = {"levi_civita": 0, "curvature": 0}
 
     def counted(name):
-        fn = getattr(cli, name)
+        fn = getattr(geometry, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -220,10 +223,61 @@ def test_verify_paper_example_derives_geometry_once(monkeypatch, capsys):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
-    code, _, _ = run(capsys, "verify-paper-example")
+        monkeypatch.setattr(geometry, name, counted(name))
+    code, _, _ = run(capsys, *argv)
+    return code, calls
+
+
+def test_verify_paper_example_derives_geometry_once(monkeypatch, capsys):
+    code, calls = kernel_calls(monkeypatch, capsys, "verify-paper-example")
     assert code == 2
     assert calls == {"levi_civita": 1, "curvature": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve-lambda", "--builtin", "heisenberg5", "--field", "xi",
+     "--flavor", "conformal", "--use-expected-ricci"),
+    ("check-gradient", "--builtin", "heisenberg5", "--df", "1,0,0,0,0",
+     "--dlambda", "0,0,0,0,0", "--flavor", "conformal",
+     "--lambda", "1/2*p + 1/5"),
+], ids=["solve-lambda-expected-ricci", "check-gradient-dlambda"])
+def test_command_derives_geometry_at_most_once(monkeypatch, capsys, argv):
+    code, calls = kernel_calls(monkeypatch, capsys, *argv)
+    assert code != 3
+    assert max(calls.values()) <= 1, calls
+
+
+# single commands whose reports verify-paper-example joins, in its order
+VERIFY_SECTIONS = [
+    ("validate", "--strict"), ("connection",), ("curvature",), ("ricci",),
+    ("check-contact",), ("check-sasakian",), ("check-normality",),
+    ("solve-lambda", "--field", "xi", "--flavor", "conformal"),
+    ("solve-lambda", "--field", "xi", "--flavor", "conformal",
+     "--use-expected-ricci"),
+]
+
+
+def test_verify_paper_example_joins_single_commands(capsys):
+    """Each section that verify-paper-example shares with a single command
+    has that command's items, in order, under its subject, and the ledger
+    is those commands' ledgers one after another."""
+    _, out, _ = run(capsys, "verify-paper-example", "--format", "json")
+    joined = json.loads(out)
+    singles = []
+    for cmd, *rest in VERIFY_SECTIONS:
+        code, out, _ = run(capsys, cmd, "--builtin", "heisenberg5", *rest,
+                           "--format", "json")
+        assert code in (0, 2)
+        singles.append(json.loads(out))
+    code, out, _ = run(capsys, "theorem36", "--dim", "5", "--format", "json")
+    assert code == 0
+    singles.append(json.loads(out))
+    for single in singles:
+        prefix = single["subject"] + ": "
+        want = [dict(item, name=prefix + item["name"]) for item in single["items"]]
+        got = [item for item in joined["items"] if item["name"].startswith(prefix)]
+        assert want and got == want, single["subject"]
+    assert joined["ledger"] == [e for single in singles for e in single["ledger"]]
 
 
 # -- files and usage errors -------------------------------------------------------------------

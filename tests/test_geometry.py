@@ -283,6 +283,31 @@ def test_abelian_connection_vanishes():
         assert list(levi_civita(man(name)).nonzero()) == []
 
 
+
+@pytest.mark.parametrize("name", NAMES)
+def test_cached_derivation_matches_kernels(name):
+    """M.conn, M.riem and M.ric are computed once and equal the kernels."""
+    M = man(name)
+    assert M.conn is M.conn and M.riem is M.riem and M.ric is M.ric
+    assert M.riem.manifold is M and M.ric.manifold is M
+    conn = levi_civita(M)
+    assert M.conn == conn
+    assert M.riem == curvature(M, conn)
+    assert M.ric == ricci(M, curvature(M, levi_civita(M)))
+
+
+def test_coefficients_become_fractions_once():
+    """from_brackets and the constructor keep the parser's Fractions and
+    convert ints and floats."""
+    q = Fraction(2, 3)
+    M = FrameManifold.from_brackets("t", 3, {(0, 1): {2: q}, (0, 2): {1: 2}},
+                                    [[1, 0, 0], [0, 0.5, 0], [0, 0, q]])
+    assert M.brackets[0, 1][2] is q
+    assert M.brackets[1, 0][2] == -q
+    assert M.brackets[0, 2][1] == 2 and type(M.brackets[0, 2][1]) is Fraction
+    assert M.g[2][2] is q and M.g[1][1] == Fraction(1, 2)
+    assert all(type(x) is Fraction for row in M.g for x in row)
+
 # -- identities that hold for every antisymmetric bracket ---------------------------
 
 def test_torsion_free_all():
