@@ -188,17 +188,25 @@ def _expected_ricci_tensor(doc: ManifoldDocument) -> RicciTensor:
 
 
 def _solve_lambda_report(doc: ManifoldDocument, X: FrameVector,
-                         flavor: SolitonFlavor,
-                         use_expected_ricci: bool) -> CheckReport:
+                         flavor: SolitonFlavor, use_expected_ricci: bool,
+                         solves=None) -> CheckReport:
+    """The lambda solve with the computed or the declared Ricci values.
+    solves, {use_expected_ricci: LambdaSolve} for this X and flavor, holds
+    each trace equation solved once, shared by the reports it is passed to."""
     M = doc.manifold
+    solves = {} if solves is None else solves
+
+    def solved(expected: bool):
+        if expected not in solves:
+            ric = _expected_ricci_tensor(doc) if expected else M.ric
+            solves[expected] = solve_lambda_trace(M, M.conn, ric, X, flavor)
+        return solves[expected]
+
+    solve = solved(use_expected_ricci)
+    label = ""
     if use_expected_ricci:
-        ric_used = _expected_ricci_tensor(doc)
         srcs = ", ".join(sorted({s for _, _, _, s in doc.expected.ricci}))
         label = f" [ricci override: {srcs}]"
-    else:
-        ric_used = M.ric
-        label = ""
-    solve = solve_lambda_trace(M, M.conn, ric_used, X, flavor)
     report = CheckReport(f"{M.name} solve-lambda [{flavor.value}] "
                          f"X = {X.render()}{label}")
     report.add(f"lambda = {solve.lam.render()}", True)
@@ -215,8 +223,7 @@ def _solve_lambda_report(doc: ManifoldDocument, X: FrameVector,
         expected_str = f"lambda = {lam_exp.render()}"
         if doc.expected.ricci:
             # show the trace equation the expected values would give
-            alt = solve_lambda_trace(M, M.conn, _expected_ricci_tensor(doc),
-                                     X, flavor)
+            alt = solved(True)
             if alt.lam == lam_exp:
                 expected_str += f" [trace: {alt.form.equation_str()}]"
         computed_str = (f"lambda = {solve.lam.render()} "
@@ -320,6 +327,7 @@ def _verify_paper_example() -> CheckReport:
     M = doc.manifold
     D = doc.contact
     xi = D.xi_vector()
+    solves = {}
     scal = CheckReport(f"{M.name} scalar curvature")
     scal.add(f"r = {scalar_curvature(M, M.ric).render()}", True)
     killing = CheckReport(f"{M.name} reeb field")
@@ -330,8 +338,8 @@ def _verify_paper_example() -> CheckReport:
         _check_normality(doc), check_contact_metric(M, D),
         check_curvature_identity(M, M.riem, D), check_reeb_ricci(M, M.ric, D),
         killing,
-        *(_solve_lambda_report(doc, xi, SolitonFlavor.CONFORMAL, use_expected)
-          for use_expected in (False, True)),
+        *(_solve_lambda_report(doc, xi, SolitonFlavor.CONFORMAL, use_expected,
+                               solves) for use_expected in (False, True)),
         _theorem36(M.dim)]
     return combine("heisenberg5 worked example", sections)
 

@@ -223,12 +223,12 @@ def check_curvature_identity(M: FrameManifold, R: CurvatureTensor,
     """R(Y, xi) Z = eta(Z) Y - g(Y, Z) xi on all frame pairs."""
     report = CheckReport(f"{M.name} reeb curvature identity")
     m = M.dim
-    (_, dr), (gcols, dg) = R.comp_int, M.g_int
+    gcols, dg = M.g_int
     xi, dx, eta, de = _xi_eta(M, D)
     bad = []
     for yj in range(m):
         for zk in range(m):
-            lhs = R.apply_int({yj: 1}, xi, {zk: 1})  # over dr dx
+            lhs, dr = R.apply_int({yj: 1}, xi, {zk: 1})  # over dr dx
             rhs = {a: -gcols[zk].get(yj, 0) * x * de for a, x in xi.items()}
             rhs[yj] = rhs.get(yj, 0) + eta.get(zk, 0) * dg * dx  # over de dg dx
             diff, den = _minus(lhs, dr * dx, rhs, de * dg * dx)

@@ -355,8 +355,8 @@ def identity_metric(dim: int):
 
 
 def bracket_sum(table: dict, x: dict, y: dict) -> dict:
-    """sum of x_a y_b table[a, b] over a bracket table {(a, b): {k: c}} and
-    coefficient maps x, y, unscaled and unpruned."""
+    """sum of x_a y_b table[a, b] over a table {(a, b): {k: c}} (brackets,
+    or Gamma for nabla_x y) and coefficient maps x, y, unscaled and unpruned."""
     out = {}
     for a, xa in x.items():
         for b, yb in y.items():
@@ -483,13 +483,16 @@ def levi_civita(M: FrameManifold) -> ConnectionTable:
 
 
 class CurvatureTensor(Record):
-    def __init__(self, manifold: FrameManifold, comp: dict):
+    """The curvature of conn. Its table comp is built on first read; apply
+    and ricci work from Gamma and c alone."""
+
+    def __init__(self, manifold: FrameManifold, conn: ConnectionTable):
         self.manifold = manifold
-        self.comp = comp  # {(i, j, k): {l: R_ijk^l}}, R(e_i, e_j) e_k = R_ijk^l e_l
+        self.conn = conn
 
     @cached_property
-    def comp_int(self) -> tuple:  # (table, d) as FrameManifold.brackets_int
-        return integer_rows(self.comp)
+    def comp(self) -> dict:  # {(i, j, k): {l: R_ijk^l}}, R(e_i, e_j) e_k = R_ijk^l e_l
+        return _curvature_components(self.manifold, self.conn)
 
     def entry(self, i: int, j: int, k: int) -> FrameVector:
         return vector_of(self.manifold.dim, self.comp.get((i, j, k), {}))
@@ -504,22 +507,21 @@ class CurvatureTensor(Record):
     def apply_coeffs(self, x: dict, y: dict, z: dict) -> dict:
         """R(x, y) z for coefficient maps."""
         (x, dx), (y, dy), (z, dz) = map(integer_map, (x, y, z))
-        return divided(self.apply_int(x, y, z), self.comp_int[1] * dx * dy * dz)
+        out, d = self.apply_int(x, y, z)
+        return divided(out, d * dx * dy * dz)
 
-    def apply_int(self, x: dict, y: dict, z: dict) -> dict:
-        """R(x, y) z for integer maps, as numerators over comp_int's d."""
-        comp = self.comp_int[0]
+    def apply_int(self, x: dict, y: dict, z: dict) -> tuple:
+        """(numerators, d): R(x, y) z for integer maps, straight from the
+        integer Gamma over dg and c over dc, with d = dg^2 dc."""
+        gamma, dg = self.conn.gamma_int
+        brackets, dc = self.manifold.brackets_int
         out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                w = xi * yj
-                for k, zk in z.items():
-                    vec = comp.get((i, j, k))
-                    if vec:
-                        wk = w * zk
-                        for l, r in vec.items():
-                            out[l] = out.get(l, 0) + r * wk
-        return out
+        for vec, w in ((bracket_sum(gamma, x, bracket_sum(gamma, y, z)), dc),
+                       (bracket_sum(gamma, y, bracket_sum(gamma, x, z)), -dc),
+                       (bracket_sum(gamma, bracket_sum(brackets, x, y), z), -dg)):
+            for l, v in vec.items():
+                out[l] = out.get(l, 0) + w * v
+        return out, dg * dg * dc
 
     def apply(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
         """Trilinear extension of R to frame-constant vector fields."""
@@ -532,6 +534,11 @@ class CurvatureTensor(Record):
 
 
 def curvature(M: FrameManifold, conn: ConnectionTable) -> CurvatureTensor:
+    """The curvature of conn; its components are built when first read."""
+    return CurvatureTensor(M, conn)
+
+
+def _curvature_components(M: FrameManifold, conn: ConnectionTable) -> dict:
     """R(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X, Y]} Z,
     so R_ijk^l = T_ijk^l - T_jik^l - sum_a c_ij^a Gamma_ak^l with
     T_ijk^l = sum_a Gamma_jk^a Gamma_ia^l.
@@ -565,7 +572,7 @@ def curvature(M: FrameManifold, conn: ConnectionTable) -> CurvatureTensor:
                 vec = acc.setdefault((i, j, k), {})
                 for l, y in row_ak.items():
                     vec[l] = vec.get(l, 0) - x * y
-    return CurvatureTensor(M, divided_rows(acc, dg * dg * dc))
+    return divided_rows(acc, dg * dg * dc)
 
 
 def bianchi_defect(R: CurvatureTensor, i: int, j: int, k: int) -> FrameVector:
@@ -595,15 +602,34 @@ class RicciTensor(Record):
 
 
 def ricci(M: FrameManifold, R: CurvatureTensor) -> RicciTensor:
-    """ric(e_j, e_k) = trace of X -> R(X, e_j) e_k. Equals the contraction of
-    the lowered tensor through g^{-1}; for an identity metric this is the
-    plain orthonormal-frame sum over R(e_i, e_j, e_k, e_i)."""
-    comp, d = R.comp_int
-    acc = {}
-    for (i, j, k), vec in comp.items():
-        if i in vec:
-            acc[j, k] = acc.get((j, k), 0) + vec[i]
-    return RicciTensor(M, divided(acc, d))
+    """ric(e_j, e_k) = trace of X -> R(X, e_j) e_k, taken from Gamma and c
+    without building R:
+    ric_jk = sum_a Gamma_jk^a t_a - sum_{i,a} Gamma_ik^a Gamma_ja^i
+             - sum_{i,a} c_ij^a Gamma_ak^i,  with t_a = sum_i Gamma_ia^i.
+    The sums run on ints over dg^2 dc, as in the curvature kernel."""
+    gamma, dg = R.conn.gamma_int
+    brackets, dc = M.brackets_int
+    t: dict = {}
+    by_first: dict = {}  # (i, a) -> [(k, Gamma_ik^a)]
+    for (i, k), row in gamma.items():
+        if i in row:
+            t[k] = t.get(k, 0) + row[i]
+        for a, x in row.items():
+            by_first.setdefault((i, a), []).append((k, x))
+    acc: dict = {}
+    for (j, k), row in gamma.items():
+        acc[j, k] = dc * sum(x * t[a] for a, x in row.items() if a in t)
+    for (j, a), row in gamma.items():
+        for i, y in row.items():
+            y *= dc
+            for k, x in by_first.get((i, a), ()):
+                acc[j, k] = acc.get((j, k), 0) - x * y
+    for (i, j), row in brackets.items():
+        for a, x in row.items():
+            x *= dg
+            for k, y in by_first.get((a, i), ()):
+                acc[j, k] = acc.get((j, k), 0) - x * y
+    return RicciTensor(M, divided(acc, dg * dg * dc))
 
 
 def scalar_curvature(M: FrameManifold, ric_t: RicciTensor) -> ParamScalar:

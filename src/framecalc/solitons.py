@@ -257,8 +257,8 @@ def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
         for j in range(m):
             # lhs - rhs = R(e_i, e_j) Df - dlam_i e_j + dlam_j e_i
             #             + (nabla_i Q) e_j - (nabla_j Q) e_i
-            diff = divided(R.apply_int({i: 1}, {j: 1}, df_vec),
-                           R.comp_int[1] * dd)
+            rij, dr = R.apply_int({i: 1}, {j: 1}, df_vec)
+            diff = divided(rij, dr * dd)
             diff[j] = diff.get(j, 0) - gd.dlambda[i]
             diff[i] = diff.get(i, 0) + gd.dlambda[j]
             for sign, key in ((1, (i, j)), (-1, (j, i))):

@@ -1,4 +1,5 @@
-"""Exact frame changes and manifold-format text for generated test frames.
+"""Exact frame changes, generated metric Lie algebras and manifold-format
+text for generated test frames, with Hypothesis strategies that draw them.
 
 Plain Fraction arithmetic on lists; nothing here calls into framecalc, so
 the tests can use it as an answer key. A frame change A takes the frame e
@@ -12,6 +13,8 @@ to e'_a = sum_i A[i][a] e_i. Then
 and every (r, s)-tensor transforms with r factors of Ainv and s of A.
 """
 from fractions import Fraction as F
+
+from hypothesis import strategies as st
 
 
 def identity(m: int) -> list:
@@ -63,6 +66,48 @@ def heisenberg(n: int) -> tuple:
     return m, c, identity(m), xi, phi
 
 
+def semidirect(D: list) -> tuple:
+    """(m, dense c, identity g) of R x_D R^{m-1}: e_1 acts on the abelian
+    ideal spanned by e_2..e_m through the matrix D, [e_1, e_{1+i}] =
+    sum_k D[k][i] e_{1+k}. Not unimodular when tr D != 0."""
+    m = len(D) + 1
+    c = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
+    for i in range(m - 1):
+        for k in range(m - 1):
+            c[0][1 + i][1 + k], c[1 + i][0][1 + k] = F(D[k][i]), -F(D[k][i])
+    return m, c, identity(m)
+
+
+def gram_plus_identity(B: list) -> list:
+    """B^T B + I, a positive definite rational metric."""
+    return [[x + int(i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(matmul(transpose(B), B))]
+
+
+def direct_sum(*parts) -> tuple:
+    """(c, g) of the direct sum of Lie algebras given as (c, g) pairs: the
+    brackets between blocks vanish and g is block diagonal."""
+    m = sum(len(g) for _, g in parts)
+    c = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
+    g = [[F(0)] * m for _ in range(m)]
+    at = 0
+    for cp, gp in parts:
+        n = len(gp)
+        for i in range(n):
+            g[at + i][at:at + n] = map(F, gp[i])
+            for j in range(n):
+                c[at + i][at + j][at:at + n] = map(F, cp[i][j])
+        at += n
+    return c, g
+
+
+def sparse_brackets(c) -> dict:
+    """{(i, j): {k: c_ij^k}} over the pairs i < j with a nonzero bracket."""
+    m = len(c)
+    return {(i, j): {k: x for k, x in enumerate(c[i][j]) if x}
+            for i in range(m) for j in range(i + 1, m) if any(c[i][j])}
+
+
 def change_frame(c, g, A, Ainv, xi=None, phi=None) -> tuple:
     """(c', g', xi', phi') in the frame e' = e A; xi and phi may be None."""
     m = len(g)
@@ -112,3 +157,46 @@ def document(name: str, c, g, xi=None, phi=None, params=(), extra=()) -> str:
             if any(col):
                 lines.append(f"contact phi e{j + 1} = {vector_text(col)}")
     return "\n".join([*lines, *extra]) + "\n"
+
+
+# -- random metric Lie algebras and frame changes -----------------------------
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def elementary_steps(m: int, min_size: int = 0, max_size: int = 5):
+    """Lists of steps for elementary_change in dimension m."""
+    index = st.integers(0, m - 1)
+    nonzero = small.filter(bool)
+    step = st.one_of(
+        st.tuples(st.just("add"), index, index, nonzero).filter(
+            lambda s: s[1] != s[2]),
+        st.tuples(st.just("scale"), index, nonzero))
+    return st.lists(step, min_size=min_size, max_size=max_size)
+
+
+def _matrices(n: int):
+    return st.lists(st.lists(small, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def lie_algebras(draw) -> tuple:
+    """(c, g): R x_D R^{m-1} for a rational D (non-unimodular when tr D != 0)
+    or H_{2n+1}, each with the identity metric or B^T B + I for a rational B,
+    possibly summed with a second such block, then written in a random
+    rational frame. The Jacobi identity holds in every case."""
+    def block():
+        if draw(st.booleans()):
+            m, c, g, _, _ = heisenberg(draw(st.integers(1, 2)))
+        else:
+            m, c, g = semidirect(draw(_matrices(draw(st.integers(1, 4)))))
+        if draw(st.booleans()):
+            g = gram_plus_identity(draw(_matrices(m)))
+        return c, g
+
+    c, g = block()
+    if draw(st.booleans()):
+        c, g = direct_sum((c, g), block())
+    A, Ainv = elementary_change(len(g), draw(elementary_steps(len(g))))
+    return change_frame(c, g, A, Ainv)[:2]

@@ -195,3 +195,90 @@ def gauss_jordan_inverse(g):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(aug[i][n:]) for i in range(n))
+
+
+# Ricci of a metric Lie algebra from the brackets alone (no connection, no
+# curvature tensor): Besse, Einstein Manifolds (1987), Cor. 7.38, with the
+# orthonormal sums written as contractions with g^{-1}. Sparse dicts, so it
+# reaches dimensions the dense loops above cannot.
+
+def besse_ricci(brackets, g):
+    """ric[j][k] for the brackets {(i, j): {k: c_ij^k}} over pairs i < j
+    (the Jacobi identity must hold) and a metric g given as rows:
+
+      ric(X, Y) = -1/2 sum g^{ab} g([X, e_a], [Y, e_b]) - 1/2 B(X, Y)
+                  + 1/4 sum g^{ac} g^{bd} g([e_a, e_b], X) g([e_c, e_d], Y)
+                  - 1/2 (g([H, X], Y) + g([H, Y], X)),
+
+    with B the Killing form, B(X, Y) = tr(ad_X ad_Y), and H the mean
+    curvature vector, g(H, X) = tr ad_X."""
+    n = len(g)
+    br = {}
+    for (i, j), row in brackets.items():
+        row = {k: F(x) for k, x in row.items() if x}
+        if row:
+            br[i, j] = row
+            br[j, i] = {k: -x for k, x in row.items()}
+    gi = [{b: x for b, x in enumerate(row) if x}
+          for row in gauss_jordan_inverse(g)]
+    g_rows = [{b: F(x) for b, x in enumerate(row) if x} for row in g]
+
+    def add(out, key, x):
+        out[key] = out.get(key, 0) + x
+
+    def lowered(v):  # the covector g(v, .)
+        out = {}
+        for p, x in v.items():
+            for l, y in g_rows[p].items():
+                add(out, l, x * y)
+        return out
+
+    ad = [{} for _ in range(n)]          # ad[j][a] = [e_j, e_a]
+    by_upper = {}                        # (p, a) -> [(k, c_kp^a)]
+    for (j, a), row in br.items():
+        ad[j][a] = row
+        for p, x in row.items():
+            by_upper.setdefault((a, p), []).append((j, x))
+    low = {key: lowered(row) for key, row in br.items()}  # g([e_a, e_b], .)
+    ric = zeros(n, n)
+
+    # -1/2 sum g^{ab} g([e_j, e_a], [e_k, e_b])
+    for k in range(n):
+        w = {}                           # w[a] = sum_b g^{ab} g([e_k, e_b], .)
+        for b in ad[k]:
+            for a, x in gi[b].items():
+                for p, y in low[k, b].items():
+                    add(w.setdefault(a, {}), p, x * y)
+        for j in range(n):
+            ric[j][k] -= sum((x * w[a].get(p, 0) for a, row in ad[j].items()
+                              if a in w for p, x in row.items()), F(0)) / 2
+    # -1/2 B(e_j, e_k), B(e_j, e_k) = sum_{a,p} c_ja^p c_kp^a
+    for j in range(n):
+        for a, row in ad[j].items():
+            for p, x in row.items():
+                for k, y in by_upper.get((p, a), ()):
+                    ric[j][k] -= x * y / 2
+    # +1/4 sum g^{ac} g^{bd} g([e_a, e_b], e_j) g([e_c, e_d], e_k)
+    raised = {}
+    for (a, b), v in low.items():
+        for c, x in gi[a].items():
+            for d, y in gi[b].items():
+                vec = raised.setdefault((c, d), {})
+                for l, z in v.items():
+                    add(vec, l, x * y * z)
+    for key, v in raised.items():
+        for j, x in v.items():
+            for k, y in low.get(key, {}).items():
+                ric[j][k] += x * y / 4
+    # -1/2 (g([H, e_j], e_k) + g([H, e_k], e_j)), H^a = sum_b g^{ab} tr ad_b
+    h = {}
+    for b in range(n):
+        t = sum((row.get(a, 0) for a, row in ad[b].items()), F(0))
+        for a, x in gi[b].items():
+            add(h, a, x * t)
+    for a, x in h.items():
+        for j in range(n):
+            for k, y in low.get((a, j), {}).items():
+                ric[j][k] -= x * y / 2
+                ric[k][j] -= x * y / 2
+    return ric

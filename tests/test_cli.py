@@ -1,10 +1,16 @@
 """End-to-end CLI behavior: commands, formats, exit codes."""
+import importlib
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
+from frames import document, identity
+from framecalc.catalog import FIXTURES
 from framecalc.cli import main
 
 
@@ -207,15 +213,17 @@ def test_verify_paper_example(capsys):
     assert sources.count("connection table, duplicated assignment") == 1
 
 
-def kernel_calls(monkeypatch, capsys, *argv):
-    """Exit code of the command and its calls of levi_civita and curvature,
-    counted in framecalc.geometry, where the manifold's cached conn, riem
-    and ric call them."""
-    import framecalc.geometry as geometry
-    calls = {"levi_civita": 0, "curvature": 0}
+def kernel_calls(monkeypatch, capsys, *argv,
+                 names=("levi_civita", "curvature"), module="geometry"):
+    """Exit code of the command and its calls of the named functions,
+    counted where they are looked up: by default levi_civita and curvature
+    in framecalc.geometry, where the manifold's cached conn, riem and ric
+    call them."""
+    mod = importlib.import_module(f"framecalc.{module}")
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
-        fn = getattr(geometry, name)
+        fn = getattr(mod, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -223,7 +231,7 @@ def kernel_calls(monkeypatch, capsys, *argv):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(geometry, name, counted(name))
+        monkeypatch.setattr(mod, name, counted(name))
     code, _, _ = run(capsys, *argv)
     return code, calls
 
@@ -245,6 +253,93 @@ def test_command_derives_geometry_at_most_once(monkeypatch, capsys, argv):
     code, calls = kernel_calls(monkeypatch, capsys, *argv)
     assert code != 3
     assert max(calls.values()) <= 1, calls
+
+
+def test_verify_paper_example_solves_each_trace_equation_once(monkeypatch,
+                                                              capsys):
+    code, calls = kernel_calls(monkeypatch, capsys, "verify-paper-example",
+                               names=("solve_lambda_trace",), module="cli")
+    assert code == 2
+    assert calls == {"solve_lambda_trace": 2}
+
+
+@pytest.mark.parametrize("extra,solves", [((), 2),
+                                          (("--use-expected-ricci",), 1)],
+                         ids=["engine", "expected-ricci"])
+def test_solve_lambda_solves_expected_ricci_at_most_once(
+        monkeypatch, capsys, tmp_path, extra, solves):
+    """Two declared lambdas the engine does not reproduce: the expected
+    Ricci values are solved once for both ledger records, and not again
+    when they are what the report solved with."""
+    path = tmp_path / "h5.fc"
+    path.write_text(FIXTURES["heisenberg5"]
+                    + 'expect lambda = 1/2*p + 1 source "another value"\n')
+    code, calls = kernel_calls(monkeypatch, capsys, "solve-lambda", "--file",
+                               str(path), "--field", "xi", "--flavor",
+                               "conformal", *extra,
+                               names=("solve_lambda_trace",), module="cli")
+    assert code == 2
+    assert calls == {"solve_lambda_trace": solves}
+
+
+GRADIENT = ("check-gradient", "--builtin", "heisenberg5", "--df", "1,0,0,0,0",
+            "--flavor", "conformal", "--lambda", "1/2*p + 1/5")
+
+
+@pytest.mark.parametrize("argv", [
+    ("ricci", "--builtin", "heisenberg5"),
+    ("solve-lambda", "--builtin", "heisenberg5", "--field", "xi",
+     "--flavor", "conformal"),
+    ("solve-lambda", "--builtin", "heisenberg5", "--field", "xi",
+     "--flavor", "conformal", "--use-expected-ricci"),
+    ("check-soliton", "--builtin", "heisenberg5", "--field", "xi",
+     "--flavor", "conformal", "--lambda", "1/2*p + -3/5"),
+    ("check-contact", "--builtin", "heisenberg5"),
+    ("check-sasakian", "--builtin", "heisenberg5"),
+    GRADIENT,
+], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+def test_command_builds_no_curvature_table(monkeypatch, capsys, argv):
+    code, calls = kernel_calls(monkeypatch, capsys, *argv,
+                               names=("_curvature_components",))
+    assert code != 3
+    assert calls == {"_curvature_components": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ("curvature", "--builtin", "heisenberg5"),
+    GRADIENT + ("--dlambda", "0,0,0,0,0"),
+    ("verify-paper-example",),
+], ids=["curvature", "check-gradient-dlambda", "verify-paper-example"])
+def test_command_builds_curvature_table_at_most_once(monkeypatch, capsys,
+                                                     argv):
+    code, calls = kernel_calls(monkeypatch, capsys, *argv,
+                               names=("_curvature_components",))
+    assert code != 3
+    assert calls["_curvature_components"] <= 1
+
+
+def test_ricci_of_dense_brackets_stays_small_in_memory(tmp_path, capsys):
+    """ricci on dense random brackets in dimension 16 reads no curvature
+    table: building one would hold about 60000 components."""
+    rng = random.Random(16)
+    m = 16
+    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(m):
+                c[i][j][k] = Fraction(rng.randint(-3, 3))
+                c[j][i][k] = -c[i][j][k]
+    path = tmp_path / "dense16.fc"
+    path.write_text(document("dense16", c, identity(m)))
+    tracemalloc.start()
+    try:
+        code = main(["ricci", "--file", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.count(" = ") == m * m
+    assert peak < 4 * 2**20
 
 
 # single commands whose reports verify-paper-example joins, in its order

@@ -1,14 +1,19 @@
 """Answers that do not come from the engine, at sizes the naive oracle
 cannot reach: the closed form of the Heisenberg family H_{2n+1} up to
-dimension 17, Milnor's 3-dimensional unimodular family, and the naive oracle
-itself on a non-identity metric in dimension 7."""
+dimension 17, Milnor's 3-dimensional unimodular family, the naive oracle
+itself on a non-identity metric in dimension 7, and Besse's Lie-algebra
+Ricci formula (``oracle.besse_ricci``) on random metric Lie algebras and on
+algebras of dimension 33 to 65."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from frames import (direct_sum, document, gram_plus_identity, heisenberg,
+                    lie_algebras, semidirect, sparse_brackets)
 from framecalc.cli import main
 from framecalc.contact import check_normality, check_sasakian
 from framecalc.geometry import FrameManifold, curvature, levi_civita, ricci
@@ -116,3 +121,48 @@ def test_oracle_agreement_non_identity_metric_dim7():
             for k in range(m):
                 assert R.entry(i, j, k).rational_coeffs() == tuple(R_o[i][j][k]), \
                     (i, j, k)
+
+
+# -- Besse, Einstein Manifolds (1987), Cor. 7.38 ---------------------------------
+
+def _engine_ricci(c, g) -> list:
+    m = len(g)
+    M = parse_manifold(document("lie", c, g)).manifold
+    ric = ricci(M, curvature(M, levi_civita(M))).ric
+    return [[ric.get((j, k), 0) for k in range(m)] for j in range(m)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lie_algebras())
+def test_ricci_matches_besse_formula(alg):
+    c, g = alg
+    assert _engine_ricci(c, g) == oracle.besse_ricci(sparse_brackets(c), g)
+
+
+def _semidirect_block(rng, k: int, dense_metric: bool) -> tuple:
+    D = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+          if rng.random() < 0.3 else 0 for _ in range(k)] for _ in range(k)]
+    m, c, g = semidirect(D)
+    if dense_metric:
+        g = gram_plus_identity([[Fraction(rng.randint(-2, 2), 2)
+                                 for _ in range(m)] for _ in range(m)])
+    return c, g
+
+
+def _large_algebras() -> dict:
+    rng = random.Random(33)
+    return {
+        "H_33": heisenberg(16)[1:3],
+        "R x R^39": _semidirect_block(rng, 39, False),
+        "H_21 + R x R^5 + H_17": direct_sum(heisenberg(10)[1:3],
+                                            _semidirect_block(rng, 5, True),
+                                            heisenberg(8)[1:3]),
+        "H_65": heisenberg(32)[1:3],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_large_algebras()))
+def test_ricci_matches_besse_formula_large(name):
+    c, g = _large_algebras()[name]
+    assert 33 <= len(g) <= 65
+    assert _engine_ricci(c, g) == oracle.besse_ricci(sparse_brackets(c), g)

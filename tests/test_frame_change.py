@@ -12,8 +12,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frames import (change_frame, document, elementary_change, heisenberg,
-                    matvec)
+from frames import (change_frame, document, elementary_change,
+                    elementary_steps, heisenberg, matvec, small)
 from framecalc.catalog import load_builtin
 from framecalc.contact import (check_almost_contact, check_contact_metric,
                                check_curvature_identity, check_normality,
@@ -23,9 +23,6 @@ from framecalc.geometry import (FrameVector, curvature,
                                 ricci, scalar_curvature, validate)
 from framecalc.manifold_format import parse_manifold
 from framecalc.solitons import SolitonFlavor, solve_lambda_trace
-
-small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-nonzero = small.filter(bool)
 
 
 def _milnor(l1, l2, l3) -> tuple:
@@ -66,13 +63,8 @@ def frames_and_changes(draw):
     else:
         base = _nonjacobi3()
     m = base[0]
-    index = st.integers(0, m - 1)
-    step = st.one_of(
-        st.tuples(st.just("add"), index, index, nonzero).filter(
-            lambda s: s[1] != s[2]),
-        st.tuples(st.just("scale"), index, nonzero))
     field = draw(st.lists(small, min_size=m, max_size=m))
-    return base, draw(st.lists(step, min_size=1, max_size=6)), field
+    return base, draw(elementary_steps(m, 1, 6)), field
 
 
 def _along(T: dict, mat, axis: int, m: int) -> dict:

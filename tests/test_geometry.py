@@ -1,5 +1,6 @@
 """Connection, curvature, Ricci machinery against the naive oracle and
 exhaustively enumerated tensor identities."""
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from framecalc.geometry import (FrameManifold, FrameVector, GeometryError,
                                 scalar_curvature, validate)
 from framecalc.manifold_format import parse_manifold
 from framecalc.scalars import ParamScalar
+from test_dense_snapshot import documents
 
 NAMES = ("heisenberg5", "heisenberg3", "abelian3", "abelian5", "nonjacobi3")
 JACOBI_NAMES = ("heisenberg5", "heisenberg3", "abelian3", "abelian5")
@@ -447,6 +449,42 @@ def test_ricci_symmetric_on_jacobi_manifolds():
         for j in range(M.dim):
             for k in range(M.dim):
                 assert ric.entry(j, k) == ric.entry(k, j), (M.name, j, k)
+
+
+def _sample_manifolds() -> dict:
+    """The builtins and the dense-snapshot documents with an invertible
+    metric, by name."""
+    out = {name: man(name) for name in NAMES}
+    out.update((name, parse_manifold(text).manifold)
+               for name, text in documents().items() if name != "singular3")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_sample_manifolds()))
+def test_ricci_and_apply_from_gamma_match_the_curvature_table(name):
+    """ricci and R.apply work from Gamma and c without building R; both
+    agree with the table R.comp once it is built: ricci with the naive
+    contraction of R, apply with the trilinear sum over its entries."""
+    M = _sample_manifolds()[name]
+    m = M.dim
+    R = curvature(M, levi_civita(M))
+    ric = ricci(M, R)
+    rng = random.Random(name)
+    x, y, z = ([FrameVector.from_values(
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)])
+        for _ in range(3)])
+    applied = R.apply(x, y, z)
+    assert "comp" not in vars(R)
+
+    table = [[[list(R.entry(i, j, k).rational_coeffs()) for k in range(m)]
+              for j in range(m)] for i in range(m)]
+    assert [[ric.entry(j, k).constant_value() for k in range(m)]
+            for j in range(m)] == oracle.naive_ricci(table)
+    xs, ys, zs = (v.rational_coeffs() for v in (x, y, z))
+    assert applied.rational_coeffs() == tuple(
+        sum((xs[i] * ys[j] * zs[k] * table[i][j][k][l] for i in range(m)
+             for j in range(m) for k in range(m)), Fraction(0))
+        for l in range(m))
 
 
 def test_ricci_via_metric_agrees():
