@@ -220,15 +220,29 @@ def check_contact_metric(M: FrameManifold, D: AlmostContactData) -> CheckReport:
 
 def check_curvature_identity(M: FrameManifold, R: CurvatureTensor,
                              D: AlmostContactData) -> CheckReport:
-    """R(Y, xi) Z = eta(Z) Y - g(Y, Z) xi on all frame pairs."""
+    """R(Y, xi) Z = eta(Z) Y - g(Y, Z) xi on all frame pairs, from the
+    columns nabla_xi e_z and the vectors [e_y, xi], each built once:
+    R(e_y, xi) e_z = nabla_{e_y} nabla_xi e_z - nabla_xi nabla_{e_y} e_z
+    - nabla_{[e_y, xi]} e_z, on the integer Gamma over dgam and c over dc."""
     report = CheckReport(f"{M.name} reeb curvature identity")
     m = M.dim
     gcols, dg = M.g_int
+    gamma, dgam = R.conn.gamma_int
+    brackets, dc = M.brackets_int
     xi, dx, eta, de = _xi_eta(M, D)
+    dr = dgam * dgam * dc
+    nxi = [bracket_sum(gamma, xi, {z: 1}) for z in range(m)]  # over dgam dx
     bad = []
     for yj in range(m):
+        ey = {yj: 1}
+        br = bracket_sum(brackets, ey, xi)  # [e_y, xi] over dc dx
         for zk in range(m):
-            lhs, dr = R.apply_int({yj: 1}, xi, {zk: 1})  # over dr dx
+            lhs = {}  # over dr dx
+            for vec, w in ((bracket_sum(gamma, ey, nxi[zk]), dc),
+                           (_apply(nxi, gamma.get((yj, zk), {})), -dc),
+                           (bracket_sum(gamma, br, {zk: 1}), -dgam)):
+                for k, x in vec.items():
+                    lhs[k] = lhs.get(k, 0) + w * x
             rhs = {a: -gcols[zk].get(yj, 0) * x * de for a, x in xi.items()}
             rhs[yj] = rhs.get(yj, 0) + eta.get(zk, 0) * dg * dx  # over de dg dx
             diff, den = _minus(lhs, dr * dx, rhs, de * dg * dx)

@@ -13,17 +13,20 @@ vector {k: Fraction} for the upper index, holding nonzero entries only. The
 geometry is built from c and g alone, so it is rational; kernels cost time
 in proportion to the nonzero entries they combine. ParamScalar appears only
 in the accessors and where a caller's vector field or scalar brings in
-parameters.
+parameters; such an argument is split by monomial (by_monomial) and each
+rational part goes through the integer kernels on its own.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import lcm
 
 from .record import Record
 from .reports import CheckReport
-from .scalars import ParamScalar, ZERO, format_rational
+from .scalars import (ParamScalar, ZERO, as_fraction, format_rational,
+                      join_parts, monomial_parts, monomial_product)
 
 Matrix = tuple  # tuple of tuples of Fraction
 
@@ -38,15 +41,9 @@ def _as_scalar(x) -> ParamScalar:
     return ParamScalar.rational(x)
 
 
-def _fraction(x) -> Fraction:
-    """x as a Fraction, converted only when it is not one already."""
-    return x if type(x) is Fraction else Fraction(x)
-
-
 # -- sparse helpers -----------------------------------------------------------
 # Sparse coefficient maps {index: value} hold Fractions, or ParamScalars where
-# a caller's data is parametric; both support +, * and != 0, so one kernel
-# serves both.
+# a caller's data is parametric.
 
 def _plain(c: ParamScalar):
     """c as a Fraction when it is constant, else c itself."""
@@ -64,19 +61,18 @@ def vector_of(dim: int, coeffs: dict) -> "FrameVector":
                              for k in range(dim)))
 
 
-def _matrix_of(dim: int, entries: dict) -> tuple:
+def matrix_of(dim: int, entries: dict) -> tuple:
+    """m x m matrix of ParamScalars with the given sparse entries."""
     return tuple(tuple(_as_scalar(entries[i, j]) if (i, j) in entries else ZERO
                        for j in range(dim)) for i in range(dim))
 
 
 # Kernels multiply and add on ints: a rational table is scaled to integers
 # over one common denominator and each output entry is divided once. A
-# ParamScalar value on the vector side rides along with denominator 1.
+# parametric argument is split by monomial first (by_monomial).
 
 def integer_map(vec: dict) -> tuple:
-    """({k: int}, d) with vec[k] = int / d, or (vec, 1) if it has a ParamScalar."""
-    if any(isinstance(x, ParamScalar) for x in vec.values()):
-        return vec, 1
+    """({k: int}, d) with vec[k] = int / d for a map of rationals."""
     d = lcm(*(x.denominator for x in vec.values()))
     return {k: x.numerator * (d // x.denominator) for k, x in vec.items()}, d
 
@@ -90,14 +86,43 @@ def integer_rows(table: dict) -> tuple:
 
 
 def divided(vec: dict, d: int) -> dict:
-    """The nonzero entries of vec, each divided by d (ints to Fractions)."""
-    return {k: Fraction(x, d) if isinstance(x, int) else x if d == 1 else x / d
-            for k, x in vec.items() if x}
+    """The nonzero entries of the integer map vec, each divided by d."""
+    return {k: Fraction(x, d) for k, x in vec.items() if x}
 
 
 def divided_rows(table: dict, d: int) -> dict:
     """divided over each row, without the rows it leaves empty."""
     return {key: row for key, r in table.items() if (row := divided(r, d))}
+
+
+def by_monomial(kernel, *maps) -> dict:
+    """{monomial: (numerators, d)} for a kernel(*integer maps) -> (numerators,
+    d) that is linear in each argument, applied to coefficient maps of
+    ParamScalars or rationals: each map is split by monomial, the kernel
+    runs on ints once per combination of parts, and combinations whose
+    monomials multiply to the same one are added."""
+    out: dict = {}
+    for combo in product(*(monomial_parts(v).items() for v in maps)):
+        mono, den, args = (), 1, []
+        for m, part in combo:
+            x, d = integer_map(part)
+            mono, den = monomial_product(mono, m), den * d
+            args.append(x)
+        vec, d = kernel(*args)
+        d *= den
+        if mono in out:  # another combination with the same monomial
+            prev, dp = out[mono]
+            vec = {k: prev.get(k, 0) * d + vec.get(k, 0) * dp
+                   for k in prev.keys() | vec.keys()}
+            d *= dp
+        out[mono] = vec, d
+    return out
+
+
+def joined(parts: dict) -> dict:
+    """{key: ParamScalar}: the by_monomial result parts, each entry
+    divided once and one ParamScalar built per nonzero entry."""
+    return join_parts({mono: divided(vec, d) for mono, (vec, d) in parts.items()})
 
 
 def apply_columns(cols, v: dict) -> dict:
@@ -258,11 +283,11 @@ class FrameManifold:
             if not all(0 <= t < dim for t in (i, j, *row)):
                 raise GeometryError(f"bracket index out of range 0..{dim - 1} "
                                     f"at pair ({i}, {j})")
-            row = {k: _fraction(x) for k, x in sorted(row.items()) if x}
+            row = {k: as_fraction(x) for k, x in sorted(row.items()) if x}
             if row:
                 table[i, j] = row
         self.brackets = table
-        self.g = tuple(tuple(map(_fraction, row)) for row in g)
+        self.g = tuple(tuple(map(as_fraction, row)) for row in g)
         self.params = frozenset(params) | {"p"}
         if len(self.g) != dim or any(len(r) != dim for r in self.g):
             raise GeometryError("metric must be dim x dim")
@@ -273,7 +298,7 @@ class FrameManifold:
         """brackets: {(i, j): {k: coeff}} for i < j, all 0-based."""
         table = {}
         for (i, j), comps in brackets.items():
-            table[i, j] = row = {k: _fraction(x) for k, x in comps.items()}
+            table[i, j] = row = {k: as_fraction(x) for k, x in comps.items()}
             table[j, i] = {k: -x for k, x in row.items()}
         if g is None:
             g = identity_metric(dim)
@@ -325,8 +350,9 @@ class FrameManifold:
 
     def bracket_vec(self, x: FrameVector, y: FrameVector) -> FrameVector:
         table, dc = self.brackets_int
-        (x, dx), (y, dy) = integer_map(_coeff_map(x)), integer_map(_coeff_map(y))
-        return vector_of(self.dim, divided(bracket_sum(table, x, y), dc * dx * dy))
+        return vector_of(self.dim, joined(by_monomial(
+            lambda x, y: (bracket_sum(table, x, y), dc),
+            dict(enumerate(x.coeffs)), dict(enumerate(y.coeffs)))))
 
     def g_of(self, x: FrameVector, y: FrameVector) -> ParamScalar:
         total = ZERO
@@ -438,6 +464,20 @@ class ConnectionTable(Record):
     def gamma_int(self) -> tuple:  # (table, d) as FrameManifold.brackets_int
         return integer_rows(self.gamma)
 
+    @cached_property
+    def lie_int(self) -> tuple:
+        """(table, d): {a: {(i, j): int}} with (L_{e_a} g)(e_i, e_j) =
+        g(nabla_{e_i} e_a, e_j) + g(e_i, nabla_{e_j} e_a) = int / d, the
+        Koszul table indexed by its middle index; nonzero entries only."""
+        koszul, dk = integer_map(self.koszul)
+        table: dict = {}
+        for (i, a, j), q in koszul.items():
+            row = table.setdefault(a, {})
+            row[i, j] = row.get((i, j), 0) + q
+            row[j, i] = row.get((j, i), 0) + q
+        return {a: {key: x for key, x in row.items() if x}
+                for a, row in table.items()}, dk
+
     def entry(self, i: int, j: int) -> FrameVector:
         return vector_of(self.manifold.dim, self.gamma.get((i, j), {}))
 
@@ -504,12 +544,6 @@ class CurvatureTensor(Record):
             (x * g[a][l] for a, x in self.comp.get((i, j, k), {}).items()),
             Fraction(0)))
 
-    def apply_coeffs(self, x: dict, y: dict, z: dict) -> dict:
-        """R(x, y) z for coefficient maps."""
-        (x, dx), (y, dy), (z, dz) = map(integer_map, (x, y, z))
-        out, d = self.apply_int(x, y, z)
-        return divided(out, d * dx * dy * dz)
-
     def apply_int(self, x: dict, y: dict, z: dict) -> tuple:
         """(numerators, d): R(x, y) z for integer maps, straight from the
         integer Gamma over dg and c over dc, with d = dg^2 dc."""
@@ -525,8 +559,8 @@ class CurvatureTensor(Record):
 
     def apply(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
         """Trilinear extension of R to frame-constant vector fields."""
-        return vector_of(self.manifold.dim, self.apply_coeffs(
-            _coeff_map(x), _coeff_map(y), _coeff_map(z)))
+        return vector_of(self.manifold.dim, joined(by_monomial(
+            self.apply_int, *(dict(enumerate(v.coeffs)) for v in (x, y, z)))))
 
     def nonzero(self):
         for (i, j, k) in sorted(self.comp):
@@ -585,6 +619,10 @@ class RicciTensor(Record):
         self.manifold = manifold
         self.ric = ric  # {(j, k): ric(e_j, e_k)}, nonzero entries only
 
+    @cached_property
+    def ric_int(self) -> tuple:  # (table, d) as integer_map(ric)
+        return integer_map(self.ric)
+
     def entry(self, j: int, k: int) -> ParamScalar:
         return ParamScalar.rational(self.ric.get((j, k), 0))
 
@@ -642,7 +680,7 @@ def scalar_curvature(M: FrameManifold, ric_t: RicciTensor) -> ParamScalar:
 def ricci_operator_coeffs(M: FrameManifold, ric_t: RicciTensor) -> dict:
     """{(a, j): Q_aj} with g(Q e_j, e_k) = ric(e_j, e_k), nonzero only."""
     gi_cols, dgi = M.g_inv_int
-    ric, dr = integer_map(ric_t.ric)
+    ric, dr = ric_t.ric_int
     acc = {}
     for (l, j), x in ric.items():
         for a, gal in gi_cols[l].items():
@@ -653,23 +691,30 @@ def ricci_operator_coeffs(M: FrameManifold, ric_t: RicciTensor) -> dict:
 def ricci_operator(M: FrameManifold, ric_t: RicciTensor) -> tuple:
     """Endomorphism Q with g(Q e_j, e_k) = ric(e_j, e_k); column j is Q e_j.
     Returned as a matrix q[a][j] of ParamScalar."""
-    return _matrix_of(M.dim, ricci_operator_coeffs(M, ric_t))
+    return matrix_of(M.dim, ricci_operator_coeffs(M, ric_t))
 
 
 # -- derived operations --------------------------------------------------------
 
+def lie_derivative_parts(conn: ConnectionTable, X: FrameVector) -> dict:
+    """L_X g by the monomials of X's coefficients: {monomial: ({(i, j): int},
+    d)}, each part sum_a x_a L_{e_a} g contracted on ints (by_monomial)."""
+    lie, dl = conn.lie_int
+
+    def kernel(x: dict) -> tuple:
+        acc: dict = {}
+        for a, xa in x.items():
+            for key, q in lie.get(a, {}).items():
+                acc[key] = acc.get(key, 0) + q * xa
+        return acc, dl
+    return by_monomial(kernel, dict(enumerate(X.coeffs)))
+
+
 def lie_derivative_metric(M: FrameManifold, conn: ConnectionTable,
                           X: FrameVector) -> tuple:
-    """(L_X g)(e_i, e_j) = g(nabla_{e_i} X, e_j) + g(e_i, nabla_{e_j} X)."""
-    x, dx = integer_map(_coeff_map(X))
-    koszul, dk = integer_map(conn.koszul)
-    acc = {}
-    for (i, a, j), q in koszul.items():
-        if a in x:
-            t = q * x[a]
-            acc[i, j] = acc.get((i, j), 0) + t
-            acc[j, i] = acc.get((j, i), 0) + t
-    return _matrix_of(M.dim, divided(acc, dk * dx))
+    """(L_X g)(e_i, e_j) = g(nabla_{e_i} X, e_j) + g(e_i, nabla_{e_j} X),
+    one ParamScalar per nonzero entry."""
+    return matrix_of(M.dim, joined(lie_derivative_parts(conn, X)))
 
 
 def is_killing(M: FrameManifold, conn: ConnectionTable, X: FrameVector):
@@ -716,8 +761,14 @@ def covariant_derivative_endo(M: FrameManifold, conn: ConnectionTable,
     frame-constant endomorphism Q given column-wise (Q[a][j] = coeff of e_a
     in Q e_j). Returns a table [i][j] of FrameVector."""
     m = M.dim
-    q = {(a, j): _plain(x) for a, row in enumerate(Q)
-         for j, x in enumerate(map(_as_scalar, row)) if not x.is_zero()}
-    d = endo_derivative_coeffs(conn, q)
-    return tuple(tuple(vector_of(m, d.get((i, j), {})) for j in range(m))
+
+    def kernel(q: dict) -> tuple:
+        table, d = endo_derivative_int(conn, q)
+        return {(i, j, k): x for (i, j), row in table.items()
+                for k, x in row.items()}, d
+    q = {(a, j): x for a, row in enumerate(Q) for j, x in enumerate(row)}
+    cols: dict = {}
+    for (i, j, k), x in joined(by_monomial(kernel, q)).items():
+        cols.setdefault((i, j), {})[k] = x
+    return tuple(tuple(vector_of(m, cols.get((i, j), {})) for j in range(m))
                  for i in range(m))

@@ -2,8 +2,18 @@
 and linear forms in a single unknown.
 
 Rationals are stdlib fractions.Fraction (arbitrary precision, auto-normalized
-to lowest terms with positive denominator). Polynomials are sparse maps from
-monomials to rational coefficients; no floats anywhere.
+to lowest terms with positive denominator); no floats anywhere.
+
+A ParamScalar has one canonical form: a dict from monomials to coefficients
+in which every monomial is a sorted tuple of (symbol, exponent) pairs with
+exponents >= 1 (the empty tuple is the constant monomial) and every
+coefficient is a nonzero Fraction. Equal polynomials therefore have equal
+dicts and equal hashes. The constructor sorts each monomial, drops zero
+coefficients and converts only those that are not Fractions already;
+ParamScalar._of takes terms already in that form as they are.
+monomial_parts and join_parts move between a map of ParamScalars and its
+split by monomial, {monomial: {key: Fraction}}, so that kernels can work on
+the rational parts one at a time and build one ParamScalar per entry.
 """
 from __future__ import annotations
 
@@ -83,13 +93,21 @@ def _mono_str(mono: Monomial) -> str:
     return "*".join(parts)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict[str, int] = {}
-    for sym, e in a:
-        exps[sym] = exps.get(sym, 0) + e
+def monomial_product(a: Monomial, b: Monomial) -> Monomial:
+    """The canonical monomial a * b."""
+    if not a:
+        return b
+    if not b:
+        return a
+    exps = dict(a)
     for sym, e in b:
         exps[sym] = exps.get(sym, 0) + e
     return tuple(sorted(exps.items()))
+
+
+def as_fraction(x) -> Fraction:
+    """x as a Fraction, converted only when it is not one already."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def _coerce(value) -> "ParamScalar | None":
@@ -102,18 +120,27 @@ def _coerce(value) -> "ParamScalar | None":
 
 class ParamScalar:
     """Sparse multivariate polynomial over declared parameters with Fraction
-    coefficients. Immutable; arithmetic never loses exactness."""
+    coefficients, in the canonical form of the module docstring. Immutable;
+    arithmetic never loses exactness."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
+        """From {monomial: rational}; monomials are sorted, zeros dropped."""
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    clean[tuple(mono)] = c
+                c = as_fraction(coeff)
+                if c:
+                    clean[tuple(sorted(mono))] = c
         self._terms = clean
+
+    @classmethod
+    def _of(cls, terms: dict) -> "ParamScalar":
+        """A ParamScalar on terms already in canonical form, taken as given."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def rational(cls, q) -> "ParamScalar":
@@ -123,7 +150,7 @@ class ParamScalar:
     def param(cls, name: str) -> "ParamScalar":
         if not _IDENT_RE.fullmatch(name):
             raise ScalarError(f"bad parameter name: {name!r}")
-        return cls({((name, 1),): Fraction(1)})
+        return cls._of({((name, 1),): Fraction(1)})
 
     # -- queries ---------------------------------------------------------
 
@@ -215,7 +242,7 @@ class ParamScalar:
         terms: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in o._terms.items():
-                m = _mono_mul(m1, m2)
+                m = monomial_product(m1, m2)
                 terms[m] = terms.get(m, Fraction(0)) + c1 * c2
         return ParamScalar(terms)
 
@@ -284,6 +311,32 @@ class ParamScalar:
 
 ZERO = ParamScalar()
 ONE = ParamScalar.rational(1)
+
+
+def monomial_parts(values: dict) -> dict:
+    """{monomial: {key: Fraction}}: a map of ParamScalars or rationals split
+    by monomial, so values[key] is the sum over the monomials of coefficient
+    times monomial. Zero coefficients are left out."""
+    parts: dict = {}
+    for key, v in values.items():
+        if isinstance(v, ParamScalar):
+            for mono, c in v._terms.items():
+                parts.setdefault(mono, {})[key] = c
+        elif v:
+            parts.setdefault((), {})[key] = as_fraction(v)
+    return parts
+
+
+def join_parts(parts: dict) -> dict:
+    """{key: ParamScalar} from monomial parts {monomial: {key: Fraction}}
+    whose monomials are canonical, as monomial_parts and monomial_product
+    give them; one ParamScalar per key, zero coefficients dropped."""
+    terms: dict = {}
+    for mono, part in parts.items():
+        for key, c in part.items():
+            if c:
+                terms.setdefault(key, {})[mono] = as_fraction(c)
+    return {key: ParamScalar._of(t) for key, t in terms.items()}
 
 
 # -- parsing ---------------------------------------------------------------

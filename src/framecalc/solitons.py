@@ -16,10 +16,10 @@ import enum
 from fractions import Fraction
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
-                       FrameVector, RicciTensor, divided,
-                       endo_derivative_coeffs, integer_map,
-                       lie_derivative_metric, ricci_operator_coeffs,
-                       vector_of)
+                       FrameVector, RicciTensor, apply_columns, bracket_sum,
+                       divided, endo_derivative_coeffs, integer_map, joined,
+                       lie_derivative_metric, lie_derivative_parts, matrix_of,
+                       ricci_operator_coeffs, vector_of)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import (LinearForm, ParamScalar, ZERO, ScalarError, SolveError,
@@ -110,19 +110,21 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     linear equation for lambda. Status is einstein_exact when the full
     residual vanishes at the solved lambda, else trace_only."""
     m = M.dim
-    gi = M.g_inv
-    lx = lie_derivative_metric(M, conn, X)
-    trace = 2 * sum((x * gi[i][j] for (i, j), x in ric_t.ric.items()
-                     if gi[i][j]), Fraction(0))
-    for i in range(m):
-        for j in range(m):
-            if gi[i][j] and not lx[i][j].is_zero():
-                trace = lx[i][j] * gi[i][j] + trace
+    gi_cols, dgi = M.g_inv_int  # g^{ij} = gi_cols[j][i] / dgi
+    parts = lie_derivative_parts(conn, X)  # the one L_X g of this solve
+    ric, dr = ric_t.ric_int
+    trace = {(): Fraction(2 * sum(x * gi_cols[j].get(i, 0)
+                                  for (i, j), x in ric.items()), dr * dgi)}
+    for mono, (vec, d) in parts.items():
+        t = Fraction(sum(x * gi_cols[j].get(i, 0) for (i, j), x in vec.items()),
+                     d * dgi)
+        trace[mono] = trace.get(mono, 0) + t
     # trace == m * s; as a linear form in lambda: 2m * lambda + remainder = 0
     shift = (P + Fraction(2, m)) if flavor.is_conformal else ZERO
-    form = LinearForm(Fraction(2 * m), -(shift * m) - trace)
+    form = LinearForm(Fraction(2 * m), -(shift * m) - ParamScalar(trace))
     lam = solve_linear(form)
-    res = soliton_residual(M, conn, ric_t, X, lam, flavor)
+    res = _metric_residual(M, matrix_of(m, joined(parts)), ric_t, 2,
+                           _scale(flavor, lam, m))
     exact = all(e.is_zero() for row in res for e in row)
     return LambdaSolve(lam, form, "einstein_exact" if exact else "trace_only", res)
 
@@ -191,23 +193,31 @@ def integrability_defects(M: FrameManifold, df) -> list:
     return out
 
 
+def _df_int(df) -> tuple:
+    """({k: int}, d) of the nonzero entries of df."""
+    return integer_map({k: Fraction(x) for k, x in enumerate(df) if x})
+
+
 def hessian(M: FrameManifold, conn: ConnectionTable, df) -> tuple:
-    """Hess f(e_i, e_j) = -(nabla_{e_i} e_j) f = -sum_k Gamma[i][j][k] df[k]."""
-    m = M.dim
-    hess = {key: -sum((x * Fraction(df[k]) for k, x in row.items()),
-                      Fraction(0))
-            for key, row in conn.gamma.items()}
-    return tuple(tuple(ParamScalar.rational(hess.get((i, j), 0))
-                       for j in range(m)) for i in range(m))
+    """Hess f(e_i, e_j) = -(nabla_{e_i} e_j) f = -sum_k Gamma[i][j][k] df[k],
+    on the integer Gamma."""
+    gamma, dg = conn.gamma_int
+    dfi, dd = _df_int(df)
+    return matrix_of(M.dim, divided(
+        {key: -sum(x * dfi[k] for k, x in row.items() if k in dfi)
+         for key, row in gamma.items()}, dg * dd))
+
+
+def _gradient_int(M: FrameManifold, df) -> tuple:
+    """({a: int}, d): Df = g^{-1} df on the integer g^{-1} columns."""
+    gi_cols, dgi = M.g_inv_int
+    dfi, dd = _df_int(df)
+    return apply_columns(gi_cols, dfi), dgi * dd
 
 
 def gradient_vector(M: FrameManifold, df) -> FrameVector:
     """Df = g^{-1} df, the metric dual of the differential."""
-    m = M.dim
-    gi = M.g_inv
-    return FrameVector.from_values(tuple(
-        sum((gi[a][k] * Fraction(df[k]) for k in range(m)), Fraction(0))
-        for a in range(m)))
+    return vector_of(M.dim, divided(*_gradient_int(M, df)))
 
 
 def gradient_soliton_residual(M: FrameManifold, conn: ConnectionTable,
@@ -249,16 +259,25 @@ def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
         return report
 
     m = M.dim
-    df_vec, dd = integer_map(dict(enumerate(
-        gradient_vector(M, gd.df).rational_coeffs())))
+    gamma, dg = conn.gamma_int
+    brackets, dc = M.brackets_int
+    df_vec, dd = _gradient_int(M, gd.df)
+    # nab[b] = nabla_{e_b} Df over dg dd, so that R(e_i, e_j) Df =
+    # nabla_i nab[j] - nabla_j nab[i] - sum_b c_ij^b nab[b] over dg^2 dc dd
+    nab = [bracket_sum(gamma, {b: 1}, df_vec) for b in range(m)]
     dq = endo_derivative_coeffs(conn, ricci_operator_coeffs(M, ric_t))
     bad = []
     for i in range(m):
         for j in range(m):
             # lhs - rhs = R(e_i, e_j) Df - dlam_i e_j + dlam_j e_i
             #             + (nabla_i Q) e_j - (nabla_j Q) e_i
-            rij, dr = R.apply_int({i: 1}, {j: 1}, df_vec)
-            diff = divided(rij, dr * dd)
+            rij = {}
+            for vec, w in ((bracket_sum(gamma, {i: 1}, nab[j]), dc),
+                           (bracket_sum(gamma, {j: 1}, nab[i]), -dc),
+                           (apply_columns(nab, brackets.get((i, j), {})), -dg)):
+                for k, x in vec.items():
+                    rij[k] = rij.get(k, 0) + w * x
+            diff = divided(rij, dg * dg * dc * dd)
             diff[j] = diff.get(j, 0) - gd.dlambda[i]
             diff[i] = diff.get(i, 0) + gd.dlambda[j]
             for sign, key in ((1, (i, j)), (-1, (j, i))):

@@ -282,3 +282,34 @@ def besse_ricci(brackets, g):
                 ric[j][k] -= x * y / 2
                 ric[k][j] -= x * y / 2
     return ric
+
+
+# Soliton reference: L_X g entry by entry from the naive connection, and the
+# trace-solved lambda with its residual. The coefficients of X and lambda may
+# be any values that support + and * with Fractions (parametric ones
+# included), so these loops never look inside them.
+
+def naive_lie_derivative(gamma, g, X):
+    """(L_X g)[i][j] = g(nabla_{e_i} X, e_j) + g(e_i, nabla_{e_j} X)."""
+    n = len(g)
+    nab = [nabla(gamma, i, X) for i in range(n)]
+    return [[g_of(g, nab[i], basis(n, j)) + g_of(g, basis(n, i), nab[j])
+             for j in range(n)] for i in range(n)]
+
+
+def naive_soliton_residual(g, lx, ric, s):
+    """L_X g + 2 ric - s g."""
+    n = len(g)
+    return [[lx[i][j] + 2 * ric[i][j] - s * g[i][j] for j in range(n)]
+            for i in range(n)]
+
+
+def naive_trace_lambda(g, lx, ric, shift):
+    """lambda with g^{ij} (L_X g + 2 ric - (2 lambda - shift) g)_ij = 0, that
+    is lambda = (tr(L_X g) + 2 tr(ric) + n shift) / 2n with tr = g^{ij} . _ij
+    and g^{ij} g_ij = n."""
+    n = len(g)
+    gi = inv(g)
+    tr = sum(gi[i][j] * (lx[i][j] + 2 * ric[i][j])
+             for i in range(n) for j in range(n))
+    return (tr + n * shift) * F(1, 2 * n)

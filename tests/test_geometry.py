@@ -90,6 +90,36 @@ def test_bracket_vec_bilinear():
     assert lhs == rhs
 
 
+def test_parametric_arguments_split_by_monomial():
+    """bracket_vec, R.apply and covariant_derivative_endo on parametric
+    arguments equal the sums of their rational parts, including the parts
+    that two combinations of monomials share (p * 1 and 1 * p)."""
+    M = parse_manifold(documents()["dense5"]).manifold
+    conn = levi_civita(M)
+    R = curvature(M, conn)
+    P = ParamScalar.param("p")
+    rng = random.Random(5)
+    a, b, c, d, z = ([FrameVector.from_values(
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(5)])
+        for _ in range(5)])
+    x, y = a.scaled(P) + b, c + d.scaled(P)
+    assert M.bracket_vec(x, y) == (
+        M.bracket_vec(a, d).scaled(P * P)
+        + (M.bracket_vec(a, c) + M.bracket_vec(b, d)).scaled(P)
+        + M.bracket_vec(b, c))
+    assert R.apply(x, y, z) == (
+        R.apply(a, d, z).scaled(P * P)
+        + (R.apply(a, c, z) + R.apply(b, d, z)).scaled(P) + R.apply(b, c, z))
+    A = [[Fraction(rng.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
+    B = [[Fraction(rng.randint(-2, 2), 3) for _ in range(5)] for _ in range(5)]
+    Q = [[P * A[i][j] + B[i][j] for j in range(5)] for i in range(5)]
+    dq = covariant_derivative_endo(M, conn, Q)
+    da = covariant_derivative_endo(M, conn, A)
+    db = covariant_derivative_endo(M, conn, B)
+    assert all(dq[i][j] == da[i][j].scaled(P) + db[i][j]
+               for i in range(5) for j in range(5))
+
+
 def test_g_of_identity_metric():
     M = man("abelian3")
     assert M.g_of(vec(1, 2, 3), vec(4, 5, 6)) == sc(32)

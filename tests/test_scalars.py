@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framecalc.scalars import (MAX_DIGITS, EvaluationError, LinearForm,
-                               ParamScalar, ScalarError, SolveError,
-                               format_rational, parse_rational, parse_scalar,
-                               solve_linear)
+from framecalc.scalars import (MAX_DIGITS, ZERO, EvaluationError,
+                               LinearForm, ParamScalar, ScalarError,
+                               SolveError, format_rational, parse_rational,
+                               parse_scalar, solve_linear)
 
 P = ParamScalar.param("p")
 Q = ParamScalar.param("q")
+R = ParamScalar.param("r")
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
@@ -132,6 +133,88 @@ def test_evaluation_is_a_homomorphism(a, x):
     b = P * 2 - Q
     assert (a + b).evaluate(env) == a.evaluate(env) + b.evaluate(env)
     assert (a * b).evaluate(env) == a.evaluate(env) * b.evaluate(env)
+
+
+# -- the canonical form (property-based) -----------------------------------------
+
+def polys():
+    """Polynomials in p, q and r, built with ParamScalar arithmetic from up
+    to five terms c * p^a * q^b * r^e."""
+    powers = st.integers(0, 2)
+    term = st.builds(lambda c, a, b, e: c * P ** a * Q ** b * R ** e,
+                     rationals, powers, powers, powers)
+    return st.lists(term, max_size=5).map(
+        lambda ts: sum(ts, ParamScalar.rational(0)))
+
+
+def assert_canonical(s: ParamScalar) -> None:
+    for mono, c in s.terms().items():
+        assert type(c) is Fraction and c != 0, (s, mono, c)
+        assert type(mono) is tuple and list(mono) == sorted(mono), (s, mono)
+        syms = [sym for sym, _ in mono]
+        assert len(set(syms)) == len(syms), (s, mono)
+        assert all(type(e) is int and e >= 1 for _, e in mono), (s, mono)
+
+
+@settings(deadline=None)
+@given(polys(), polys(), rationals.filter(bool), st.integers(0, 3))
+def test_arithmetic_keeps_the_canonical_form(a, b, q, n):
+    for s in (a, a + b, a - b, -a, a * b, a / q, a / ParamScalar.rational(q),
+              a * q, q * a, a + q, q + a, a - q, q - a, 3 * a, a - 2,
+              a ** n):
+        assert_canonical(s)
+
+
+@settings(deadline=None)
+@given(polys())
+def test_sum_with_negation_is_zero(a):
+    z = a + (-a)
+    assert z == ZERO and z.is_zero()
+    assert hash(z) == hash(ZERO)
+    assert a - a == ZERO and hash(a - a) == hash(ZERO)
+
+
+@st.composite
+def sum_of_terms(draw):
+    """(text, value): a text of the scalar grammar and the same terms
+    combined with ParamScalar arithmetic."""
+    names = {"p": P, "q": Q, "r": R}
+    text, value = "", ParamScalar.rational(0)
+    for k in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["", "-", "+"] if k == 0 else
+                                    [" + ", " - ", "+", "-", " + -", " - -"]))
+        factor = ParamScalar.rational(-1 if sign.count("-") % 2 else 1)
+        num = draw(st.integers(0, 40))
+        den = draw(st.sampled_from([None, 1, 2, 3, 7, 12]))
+        factors = draw(st.lists(st.tuples(st.sampled_from("pqr"),
+                                          st.sampled_from([None, 0, 1, 2, 3])),
+                                max_size=3))
+        coeff = ""
+        if not factors or draw(st.booleans()):
+            coeff = str(num) if den is None else f"{num}/{den}"
+            factor = factor * Fraction(num, den or 1)
+        mono = []
+        for name, exp in factors:
+            mono.append(name if exp is None else f"{name}^{exp}")
+            factor = factor * names[name] ** (1 if exp is None else exp)
+        if not factors:
+            joint = coeff
+        elif not coeff:
+            joint = "*".join(mono)
+        else:
+            joint = coeff + draw(st.sampled_from(["*", ""])) + "*".join(mono)
+        text += sign + joint
+        value = value + factor
+    return text, value
+
+
+@settings(deadline=None)
+@given(sum_of_terms())
+def test_parse_equals_the_terms_combined_by_arithmetic(case):
+    text, value = case
+    parsed = parse_scalar(text)
+    assert parsed == value, text
+    assert_canonical(parsed)
 
 
 # -- rendering and parsing ------------------------------------------------------

@@ -2,11 +2,18 @@
 closed-form concurrent-potential constants."""
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from framecalc.catalog import load_builtin
-from framecalc.geometry import FrameVector, curvature, levi_civita, ricci
+import framecalc.solitons
+import oracle
+from framecalc.catalog import builtin_names, load_builtin
+from framecalc.geometry import (FrameVector, curvature, levi_civita,
+                                lie_derivative_metric, ricci)
+from framecalc.manifold_format import parse_manifold
 from framecalc.scalars import ParamScalar
 from framecalc.solitons import (Classification, GradientData,
                                 IntegrabilityError, SolitonError,
@@ -36,6 +43,127 @@ def setup(name):
 
 def zero_table(t) -> bool:
     return all(e.is_zero() for row in t for e in row)
+
+
+# -- the soliton layer against a naive reference ------------------------------------
+
+Q = ParamScalar.param("q")
+R = ParamScalar.param("r")
+
+
+@lru_cache(maxsize=None)
+def reference_geometry(name: str) -> tuple:
+    """(M, conn, ric, gamma, naive ric, g) for a builtin or a dense-snapshot
+    document with an invertible metric; gamma and the naive Ricci tensor
+    come from tests/oracle.py."""
+    from test_dense_snapshot import documents
+    if name in builtin_names():
+        M = load_builtin(name).manifold
+    else:
+        M = parse_manifold(documents()[name]).manifold
+    m = M.dim
+    c = [[list(M.c[i][j]) for j in range(m)] for i in range(m)]
+    g = [list(row) for row in M.g]
+    gamma = oracle.naive_koszul(c, g)
+    conn = levi_civita(M)
+    return (M, conn, ricci(M, curvature(M, conn)), gamma,
+            oracle.naive_ricci(oracle.naive_curvature(c, gamma)), g)
+
+
+REFERENCE_NAMES = ("abelian3", "abelian5", "heisenberg3", "heisenberg5",
+                   "nonjacobi3", "dense5", "dense7", "frac5", "hyperbolic3",
+                   "indefinite3", "nonjacobi4", "nonnormal5")
+
+
+def random_scalar(rng) -> ParamScalar:
+    """A random polynomial in q, r and p: rational constant, linear terms
+    and now and then q*r."""
+    def frac():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    out = sc(frac())
+    for sym in (Q, R, P):
+        if rng.random() < 0.6:
+            out = out + sym * frac()
+    if rng.random() < 0.2:
+        out = out + Q * R * frac()
+    return out
+
+
+def same_table(table, ref) -> bool:
+    return all(table[i][j] == ref[i][j] for i in range(len(ref))
+               for j in range(len(ref)))
+
+
+def check_against_reference(name: str, X: FrameVector, lams) -> None:
+    """lie_derivative_metric, the solved lambda, its residual and status,
+    and the residual at each of lams, against the naive loops."""
+    M, conn, ric, gamma, ric_ref, g = reference_geometry(name)
+    m = M.dim
+    lx = oracle.naive_lie_derivative(gamma, g, list(X.coeffs))
+    assert same_table(lie_derivative_metric(M, conn, X), lx), name
+    for flavor in SolitonFlavor:
+        shift = P + Fraction(2, m) if flavor.is_conformal else 0
+        solve = solve_lambda_trace(M, conn, ric, X, flavor)
+        lam = oracle.naive_trace_lambda(g, lx, ric_ref, shift)
+        assert solve.lam == lam, (name, flavor)
+        res = oracle.naive_soliton_residual(g, lx, ric_ref, 2 * lam - shift)
+        assert same_table(solve.residual, res), (name, flavor)
+        exact = all(res[i][j] == 0 for i in range(m) for j in range(m))
+        assert solve.status == ("einstein_exact" if exact else "trace_only")
+        for lam in lams:
+            res = oracle.naive_soliton_residual(g, lx, ric_ref, 2 * lam - shift)
+            assert same_table(soliton_residual(M, conn, ric, X, lam, flavor),
+                              res), (name, flavor, lam)
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_soliton_layer_matches_the_naive_reference(name):
+    rng = random.Random(name)
+    m = reference_geometry(name)[0].dim
+    for _ in range(3):
+        X = FrameVector(tuple(random_scalar(rng) if rng.random() < 0.7
+                              else sc(0) for _ in range(m)))
+        check_against_reference(name, X, [random_scalar(rng)
+                                          for _ in range(2)])
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+scalars = st.builds(lambda a, b, c, d, e: sc(a) + Q * b + R * c + P * d + Q * R * e,
+                    small, small, small, small, small)
+
+
+@settings(deadline=None, max_examples=settings.default.max_examples // 5)
+@given(st.sampled_from(("heisenberg5", "dense5", "nonjacobi3")), st.data())
+def test_soliton_layer_matches_the_naive_reference_property(name, data):
+    m = reference_geometry(name)[0].dim
+    X = FrameVector(tuple(data.draw(st.lists(scalars, min_size=m, max_size=m))))
+    check_against_reference(name, X, [data.draw(scalars)])
+
+
+def test_one_solve_computes_the_lie_derivative_once(monkeypatch):
+    """solve_lambda_trace takes the trace and the residual from one L_X g;
+    soliton_residual also computes it once."""
+    calls = []
+
+    def counted(name):
+        fn = getattr(framecalc.solitons, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("lie_derivative_parts", "lie_derivative_metric"):
+        monkeypatch.setattr(framecalc.solitons, name, counted(name))
+    doc, M, conn, R_, ric = setup("heisenberg5")
+    X = FrameVector.from_values([P, 0, Q, 0, 1])
+    for flavor in SolitonFlavor:
+        calls.clear()
+        solve_lambda_trace(M, conn, ric, X, flavor)
+        assert len(calls) == 1, (flavor, calls)
+    calls.clear()
+    soliton_residual(M, conn, ric, X, P - 1, SolitonFlavor.CONFORMAL)
+    assert len(calls) == 1, calls
 
 
 # -- trace solving ----------------------------------------------------------------
