@@ -45,16 +45,6 @@ def _as_scalar(x) -> ParamScalar:
 # Sparse coefficient maps {index: value} hold Fractions, or ParamScalars where
 # a caller's data is parametric.
 
-def _plain(c: ParamScalar):
-    """c as a Fraction when it is constant, else c itself."""
-    return c.constant_value() if c.is_constant() else c
-
-
-def _coeff_map(v: "FrameVector") -> dict:
-    """Nonzero coefficients of v; constant ones as Fractions."""
-    return {k: _plain(c) for k, c in enumerate(v.coeffs) if not c.is_zero()}
-
-
 def vector_of(dim: int, coeffs: dict) -> "FrameVector":
     """FrameVector with the given sparse coefficients (zeros allowed)."""
     return FrameVector(tuple(_as_scalar(coeffs[k]) if k in coeffs else ZERO
@@ -481,16 +471,12 @@ class ConnectionTable(Record):
     def entry(self, i: int, j: int) -> FrameVector:
         return vector_of(self.manifold.dim, self.gamma.get((i, j), {}))
 
-    def coeff(self, i: int, j: int, k: int) -> ParamScalar:
-        return ParamScalar.rational(self.gamma.get((i, j), {}).get(k, 0))
-
     def nabla_vec(self, i: int, v: FrameVector) -> FrameVector:
         """nabla_{e_i} of a frame-constant vector field."""
-        out = {}
-        for a, va in _coeff_map(v).items():
-            for k, x in self.gamma.get((i, a), {}).items():
-                out[k] = out.get(k, 0) + x * va
-        return vector_of(self.manifold.dim, out)
+        table, dg = self.gamma_int
+        return vector_of(self.manifold.dim, joined(by_monomial(
+            lambda x: (bracket_sum(table, {i: 1}, x), dg),
+            dict(enumerate(v.coeffs)))))
 
     def nonzero(self):
         for (i, j) in sorted(self.gamma):
@@ -625,14 +611,6 @@ class RicciTensor(Record):
 
     def entry(self, j: int, k: int) -> ParamScalar:
         return ParamScalar.rational(self.ric.get((j, k), 0))
-
-    def apply(self, y: FrameVector, z: FrameVector) -> ParamScalar:
-        yc, zc = _coeff_map(y), _coeff_map(z)
-        total = 0
-        for (j, k), x in self.ric.items():
-            if j in yc and k in zc:
-                total = total + yc[j] * zc[k] * x
-        return _as_scalar(total)
 
     def nonzero(self):
         for (j, k) in sorted(self.ric):

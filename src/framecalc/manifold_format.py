@@ -21,6 +21,10 @@ their nonzero coefficients and hands them to FrameManifold.from_brackets
 as a sparse table. Expected values are audit
 data: they never feed computation, they only populate discrepancy ledgers,
 so repeated or contradictory expect lines are legal.
+
+Lines are read by a subclass of scalars.Scanner: blanks and tabs between
+tokens, errors at a line and column. An expect lambda scalar-expr is read
+in place by Scanner.scalar with any whitespace, as parse_scalar reads it.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from fractions import Fraction
 from .contact import AlmostContactData
 from .geometry import FrameManifold, FrameVector, identity_metric, vector_of
 from .record import Record
-from .scalars import ScalarError, format_rational, literal_int, parse_scalar
+from .scalars import Scanner, format_rational
 
 # Largest accepted dimension. Brackets are stored sparse, but the metric and
 # its inverse stay dense (m^2 entries, one elimination each) and the strict
@@ -67,104 +71,35 @@ class ManifoldDocument(Record):
         self.expected = expected
 
 
-# Scanner tokens, matched in place at the scan position.
-_WS = re.compile(r"[ \t]*")
-_WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_INTEGER = re.compile(r"\d+")
-_RATIONAL = re.compile(r"(\d+)\s*(?:/\s*(\d+))?")
 _BASIS = re.compile(r"e(\d+)")
 _ONE = Fraction(1)
 
 
-class _Scanner:
+class _Scanner(Scanner):
+    """A manifold line: only blanks and tabs between tokens, ParseError at
+    a line and column, and frame indices."""
+
+    _ws = re.compile(r"[ \t]*").match
+
     def __init__(self, text: str, lineno: int, col_base: int = 1):
         self.text = text
+        self.pos = 0
         self.lineno = lineno
         self.col_base = col_base
-        self.pos = 0
 
     def error(self, msg: str, pos: int | None = None):
         p = self.pos if pos is None else pos
         raise ParseError(self.lineno, self.col_base + p, msg)
 
-    def skip_ws(self):
-        self.pos = _WS.match(self.text, self.pos).end()
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos:self.pos + 1]
-
-    def peek_word(self) -> str:
-        self.skip_ws()
-        m = _WORD.match(self.text, self.pos)
-        return m.group(0) if m else ""
-
-    def word(self) -> str:
-        self.skip_ws()
-        m = _WORD.match(self.text, self.pos)
-        if not m:
-            self.error("expected an identifier")
-        self.pos = m.end()
-        return m.group(0)
-
-    def keyword(self, lit: str):
-        start = self.pos
-        w = self.word()
-        if w != lit:
-            self.error(f"expected {lit!r}, found {w!r}", start)
-
-    def char(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def signs(self) -> bool:
-        """Read a run of + and - signs; True when it negates."""
-        negative = False
-        while (ch := self.peek()) in ("+", "-"):
-            negative ^= ch == "-"
-            self.pos += 1
-        return negative
-
-    def literal(self, m, group: int) -> int:
-        """The integer literal in group of the match m."""
-        try:
-            return literal_int(m.group(group))
-        except ScalarError as exc:
-            self.error(str(exc), m.start(group))
-
-    def integer(self) -> int:
-        self.skip_ws()
-        m = _INTEGER.match(self.text, self.pos)
-        if not m:
-            self.error("expected an integer")
-        value = self.literal(m, 0)
-        self.pos = m.end()
-        return value
-
-    def rational(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        m = _RATIONAL.match(self.text, self.pos)
-        if not m:
-            self.error("expected a rational number")
-        num = self.literal(m, 1)
-        den = self.literal(m, 2) if m.group(2) else 1
-        self.pos = m.end()
-        if den == 0:
-            self.error("zero denominator", start)
-        return Fraction(num, den)
+    def signed_rational(self) -> Fraction:
+        negative = self.signs()
+        q = self.rational()
+        return -q if negative else q
 
     def basis_index(self, dim: int) -> int:
         """Read e<k> and return the 0-based index."""
-        self.skip_ws()
-        start = self.pos
-        m = _BASIS.match(self.text, self.pos)
+        start = self.skip_ws()
+        m = _BASIS.match(self.text, start)
         if not m:
             self.error("expected a frame vector e<k>")
         k = self.literal(m, 1)
@@ -174,12 +109,17 @@ class _Scanner:
         return k - 1
 
     def index_1based(self, dim: int) -> int:
-        self.skip_ws()
-        start = self.pos
+        start = self.skip_ws()
         k = self.integer()
         if not 1 <= k <= dim:
             self.error(f"index {k} out of range 1..{dim}", start)
         return k - 1
+
+
+class _LambdaBody(_Scanner):
+    """An expect lambda body: the scalar grammar's whitespace rule."""
+
+    _ws = Scanner._ws
 
 
 def _parse_vector(sc: _Scanner, dim: int) -> dict:
@@ -267,8 +207,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 sc.error("duplicate manifold declaration")
             name = sc.word()
             sc.keyword("dim")
-            sc.skip_ws()
-            dim_pos = sc.pos
+            dim_pos = sc.skip_ws()
             dim = sc.integer()
             if dim < 1:
                 sc.error("dimension must be positive")
@@ -317,8 +256,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 if (i, j) in metric_entries or (j, i) in metric_entries:
                     sc.error(f"metric entry ({i + 1},{j + 1}) already declared")
                 sc.char("=")
-                negative = sc.signs()
-                q = -sc.rational() if negative else sc.rational()
+                q = sc.signed_rational()
                 if not sc.eof():
                     sc.error("trailing text")
                 metric_entries[(i, j)] = q
@@ -346,7 +284,8 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 sc.error("malformed expect line; need = <value> source \"...\"")
             kind, body, source = m.group(1), m.group(2), m.group(3)
             body_col = line.find(body) + 1 if body else 1
-            bsc = _Scanner(body, lineno, body_col)
+            bsc = (_LambdaBody if kind == "lambda" else _Scanner)(
+                body, lineno, body_col)
             if kind in ("nabla", "riem"):
                 nabla = kind == "nabla"
                 idx = [bsc.basis_index(dim) for _ in range(2 if nabla else 3)]
@@ -358,19 +297,13 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 i = bsc.index_1based(dim)
                 j = bsc.index_1based(dim)
                 bsc.char("=")
-                negative = bsc.signs()
-                q = -bsc.rational() if negative else bsc.rational()
+                q = bsc.signed_rational()
                 if not bsc.eof():
                     bsc.error("trailing text")
                 exp_ricci.append((i, j, q, source))
             else:  # lambda
                 bsc.char("=")
-                expr = body[bsc.pos:].strip()
-                try:
-                    lam = parse_scalar(expr)
-                except ScalarError as exc:
-                    bsc.error(str(exc))
-                exp_lam.append((lam, source))
+                exp_lam.append((bsc.scalar(), source))
         else:
             sc.error(f"unknown statement {head!r}", 0)
 

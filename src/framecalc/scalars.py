@@ -14,6 +14,10 @@ ParamScalar._of takes terms already in that form as they are.
 monomial_parts and join_parts move between a map of ParamScalars and its
 split by monomial, {monomial: {key: Fraction}}, so that kernels can work on
 the rational parts one at a time and build one ParamScalar per entry.
+
+Scanner reads both text grammars: parse_scalar is Scanner.scalar, and
+manifold_format's line scanner is a subclass. A malformed scalar raises
+ScalarError with the offset of the offending token and the text.
 """
 from __future__ import annotations
 
@@ -43,18 +47,25 @@ class SolveError(ScalarError):
         self.kind = kind
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# Scanner tokens, matched in place at the scan position. A rational's
+# denominator group is empty, not None, after a '/' without digits.
+_WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_INTEGER = re.compile(r"\d+")
+_RATIONAL = re.compile(r"(\d+)\s*(?:/\s*(\d*))?")
 
 # Longest integer literal accepted in scalars and manifold files, in digits;
 # Python reads and prints at most 4300 by default.
 MAX_DIGITS = 1000
 
 
+def _too_long(n: int) -> str:
+    return f"integer literal of {n} digits exceeds the limit of {MAX_DIGITS}"
+
+
 def literal_int(digits: str) -> int:
     """int(digits) for a signed literal of at most MAX_DIGITS digits."""
     if len(digits) > MAX_DIGITS and len(digits.lstrip("+-")) > MAX_DIGITS:
-        raise ScalarError(f"integer literal of {len(digits.lstrip('+-'))} "
-                          f"digits exceeds the limit of {MAX_DIGITS}")
+        raise ScalarError(_too_long(len(digits.lstrip("+-"))))
     return int(digits)
 
 
@@ -148,7 +159,7 @@ class ParamScalar:
 
     @classmethod
     def param(cls, name: str) -> "ParamScalar":
-        if not _IDENT_RE.fullmatch(name):
+        if not _WORD.fullmatch(name):
             raise ScalarError(f"bad parameter name: {name!r}")
         return cls._of({((name, 1),): Fraction(1)})
 
@@ -310,7 +321,6 @@ class ParamScalar:
 
 
 ZERO = ParamScalar()
-ONE = ParamScalar.rational(1)
 
 
 def monomial_parts(values: dict) -> dict:
@@ -341,133 +351,143 @@ def join_parts(parts: dict) -> dict:
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^()]))")
+class Scanner:
+    """Reads the tokens of text in place, each after the whitespace before
+    it: any whitespace here, a subclass may narrow _ws. error raises
+    ScalarError with the offset and the text; manifold_format's line
+    scanner raises its ParseError instead."""
 
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ScalarError(f"unexpected character {rest[0]!r} in scalar {text!r}")
-        if m.group(1):
-            try:
-                tokens.append(("int", literal_int(m.group(1))))
-            except ScalarError as exc:
-                raise ScalarError(f"{exc} at offset {m.start(1)}") from None
-        elif m.group(2):
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-    return tokens
-
-
-class _ScalarParser:
-    """Recursive-descent parser for the sum-of-terms grammar:
-
-        expr  := [sign] term { sign term }
-        term  := coeff [ '*' mono ] | mono
-        coeff := INT [ '/' INT ]
-        mono  := NAME [ '^' INT ] { '*' NAME [ '^' INT ] }
-    """
+    _ws = re.compile(r"\s*").match
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
+    def error(self, msg: str, pos: int | None = None):
+        p = self.pos if pos is None else pos
+        raise ScalarError(f"{msg} at offset {p} in scalar {self.text!r}")
 
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+    def skip_ws(self) -> int:
+        self.pos = p = self._ws(self.text, self.pos).end()
+        return p
 
-    def fail(self, msg: str):
-        raise ScalarError(f"{msg} in scalar {self.text!r}")
+    def eof(self) -> bool:
+        self.pos = p = self._ws(self.text, self.pos).end()
+        return p >= len(self.text)
 
-    def parse(self) -> ParamScalar:
-        if not self.tokens:
-            self.fail("empty expression")
+    def peek(self) -> str:
+        self.pos = p = self._ws(self.text, self.pos).end()
+        return self.text[p:p + 1]
+
+    def peek_word(self) -> str:
+        m = _WORD.match(self.text, self.skip_ws())
+        return m.group(0) if m else ""
+
+    def word(self, what: str = "an identifier") -> str:
+        m = _WORD.match(self.text, self.skip_ws())
+        if not m:
+            self.error(f"expected {what}")
+        self.pos = m.end()
+        return m.group(0)
+
+    def keyword(self, lit: str):
+        start = self.pos
+        w = self.word()
+        if w != lit:
+            self.error(f"expected {lit!r}, found {w!r}", start)
+
+    def char(self, ch: str):
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def signs(self) -> bool:
+        """Read a run of + and - signs; True when it negates."""
+        negative = False
+        while (ch := self.peek()) in ("+", "-"):
+            negative ^= ch == "-"
+            self.pos += 1
+        return negative
+
+    def literal(self, m, group: int) -> int:
+        """The integer literal in group of the match m, of at most
+        MAX_DIGITS digits."""
+        digits = m.group(group)
+        if len(digits) > MAX_DIGITS:
+            self.error(_too_long(len(digits)), m.start(group))
+        return int(digits)
+
+    def integer(self) -> int:
+        m = _INTEGER.match(self.text, self.skip_ws())
+        if not m:
+            self.error("expected an integer")
+        value = self.literal(m, 0)
+        self.pos = m.end()
+        return value
+
+    def rational(self) -> Fraction:
+        start = self.skip_ws()
+        m = _RATIONAL.match(self.text, start)
+        if not m:
+            self.error("expected a rational number")
+        num = self.literal(m, 1)
+        if m.group(2) == "":
+            self.error("expected an integer denominator", m.end())
+        den = self.literal(m, 2) if m.group(2) else 1
+        self.pos = m.end()
+        if den == 0:
+            self.error("zero denominator", start)
+        return Fraction(num, den)
+
+    def monomial(self, what: str) -> ParamScalar:
+        """NAME [^INT] {* NAME [^INT]}, the product of its powers; ^0 is 1.
+        what names the token expected first."""
+        out = None
+        while True:
+            name = self.word(what)
+            exp = 1
+            if self.peek() == "^":
+                self.pos += 1
+                exp = self.integer()
+            power = (ParamScalar({((name, exp),): Fraction(1)}) if exp
+                     else ParamScalar.rational(1))
+            out = power if out is None else out * power
+            if self.peek() != "*":
+                return out
+            self.pos += 1
+            what = "a parameter name"
+
+    def scalar(self) -> ParamScalar:
+        """The rest of the text in the scalar grammar:
+
+            expr  := sign* term { sign+ term }
+            term  := coeff [ ['*'] mono ] | mono
+            coeff := INT [ '/' INT ]
+            mono  := NAME [ '^' INT ] { '*' NAME [ '^' INT ] }
+        """
         total = ZERO
-        first = True
-        while self.i < len(self.tokens):
-            sign = Fraction(1)
-            saw_sign = False
-            while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-                if self.take()[1] == "-":
-                    sign = -sign
-                saw_sign = True
-            if not first and not saw_sign:
-                self.fail("expected '+' or '-' between terms")
-            total = total + sign * self.parse_term()
-            first = False
-        return total
-
-    def parse_term(self) -> ParamScalar:
-        kind, val = self.peek()
-        if kind == "int":
-            coeff = self.parse_coeff()
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                return ParamScalar.rational(coeff) * self.parse_mono()
-            if kind == "name":  # juxtaposition, e.g. "2p"
-                return ParamScalar.rational(coeff) * self.parse_mono()
-            return ParamScalar.rational(coeff)
-        if kind == "name":
-            return self.parse_mono()
-        self.fail(f"expected a term, found {val!r}")
-
-    def parse_coeff(self) -> Fraction:
-        kind, num = self.take()
-        if kind != "int":
-            self.fail("expected an integer")
-        if self.peek() == ("op", "/"):
-            self.take()
-            kind, den = self.take()
-            if kind != "int":
-                self.fail("expected an integer denominator")
-            if den == 0:
-                self.fail("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_mono(self) -> ParamScalar:
-        out = self.parse_power()
-        while self.peek() == ("op", "*"):
-            # only continue when a name follows; otherwise it is malformed
-            if self.i + 1 < len(self.tokens) and self.tokens[self.i + 1][0] == "name":
-                self.take()
-                out = out * self.parse_power()
+        negative = self.signs()
+        while True:
+            if self.peek().isdigit():
+                term = ParamScalar.rational(self.rational())
+                ch = self.peek()
+                if ch == "*":
+                    self.pos += 1
+                if ch == "*" or ch == "_" or ch.isalpha():  # "2*p" or "2p"
+                    term = term * self.monomial("a parameter name")
             else:
-                self.fail("coefficient must precede the monomial")
-        return out
-
-    def parse_power(self) -> ParamScalar:
-        kind, name = self.take()
-        if kind != "name":
-            self.fail("expected a parameter name")
-        exp = 1
-        if self.peek() == ("op", "^"):
-            self.take()
-            kind, exp = self.take()
-            if kind != "int":
-                self.fail("expected an integer exponent")
-            if exp == 0:
-                return ParamScalar.rational(1)
-        return ParamScalar({((name, exp),): Fraction(1)})
+                term = self.monomial("a term")
+            total = total - term if negative else total + term
+            if self.eof():
+                return total
+            if self.text[self.pos] not in "+-":
+                self.error("expected '+' or '-' between terms")
+            negative = self.signs()
 
 
 def parse_scalar(text: str) -> ParamScalar:
-    """Parse the canonical scalar grammar, e.g. "1/2*p + 9/5" or "p^2 + -1"."""
-    return _ScalarParser(text).parse()
+    """Parse the scalar grammar, e.g. "1/2*p + 9/5" or "p^2 + -1"."""
+    return Scanner(text).scalar()
 
 
 # -- linear forms ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact frame changes, generated metric Lie algebras and manifold-format
-text for generated test frames, with Hypothesis strategies that draw them.
+text for generated test frames, with Hypothesis strategies that draw them;
+and texts of the scalar grammar: malformed ones, and a strategy over its
+alphabet.
 
 Plain Fraction arithmetic on lists; nothing here calls into framecalc, so
 the tests can use it as an answer key. A frame change A takes the frame e
@@ -200,3 +202,18 @@ def lie_algebras(draw) -> tuple:
         c, g = direct_sum((c, g), block())
     A, Ainv = elementary_change(len(g), draw(elementary_steps(len(g))))
     return change_frame(c, g, A, Ainv)[:2]
+
+
+# -- scalar-grammar texts --------------------------------------------------------
+
+# (text, offset of the offending token): each is rejected by the scalar
+# grammar, at the position a term, name, integer or sign was wanted.
+MALFORMED_SCALARS = [
+    ("", 0), ("+", 1), ("p +", 3), ("p + $", 4), ("(p)", 0), ("p*2", 2),
+    ("1/ p", 3), ("p^-1", 2), ("p^", 2), ("2 **p", 3), ("p q", 2),
+    ("1/0", 0), ("p + " + "7" * 1001, 4)]
+
+# Digits, names, operators, blanks and tabs, and one junk character.
+scalar_texts = st.lists(st.sampled_from(
+    list("0123456789") + ["p", "q", "r", "e1"] + list("+-*/^()")
+    + [" ", "\t", "$"]), max_size=14).map("".join)

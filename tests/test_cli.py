@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from frames import document, identity
+from frames import MALFORMED_SCALARS, document, identity
 from framecalc.catalog import FIXTURES
 from framecalc.cli import main
 
@@ -442,6 +442,20 @@ def test_bad_lambda_expression(capsys):
                            "--lambda", "q + 1")
     assert code == 3
     assert "undeclared parameter" in errtext
+
+
+@pytest.mark.parametrize("text", [t for t, _ in MALFORMED_SCALARS],
+                         ids=[repr(t[:12]) for t, _ in MALFORMED_SCALARS])
+def test_malformed_scalar_argument_exits_3(capsys, text):
+    for argv in (("--field", "xi", "--lambda", text),
+                 ("--field", f"{text},0,0,0,0", "--lambda", "0")):
+        code, out, errtext = run(capsys, "check-soliton", "--builtin",
+                                 "heisenberg5", "--flavor", "conformal", *argv)
+        assert code == 3
+        assert out == ""
+        assert errtext.startswith("error: ")
+        assert errtext.rstrip("\n").endswith(f"in scalar {text!r}")
+        assert "Traceback" not in errtext
 
 
 def test_huge_exponent_does_not_hang():

@@ -1,14 +1,17 @@
 """The manifold file grammar: parsing, errors with positions, rendering,
 and the parse/render fixpoint."""
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from frames import MALFORMED_SCALARS, scalar_texts
 from framecalc.catalog import FIXTURES, builtin_names, load_builtin
 from framecalc.geometry import FrameVector, identity_metric
 from framecalc.manifold_format import (MAX_DIM, ParseError, parse_manifold,
                                        parse_vector_text, render_manifold)
-from framecalc.scalars import ParamScalar
+from framecalc.scalars import ParamScalar, ScalarError, parse_scalar
 
 
 def err(text: str) -> ParseError:
@@ -189,6 +192,60 @@ def test_expect_lambda_p_is_implied():
     doc = parse_manifold("manifold t dim 2\nmetric identity\n"
                          'expect lambda = 1/2*p source "s"\n')
     assert doc.expected.lam[0][0] == ParamScalar.param("p") / 2
+
+
+# lambda_line(text) puts text on line 6, from col 17 on.
+LAMBDA_HEAD = "manifold t dim 2\nparam q\nparam r\nparam e1\nmetric identity\n"
+
+
+def lambda_line(text: str) -> str:
+    return LAMBDA_HEAD + f'expect lambda = {text} source "s"\n'
+
+
+@pytest.mark.parametrize("text, offset", MALFORMED_SCALARS,
+                         ids=[repr(t[:12]) for t, _ in MALFORMED_SCALARS])
+def test_malformed_expect_lambda_located_at_offending_token(text, offset):
+    e = err(lambda_line(text))
+    assert e.lineno == 6
+    # an empty body ends right after the '='
+    assert e.col == (17 + offset if text else 16)
+    if len(text) > 1000:
+        assert e.message == ("integer literal of 1001 digits exceeds the "
+                             "limit of 1000")
+
+
+def test_expect_lambda_error_column():
+    e = err(lambda_line("1/2*p + $"))
+    assert str(e) == "line 6, col 25: expected a term"
+
+
+@settings(deadline=None)
+@given(scalar_texts)
+def test_expect_lambda_reads_the_scalar_grammar(text):
+    """An expect lambda line holds what parse_scalar gives for its text, or
+    fails where parse_scalar fails."""
+    try:
+        want = parse_scalar(text)
+    except ScalarError as exc:
+        e = err(lambda_line(text))
+        assert e.lineno == 6
+        if text.strip() == text:  # the line keeps no blanks past the body
+            offset = int(re.search(r"at offset (\d+) in scalar", str(exc))[1])
+            assert e.col == (17 + offset if text else 16)
+        return
+    if want.symbols() - {"p", "q", "r", "e1"}:  # a joined name such as p0
+        assert "undeclared parameter" in err(lambda_line(text)).message
+        return
+    assert parse_manifold(lambda_line(text)).expected.lam == ((want, "s"),)
+
+
+def test_non_breaking_space():
+    """Manifold lines take blanks and tabs between tokens, the scalar
+    grammar of an expect lambda body any whitespace."""
+    e = err("manifold t dim 3\nmetric identity\nbracket e1\xa0e2 = e3\n")
+    assert (e.lineno, e.col) == (3, 11)
+    doc = parse_manifold(lambda_line("1/2*p\xa0+ 1"))
+    assert doc.expected.lam[0][0] == ParamScalar.param("p") / 2 + 1
 
 
 def test_malformed_expect():

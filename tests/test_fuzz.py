@@ -49,7 +49,12 @@ documents = st.builds(lambda header, body: "\n".join(header + body) + "\n",
                       st.sampled_from(HEADERS), st.lists(lines, max_size=4))
 
 
-@settings(max_examples=300, deadline=None)
+# Counts scale with the loaded Hypothesis profile: 300 and 150 by default,
+# five times as many under "ci" (tests/conftest.py).
+EXAMPLES = settings.default.max_examples
+
+
+@settings(max_examples=3 * EXAMPLES, deadline=None)
 @given(documents)
 def test_parse_returns_a_round_tripping_document_or_raises_parse_error(text):
     try:
@@ -71,7 +76,7 @@ COMMANDS = [["validate"], ["validate", "--strict"], ["connection"],
              "--flavor", "ricci", "--lambda", "1"]]
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=3 * EXAMPLES // 2, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(documents.map(str.encode), st.binary(max_size=64)),
        st.sampled_from(COMMANDS), st.sampled_from(["text", "json"]))

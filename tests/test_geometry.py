@@ -91,9 +91,9 @@ def test_bracket_vec_bilinear():
 
 
 def test_parametric_arguments_split_by_monomial():
-    """bracket_vec, R.apply and covariant_derivative_endo on parametric
-    arguments equal the sums of their rational parts, including the parts
-    that two combinations of monomials share (p * 1 and 1 * p)."""
+    """bracket_vec, R.apply, nabla_vec and covariant_derivative_endo on
+    parametric arguments equal the sums of their rational parts, including
+    the parts that two combinations of monomials share (p * 1 and 1 * p)."""
     M = parse_manifold(documents()["dense5"]).manifold
     conn = levi_civita(M)
     R = curvature(M, conn)
@@ -110,6 +110,12 @@ def test_parametric_arguments_split_by_monomial():
     assert R.apply(x, y, z) == (
         R.apply(a, d, z).scaled(P * P)
         + (R.apply(a, c, z) + R.apply(b, d, z)).scaled(P) + R.apply(b, c, z))
+    for i in range(5):
+        assert conn.nabla_vec(i, x) == (conn.nabla_vec(i, a).scaled(P)
+                                        + conn.nabla_vec(i, b))
+        assert conn.nabla_vec(i, b) == FrameVector.from_values([sum(
+            (b.coeffs[j] * conn.gamma.get((i, j), {}).get(k, 0)
+             for j in range(5)), ParamScalar.rational(0)) for k in range(5)])
     A = [[Fraction(rng.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
     B = [[Fraction(rng.randint(-2, 2), 3) for _ in range(5)] for _ in range(5)]
     Q = [[P * A[i][j] + B[i][j] for j in range(5)] for i in range(5)]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frames import MALFORMED_SCALARS, scalar_texts
 from framecalc.scalars import (MAX_DIGITS, ZERO, EvaluationError,
                                LinearForm, ParamScalar, ScalarError,
                                SolveError, format_rational, parse_rational,
@@ -243,10 +244,29 @@ def test_parse_examples():
     assert parse_scalar("p*q") == P * Q
 
 
-def test_parse_errors():
-    for bad in ("", "+", "p +", "2 **p", "p^", "1/0"):
-        with pytest.raises(ScalarError):
-            parse_scalar(bad)
+@pytest.mark.parametrize("text, offset", MALFORMED_SCALARS,
+                         ids=[repr(t[:12]) for t, _ in MALFORMED_SCALARS])
+def test_malformed_scalar_names_the_text_and_offset(text, offset):
+    with pytest.raises(ScalarError) as e:
+        parse_scalar(text)
+    assert str(e.value).endswith(f" at offset {offset} in scalar {text!r}")
+    if len(text) > 1000:
+        assert str(e.value).startswith(
+            "integer literal of 1001 digits exceeds the limit of 1000 at offset 4")
+
+
+@settings(deadline=None)
+@given(scalar_texts)
+def test_any_text_parses_canonically_or_raises_scalar_error(text):
+    """Over the scalar alphabet, a text parses to a canonical ParamScalar
+    that round-trips through render, or raises ScalarError; no other
+    exception escapes."""
+    try:
+        parsed = parse_scalar(text)
+    except ScalarError:
+        return
+    assert_canonical(parsed)
+    assert parse_scalar(parsed.render()) == parsed
 
 
 @settings(max_examples=80, deadline=None)
