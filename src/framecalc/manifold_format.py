@@ -22,9 +22,12 @@ as a sparse table. Expected values are audit
 data: they never feed computation, they only populate discrepancy ledgers,
 so repeated or contradictory expect lines are legal.
 
-Lines are read by a subclass of scalars.Scanner: blanks and tabs between
-tokens, errors at a line and column. An expect lambda scalar-expr is read
-in place by Scanner.scalar with any whitespace, as parse_scalar reads it.
+Every line is read in place by a subclass of scalars.Scanner: blanks and
+tabs between tokens, errors at the line and column of the offending token.
+An expect line is first cut before its trailing source clause; its kind,
+indices, = and value are then read on the same scanner. An expect lambda
+scalar-expr is read by Scanner.scalar with any whitespace, as parse_scalar
+reads it.
 """
 from __future__ import annotations
 
@@ -81,20 +84,13 @@ class _Scanner(Scanner):
 
     _ws = re.compile(r"[ \t]*").match
 
-    def __init__(self, text: str, lineno: int, col_base: int = 1):
-        self.text = text
-        self.pos = 0
+    def __init__(self, text: str, lineno: int):
+        super().__init__(text)
         self.lineno = lineno
-        self.col_base = col_base
 
     def error(self, msg: str, pos: int | None = None):
         p = self.pos if pos is None else pos
-        raise ParseError(self.lineno, self.col_base + p, msg)
-
-    def signed_rational(self) -> Fraction:
-        negative = self.signs()
-        q = self.rational()
-        return -q if negative else q
+        raise ParseError(self.lineno, p + 1, msg)
 
     def basis_index(self, dim: int) -> int:
         """Read e<k> and return the 0-based index."""
@@ -114,12 +110,6 @@ class _Scanner(Scanner):
         if not 1 <= k <= dim:
             self.error(f"index {k} out of range 1..{dim}", start)
         return k - 1
-
-
-class _LambdaBody(_Scanner):
-    """An expect lambda body: the scalar grammar's whitespace rule."""
-
-    _ws = Scanner._ws
 
 
 def _parse_vector(sc: _Scanner, dim: int) -> dict:
@@ -153,13 +143,15 @@ def _parse_vector(sc: _Scanner, dim: int) -> dict:
     return {k: x for k, x in coeffs.items() if x}
 
 
-def parse_vector_text(text: str, dim: int, lineno: int = 1,
-                      col_base: int = 1) -> FrameVector:
-    return vector_of(dim, _parse_vector(_Scanner(text, lineno, col_base), dim))
+def parse_vector_text(text: str, dim: int) -> FrameVector:
+    return vector_of(dim, _parse_vector(_Scanner(text, 1), dim))
 
 
-_EXPECT_RE = re.compile(
-    r"expect\s+(nabla|riem|ricci|lambda)\s+(.*?)\s*source\s+\"([^\"]*)\"\s*$")
+# The source clause that ends an expect line. The whitespace before it is
+# cut with rstrip: a leading \s* here would rescan each blank run from
+# every position in it.
+_SOURCE = re.compile(r'source\s+"([^"]*)"\s*$')
+_EXPECT_KINDS = ("nabla", "riem", "ricci", "lambda")
 
 
 def _strip_comment(raw: str) -> str:
@@ -213,8 +205,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 sc.error("dimension must be positive")
             if dim > MAX_DIM:
                 sc.error(f"dimension {dim} exceeds the limit {MAX_DIM}", dim_pos)
-            if not sc.eof():
-                sc.error("trailing text")
+            sc.end()
             continue
 
         if name is None:
@@ -222,8 +213,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
 
         if head == "param":
             params.append(sc.word())
-            if not sc.eof():
-                sc.error("trailing text")
+            sc.end()
         elif head == "bracket":
             i = sc.basis_index(dim)
             j = sc.basis_index(dim)
@@ -244,8 +234,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 if metric_mode is not None:
                     sc.error("metric already declared")
                 metric_mode = "identity"
-                if not sc.eof():
-                    sc.error("trailing text")
+                sc.end()
             elif which == "g":
                 sc.word()
                 if metric_mode == "identity":
@@ -257,8 +246,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                     sc.error(f"metric entry ({i + 1},{j + 1}) already declared")
                 sc.char("=")
                 q = sc.signed_rational()
-                if not sc.eof():
-                    sc.error("trailing text")
+                sc.end()
                 metric_entries[(i, j)] = q
                 metric_entries[(j, i)] = q
             else:
@@ -279,31 +267,34 @@ def parse_manifold(text: str) -> ManifoldDocument:
             else:
                 sc.error("expected 'xi' or 'phi'")
         elif head == "expect":
-            m = _EXPECT_RE.match(line.strip())
-            if not m:
-                sc.error("malformed expect line; need = <value> source \"...\"")
-            kind, body, source = m.group(1), m.group(2), m.group(3)
-            body_col = line.find(body) + 1 if body else 1
-            bsc = (_LambdaBody if kind == "lambda" else _Scanner)(
-                body, lineno, body_col)
-            if kind in ("nabla", "riem"):
-                nabla = kind == "nabla"
-                idx = [bsc.basis_index(dim) for _ in range(2 if nabla else 3)]
-                bsc.char("=")
-                v = parse_vector_text(body[bsc.pos:], dim, lineno,
-                                      body_col + bsc.pos)
-                (exp_nabla if nabla else exp_riem).append((*idx, v, source))
+            # The kind follows blanks or tabs and precedes whitespace; the
+            # rest is read up to the source clause.
+            start = sc.pos
+            clause = _SOURCE.search(line)
+            kind = sc.peek_word() if clause and sc.skip_ws() > start else ""
+            sc.pos += len(kind)
+            if kind not in _EXPECT_KINDS or not line[sc.pos:sc.pos + 1].isspace():
+                sc.error("malformed expect line; need = <value> source \"...\"",
+                         start)
+            sc.text = line[:clause.start()].rstrip()
+            source = clause.group(1)
+            if kind == "lambda":
+                sc.char("=")
+                sc._ws = Scanner._ws  # the value reads as parse_scalar reads it
+                exp_lam.append((sc.scalar(), source))
             elif kind == "ricci":
-                i = bsc.index_1based(dim)
-                j = bsc.index_1based(dim)
-                bsc.char("=")
-                q = bsc.signed_rational()
-                if not bsc.eof():
-                    bsc.error("trailing text")
+                i = sc.index_1based(dim)
+                j = sc.index_1based(dim)
+                sc.char("=")
+                q = sc.signed_rational()
+                sc.end()
                 exp_ricci.append((i, j, q, source))
-            else:  # lambda
-                bsc.char("=")
-                exp_lam.append((bsc.scalar(), source))
+            else:
+                nabla = kind == "nabla"
+                idx = [sc.basis_index(dim) for _ in range(2 if nabla else 3)]
+                sc.char("=")
+                v = vector_of(dim, _parse_vector(sc, dim))
+                (exp_nabla if nabla else exp_riem).append((*idx, v, source))
         else:
             sc.error(f"unknown statement {head!r}", 0)
 

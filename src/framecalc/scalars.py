@@ -15,8 +15,10 @@ monomial_parts and join_parts move between a map of ParamScalars and its
 split by monomial, {monomial: {key: Fraction}}, so that kernels can work on
 the rational parts one at a time and build one ParamScalar per entry.
 
-Scanner reads both text grammars: parse_scalar is Scanner.scalar, and
-manifold_format's line scanner is a subclass. A malformed scalar raises
+Scanner reads every text input: parse_scalar is Scanner.scalar,
+parse_rational (the --df and --dlambda components) is
+Scanner.signed_rational, the grammar of a metric g entry, and
+manifold_format's line scanner is a subclass. Malformed text raises
 ScalarError with the offset of the offending token and the text.
 """
 from __future__ import annotations
@@ -58,17 +60,6 @@ _RATIONAL = re.compile(r"(\d+)\s*(?:/\s*(\d*))?")
 MAX_DIGITS = 1000
 
 
-def _too_long(n: int) -> str:
-    return f"integer literal of {n} digits exceeds the limit of {MAX_DIGITS}"
-
-
-def literal_int(digits: str) -> int:
-    """int(digits) for a signed literal of at most MAX_DIGITS digits."""
-    if len(digits) > MAX_DIGITS and len(digits.lstrip("+-")) > MAX_DIGITS:
-        raise ScalarError(_too_long(len(digits.lstrip("+-"))))
-    return int(digits)
-
-
 def format_rational(q: Fraction) -> str:
     """Render as "a/b", omitting the denominator when it is 1."""
     q = Fraction(q)
@@ -78,19 +69,6 @@ def format_rational(q: Fraction) -> str:
         return f"{q.numerator}/{q.denominator}"
     except ValueError as exc:  # beyond Python's int-to-string digit limit
         raise ScalarError("a computed value has too many digits to print") from exc
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "a" or "a/b" with integer a, b. Zero denominator is an error."""
-    s = text.strip()
-    m = re.fullmatch(r"([+-]?\d+)\s*(?:/\s*([+-]?\d+))?", s)
-    if not m:
-        raise ScalarError(f"not a rational: {text!r}")
-    num = literal_int(m.group(1))
-    den = literal_int(m.group(2)) if m.group(2) is not None else 1
-    if den == 0:
-        raise ScalarError(f"zero denominator in rational: {text!r}")
-    return Fraction(num, den)
 
 
 def _mono_degree(mono: Monomial) -> int:
@@ -375,6 +353,11 @@ class Scanner:
         self.pos = p = self._ws(self.text, self.pos).end()
         return p >= len(self.text)
 
+    def end(self):
+        """Require that nothing but whitespace is left."""
+        if not self.eof():
+            self.error("trailing text")
+
     def peek(self) -> str:
         self.pos = p = self._ws(self.text, self.pos).end()
         return self.text[p:p + 1]
@@ -414,7 +397,8 @@ class Scanner:
         MAX_DIGITS digits."""
         digits = m.group(group)
         if len(digits) > MAX_DIGITS:
-            self.error(_too_long(len(digits)), m.start(group))
+            self.error(f"integer literal of {len(digits)} digits exceeds "
+                       f"the limit of {MAX_DIGITS}", m.start(group))
         return int(digits)
 
     def integer(self) -> int:
@@ -438,6 +422,11 @@ class Scanner:
         if den == 0:
             self.error("zero denominator", start)
         return Fraction(num, den)
+
+    def signed_rational(self) -> Fraction:
+        negative = self.signs()
+        q = self.rational()
+        return -q if negative else q
 
     def monomial(self, what: str) -> ParamScalar:
         """NAME [^INT] {* NAME [^INT]}, the product of its powers; ^0 is 1.
@@ -488,6 +477,15 @@ class Scanner:
 def parse_scalar(text: str) -> ParamScalar:
     """Parse the scalar grammar, e.g. "1/2*p + 9/5" or "p^2 + -1"."""
     return Scanner(text).scalar()
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse sign* a [/ b] with unsigned integers a, b != 0, the grammar of
+    a metric g entry, e.g. "-9/6" or "--2"."""
+    sc = Scanner(text)
+    q = sc.signed_rational()
+    sc.end()
+    return q
 
 
 # -- linear forms ------------------------------------------------------------

@@ -172,6 +172,16 @@ def test_check_gradient_nonintegrable(capsys):
     assert "(1,2): 2" in out
 
 
+def test_signed_df_denominator_exits_3(capsys):
+    code, out, errtext = run(capsys, "check-gradient", "--builtin", "abelian5",
+                             "--df", "1/-2,0,0,0,0", "--flavor", "ricci",
+                             "--lambda", "0")
+    assert code == 3
+    assert out == ""
+    assert errtext == ("error: expected an integer denominator at offset 2 "
+                       "in scalar '1/-2'\n")
+
+
 def test_check_gradient_without_dlambda(capsys):
     code, out, _ = run(capsys, "check-gradient", "--builtin", "abelian5",
                        "--df", "1,1,0,0,0",

@@ -1,17 +1,21 @@
 """The manifold file grammar: parsing, errors with positions, rendering,
 and the parse/render fixpoint."""
 import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frames import MALFORMED_SCALARS, scalar_texts
 from framecalc.catalog import FIXTURES, builtin_names, load_builtin
+from framecalc.cli import main
 from framecalc.geometry import FrameVector, identity_metric
 from framecalc.manifold_format import (MAX_DIM, ParseError, parse_manifold,
                                        parse_vector_text, render_manifold)
-from framecalc.scalars import ParamScalar, ScalarError, parse_scalar
+from framecalc.scalars import (ParamScalar, ScalarError, parse_rational,
+                               parse_scalar)
 
 
 def err(text: str) -> ParseError:
@@ -239,11 +243,112 @@ def test_expect_lambda_reads_the_scalar_grammar(text):
     assert parse_manifold(lambda_line(text)).expected.lam == ((want, "s"),)
 
 
+# Each value reads with its own grammar: a vector-expr as parse_vector_text
+# reads it, a ricci rational as parse_rational (the --df grammar) reads it.
+EXPECT_HEAD = "manifold t dim 3\nmetric identity\n"
+vector_texts = st.lists(st.sampled_from(
+    ["e1", "e2", "e3", "e4", "0", "1", "2", "/", "*", "+", "-", " ", "\t", "$"]),
+    max_size=10).map("".join)
+rational_texts = st.lists(st.sampled_from(
+    list("0123456789") + ["+", "-", "/", " ", "\t", "$"]),
+    max_size=10).map("".join)
+blanks = st.text(" \t", max_size=3)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["nabla e1 e2", "riem e3 e1 e2", "ricci 2 1"]),
+       st.data())
+def test_expect_value_reads_its_grammar(frame, data):
+    """An expect nabla or riem line holds what parse_vector_text gives for
+    its value, an expect ricci line what parse_rational gives, or the line
+    fails at the same token with the same message."""
+    ricci = frame.startswith("ricci")
+    text = data.draw(rational_texts if ricci else vector_texts)
+    prefix = f"expect {frame} ={data.draw(blanks)}"
+    doc_text = EXPECT_HEAD + prefix + text + data.draw(blanks) + ' source "s"\n'
+    try:
+        want = parse_rational(text) if ricci else parse_vector_text(text, 3)
+    except ParseError as exc:
+        message, offset = exc.message, exc.col - 1
+    except ScalarError as exc:
+        message, offset = re.fullmatch(r"(.*) at offset (\d+) in scalar .*",
+                                       str(exc), re.S).groups()
+    else:
+        expected = parse_manifold(doc_text).expected
+        entry = (expected.ricci or expected.nabla or expected.riem)[0]
+        assert entry[-2:] == (want, "s")
+        return
+    # a value ends at its last token: the blanks before source are cut
+    value_end = len((prefix + text).rstrip(" \t"))
+    e = err(doc_text)
+    assert (e.lineno, e.message) == (3, message)
+    assert e.col == min(len(prefix) + int(offset), value_end) + 1
+
+
+# Values that are empty, or a substring of "expect <kind>", after blanks or
+# tabs: each error names the value's own column.
+@pytest.mark.parametrize("line, col, message", [
+    ('  expect ricci c source "s"', 16, "expected an integer"),
+    ('expect riem ec source "s"', 13, "expected a frame vector e<k>"),
+    ('\texpect nabla\tsource  "x y"', 14, "expected a frame vector e<k>"),
+    ('expect lambda source "s"', 14, "expected '='"),
+    ('expect ricci 1 1 = source "s"', 19, "expected a rational number"),
+])
+def test_expect_error_columns(line, col, message):
+    e = err(EXPECT_HEAD + line + "\n")
+    assert (e.lineno, e.col, e.message) == (3, col, message)
+
+
+# Statement errors pinned with their exact position and message; each also
+# ends a validate --file run with exit 3 and one located message.
+@pytest.mark.parametrize("text, lineno, col, message", [
+    ("manifold t dim 2\nmanifold u dim 2\nmetric identity\n", 2, 9,
+     "duplicate manifold declaration"),
+    ("manifold t dim 2\nmetric identity\nmetric identity\n", 3, 16,
+     "metric already declared"),
+    ("manifold t dim 2\nmetric identity x\n", 2, 17, "trailing text"),
+    ("manifold t dim 2\nmetric g 1 1 = 1 2\n", 2, 18, "trailing text"),
+    ('manifold t dim 2\nmetric identity\nexpect ricci 1 1 = 2 3 source "s"\n',
+     3, 22, "trailing text"),
+    ("manifold t dim 2\nmetric foo\n", 2, 8, "expected 'identity' or 'g'"),
+    ("manifold t dim 2\nmetric identity\ncontact foo\n", 3, 12,
+     "expected 'xi' or 'phi'"),
+    ("manifold t dim 2\nmetric g 0 1 = 1\n", 2, 10,
+     "index 0 out of range 1..2"),
+], ids=["second-manifold", "identity-twice", "identity-trailing",
+        "metric-g-trailing", "expect-ricci-trailing", "metric-foo",
+        "contact-foo", "metric-index-0"])
+def test_statement_errors(tmp_path, capsys, text, lineno, col, message):
+    e = err(text)
+    assert (e.lineno, e.col, e.message) == (lineno, col, message)
+    path = tmp_path / "bad.fc"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "--file", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: line {lineno}, col {col}: {message}\n"
+
+
+def test_long_blank_runs_read_in_linear_time():
+    """The source clause is found without backtracking over blank runs."""
+    run = " " * 100_000
+    t0 = time.perf_counter()
+    doc = parse_manifold(
+        EXPECT_HEAD + f'expect lambda = 1{run}+ 1 source "s"\n')
+    assert doc.expected.lam == ((ParamScalar.rational(2), "s"),)
+    assert "malformed expect" in err(EXPECT_HEAD + f"expect {run}x\n").message
+    assert time.perf_counter() - t0 < 5
+
+
 def test_non_breaking_space():
-    """Manifold lines take blanks and tabs between tokens, the scalar
-    grammar of an expect lambda body any whitespace."""
+    """Manifold lines take blanks and tabs between tokens, expect lines
+    included, the scalar grammar of an expect lambda value any whitespace."""
     e = err("manifold t dim 3\nmetric identity\nbracket e1\xa0e2 = e3\n")
     assert (e.lineno, e.col) == (3, 11)
+    e = err(EXPECT_HEAD + 'expect ricci\xa01 1 = 2 source "s"\n')
+    assert (e.lineno, e.col, e.message) == (3, 13, "expected an integer")
+    e = err(EXPECT_HEAD + 'expect\xa0lambda = 2 source "s"\n')
+    assert (e.lineno, e.col) == (3, 7) and "malformed expect" in e.message
     doc = parse_manifold(lambda_line("1/2*p\xa0+ 1"))
     assert doc.expected.lam[0][0] == ParamScalar.param("p") / 2 + 1
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frames import MALFORMED_SCALARS, scalar_texts
+from framecalc.manifold_format import ParseError, parse_manifold
 from framecalc.scalars import (MAX_DIGITS, ZERO, EvaluationError,
                                LinearForm, ParamScalar, ScalarError,
                                SolveError, format_rational, parse_rational,
@@ -33,7 +34,14 @@ def test_format_rational():
     assert format_rational(Fraction(0)) == "0"
 
 
+def metric_entry(text: str) -> Fraction:
+    doc = parse_manifold(f"manifold t dim 1\nmetric g 1 1 = {text}\n")
+    return doc.manifold.g[0][0]
+
+
 def test_parse_rational():
+    """--df and --dlambda components read as a metric g entry reads them:
+    sign runs multiply out, a denominator takes no sign."""
     assert parse_rational("7") == 7
     assert parse_rational("-9/6") == Fraction(-3, 2)
     assert parse_rational(" 5 / 10 ") == Fraction(1, 2)
@@ -43,6 +51,14 @@ def test_parse_rational():
         parse_rational("x")
     with pytest.raises(ScalarError):
         parse_rational("1.5")
+    for text, value in (("--2", 2), ("+-1/2", Fraction(-1, 2))):
+        assert parse_rational(text) == value == metric_entry(text)
+    for text in ("1/-2", "1/+2"):
+        with pytest.raises(ScalarError, match="denominator at offset 2 "):
+            parse_rational(text)
+        with pytest.raises(ParseError, match="col 18: expected an integer "
+                                             "denominator"):
+            metric_entry(text)
 
 
 def test_literal_digit_limit():
