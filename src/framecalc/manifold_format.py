@@ -37,7 +37,7 @@ from fractions import Fraction
 from .contact import AlmostContactData
 from .geometry import FrameManifold, FrameVector, identity_metric, vector_of
 from .record import Record
-from .scalars import Scanner, format_rational
+from .scalars import _ONE, Scanner, format_rational
 
 # Largest accepted dimension. Brackets are stored sparse, but the metric and
 # its inverse stay dense (m^2 entries, one elimination each) and the strict
@@ -75,7 +75,6 @@ class ManifoldDocument(Record):
 
 
 _BASIS = re.compile(r"e(\d+)")
-_ONE = Fraction(1)
 
 
 class _Scanner(Scanner):

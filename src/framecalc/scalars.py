@@ -10,7 +10,10 @@ exponents >= 1 (the empty tuple is the constant monomial) and every
 coefficient is a nonzero Fraction. Equal polynomials therefore have equal
 dicts and equal hashes. The constructor sorts each monomial, drops zero
 coefficients and converts only those that are not Fractions already;
-ParamScalar._of takes terms already in that form as they are.
+ParamScalar._of takes terms already in that form as they are. Arithmetic
+on canonical operands has canonical results, so +, -, *, / and rational
+build theirs with _of: coefficients are merged and zeros dropped, with no
+second sort or conversion.
 monomial_parts and join_parts move between a map of ParamScalars and its
 split by monomial, {monomial: {key: Fraction}}, so that kernels can work on
 the rational parts one at a time and build one ParamScalar per entry.
@@ -18,8 +21,12 @@ the rational parts one at a time and build one ParamScalar per entry.
 Scanner reads every text input: parse_scalar is Scanner.scalar,
 parse_rational (the --df and --dlambda components) is
 Scanner.signed_rational, the grammar of a metric g entry, and
-manifold_format's line scanner is a subclass. Malformed text raises
-ScalarError with the offset of the offending token and the text.
+manifold_format's line scanner is a subclass. Scanner.scalar reads each
+term's monomial in canonical form, sums the signed coefficients in one
+{monomial: Fraction} dict and builds one ParamScalar per call. Between the
+tokens of a text, the '/' of a rational included, the scanner takes the
+whitespace its _ws allows. Malformed text raises ScalarError with the
+offset of the offending token and the text.
 """
 from __future__ import annotations
 
@@ -49,11 +56,11 @@ class SolveError(ScalarError):
         self.kind = kind
 
 
-# Scanner tokens, matched in place at the scan position. A rational's
-# denominator group is empty, not None, after a '/' without digits.
+# Scanner tokens, matched in place at the scan position.
 _WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INTEGER = re.compile(r"\d+")
-_RATIONAL = re.compile(r"(\d+)\s*(?:/\s*(\d*))?")
+
+_ONE = Fraction(1)
 
 # Longest integer literal accepted in scalars and manifold files, in digits;
 # Python reads and prints at most 4300 by default.
@@ -133,7 +140,8 @@ class ParamScalar:
 
     @classmethod
     def rational(cls, q) -> "ParamScalar":
-        return cls({(): Fraction(q)})
+        q = as_fraction(q)
+        return cls._of({(): q} if q else {})
 
     @classmethod
     def param(cls, name: str) -> "ParamScalar":
@@ -204,13 +212,20 @@ class ParamScalar:
             return NotImplemented
         terms = dict(self._terms)
         for mono, coeff in o._terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return ParamScalar(terms)
+            if mono in terms:
+                c = terms[mono] + coeff
+                if c:
+                    terms[mono] = c
+                else:
+                    del terms[mono]
+            else:
+                terms[mono] = coeff
+        return ParamScalar._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamScalar({m: -c for m, c in self._terms.items()})
+        return ParamScalar._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         o = _coerce(other)
@@ -232,8 +247,8 @@ class ParamScalar:
         for m1, c1 in self._terms.items():
             for m2, c2 in o._terms.items():
                 m = monomial_product(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return ParamScalar(terms)
+                terms[m] = terms[m] + c1 * c2 if m in terms else c1 * c2
+        return ParamScalar._of({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -246,7 +261,7 @@ class ParamScalar:
         q = o.constant_value()
         if q == 0:
             raise ScalarError("division by zero")
-        return ParamScalar({m: c / q for m, c in self._terms.items()})
+        return ParamScalar._of({m: c / q for m, c in self._terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -410,14 +425,20 @@ class Scanner:
         return value
 
     def rational(self) -> Fraction:
+        """INT [ '/' INT ], with the whitespace of _ws around the '/'."""
         start = self.skip_ws()
-        m = _RATIONAL.match(self.text, start)
+        m = _INTEGER.match(self.text, start)
         if not m:
             self.error("expected a rational number")
-        num = self.literal(m, 1)
-        if m.group(2) == "":
-            self.error("expected an integer denominator", m.end())
-        den = self.literal(m, 2) if m.group(2) else 1
+        num = self.literal(m, 0)
+        self.pos = m.end()
+        if self.peek() != "/":
+            return Fraction(num)
+        self.pos += 1
+        m = _INTEGER.match(self.text, self.skip_ws())
+        if not m:
+            self.error("expected an integer denominator")
+        den = self.literal(m, 0)
         self.pos = m.end()
         if den == 0:
             self.error("zero denominator", start)
@@ -428,21 +449,21 @@ class Scanner:
         q = self.rational()
         return -q if negative else q
 
-    def monomial(self, what: str) -> ParamScalar:
-        """NAME [^INT] {* NAME [^INT]}, the product of its powers; ^0 is 1.
-        what names the token expected first."""
-        out = None
+    def monomial(self, what: str) -> Monomial:
+        """NAME [^INT] {* NAME [^INT]} as a canonical monomial: the
+        exponents of a name added up, ^0 left out. what names the token
+        expected first."""
+        exps: dict = {}
         while True:
             name = self.word(what)
             exp = 1
             if self.peek() == "^":
                 self.pos += 1
                 exp = self.integer()
-            power = (ParamScalar({((name, exp),): Fraction(1)}) if exp
-                     else ParamScalar.rational(1))
-            out = power if out is None else out * power
+            if exp:
+                exps[name] = exps.get(name, 0) + exp
             if self.peek() != "*":
-                return out
+                return tuple(sorted(exps.items()))
             self.pos += 1
             what = "a parameter name"
 
@@ -454,21 +475,25 @@ class Scanner:
             coeff := INT [ '/' INT ]
             mono  := NAME [ '^' INT ] { '*' NAME [ '^' INT ] }
         """
-        total = ZERO
+        terms: dict = {}  # {monomial: Fraction}, summed over the terms
         negative = self.signs()
         while True:
+            mono = ()
             if self.peek().isdigit():
-                term = ParamScalar.rational(self.rational())
+                coeff = self.rational()
                 ch = self.peek()
                 if ch == "*":
                     self.pos += 1
                 if ch == "*" or ch == "_" or ch.isalpha():  # "2*p" or "2p"
-                    term = term * self.monomial("a parameter name")
+                    mono = self.monomial("a parameter name")
             else:
-                term = self.monomial("a term")
-            total = total - term if negative else total + term
+                coeff = _ONE
+                mono = self.monomial("a term")
+            if negative:
+                coeff = -coeff
+            terms[mono] = terms[mono] + coeff if mono in terms else coeff
             if self.eof():
-                return total
+                return ParamScalar._of({m: c for m, c in terms.items() if c})
             if self.text[self.pos] not in "+-":
                 self.error("expected '+' or '-' between terms")
             negative = self.signs()

@@ -9,21 +9,29 @@ pressure term: s = 2 lambda - (p + 2/m), with m the manifold dimension and p
 the pressure parameter. Gradient variants replace L_X g / 2 by the Hessian of
 the potential: Hess f + ric = s' g with s' = lambda, shifted by p/2 + 1/m for
 the conformal flavors.
+
+The residuals do no polynomial arithmetic per entry. L_X g and the Hessian
+come as monomial parts {monomial: ({(i, j): int}, d)}; for each monomial
+of the parts, of s and the constant one, the part, the weighted Ricci
+tensor and that monomial's coefficient of s times g are summed on ints over
+one denominator. Each entry is divided once and one ParamScalar is built
+per nonzero entry.
 """
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, RicciTensor, apply_columns, bracket_sum,
-                       divided, endo_derivative_coeffs, integer_map, joined,
-                       lie_derivative_metric, lie_derivative_parts, matrix_of,
-                       ricci_operator_coeffs, vector_of)
+                       divided, endo_derivative_coeffs, integer_map,
+                       lie_derivative_parts, matrix_of, ricci_operator_coeffs,
+                       vector_of)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import (LinearForm, ParamScalar, ZERO, ScalarError, SolveError,
-                      format_rational, solve_linear)
+                      format_rational, join_parts, solve_linear)
 
 P = ParamScalar.param("p")
 
@@ -71,27 +79,36 @@ def soliton_residual(M: FrameManifold, conn: ConnectionTable, ric_t: RicciTensor
                      flavor: SolitonFlavor) -> tuple:
     """L_X g + 2 ric - s g as an exact matrix; zero iff (X, lambda) solves the
     flavor's soliton equation on the frame."""
-    lx = lie_derivative_metric(M, conn, X)
-    return _metric_residual(M, lx, ric_t, 2, _scale(flavor, lam, M.dim))
+    return _metric_residual(M, lie_derivative_parts(conn, X), ric_t, 2,
+                            _scale(flavor, lam, M.dim))
 
 
-def _metric_residual(M: FrameManifold, table: tuple, ric_t: RicciTensor,
+def _metric_residual(M: FrameManifold, parts: dict, ric_t: RicciTensor,
                      ric_weight: int, s: ParamScalar) -> tuple:
-    """table + ric_weight * ric - s g as an exact matrix."""
-    m = M.dim
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            e = table[i][j]
-            r = ric_t.ric.get((i, j))
-            if r:
-                e = e + ric_weight * r
-            if M.g[i][j]:
-                e = e - s * M.g[i][j]
-            row.append(e)
-        rows.append(tuple(row))
-    return tuple(rows)
+    """table + ric_weight * ric - s g as an exact matrix, for a table given
+    by its monomial parts {monomial: ({(i, j): int}, d)}. Each monomial's
+    entries are summed on ints over one denominator and divided once, and
+    one ParamScalar is built per nonzero entry."""
+    ric, dr = ric_t.ric_int
+    g_cols, dg = M.g_int
+    s_terms = s.terms()
+    entries = {}
+    for mono in dict.fromkeys([*parts, *s_terms, ()]):
+        vec, d = parts.get(mono, ({}, 1))
+        q = s_terms.get(mono, 0)  # this monomial's part of s, a rational
+        den = lcm(d, dr, dg * q.denominator)
+        acc = {key: x * (den // d) for key, x in vec.items()}
+        if mono == ():
+            w = ric_weight * (den // dr)
+            for key, x in ric.items():
+                acc[key] = acc.get(key, 0) + w * x
+        if q:
+            w = q.numerator * (den // (dg * q.denominator))
+            for j, col in g_cols.items():
+                for i, x in col.items():
+                    acc[i, j] = acc.get((i, j), 0) - w * x
+        entries[mono] = divided(acc, den)
+    return matrix_of(M.dim, join_parts(entries))
 
 
 class LambdaSolve(Record):
@@ -123,8 +140,7 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     shift = (P + Fraction(2, m)) if flavor.is_conformal else ZERO
     form = LinearForm(Fraction(2 * m), -(shift * m) - ParamScalar(trace))
     lam = solve_linear(form)
-    res = _metric_residual(M, matrix_of(m, joined(parts)), ric_t, 2,
-                           _scale(flavor, lam, m))
+    res = _metric_residual(M, parts, ric_t, 2, _scale(flavor, lam, m))
     exact = all(e.is_zero() for row in res for e in row)
     return LambdaSolve(lam, form, "einstein_exact" if exact else "trace_only", res)
 
@@ -198,14 +214,18 @@ def _df_int(df) -> tuple:
     return integer_map({k: Fraction(x) for k, x in enumerate(df) if x})
 
 
-def hessian(M: FrameManifold, conn: ConnectionTable, df) -> tuple:
-    """Hess f(e_i, e_j) = -(nabla_{e_i} e_j) f = -sum_k Gamma[i][j][k] df[k],
-    on the integer Gamma."""
+def _hessian_int(conn: ConnectionTable, df) -> tuple:
+    """({(i, j): int}, d): Hess f(e_i, e_j) = -(nabla_{e_i} e_j) f =
+    -sum_k Gamma[i][j][k] df[k] = int / d, on the integer Gamma."""
     gamma, dg = conn.gamma_int
     dfi, dd = _df_int(df)
-    return matrix_of(M.dim, divided(
-        {key: -sum(x * dfi[k] for k, x in row.items() if k in dfi)
-         for key, row in gamma.items()}, dg * dd))
+    return {key: -sum(x * dfi[k] for k, x in row.items() if k in dfi)
+            for key, row in gamma.items()}, dg * dd
+
+
+def hessian(M: FrameManifold, conn: ConnectionTable, df) -> tuple:
+    """Hess f as an exact matrix."""
+    return matrix_of(M.dim, divided(*_hessian_int(conn, df)))
 
 
 def _gradient_int(M: FrameManifold, df) -> tuple:
@@ -227,7 +247,7 @@ def gradient_soliton_residual(M: FrameManifold, conn: ConnectionTable,
     bad = integrability_defects(M, gd.df)
     if bad:
         raise IntegrabilityError(bad)
-    return _metric_residual(M, hessian(M, conn, gd.df), ric_t, 1,
+    return _metric_residual(M, {(): _hessian_int(conn, gd.df)}, ric_t, 1,
                             _gradient_scale(flavor, lam, M.dim))
 
 

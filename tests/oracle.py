@@ -313,3 +313,38 @@ def naive_trace_lambda(g, lx, ric, shift):
     tr = sum(gi[i][j] * (lx[i][j] + 2 * ric[i][j])
              for i in range(n) for j in range(n))
     return (tr + n * shift) * F(1, 2 * n)
+
+
+def naive_hessian(gamma, df):
+    """Hess f[i][j] = -(nabla_{e_i} e_j) f = -sum_k Gamma_ij^k df[k] for a
+    frame-constant differential df."""
+    n = len(gamma)
+    return [[-sum(gamma[i][j][k] * df[k] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def annihilator(rows, n):
+    """A basis of {v : sum_k r[k] v[k] = 0 for every r in rows}, by exact
+    reduction of the rows to echelon form."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = zeros(n)
+        v[free] = F(1)
+        for i, col in enumerate(pivots):
+            v[col] = -m[i][free]
+        basis.append(v)
+    return basis

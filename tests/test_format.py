@@ -353,6 +353,32 @@ def test_non_breaking_space():
     assert doc.expected.lam[0][0] == ParamScalar.param("p") / 2 + 1
 
 
+@pytest.mark.parametrize("line, col, message", [
+    ("bracket e1 e2 = 1\xa0/ 2 e3", 18, "expected a frame vector e<k>"),
+    ("bracket e1 e2 = 1\xa0e3", 18, "expected a frame vector e<k>"),
+    ("bracket e1 e2 = 1 /\xa02 e3", 20, "expected an integer denominator"),
+    ("metric g 1 1 = 3\xa0/\xa04", 17, "trailing text"),
+    ('expect ricci 1 1 = 3\t/\xa04 source "s"', 23,
+     "expected an integer denominator"),
+])
+def test_non_breaking_space_inside_a_rational(line, col, message):
+    """The blanks-and-tabs rule holds around and after a rational's /."""
+    e = err("manifold t dim 3\n" + line + "\n")
+    assert (e.lineno, e.col, e.message) == (2, col, message)
+    assert line[col - 1] == "\xa0"
+
+
+def test_blanks_and_tabs_inside_a_rational():
+    doc = parse_manifold("manifold t dim 3\n"
+                         "metric g 1 1 = 3 \t/\t 4\n"
+                         "metric g 2 2 = 1\nmetric g 3 3 = 1\n"
+                         "bracket e1 e2 = 1 / 2 e3 + 5\t*e1\n"
+                         'expect lambda = 1\xa0/\xa02 p source "s"\n')
+    assert doc.manifold.g[0][0] == Fraction(3, 4)
+    assert doc.manifold.brackets[0, 1] == {0: Fraction(5), 2: Fraction(1, 2)}
+    assert doc.expected.lam[0][0] == ParamScalar.param("p") / 2
+
+
 def test_malformed_expect():
     e = err("manifold t dim 2\nmetric identity\nexpect ricci 1 1 = 3\n")
     assert "malformed expect" in e.message

@@ -260,6 +260,30 @@ def test_parse_examples():
     assert parse_scalar("p*q") == P * Q
 
 
+def test_parse_gives_the_canonical_form():
+    """Scanner.scalar sums its terms into one dict of canonical monomials."""
+    cases = {
+        "p*q*p": {(("p", 2), ("q", 1)): Fraction(1)},
+        "q*p": {(("p", 1), ("q", 1)): Fraction(1)},
+        "p^0": {(): Fraction(1)},
+        "2*p^0*q": {(("q", 1),): Fraction(2)},
+        "p^0*p^0": {(): Fraction(1)},
+        "2p - 2p": {},
+        "p + q - p": {(("q", 1),): Fraction(1)},
+        "q^2*p - 1/2 + p*q^2 + 3/6": {(("p", 1), ("q", 2)): Fraction(2)},
+        "1\xa0/\xa02 p": {(("p", 1),): Fraction(1, 2)},
+    }
+    for text, terms in cases.items():
+        parsed = parse_scalar(text)
+        assert parsed.terms() == terms, text
+        assert_canonical(parsed)
+    assert parse_scalar("q*p") == parse_scalar("p*q")
+    assert hash(parse_scalar("q*p")) == hash(parse_scalar("p*q")) == hash(P * Q)
+    assert parse_scalar("2p - 2p").is_zero()
+    assert parse_scalar("p + q - p") == Q
+    assert parse_scalar("1\xa0/\xa02 p") == P / 2
+
+
 @pytest.mark.parametrize("text, offset", MALFORMED_SCALARS,
                          ids=[repr(t[:12]) for t, _ in MALFORMED_SCALARS])
 def test_malformed_scalar_names_the_text_and_offset(text, offset):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import framecalc.solitons
 import oracle
 from framecalc.catalog import builtin_names, load_builtin
-from framecalc.geometry import (FrameVector, curvature, levi_civita,
-                                lie_derivative_metric, ricci)
+from frames import heisenberg, sparse_brackets
+from framecalc.geometry import (FrameManifold, FrameVector, curvature,
+                                levi_civita, lie_derivative_metric, ricci)
 from framecalc.manifold_format import parse_manifold
 from framecalc.scalars import ParamScalar
 from framecalc.solitons import (Classification, GradientData,
@@ -142,19 +143,17 @@ def test_soliton_layer_matches_the_naive_reference_property(name, data):
 
 def test_one_solve_computes_the_lie_derivative_once(monkeypatch):
     """solve_lambda_trace takes the trace and the residual from one L_X g;
-    soliton_residual also computes it once."""
+    soliton_residual also computes it once. L_X g reaches the soliton layer
+    only as lie_derivative_parts."""
     calls = []
+    fn = framecalc.solitons.lie_derivative_parts
 
-    def counted(name):
-        fn = getattr(framecalc.solitons, name)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
 
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapper
-
-    for name in ("lie_derivative_parts", "lie_derivative_metric"):
-        monkeypatch.setattr(framecalc.solitons, name, counted(name))
+    assert not hasattr(framecalc.solitons, "lie_derivative_metric")
+    monkeypatch.setattr(framecalc.solitons, "lie_derivative_parts", counted)
     doc, M, conn, R_, ric = setup("heisenberg5")
     X = FrameVector.from_values([P, 0, Q, 0, 1])
     for flavor in SolitonFlavor:
@@ -164,6 +163,66 @@ def test_one_solve_computes_the_lie_derivative_once(monkeypatch):
     calls.clear()
     soliton_residual(M, conn, ric, X, P - 1, SolitonFlavor.CONFORMAL)
     assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_gradient_residual_matches_the_naive_reference(name):
+    """Hess f + ric - s' g against oracle.naive_hessian, for every flavor,
+    integrable df (combinations of a basis of the closed frame-constant
+    forms) and lambda parametric in p, q and r."""
+    M, conn, ric, gamma, ric_ref, g = reference_geometry(name)
+    m = M.dim
+    closed = oracle.annihilator([M.c[i][j] for i in range(m)
+                                 for j in range(i + 1, m)], m)
+    rng = random.Random(name)
+    for _ in range(3):
+        a = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in closed]
+        df = [sum((x * v[k] for x, v in zip(a, closed)), Fraction(0))
+              for k in range(m)]
+        assert integrability_defects(M, df) == []
+        hess = oracle.naive_hessian(gamma, df)
+        for flavor in SolitonFlavor:
+            lam = random_scalar(rng) + Q * Fraction(rng.randint(1, 3))
+            shift = P / 2 + Fraction(1, m) if flavor.is_conformal else 0
+            want = [[hess[i][j] + ric_ref[i][j] - (lam - shift) * g[i][j]
+                     for j in range(m)] for i in range(m)]
+            got = gradient_soliton_residual(
+                M, conn, ric, GradientData.from_values(df), lam, flavor)
+            assert same_table(got, want), (name, df, flavor)
+
+
+def test_soliton_layer_does_no_per_entry_polynomial_arithmetic(monkeypatch):
+    """The residuals are built from monomial parts on ints, so a solve or a
+    residual makes as many ParamScalar +, - and * calls on H_9 as on H_5,
+    for the same parametric X and lambda."""
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__"):
+        def counted(self, other, fn=getattr(ParamScalar, name)):
+            calls.append(fn)
+            return fn(self, other)
+        monkeypatch.setattr(ParamScalar, name, counted)
+
+    def counts(n: int) -> list:
+        m, c, g, xi, phi = heisenberg(n)
+        M = FrameManifold.from_brackets(f"h{m}", m, sparse_brackets(c), g)
+        conn = levi_civita(M)
+        ric = ricci(M, curvature(M, conn))
+        zeros = [0] * (n - 1)
+        X = FrameVector.from_values([Q + 1, *zeros, P / 2 - Q, *zeros, R])
+        lam = P / 3 + Q - 1
+        gd = GradientData.from_values([1, *zeros, 0, *zeros, 2])
+        out = []
+        for flavor in SolitonFlavor:
+            for run in (lambda: solve_lambda_trace(M, conn, ric, X, flavor),
+                        lambda: soliton_residual(M, conn, ric, X, lam, flavor),
+                        lambda: gradient_soliton_residual(M, conn, ric, gd,
+                                                          lam, flavor)):
+                calls.clear()
+                run()
+                out.append(len(calls))
+        return out
+    assert counts(2) == counts(4)
 
 
 # -- trace solving ----------------------------------------------------------------
