@@ -3,7 +3,10 @@ normality and Reeb-field identities.
 
 The structure is (phi, xi, eta): an endomorphism phi, a Reeb vector xi, and
 eta the g-dual covector of xi (always derived from xi, never stored). All
-entries are exact rationals.
+entries are exact rationals. Each check builds both sides of its identity
+as integer tables in sweeps over the nonzero bracket, Gamma, phi and g
+entries, so it costs time in proportion to those, not to the m^2 frame
+pairs; one comparer, geometry.compare, lists the defects of every check.
 """
 from __future__ import annotations
 
@@ -11,9 +14,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
-                       FrameVector, RicciTensor, apply_columns as _apply,
-                       bracket_sum, divided, endo_derivative_int, integer_map,
-                       integer_rows, sparse_columns, vector_of)
+                       FrameVector, RicciTensor, add_to, apply_columns as _apply,
+                       bracket_sum, compare, divided, endo_derivative_int,
+                       integer_map, integer_rows, sparse_columns, vector_of)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import format_rational
@@ -56,16 +59,6 @@ class AlmostContactData(Record):
         return FrameVector.from_values(tuple(self.phi[a][j] for a in range(self.dim)))
 
 
-def _fmt_coeffs(dim: int, v: dict, d: int = 1) -> str:
-    return vector_of(dim, divided(v, d)).render()
-
-
-def _minus(a: dict, da: int, b: dict, db: int) -> tuple:
-    """a / da - b / db for integer maps, as numerators over da * db."""
-    return {k: a.get(k, 0) * db - b.get(k, 0) * da
-            for k in a.keys() | b.keys()}, da * db
-
-
 def _xi_eta(M: FrameManifold, D: AlmostContactData) -> tuple:
     """(xi, dx, eta, de): xi and eta = g(., xi) as integer maps over dx, de."""
     xi, dx = integer_map({a: x for a, x in enumerate(D.xi) if x})
@@ -73,14 +66,23 @@ def _xi_eta(M: FrameManifold, D: AlmostContactData) -> tuple:
     return xi, dx, _apply(gcols, xi), dg * dx
 
 
-def _d_eta(M: FrameManifold, eta: tuple, i: int, j: int) -> Fraction:
-    return -sum((eta[k] * x for k, x in M.brackets.get((i, j), {}).items()),
-                Fraction(0)) / 2
+def _g_xi_minus_eta(M: FrameManifold, D: AlmostContactData) -> tuple:
+    """({(i, j): g(e_i, e_j) xi - eta(e_j) e_i}, d): the right side of the
+    Sasakian equation, and minus that of the Reeb curvature identity."""
+    (gcols, dg), (xi, dx, eta, de) = M.g_int, _xi_eta(M, D)
+    rhs = {(i, j): {i: -y * dg * dx} for j, y in eta.items()
+           for i in range(M.dim)}
+    for j, col in gcols.items():
+        for i, x in col.items():
+            add_to(rhs, (i, j), xi, x * de)
+    return rhs, dg * dx * de
 
 
 def d_eta(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> Fraction:
     """d eta(e_i, e_j) = -1/2 eta([e_i, e_j]) for frame-constant eta."""
-    return _d_eta(M, D.eta(M), i, j)
+    eta = D.eta(M)
+    return -sum((eta[k] * x for k, x in M.brackets.get((i, j), {}).items()),
+                Fraction(0)) / 2
 
 
 def check_almost_contact(M: FrameManifold, D: AlmostContactData) -> CheckReport:
@@ -95,34 +97,39 @@ def check_almost_contact(M: FrameManifold, D: AlmostContactData) -> CheckReport:
     val = Fraction(sum(eta.get(a, 0) * x for a, x in xi.items()), de * dx)
     report.add("eta(xi) = 1", val == 1, f"eta(xi) = {format_rational(val)}")
 
-    bad = []
+    square, want = {}, {}  # phi^2 e_j over dp^2, xi eta_j - e_j over dx de
     for j in range(m):
-        col = _apply(cols, cols[j])  # over dp^2
-        want = {a: x * eta.get(j, 0) for a, x in xi.items()}  # over dx de
-        want[j] = want.get(j, 0) - dx * de
-        if any(_minus(col, dp * dp, want, dx * de)[0].values()):
-            bad.append(f"phi^2(e{j + 1}) = {_fmt_coeffs(m, col, dp * dp)}")
-    report.add_check("phi^2 = -I + xi(x)eta", bad)
+        square[j,] = _apply(cols, cols[j])
+        want[j,] = w = {a: x * eta.get(j, 0) for a, x in xi.items()}
+        w[j] = w.get(j, 0) - dx * de
+    report.add_check("phi^2 = -I + xi(x)eta", compare(
+        square, dp * dp, want, dx * de, lambda key, left, _:
+        [f"phi^2(e{key[0] + 1}) = {vector_of(m, left).render()}"]))
 
-    g_phi = [_apply(gcols, cols[j]) for j in range(m)]  # g(., phi e_j)
-    bad = []
-    for i in range(m):
-        for j in range(m):
-            lhs = sum(x * g_phi[j].get(a, 0) for a, x in cols[i].items())
-            rhs = (gcols[j].get(i, 0) * de * de
-                   - dg * eta.get(i, 0) * eta.get(j, 0))
-            if lhs * de * de != rhs * dp * dp:  # over dp^2 dg and dg de^2
-                bad.append(f"({i + 1},{j + 1})")
-    report.add_check("g(phi X, phi Y) = g(X, Y) - eta(X)eta(Y)", bad,
-                     "violated at ")
+    g_phi, lhs, rhs = {}, {}, {}  # the two sides by rows, (i,): {j: int}
+    for j, col in cols.items():  # g(e_a, phi e_j) over dg dp
+        for a, y in _apply(gcols, col).items():
+            g_phi.setdefault(a, {})[j] = y
+    for i, col in cols.items():  # g(phi e_i, phi e_j) over dp^2 dg
+        for a, x in col.items():
+            add_to(lhs, (i,), g_phi.get(a, {}), x)
+    for j, col in gcols.items():  # g(e_i, e_j) - eta_i eta_j over dg de^2
+        for i, x in col.items():
+            rhs.setdefault((i,), {})[j] = x * de * de
+    for i, x in eta.items():
+        add_to(rhs, (i,), eta, -dg * x)
+    report.add_check("g(phi X, phi Y) = g(X, Y) - eta(X)eta(Y)", compare(
+        lhs, dp * dp * dg, rhs, dg * de * de, lambda key, left, right:
+        [f"({key[0] + 1},{j + 1})" for j in sorted(left.keys() | right.keys())
+         if left.get(j, 0) != right.get(j, 0)]), "violated at ")
 
-    pxi = _apply(cols, xi)
-    report.add("phi(xi) = 0", not pxi, f"phi(xi) = {_fmt_coeffs(m, pxi, dp * dx)}")
+    pxi = divided(_apply(cols, xi), dp * dx)
+    report.add("phi(xi) = 0", not pxi, f"phi(xi) = {vector_of(m, pxi).render()}")
 
     etaphi = divided({j: sum(eta.get(a, 0) * x for a, x in col.items())
                       for j, col in cols.items()}, de * dp)
     report.add("eta(phi(.)) = 0", not etaphi,
-               f"eta(phi(e_j)) = {_fmt_coeffs(m, etaphi)}")
+               f"eta(phi(e_j)) = {vector_of(m, etaphi).render()}")
     return report
 
 
@@ -137,64 +144,58 @@ def check_sasakian(M: FrameManifold, conn: ConnectionTable,
                                   "failing: " + "; ".join(failing)))
         return report
 
-    m = M.dim
-    gcols, dg = M.g_int
-    xi, dx, eta, de = _xi_eta(M, D)
     phi = {(a, j): x for a, row in enumerate(D.phi)
            for j, x in enumerate(row) if x}
-    dphi, dd = endo_derivative_int(conn, phi)
-    bad = []
-    for i in range(m):
-        for j in range(m):
-            rhs = {a: gcols[j].get(i, 0) * x * de for a, x in xi.items()}
-            rhs[i] = rhs.get(i, 0) - eta.get(j, 0) * dg * dx  # over dg dx de
-            diff, den = _minus(dphi.get((i, j), {}), dd, rhs, dg * dx * de)
-            if any(diff.values()):
-                bad.append(f"({i + 1},{j + 1}): {_fmt_coeffs(m, diff, den)}")
-    report.add_check("(nabla_X phi)Y = g(X,Y)xi - eta(Y)X", bad)
+    report.add_check("(nabla_X phi)Y = g(X,Y)xi - eta(Y)X", compare(
+        *endo_derivative_int(conn, phi), *_g_xi_minus_eta(M, D)))
     return report
-
-
-def _nijenhuis(M: FrameManifold, cols, i: int, j: int) -> dict:
-    """[phi, phi](e_i, e_j) as numerators over dp^2 dc, for the integer
-    columns cols of phi over dp and the bracket table over dc."""
-    table = M.brackets_int[0]
-    ei, ej = {i: 1}, {j: 1}
-    pi, pj = cols[i], cols[j]
-    out = _apply(cols, _apply(cols, table.get((i, j), {})))
-    for sign, v in ((1, bracket_sum(table, pi, pj)),
-                    (-1, _apply(cols, bracket_sum(table, pi, ej))),
-                    (-1, _apply(cols, bracket_sum(table, ei, pj)))):
-        for k, x in v.items():
-            out[k] = out.get(k, 0) + sign * x
-    return out
 
 
 def nijenhuis(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> tuple:
     """[phi, phi](e_i, e_j) =
     phi^2 [e_i,e_j] + [phi e_i, phi e_j] - phi[phi e_i, e_j] - phi[e_i, phi e_j]."""
     cols, dp = D.phi_int
-    n = _nijenhuis(M, cols, i, j)
-    d = dp * dp * M.brackets_int[1]
-    return tuple(Fraction(n.get(k, 0), d) for k in range(M.dim))
+    table, dc = M.brackets_int
+    n = _apply(cols, _apply(cols, table.get((i, j), {})))
+    for sign, v in ((1, bracket_sum(table, cols[i], cols[j])),
+                    (-1, _apply(cols, bracket_sum(table, cols[i], {j: 1}))),
+                    (-1, _apply(cols, bracket_sum(table, {i: 1}, cols[j])))):
+        for k, x in v.items():
+            n[k] = n.get(k, 0) + sign * x
+    return tuple(Fraction(n.get(k, 0), dp * dp * dc) for k in range(M.dim))
 
 
 def check_normality(M: FrameManifold, D: AlmostContactData) -> CheckReport:
     """[phi, phi](X, Y) + 2 d eta(X, Y) xi = 0 on all frame pairs, where
-    2 d eta(X, Y) = -eta([X, Y])."""
+    2 d eta(X, Y) = -eta([X, Y]). One sweep over the brackets [e_a, e_b]
+    and the phi entries in rows a and b builds [phi e_i, phi e_j] and
+    phi[e_i, e_j] - [phi e_i, e_j] - [e_i, phi e_j], mapped by phi once."""
     report = CheckReport(f"{M.name} normality")
-    m = M.dim
     (cols, dp), (table, dc) = D.phi_int, M.brackets_int
     xi, dx, eta, de = _xi_eta(M, D)
-    bad = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = sum(eta.get(k, 0) * x for k, x in table.get((i, j), {}).items())
-            total, den = _minus(_nijenhuis(M, cols, i, j), dp * dp * dc,
-                                {k: e * x for k, x in xi.items()}, de * dc * dx)
-            if any(total.values()):
-                bad.append(f"({i + 1},{j + 1}): {_fmt_coeffs(m, total, den)}")
-    report.add_check("[phi,phi] + 2 d eta (x) xi = 0", bad)
+    rows = {}  # phi by rows, a: [(j, phi_aj)]
+    for j, col in cols.items():
+        for a, x in col.items():
+            rows.setdefault(a, []).append((j, x))
+    lhs, inner, rhs = {}, {}, {}  # over dp^2 dc, dp dc and de dc dx
+    for (a, b), br in table.items():
+        if a < b:
+            add_to(inner, (a, b), _apply(cols, br))
+            e = sum(eta.get(k, 0) * x for k, x in br.items())
+            rhs[a, b] = {k: e * x for k, x in xi.items()}
+        for i, x in rows.get(a, ()):
+            if i < b:
+                add_to(inner, (i, b), br, -x)
+            for j, y in rows.get(b, ()):
+                if i < j:
+                    add_to(lhs, (i, j), br, x * y)
+        for j, y in rows.get(b, ()):
+            if a < j:
+                add_to(inner, (a, j), br, -y)
+    for key, v in inner.items():
+        add_to(lhs, key, _apply(cols, v))
+    report.add_check("[phi,phi] + 2 d eta (x) xi = 0",
+                     compare(lhs, dp * dp * dc, rhs, de * dc * dx))
     return report
 
 
@@ -202,19 +203,17 @@ def check_contact_metric(M: FrameManifold, D: AlmostContactData) -> CheckReport:
     """Contact-metric compatibility d eta(X, Y) = g(X, phi Y). Normal almost
     contact structures can still fail this; Sasakian ones never do."""
     report = CheckReport(f"{M.name} contact-metric compatibility")
-    m = M.dim
-    eta = D.eta(M)
-    gcols = sparse_columns(M.g)
-    g_phi = [_apply(gcols, col) for col in sparse_columns(D.phi)]
-    bad = []
-    for i in range(m):
-        for j in range(m):
-            lhs = _d_eta(M, eta, i, j)
-            rhs = Fraction(g_phi[j].get(i, 0))
-            if lhs != rhs:
-                bad.append(f"({i + 1},{j + 1}): d eta = {format_rational(lhs)}, "
-                           f"g(e_i, phi e_j) = {format_rational(rhs)}")
-    report.add_check("d eta(X,Y) = g(X, phi Y)", bad)
+    (cols, dp), (gcols, dg) = D.phi_int, M.g_int
+    table, dc = M.brackets_int
+    _, _, eta, de = _xi_eta(M, D)
+    lhs = {key: {0: -sum(eta.get(k, 0) * x for k, x in row.items())}
+           for key, row in table.items()}  # over 2 de dc
+    rhs = {(i, j): {0: x} for j, col in cols.items()
+           for i, x in _apply(gcols, col).items()}  # over dg dp
+    report.add_check("d eta(X,Y) = g(X, phi Y)", compare(
+        lhs, 2 * de * dc, rhs, dg * dp, lambda key, left, right:
+        [f"({key[0] + 1},{key[1] + 1}): d eta = {format_rational(left.get(0, 0))}, "
+         f"g(e_i, phi e_j) = {format_rational(right.get(0, 0))}"]))
     return report
 
 
@@ -223,32 +222,32 @@ def check_curvature_identity(M: FrameManifold, R: CurvatureTensor,
     """R(Y, xi) Z = eta(Z) Y - g(Y, Z) xi on all frame pairs, from the
     columns nabla_xi e_z and the vectors [e_y, xi], each built once:
     R(e_y, xi) e_z = nabla_{e_y} nabla_xi e_z - nabla_xi nabla_{e_y} e_z
-    - nabla_{[e_y, xi]} e_z, on the integer Gamma over dgam and c over dc."""
+    - nabla_{[e_y, xi]} e_z, on the integer Gamma over dgam and c over dc;
+    each term is swept over the nonzero Gamma entries it takes."""
     report = CheckReport(f"{M.name} reeb curvature identity")
     m = M.dim
-    gcols, dg = M.g_int
     gamma, dgam = R.conn.gamma_int
     brackets, dc = M.brackets_int
-    xi, dx, eta, de = _xi_eta(M, D)
-    dr = dgam * dgam * dc
-    nxi = [bracket_sum(gamma, xi, {z: 1}) for z in range(m)]  # over dgam dx
-    bad = []
-    for yj in range(m):
-        ey = {yj: 1}
-        br = bracket_sum(brackets, ey, xi)  # [e_y, xi] over dc dx
-        for zk in range(m):
-            lhs = {}  # over dr dx
-            for vec, w in ((bracket_sum(gamma, ey, nxi[zk]), dc),
-                           (_apply(nxi, gamma.get((yj, zk), {})), -dc),
-                           (bracket_sum(gamma, br, {zk: 1}), -dgam)):
-                for k, x in vec.items():
-                    lhs[k] = lhs.get(k, 0) + w * x
-            rhs = {a: -gcols[zk].get(yj, 0) * x * de for a, x in xi.items()}
-            rhs[yj] = rhs.get(yj, 0) + eta.get(zk, 0) * dg * dx  # over de dg dx
-            diff, den = _minus(lhs, dr * dx, rhs, de * dg * dx)
-            if any(diff.values()):
-                bad.append(f"({yj + 1},{zk + 1}): {_fmt_coeffs(m, diff, den)}")
-    report.add_check("R(Y, xi)Z = eta(Z)Y - g(Y,Z)xi", bad)
+    xi, dx, _, _ = _xi_eta(M, D)
+    by_first, by_second = {}, {}
+    for (i, a), row in gamma.items():
+        by_first.setdefault(i, []).append((a, row))
+        by_second.setdefault(a, []).append((i, row))
+    nxi = {z: bracket_sum(gamma, xi, {z: 1}) for z in range(m)}  # over dgam dx
+    lhs = {}  # over dgam^2 dc dx
+    for z, col in nxi.items():
+        for a, w in col.items():
+            for y, row in by_second.get(a, ()):
+                add_to(lhs, (y, z), row, dc * w)
+    for key, row in gamma.items():
+        add_to(lhs, key, _apply(nxi, row), -dc)
+    for y in range(m):
+        for s, w in bracket_sum(brackets, {y: 1}, xi).items():  # over dc dx
+            for z, row in by_first.get(s, ()):
+                add_to(lhs, (y, z), row, -dgam * w)
+    rhs, dr = _g_xi_minus_eta(M, D)
+    report.add_check("R(Y, xi)Z = eta(Z)Y - g(Y,Z)xi",
+                     compare(lhs, dgam * dgam * dc * dx, rhs, -dr))
     return report
 
 
@@ -257,18 +256,18 @@ def check_reeb_ricci(M: FrameManifold, ric_t: RicciTensor,
     """ric(xi, Z) = (m - 1) eta(Z), the 2n multiple in dimension m = 2n + 1."""
     report = CheckReport(f"{M.name} reeb ricci identity")
     m = M.dim
-    eta = D.eta(M)
-    lhs = [Fraction(0)] * m
-    for (j, k), x in ric_t.ric.items():
-        if D.xi[j]:
-            lhs[k] += D.xi[j] * x
-    bad = []
-    for k in range(m):
-        rhs = (m - 1) * eta[k]
-        if lhs[k] != rhs:
-            bad.append(f"e{k + 1}: ric(xi, e_k) = {format_rational(lhs[k])}, "
-                       f"want {format_rational(rhs)}")
-    report.add_check(f"ric(xi, Z) = {m - 1} eta(Z)", bad)
+    (ric, dr), (xi, dx, eta, de) = ric_t.ric_int, _xi_eta(M, D)
+    lhs = {}  # ric(xi, e_k) over dx dr
+    for (j, k), x in ric.items():
+        if j in xi:
+            lhs[k] = lhs.get(k, 0) + xi[j] * x
+    report.add_check(f"ric(xi, Z) = {m - 1} eta(Z)", compare(
+        {(): lhs}, dx * dr, {(): {k: (m - 1) * x for k, x in eta.items()}}, de,
+        lambda _, left, right: [
+            f"e{k + 1}: ric(xi, e_k) = {format_rational(left.get(k, 0))}, "
+            f"want {format_rational(right.get(k, 0))}"
+            for k in sorted(left.keys() | right.keys())
+            if left.get(k, 0) != right.get(k, 0)]))
     return report
 
 

@@ -11,17 +11,20 @@ brackets, and a constant symmetric metric g on the frame. All indices are
 Tensors are sparse: a dict from an index tuple to a Fraction, or to a sparse
 vector {k: Fraction} for the upper index, holding nonzero entries only. The
 geometry is built from c and g alone, so it is rational; kernels cost time
-in proportion to the nonzero entries they combine. ParamScalar appears only
-in the accessors and where a caller's vector field or scalar brings in
-parameters; such an argument is split by monomial (by_monomial) and each
-rational part goes through the integer kernels on its own.
+in proportion to the nonzero entries they combine, and so do the checks
+(validate here, contact.py), which list their defects through one comparer,
+compare. One elimination per manifold gives g^{-1} and the leading minors
+(FrameManifold.elimination). ParamScalar appears only in the accessors and
+where a caller's vector field or scalar brings in parameters; such an
+argument is split by monomial (by_monomial) and each rational part goes
+through the integer kernels on its own.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .record import Record
 from .reports import CheckReport
@@ -132,12 +135,6 @@ def sparse_columns(mat) -> list:
 
 # -- exact linear algebra: fraction-free elimination ---------------------------
 
-def _integer_matrix(g: Matrix) -> tuple:
-    """(rows of ints, d) with g = rows / d, for int or Fraction entries."""
-    d = lcm(*(x.denominator for row in g for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in g], d
-
-
 def _bareiss(a: list) -> tuple:
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
     integer rows a in place over their square part, with exact divisions.
@@ -166,24 +163,14 @@ def _bareiss(a: list) -> tuple:
 
 
 def leading_minor_determinants(g: Matrix) -> list:
-    """Determinants of the leading principal k x k submatrices, k = 1..m, from
-    one elimination; each one after a zero minor takes its own elimination."""
-    a, d = _integer_matrix(g)
-    minors = _bareiss([row[:] for row in a])[1]
-    minors += [_bareiss([row[:k] for row in a[:k]])[0]
-               for k in range(len(minors) + 1, len(a) + 1)]
-    return [Fraction(x, d ** k) for k, x in enumerate(minors, start=1)]
+    """Determinants of the leading principal k x k submatrices, k = 1..m,
+    of g as a frame metric (FrameManifold.elimination)."""
+    return FrameManifold("", len(g), {}, g).elimination[0]
 
 
 def invert_matrix(g: Matrix) -> Matrix:
     """Exact inverse adj / det by fraction-free Gauss-Jordan elimination."""
-    a, d = _integer_matrix(g)
-    n = len(a)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    if not _bareiss(aug)[0]:
-        raise GeometryError("metric is singular")
-    return tuple(tuple(Fraction(d * x, row[i]) for x in row[n:])
-                 for i, row in enumerate(aug))
+    return FrameManifold("", len(g), {}, g).g_inv
 
 
 # -- vectors -----------------------------------------------------------------
@@ -304,8 +291,31 @@ class FrameManifold:
                      for i in range(m))
 
     @cached_property
+    def elimination(self) -> tuple:
+        """(minors, inverse) from one fraction-free elimination of [g | I]:
+        the leading minors of g (after a zero one, each from an elimination
+        of its own), and g^{-1} as integer columns {j: {i: int}} over the
+        least d > 0, (cols, d), or None if g is singular."""
+        d = lcm(*(x.denominator for row in self.g for x in row))
+        a = [[x.numerator * (d // x.denominator) for x in row] for row in self.g]
+        n = len(a)
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+        det, minors = _bareiss(aug)
+        minors += [_bareiss([row[:k] for row in a[:k]])[0]
+                   for k in range(len(minors) + 1, n + 1)]
+        minors = [Fraction(x, d ** k) for k, x in enumerate(minors, start=1)]
+        if not det:
+            return minors, None
+        p = aug[0][0]  # p * I beside p * a^{-1}, and g^{-1} = d * a^{-1}
+        q = gcd(p, d * gcd(*(x for row in aug for x in row[n:]))) * (p // abs(p))
+        return minors, ({j: {i: d * row[n + j] // q for i, row in enumerate(aug)
+                             if row[n + j]} for j in range(n)}, p // q)
+
+    @cached_property
     def g_inv(self) -> Matrix:
-        return invert_matrix(self.g)
+        cols, d = self.g_inv_int
+        return tuple(tuple(Fraction(cols[j].get(i, 0), d) for j in cols)
+                     for i in cols)
 
     # integer forms (table, d), each value being int / d; g by columns
     @cached_property
@@ -318,7 +328,9 @@ class FrameManifold:
 
     @cached_property
     def g_inv_int(self) -> tuple:
-        return integer_rows(dict(enumerate(sparse_columns(self.g_inv))))
+        if self.elimination[1] is None:
+            raise GeometryError("metric is singular")
+        return self.elimination[1]
 
     # the derivation, each stage computed once, on first read; the kernels
     # are looked up in this module at call time, so a wrapper set there
@@ -366,8 +378,8 @@ class FrameManifold:
 
 
 def identity_metric(dim: int):
-    return tuple(tuple(Fraction(1) if i == j else Fraction(0)
-                       for j in range(dim)) for i in range(dim))
+    zeros = (Fraction(0),) * dim  # one Fraction per distinct entry
+    return tuple(zeros[:i] + (Fraction(1),) + zeros[i + 1:] for i in range(dim))
 
 
 def bracket_sum(table: dict, x: dict, y: dict) -> dict:
@@ -384,31 +396,55 @@ def bracket_sum(table: dict, x: dict, y: dict) -> dict:
     return out
 
 
+def add_to(table: dict, key, vec: dict, w: int = 1) -> None:
+    """table[key] += w * vec, for integer maps vec."""
+    row = table.setdefault(key, {})
+    for k, x in vec.items():
+        row[k] = row.get(k, 0) + w * x
+
+
+def compare(lhs: dict, dl: int, rhs: dict, dr: int, fmt=None) -> list:
+    """The defects of lhs / dl = rhs / dr for integer tables {key: {k: int}},
+    in key order: where the sides differ, the list fmt(key, left, right) on
+    their rational maps, or the 1-based key and the difference, "(1,2): -e3".
+    Every check of an identity lists its defects here."""
+    bad = []
+    for key in sorted(lhs.keys() | rhs.keys()):
+        left, right = lhs.get(key, {}), rhs.get(key, {})
+        diff = {k: x for k in left.keys() | right.keys()
+                if (x := left.get(k, 0) * dr - right.get(k, 0) * dl)}
+        if diff and fmt:
+            bad += fmt(key, divided(left, dl), divided(right, dr))
+        elif diff:
+            label = ",".join(str(t + 1) for t in key)
+            bad.append(f"({label}): " + vector_of(
+                max(diff) + 1, divided(diff, dl * dr)).render())
+    return bad
+
+
 # -- validation ---------------------------------------------------------------
 
-def _jacobi_coeffs(M: FrameManifold, i: int, j: int, k: int) -> dict:
+def jacobi_defect(M: FrameManifold, i: int, j: int, k: int) -> FrameVector:
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]; zero iff the
+    bracket satisfies the Jacobi identity on this triple."""
     table, dc = M.brackets_int
     out = {}
     for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
         for s, x in table.get((a, b), {}).items():
             for l, y in table.get((s, z), {}).items():
                 out[l] = out.get(l, 0) + x * y
-    return divided(out, dc * dc)
-
-
-def jacobi_defect(M: FrameManifold, i: int, j: int, k: int) -> FrameVector:
-    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]; zero iff the
-    bracket satisfies the Jacobi identity on this triple."""
-    return vector_of(M.dim, _jacobi_coeffs(M, i, j, k))
+    return vector_of(M.dim, divided(out, dc * dc))
 
 
 def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
     """Check antisymmetry of the structure constants and symmetry plus
     positive-definiteness of the metric. Strict mode also requires the
-    Jacobi identity and reports the defect vector of each failing triple."""
+    Jacobi identity and reports the defect vector of each failing triple:
+    one sweep over the nonzero [[e_a, e_b], e_z] keeps each term whose
+    (a, b, z) is a cyclic rotation of an increasing triple."""
     report = CheckReport(f"{M.name} validate" + (" (strict)" if strict else ""))
     bad = set()
-    table = M.brackets_int[0]
+    table, dc = M.brackets_int
     for (i, j), row in table.items():
         back = table.get((j, i), {})
         for k, x in row.items():
@@ -417,12 +453,13 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
     bad = sorted(bad)
     report.add_check("bracket antisymmetry", bad[:8], "violated at ")
 
-    asym = [(i + 1, j + 1) for i in range(M.dim) for j in range(M.dim)
-            if M.g[i][j] != M.g[j][i]]
+    cols = tuple(zip(*M.g))  # tuples compare entries by identity first
+    asym = [(i + 1, j + 1) for i, row in enumerate(M.g) if row != cols[i]
+            for j, x in enumerate(row) if x != cols[i][j]]
     report.add_check("metric symmetry", asym[:8], "violated at ")
 
     if not asym:
-        minors = leading_minor_determinants(M.g)
+        minors = M.elimination[0]
         bad_minor = next((k for k, d in enumerate(minors, start=1) if d <= 0), None)
         report.add("metric positive-definite", bad_minor is None,
                    None if bad_minor is None else
@@ -430,15 +467,17 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
                    f"{format_rational(minors[bad_minor - 1])}")
 
     if strict:
-        defects = []
-        for i in range(M.dim):
-            for j in range(i + 1, M.dim):
-                for k in range(j + 1, M.dim):
-                    d = _jacobi_coeffs(M, i, j, k)
-                    if d:
-                        defects.append(f"({i + 1},{j + 1},{k + 1}): "
-                                       f"{vector_of(M.dim, d).render()}")
-        report.add_check("jacobi identity", defects)
+        by_first, jac = {}, {}
+        for (s, z), row in table.items():
+            by_first.setdefault(s, []).append((z, row))
+        for (a, b), row in table.items():
+            for s, x in row.items():
+                for z, row_sz in by_first.get(s, ()):
+                    key = ((a, b, z) if a < b < z else (b, z, a) if b < z < a
+                           else (z, a, b) if z < a < b else None)
+                    if key:
+                        add_to(jac, key, row_sz, x)
+        report.add_check("jacobi identity", compare(jac, dc * dc, {}, 1))
     return report
 
 
@@ -501,9 +540,7 @@ def levi_civita(M: FrameManifold) -> ConnectionTable:
     raised = {}
     for (i, j, l), x in twice.items():
         if x:
-            row = raised.setdefault((i, j), {})
-            for k, gkl in gi_cols[l].items():
-                row[k] = row.get(k, 0) + gkl * x
+            add_to(raised, (i, j), gi_cols[l], x)
     return ConnectionTable(M, divided_rows(raised, 2 * dc * dg * dgi),
                            divided(twice, 2 * dc * dg))
 
@@ -577,21 +614,13 @@ def _curvature_components(M: FrameManifold, conn: ConnectionTable) -> dict:
         for a, x in row_jk.items():
             x *= dc
             for i, row_ia in by_second.get(a, ()):
-                if i == j:
-                    continue
-                plus = acc.setdefault((i, j, k), {})
-                minus = acc.setdefault((j, i, k), {})
-                for l, y in row_ia.items():
-                    t = x * y
-                    plus[l] = plus.get(l, 0) + t
-                    minus[l] = minus.get(l, 0) - t
+                if i != j:
+                    add_to(acc, (i, j, k), row_ia, x)
+                    add_to(acc, (j, i, k), row_ia, -x)
     for (i, j), br in brackets.items():
         for a, x in br.items():
-            x *= dg
             for k, row_ak in by_first.get(a, ()):
-                vec = acc.setdefault((i, j, k), {})
-                for l, y in row_ak.items():
-                    vec[l] = vec.get(l, 0) - x * y
+                add_to(acc, (i, j, k), row_ak, -dg * x)
     return divided_rows(acc, dg * dg * dc)
 
 
@@ -649,10 +678,10 @@ def ricci(M: FrameManifold, R: CurvatureTensor) -> RicciTensor:
 
 
 def scalar_curvature(M: FrameManifold, ric_t: RicciTensor) -> ParamScalar:
-    gi = M.g_inv
-    return ParamScalar.rational(sum(
-        (x * gi[i][j] for (i, j), x in ric_t.ric.items() if gi[i][j]),
-        Fraction(0)))
+    gi_cols, dgi = M.g_inv_int
+    ric, dr = ric_t.ric_int
+    return ParamScalar.rational(Fraction(
+        sum(x * gi_cols[j].get(i, 0) for (i, j), x in ric.items()), dgi * dr))
 
 
 def ricci_operator_coeffs(M: FrameManifold, ric_t: RicciTensor) -> dict:

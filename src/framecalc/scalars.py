@@ -8,10 +8,10 @@ A ParamScalar has one canonical form: a dict from monomials to coefficients
 in which every monomial is a sorted tuple of (symbol, exponent) pairs with
 exponents >= 1 (the empty tuple is the constant monomial) and every
 coefficient is a nonzero Fraction. Equal polynomials therefore have equal
-dicts and equal hashes. The constructor sorts each monomial, drops zero
-coefficients and converts only those that are not Fractions already;
-ParamScalar._of takes terms already in that form as they are. Arithmetic
-on canonical operands has canonical results, so +, -, *, / and rational
+dicts and equal hashes. The constructor makes each monomial canonical
+(canonical_monomial, as the parser does), adds the coefficients of equal
+ones and drops zeros; ParamScalar._of takes canonical terms as they are.
+Arithmetic on canonical operands has canonical results, so +, -, *, / and rational
 build theirs with _of: coefficients are merged and zeros dropped, with no
 second sort or conversion.
 monomial_parts and join_parts move between a map of ParamScalars and its
@@ -89,16 +89,20 @@ def _mono_str(mono: Monomial) -> str:
     return "*".join(parts)
 
 
+def canonical_monomial(pairs) -> Monomial:
+    """The monomial of (symbol, exponent) pairs in canonical form: the
+    exponents of a symbol added up, zero sums left out, sorted."""
+    if len(pairs) == 1 and pairs[0][1] > 0:  # a parsed "p" or "p^2"
+        return tuple(pairs)
+    exps: dict = {}
+    for sym, e in pairs:
+        exps[sym] = exps.get(sym, 0) + e
+    return tuple(sorted((sym, e) for sym, e in exps.items() if e))
+
+
 def monomial_product(a: Monomial, b: Monomial) -> Monomial:
     """The canonical monomial a * b."""
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for sym, e in b:
-        exps[sym] = exps.get(sym, 0) + e
-    return tuple(sorted(exps.items()))
+    return canonical_monomial(a + b) if a and b else a or b
 
 
 def as_fraction(x) -> Fraction:
@@ -122,14 +126,13 @@ class ParamScalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        """From {monomial: rational}; monomials are sorted, zeros dropped."""
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = as_fraction(coeff)
-                if c:
-                    clean[tuple(sorted(mono))] = c
-        self._terms = clean
+        """From {monomial: rational} in any form: monomials made canonical,
+        the coefficients of equal ones added, zeros dropped."""
+        clean: dict = {}
+        for mono, coeff in (terms or {}).items():
+            mono, c = canonical_monomial(mono), as_fraction(coeff)
+            clean[mono] = clean[mono] + c if mono in clean else c
+        self._terms = {mono: c for mono, c in clean.items() if c}
 
     @classmethod
     def _of(cls, terms: dict) -> "ParamScalar":
@@ -450,20 +453,18 @@ class Scanner:
         return -q if negative else q
 
     def monomial(self, what: str) -> Monomial:
-        """NAME [^INT] {* NAME [^INT]} as a canonical monomial: the
-        exponents of a name added up, ^0 left out. what names the token
-        expected first."""
-        exps: dict = {}
+        """NAME [^INT] {* NAME [^INT]} as a canonical monomial
+        (canonical_monomial); what names the token expected first."""
+        pairs = []
         while True:
             name = self.word(what)
             exp = 1
             if self.peek() == "^":
                 self.pos += 1
                 exp = self.integer()
-            if exp:
-                exps[name] = exps.get(name, 0) + exp
+            pairs.append((name, exp))
             if self.peek() != "*":
-                return tuple(sorted(exps.items()))
+                return canonical_monomial(pairs)
             self.pos += 1
             what = "a parameter name"
 

@@ -204,6 +204,69 @@ def lie_algebras(draw) -> tuple:
     return change_frame(c, g, A, Ainv)[:2]
 
 
+def table_of(c) -> dict:
+    """{(i, j): {k: c_ij^k}} over every ordered pair with a nonzero bracket,
+    the table FrameManifold takes as given."""
+    m = len(c)
+    return {(i, j): {k: x for k, x in enumerate(c[i][j]) if x}
+            for i in range(m) for j in range(m) if any(c[i][j])}
+
+
+def dense_of(table: dict, m: int) -> list:
+    c = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
+    for (i, j), row in table.items():
+        for k, x in row.items():
+            c[i][j][k] = F(x)
+    return c
+
+
+@st.composite
+def contact_frames(draw) -> tuple:
+    """(table, g, phi, xi) with an invertible rational metric g: H_3 or H_5
+    with its Sasakian structure written in a random rational frame, or
+    random brackets with random phi and xi under the identity, a diagonal
+    indefinite, a B^T B + I or a dense 4 + 1/(i + j + 1) metric. The table
+    is often not antisymmetric (one order of a pair only, or one entry
+    changed) and phi is often changed in one entry, so that every check
+    meets both passing and failing frames."""
+    if draw(st.booleans()):
+        m, c, g, xi, phi = heisenberg(draw(st.integers(1, 2)))
+        A, Ainv = elementary_change(m, draw(elementary_steps(m)))
+        c, g, xi, phi = change_frame(c, g, A, Ainv, xi, phi)
+    else:
+        m = draw(st.integers(1, 4))
+        index = st.integers(0, m - 1)
+        c = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
+        for i, j, k, q in draw(st.lists(st.tuples(index, index, index, small),
+                                        max_size=2 * m)):
+            c[i][j][k] += q
+            if i != j and draw(st.booleans()):
+                c[j][i][k] -= q
+        kind = draw(st.sampled_from(["identity", "signs", "gram", "dense"]))
+        if kind == "gram":
+            g = gram_plus_identity(draw(_matrices(m)))
+        elif kind == "dense":
+            g = [[F(1, i + j + 1) + 4 * (i == j) for j in range(m)]
+                 for i in range(m)]
+        else:
+            g = identity(m)
+            if kind == "signs":
+                for i in draw(st.lists(index, max_size=m)):
+                    g[i][i] = -g[i][i]
+        sparse = st.one_of(st.just(F(0)), small)
+        phi = [[draw(sparse) for _ in range(m)] for _ in range(m)]
+        xi = [draw(sparse) for _ in range(m)]
+    c = [[list(row) for row in plane] for plane in c]
+    phi = [list(row) for row in phi]
+    index = st.integers(0, m - 1)
+    for a, b, q in draw(st.lists(st.tuples(index, index, small), max_size=1)):
+        phi[a][b] += q
+    for i, j, k, q in draw(st.lists(st.tuples(index, index, index, small),
+                                    max_size=1)):
+        c[i][j][k] += q
+    return table_of(c), g, phi, xi
+
+
 # -- scalar-grammar texts --------------------------------------------------------
 
 # (text, offset of the offending token): each is rejected by the scalar

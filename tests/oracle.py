@@ -348,3 +348,220 @@ def annihilator(rows, n):
             v[col] = -m[i][free]
         basis.append(v)
     return basis
+
+
+# Per-pair references for validate and the contact checks: the report text
+# of each check from loops over every frame pair (or triple) on dense lists,
+# with vectors rendered and reports laid out here. c, g and phi are dense
+# (c[i][j][k], g[i][j], phi[a][j] = coefficient of e_a in phi e_j).
+
+def render_vector(v):
+    parts = []
+    for k, x in enumerate(v):
+        if x:
+            name = f"e{k + 1}"
+            parts.append(name if x == 1 else "-" + name if x == -1
+                         else f"{F(x)}*{name}")
+    return " + ".join(parts) or "0"
+
+
+def report_text(subject, items):
+    """items: (name, defects or None, prefix); a check passes on no defects."""
+    rows = [(name, "pass" if not bad else "fail",
+             None if not bad else prefix + "; ".join(bad))
+            for name, bad, prefix in items]
+    return _layout(subject, rows)
+
+
+def _layout(subject, rows):
+    overall = "fail" if any(s != "pass" for _, s, _ in rows) else "pass"
+    width = max(len(name) for name, _, _ in rows)
+    lines = [f"subject: {subject}", f"overall: {overall}"]
+    for name, status, defect in rows:
+        lines.append(f"  {name.ljust(width)}  {status}"
+                     + ("" if defect is None else f"  [{defect}]"))
+    return "\n".join(lines) + "\n"
+
+
+def _matvec(a, v):
+    return [sum((a[i][k] * v[k] for k in range(len(v))), F(0))
+            for i in range(len(a))]
+
+
+def _column(a, j):
+    return [row[j] for row in a]
+
+
+def _sub(u, v):
+    return [x - y for x, y in zip(u, v)]
+
+
+def _scaled(v, s):
+    return [x * s for x in v]
+
+
+def _eta(g, xi):
+    return _matvec(g, xi)  # eta_i = g(e_i, xi)
+
+
+def validate_text(name, c, g, strict):
+    n = len(g)
+    anti = sorted({t for i in range(n) for j in range(n) for k in range(n)
+                   if c[i][j][k] != -c[j][i][k]
+                   for t in ((i + 1, j + 1, k + 1), (j + 1, i + 1, k + 1))})
+    asym = [(i + 1, j + 1) for i in range(n) for j in range(n)
+            if g[i][j] != g[j][i]]
+    rows = [(label, "fail" if bad else "pass",
+             "violated at " + "; ".join(map(str, bad[:8])) if bad else None)
+            for label, bad in (("bracket antisymmetry", anti),
+                               ("metric symmetry", asym))]
+    if not asym:
+        minors = leading_minors(g)
+        k = next((k for k, d in enumerate(minors, start=1) if d <= 0), None)
+        rows.append(("metric positive-definite", "pass" if k is None else "fail",
+                     None if k is None else
+                     f"leading minor {k} has determinant {minors[k - 1]}"))
+    subject = f"{name} validate" + (" (strict)" if strict else "")
+    if strict:
+        bad = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    d = zeros(n)
+                    for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+                        d = [x + y for x, y in
+                             zip(d, bracket(c, c[a][b], basis(n, z)))]
+                    if any(d):
+                        bad.append(f"({i + 1},{j + 1},{k + 1}): "
+                                   f"{render_vector(d)}")
+        rows.append(("jacobi identity", "fail" if bad else "pass",
+                     "; ".join(bad) if bad else None))
+    return _layout(subject, rows)
+
+
+def almost_contact_items(g, phi, xi):
+    n = len(g)
+    eta = _eta(g, xi)
+    val = sum((e * x for e, x in zip(eta, xi)), F(0))
+    square = [_matvec(phi, _column(phi, j)) for j in range(n)]
+    pxi = _matvec(phi, xi)
+    etaphi = [sum((eta[a] * phi[a][j] for a in range(n)), F(0))
+              for j in range(n)]
+    return [
+        ("eta(xi) = 1", [] if val == 1 else [f"eta(xi) = {val}"], ""),
+        ("phi^2 = -I + xi(x)eta",
+         [f"phi^2(e{j + 1}) = {render_vector(square[j])}" for j in range(n)
+          if square[j] != _sub(_scaled(xi, eta[j]), basis(n, j))], ""),
+        ("g(phi X, phi Y) = g(X, Y) - eta(X)eta(Y)",
+         [f"({i + 1},{j + 1})" for i in range(n) for j in range(n)
+          if g_of(g, _column(phi, i), _column(phi, j))
+          != g[i][j] - eta[i] * eta[j]], "violated at "),
+        ("phi(xi) = 0", [f"phi(xi) = {render_vector(pxi)}"] if any(pxi)
+         else [], ""),
+        ("eta(phi(.)) = 0", [f"eta(phi(e_j)) = {render_vector(etaphi)}"]
+         if any(etaphi) else [], ""),
+    ]
+
+
+def almost_contact_text(name, g, phi, xi):
+    return report_text(f"{name} almost-contact axioms",
+                       almost_contact_items(g, phi, xi))
+
+
+def sasakian_text(name, c, g, phi, xi):
+    """(nabla_{e_i} phi) e_j = nabla_{e_i}(phi e_j) - phi(nabla_{e_i} e_j)
+    against g(e_i, e_j) xi - eta(e_j) e_i, behind the almost-contact axioms."""
+    n = len(g)
+    subject = f"{name} sasakian equation"
+    failing = [label for label, bad, _ in almost_contact_items(g, phi, xi)
+               if bad]
+    if failing:
+        return _layout(subject, [("almost-contact axioms",
+                                  "precondition_violated",
+                                  "failing: " + "; ".join(failing))])
+    gamma, eta = naive_koszul(c, g), _eta(g, xi)
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            lhs = _sub(nabla(gamma, i, _column(phi, j)),
+                       _matvec(phi, gamma[i][j]))
+            rhs = _sub(_scaled(xi, g[i][j]), _scaled(basis(n, i), eta[j]))
+            if lhs != rhs:
+                bad.append(f"({i + 1},{j + 1}): {render_vector(_sub(lhs, rhs))}")
+    return report_text(subject, [("(nabla_X phi)Y = g(X,Y)xi - eta(Y)X", bad,
+                                  "")])
+
+
+def nijenhuis_vector(c, phi, i, j):
+    """[phi, phi](e_i, e_j) = phi^2 [e_i, e_j] + [phi e_i, phi e_j]
+    - phi [phi e_i, e_j] - phi [e_i, phi e_j]."""
+    n = len(c)
+    pi, pj = _column(phi, i), _column(phi, j)
+    ei, ej = basis(n, i), basis(n, j)
+    out = _matvec(phi, _matvec(phi, c[i][j]))
+    out = [x + y for x, y in zip(out, bracket(c, pi, pj))]
+    out = _sub(out, _matvec(phi, bracket(c, pi, ej)))
+    return _sub(out, _matvec(phi, bracket(c, ei, pj)))
+
+
+def normality_text(name, c, g, phi, xi):
+    """[phi, phi](e_i, e_j) + 2 d eta(e_i, e_j) xi, 2 d eta = -eta([., .])."""
+    n = len(g)
+    eta = _eta(g, xi)
+    bad = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = sum((a * b for a, b in zip(eta, c[i][j])), F(0))
+            total = _sub(nijenhuis_vector(c, phi, i, j), _scaled(xi, e))
+            if any(total):
+                bad.append(f"({i + 1},{j + 1}): {render_vector(total)}")
+    return report_text(f"{name} normality",
+                       [("[phi,phi] + 2 d eta (x) xi = 0", bad, "")])
+
+
+def contact_metric_text(name, c, g, phi, xi):
+    n = len(g)
+    eta = _eta(g, xi)
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            lhs = -sum((a * b for a, b in zip(eta, c[i][j])), F(0)) / 2
+            rhs = g_of(g, basis(n, i), _column(phi, j))
+            if lhs != rhs:
+                bad.append(f"({i + 1},{j + 1}): d eta = {lhs}, "
+                           f"g(e_i, phi e_j) = {rhs}")
+    return report_text(f"{name} contact-metric compatibility",
+                       [("d eta(X,Y) = g(X, phi Y)", bad, "")])
+
+
+def curvature_identity_text(name, c, g, phi, xi):
+    """R(e_y, xi) e_z from the naive curvature table, against
+    eta(e_z) e_y - g(e_y, e_z) xi."""
+    n = len(g)
+    R = naive_curvature(c, naive_koszul(c, g))
+    eta = _eta(g, xi)
+    bad = []
+    for y in range(n):
+        for z in range(n):
+            lhs = zeros(n)
+            for b in range(n):
+                lhs = [u + xi[b] * v for u, v in zip(lhs, R[y][b][z])]
+            rhs = _sub(_scaled(basis(n, y), eta[z]), _scaled(xi, g[y][z]))
+            if lhs != rhs:
+                bad.append(f"({y + 1},{z + 1}): {render_vector(_sub(lhs, rhs))}")
+    return report_text(f"{name} reeb curvature identity",
+                       [("R(Y, xi)Z = eta(Z)Y - g(Y,Z)xi", bad, "")])
+
+
+def reeb_ricci_text(name, c, g, xi):
+    """ric(xi, e_k) from the naive Ricci tensor, against (m - 1) eta(e_k)."""
+    n = len(g)
+    ric = naive_ricci(naive_curvature(c, naive_koszul(c, g)))
+    eta = _eta(g, xi)
+    bad = []
+    for k in range(n):
+        lhs = sum((xi[j] * ric[j][k] for j in range(n)), F(0))
+        if lhs != (n - 1) * eta[k]:
+            bad.append(f"e{k + 1}: ric(xi, e_k) = {lhs}, want {(n - 1) * eta[k]}")
+    return report_text(f"{name} reeb ricci identity",
+                       [(f"ric(xi, Z) = {n - 1} eta(Z)", bad, "")])

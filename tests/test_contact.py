@@ -2,12 +2,18 @@
 import re
 from fractions import Fraction
 
+from hypothesis import given, settings
+
+import oracle
+from frames import contact_frames, dense_of
 from framecalc.catalog import load_builtin
 from framecalc.contact import (AlmostContactData, check_almost_contact,
                                check_contact_metric, check_curvature_identity,
                                check_normality, check_reeb_ricci,
                                check_sasakian, d_eta, derive_phi, nijenhuis)
-from framecalc.geometry import curvature, levi_civita, ricci
+from framecalc.geometry import (FrameManifold, curvature, levi_civita, ricci,
+                                validate)
+from framecalc.manifold_format import MAX_DIM, parse_manifold
 
 
 def setup_h5():
@@ -201,3 +207,88 @@ def test_derive_phi_h3():
     doc = load_builtin("heisenberg3")
     M, D = doc.manifold, doc.contact
     assert derive_phi(M, levi_civita(M), D.xi) == D.phi
+
+
+# -- the swept checks against per-pair references ----------------------------------
+
+@settings(deadline=None)
+@given(contact_frames())
+def test_swept_checks_print_the_per_pair_reference_reports(case):
+    """Each check sweeps the nonzero bracket, Gamma, phi, g and Ricci
+    entries; its report text equals, byte for byte, that of oracle's loops
+    over every frame pair, and nijenhuis (per pair) equals the oracle's
+    vector."""
+    table, g, phi, xi = case
+    m = len(g)
+    M = FrameManifold("f", m, table, g)
+    D = AlmostContactData.from_values(phi, xi)
+    c = dense_of(table, m)
+    conn = levi_civita(M)
+    assert check_almost_contact(M, D).render_text() == \
+        oracle.almost_contact_text("f", g, phi, xi)
+    assert check_sasakian(M, conn, D).render_text() == \
+        oracle.sasakian_text("f", c, g, phi, xi)
+    assert check_normality(M, D).render_text() == \
+        oracle.normality_text("f", c, g, phi, xi)
+    assert check_contact_metric(M, D).render_text() == \
+        oracle.contact_metric_text("f", c, g, phi, xi)
+    R = curvature(M, conn)
+    assert check_curvature_identity(M, R, D).render_text() == \
+        oracle.curvature_identity_text("f", c, g, phi, xi)
+    assert check_reeb_ricci(M, ricci(M, R), D).render_text() == \
+        oracle.reeb_ricci_text("f", c, g, xi)
+    for i in range(m):
+        for j in range(m):
+            assert list(nijenhuis(M, D, i, j)) == \
+                oracle.nijenhuis_vector(c, phi, i, j), (i, j)
+
+
+def test_builtin_checks_print_the_per_pair_reference_reports():
+    for name in ("heisenberg5", "heisenberg3", "abelian3", "abelian5"):
+        doc = load_builtin(name)
+        M, D = doc.manifold, doc.contact
+        c, g = [[list(r) for r in p] for p in M.c], [list(r) for r in M.g]
+        xi = list(D.xi)
+        for F in (D, flipped_phi(D)) if M.dim == 5 else (D,):
+            phi = [list(r) for r in F.phi]
+            assert check_almost_contact(M, F).render_text() == \
+                oracle.almost_contact_text(name, g, phi, xi)
+            assert check_sasakian(M, M.conn, F).render_text() == \
+                oracle.sasakian_text(name, c, g, phi, xi)
+            assert check_normality(M, F).render_text() == \
+                oracle.normality_text(name, c, g, phi, xi)
+            assert check_contact_metric(M, F).render_text() == \
+                oracle.contact_metric_text(name, c, g, phi, xi)
+            assert check_curvature_identity(M, M.riem, F).render_text() == \
+                oracle.curvature_identity_text(name, c, g, phi, xi)
+        assert check_reeb_ricci(M, M.ric, D).render_text() == \
+            oracle.reeb_ricci_text(name, c, g, xi)
+
+
+def heisenberg_text(n: int) -> str:
+    """H_{2n+1} as sparse manifold-format text: [e_a, e_{n+1+a}] = 2 e_{n+1},
+    xi = e_{n+1}, phi e_a = e_{n+1+a} and phi e_{n+1+a} = -e_a."""
+    r = n + 1
+    lines = [f"manifold h{2 * n + 1} dim {2 * n + 1}", "metric identity",
+             f"contact xi = e{r}"]
+    for a in range(1, n + 1):
+        lines += [f"bracket e{a} e{r + a} = 2*e{r}",
+                  f"contact phi e{a} = e{r + a}",
+                  f"contact phi e{r + a} = -e{a}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_heisenberg_127_passes_strict_validate_and_every_contact_check():
+    """On the largest Heisenberg frame the parser takes, the sweeps touch
+    only the nonzero entries, so the whole audit stays quick."""
+    assert MAX_DIM >= 127
+    doc = parse_manifold(heisenberg_text(63))
+    M, D = doc.manifold, doc.contact
+    assert M.dim == 127
+    reports = [validate(M, strict=True), check_almost_contact(M, D),
+               check_sasakian(M, M.conn, D), check_normality(M, D),
+               check_contact_metric(M, D),
+               check_curvature_identity(M, M.riem, D),
+               check_reeb_ricci(M, M.ric, D)]
+    assert [r.overall for r in reports] == ["pass"] * 7
+    assert reports[-1].items[0].name == "ric(xi, Z) = 126 eta(Z)"

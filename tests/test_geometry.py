@@ -3,12 +3,14 @@ exhaustively enumerated tensor identities."""
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from framecalc import geometry
 from framecalc.catalog import load_builtin
 from framecalc.geometry import (FrameManifold, FrameVector, GeometryError,
                                 bianchi_defect, covariant_derivative_endo,
@@ -260,17 +262,95 @@ def symmetric_matrices(draw):
           (Fraction(0), Fraction(1), Fraction(1))))
 @example(((Fraction(0),) * 3,) * 3)
 def test_fraction_free_elimination_matches_oracle(g):
+    """The one elimination of a manifold's metric gives its leading minors
+    and g^{-1} as integer columns over the least positive denominator; the
+    module functions read the same elimination."""
     minors = leading_minor_determinants(g)
     assert minors == oracle.leading_minors(g)
     assert all(type(x) is Fraction for x in minors)
+    M = FrameManifold("g", len(g), {}, g)
+    assert M.elimination[0] == minors
     want = oracle.gauss_jordan_inverse(g)
     if want is None:
         with pytest.raises(GeometryError, match="metric is singular"):
             invert_matrix(g)
+        with pytest.raises(GeometryError, match="metric is singular"):
+            M.g_inv_int
     else:
         gi = invert_matrix(g)
-        assert gi == want
+        assert gi == want == M.g_inv
         assert all(type(x) is Fraction for row in gi for x in row)
+        cols, d = M.g_inv_int
+        assert d > 0 and gcd(d, *(x for col in cols.values()
+                                  for x in col.values())) == 1
+        assert all(x for col in cols.values() for x in col.values())
+        assert [[Fraction(cols[j].get(i, 0), d) for j in range(len(g))]
+                for i in range(len(g))] == [list(row) for row in want]
+
+
+def test_one_elimination_per_manifold(monkeypatch):
+    """validate, the connection, Q and r read one cached elimination of g."""
+    calls = []
+    bareiss = geometry._bareiss
+    monkeypatch.setattr(geometry, "_bareiss",
+                        lambda a: calls.append(1) or bareiss(a))
+    for M in [h3_stretched(), man("heisenberg5"),
+              parse_manifold(documents()["dense5"]).manifold]:
+        calls.clear()
+        validate(M, strict=True)
+        ric = ricci(M, curvature(M, levi_civita(M)))
+        ricci_operator(M, ric)
+        scalar_curvature(M, ric)
+        assert len(calls) == 1, M.name
+    # a zero leading minor takes one elimination of its own per later minor
+    calls.clear()
+    M = FrameManifold("z", 3, {}, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    assert validate(M).items[-1].defect == "leading minor 1 has determinant 0"
+    assert M.elimination[0] == [0, -1, -1] and len(calls) == 3
+    assert M.g_inv == M.g and len(calls) == 3
+
+
+@st.composite
+def frames_for_validate(draw):
+    """(table, g): brackets as FrameManifold takes them, often not
+    antisymmetric, with a symmetric metric (possibly singular, indefinite
+    or with a zero leading minor) or one made asymmetric in one entry."""
+    g = [list(row) for row in draw(symmetric_matrices())]
+    n = len(g)
+    index = st.integers(0, n - 1)
+    table: dict = {}
+    for i, j, k, q in draw(st.lists(st.tuples(index, index, index, entry),
+                                    max_size=3 * n)):
+        table.setdefault((i, j), {})[k] = q
+        if i != j and draw(st.booleans()):
+            table.setdefault((j, i), {})[k] = -q
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.tuples(index, index).filter(lambda t: t[0] != t[1]))
+        g[i][j] += draw(entry.filter(bool))
+    return table, g
+
+
+@settings(deadline=None)
+@given(frames_for_validate(), st.booleans())
+def test_validate_prints_the_per_triple_reference_report(case, strict):
+    """validate's Jacobi sweep and its reading of the one elimination give
+    the report of oracle's loops over every triple; jacobi_defect per
+    triple equals the oracle's cyclic sum."""
+    table, g = case
+    n = len(g)
+    M = FrameManifold("v", n, table, g)
+    c = [[[M.c[i][j][k] for k in range(n)] for j in range(n)]
+         for i in range(n)]
+    assert validate(M, strict).render_text() == \
+        oracle.validate_text("v", c, g, strict)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                want = [Fraction(0)] * n
+                for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    want = [x + y for x, y in zip(want, oracle.bracket(
+                        c, c[a][b], oracle.basis(n, z)))]
+                assert list(jacobi_defect(M, i, j, k).rational_coeffs()) == want
 
 
 # -- connection -------------------------------------------------------------------

@@ -191,6 +191,48 @@ def test_sum_with_negation_is_zero(a):
     assert a - a == ZERO and hash(a - a) == hash(ZERO)
 
 
+def test_constructor_brings_terms_into_the_canonical_form():
+    """ParamScalar(terms) merges a repeated symbol, drops a zero exponent,
+    and adds the coefficients of monomials that coincide once canonical."""
+    cases = [
+        ({(("p", 1), ("p", 1)): 1}, P * P, {(("p", 2),): Fraction(1)}),
+        ({(("p", 0),): 2}, ParamScalar.rational(2), {(): Fraction(2)}),
+        ({(("p", 1), ("q", 1)): 1, (("q", 1), ("p", 1)): 2}, 3 * P * Q,
+         {(("p", 1), ("q", 1)): Fraction(3)}),
+        ({(("q", 1), ("p", 2), ("q", 0)): Fraction(1, 2),
+          (("p", 1), ("q", 1), ("p", 1)): Fraction(-1, 2)}, ZERO, {}),
+        ({(("p", 0), ("q", 0)): 0, (): 5}, ParamScalar.rational(5),
+         {(): Fraction(5)}),
+    ]
+    for terms, want, canonical in cases:
+        s = ParamScalar(terms)
+        assert s.terms() == canonical, terms
+        assert_canonical(s)
+        assert s == want and hash(s) == hash(want), terms
+    assert ParamScalar({(("p", 1), ("p", 1)): 1}).render() == "p^2"
+    assert ParamScalar({(("p", 1), ("q", 1)): 1,
+                        (("q", 1), ("p", 1)): 2}).render() == "3*p*q"
+    assert ParamScalar({(("p", 0),): 2}) == 2
+
+
+@settings(deadline=None)
+@given(polys(), st.randoms(use_true_random=False))
+def test_constructor_on_shuffled_and_split_terms_equals_the_polynomial(a, rnd):
+    """Each term split into two with shuffled, partly duplicated factors
+    and a ^0 factor; the constructor restores the polynomial."""
+    terms: dict = {}
+    for mono, c in a.terms().items():
+        for part in (c / 3, c - c / 3):
+            pairs = [(sym, 1) for sym, e in mono for _ in range(e)]
+            pairs.append((rnd.choice("pqr"), 0))
+            rnd.shuffle(pairs)
+            key = tuple(pairs)
+            terms[key] = terms.get(key, 0) + part
+    s = ParamScalar(terms)
+    assert_canonical(s)
+    assert s == a and hash(s) == hash(a)
+
+
 @st.composite
 def sum_of_terms(draw):
     """(text, value): a text of the scalar grammar and the same terms
