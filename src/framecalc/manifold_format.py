@@ -22,12 +22,21 @@ as a sparse table. Expected values are audit
 data: they never feed computation, they only populate discrepancy ledgers,
 so repeated or contradictory expect lines are legal.
 
-Every line is read in place by a subclass of scalars.Scanner: blanks and
-tabs between tokens, errors at the line and column of the offending token.
-An expect line is first cut before its trailing source clause; its kind,
-indices, = and value are then read on the same scanner. An expect lambda
-scalar-expr is read by Scanner.scalar with any whitespace, as parse_scalar
-reads it.
+A line ends at \\n, \\r\\n or \\r, as open() in text mode ends it; other
+characters str.splitlines() breaks at (\\x0c, \\x85, \\u2028, ...) stay in
+the line. Each statement is recognised by one anchored match of
+_STATEMENT over its head and indices (over the whole line for manifold,
+param, metric and expect ricci), with blanks and tabs between tokens. Its
+value is read by the term readers: a vector-expr one term per match of
+_VECTOR_TERM, an expect lambda scalar-expr by Scanner.scalar with any
+whitespace, as parse_scalar reads it. The value of an expect nabla, riem or
+lambda line ends before the trailing source clause.
+
+A line the pattern rejects, or whose indices or declarations fail their
+checks, is read again by the token methods of _Scanner, a subclass of
+scalars.Scanner, from the start of the line. They raise ParseError at the
+line and column of the offending token; no line that parses goes through
+them.
 """
 from __future__ import annotations
 
@@ -37,7 +46,8 @@ from fractions import Fraction
 from .contact import AlmostContactData
 from .geometry import FrameManifold, FrameVector, identity_metric, vector_of
 from .record import Record
-from .scalars import _ONE, Scanner, format_rational
+from .scalars import (_ONE, MAX_DIGITS, Scanner, _coefficient,
+                      format_rational)
 
 # Largest accepted dimension. Brackets are stored sparse, but the metric and
 # its inverse stay dense (m^2 entries, one elimination each) and the strict
@@ -111,17 +121,49 @@ class _Scanner(Scanner):
         return k - 1
 
 
+# One term of a vector-expr, sign* [rational [*]] e<k>. Groups: 1 the signs,
+# 2 and 3 the numerator and denominator, 4 the frame index.
+_VECTOR_TERM = re.compile(r"((?:[ \t]*[+-])*)[ \t]*(?:(\d+)(?:[ \t]*/[ \t]*(\d+))?"
+                          r"[ \t]*(?:\*[ \t]*)?)?e(\d+)").match
+
+
+def _index(digits: str, bound: int) -> int:
+    """The 0-based index of a 1-based literal a pattern matched, or -1 when
+    it is out of 1..bound or over MAX_DIGITS digits."""
+    k = int(digits) if len(digits) <= MAX_DIGITS else 0
+    return k - 1 if 1 <= k <= bound else -1
+
+
 def _parse_vector(sc: _Scanner, dim: int) -> dict:
-    """The nonzero coefficients {k: Fraction} of a vector-expr."""
+    """The nonzero coefficients {k: Fraction} of the vector-expr that fills
+    the rest of sc's text, read one term per match. A term is taken when
+    the end of the text or a sign follows it."""
+    text, ws = sc.text, sc._ws
+    n = len(text)
+    p = ws(text, sc.pos).end()
+    if text.startswith("0", p) and ws(text, p + 1).end() == n:  # bare zero
+        sc.pos = n
+        return {}
     coeffs: dict = {}
-    # bare zero
-    if sc.peek() == "0":
-        save = sc.pos
-        sc.pos += 1
-        if sc.eof():
-            return coeffs
-        sc.pos = save
     first = True
+    while m := _VECTOR_TERM(text, sc.pos):
+        signs, num, den, k = m.groups()
+        q = _coefficient(signs, num, den)
+        k = _index(k, dim)
+        p = ws(text, m.end()).end()
+        if q is None or k < 0 or p < n and text[p] not in "+-":
+            break
+        coeffs[k] = coeffs[k] + q if k in coeffs else q
+        sc.pos = p
+        first = False
+        if p == n:
+            return {k: x for k, x in coeffs.items() if x}
+    return _vector_by_tokens(sc, dim, coeffs, first)
+
+
+def _vector_by_tokens(sc: _Scanner, dim: int, coeffs: dict, first: bool) -> dict:
+    """_parse_vector one token at a time from the start of a term: the first
+    of the text when first, else a term after the ones in coeffs."""
     while not sc.eof():
         start = sc.pos
         negative = sc.signs()
@@ -151,6 +193,45 @@ def parse_vector_text(text: str, dim: int) -> FrameVector:
 # every position in it.
 _SOURCE = re.compile(r'source\s+"([^"]*)"\s*$')
 _EXPECT_KINDS = ("nabla", "riem", "ricci", "lambda")
+
+
+def _statement_pattern():
+    r"""The match function of a statement head, each kind a named group: a
+    whole line for manifold, param, the metric and expect ricci, up to the =
+    for the others. Where two tokens would merge without a blank between
+    them, [ \t]+ separates them, else [ \t]*. A kind's capture groups
+    follow its named group, so m.groups()[m.lastindex:] starts with them."""
+    b, e, name = "[ \t]", r"e(\d+)", r"([A-Za-z_][A-Za-z_0-9]*)"
+    rational = rf"((?:{b}*[+-])*){b}*(\d+)(?:{b}*/{b}*(\d+))?"
+    heads = {
+        "manifold": rf"manifold{b}+{name}{b}+dim{b}+(\d+)$",
+        "param": rf"param{b}+{name}$",
+        "bracket": rf"bracket{b}+{e}{b}*{e}{b}*=",
+        "identity": rf"metric{b}+identity$",
+        "g": rf"metric{b}+g{b}+(\d+){b}+(\d+){b}*={rational}$",
+        "xi": rf"contact{b}+xi{b}*=",
+        "phi": rf"contact{b}+phi{b}+{e}{b}*=",
+        "ricci": rf"expect{b}+ricci{b}+(\d+){b}+(\d+){b}*={rational}"
+                 rf'\s*source\s+"([^"]*)"\s*$',
+        "lambda": rf"expect{b}+lambda{b}+=",
+        "nabla": rf"expect{b}+nabla{b}+{e}{b}*{e}{b}*=",
+        "riem": rf"expect{b}+riem{b}+{e}{b}*{e}{b}*{e}{b}*=",
+    }
+    return re.compile(f"{b}*(?:" + "|".join(
+        f"(?P<{kind}>{head})" for kind, head in heads.items()) + ")").match
+
+
+_STATEMENT = _statement_pattern()
+
+
+def _lines(text: str) -> list:
+    r"""The lines of text, each ended by \n, \r\n or \r as open() in text
+    mode ends them, and by no other character (str.splitlines also ends
+    lines at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def _strip_comment(raw: str) -> str:
@@ -185,12 +266,77 @@ def parse_manifold(text: str) -> ManifoldDocument:
     exp_lam: list = []
     last_line = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         last_line = lineno
-        line = _strip_comment(raw).rstrip("\r").rstrip()
-        if not line.strip():
+        line = _strip_comment(raw).rstrip()
+        if not line:
             continue
         sc = _Scanner(line, lineno)
+
+        # By pattern: a statement whose head matches and passes its checks
+        # is read here, its value by the term readers; any other line falls
+        # through to the token methods below, which word its error.
+        m = _STATEMENT(line)
+        kind = m and m.lastgroup
+        if kind and (name is None) == (kind == "manifold"):
+            args = m.groups()[m.lastindex:]
+            sc.pos = m.end()
+            if kind == "manifold":
+                if (k := _index(args[1], MAX_DIM)) >= 0:
+                    name, dim = args[0], k + 1
+                    continue
+            elif kind == "param":
+                params.append(args[0])
+                continue
+            elif kind == "bracket":
+                i, j = _index(args[0], dim), _index(args[1], dim)
+                key = (min(i, j), max(i, j))
+                if 0 <= i != j >= 0 and key not in brackets:
+                    v = _parse_vector(sc, dim)
+                    brackets[key] = v if i < j else {k: -x for k, x in v.items()}
+                    bracket_lines[key] = lineno
+                    continue
+            elif kind == "identity":
+                if metric_mode is None:
+                    metric_mode = "identity"
+                    continue
+            elif kind == "g":
+                i, j = _index(args[0], dim), _index(args[1], dim)
+                q = _coefficient(*args[2:5])
+                if (metric_mode != "identity" and i >= 0 and j >= 0
+                        and (i, j) not in metric_entries and q is not None):
+                    metric_mode = "entries"
+                    metric_entries[(i, j)] = metric_entries[(j, i)] = q
+                    continue
+            elif kind == "xi":
+                if xi is None:
+                    xi = _parse_vector(sc, dim)
+                    continue
+            elif kind == "phi":
+                j = _index(args[0], dim)
+                if j >= 0 and j not in phi_cols:
+                    phi_cols[j] = _parse_vector(sc, dim)
+                    continue
+            elif kind == "ricci":
+                i, j = _index(args[0], dim), _index(args[1], dim)
+                q = _coefficient(*args[2:5])
+                if i >= 0 and j >= 0 and q is not None:
+                    exp_ricci.append((i, j, q, args[5]))
+                    continue
+            else:
+                idx = [_index(k, dim) for k in args[:3] if k]
+                clause = _SOURCE.search(line)
+                if clause and min(idx, default=0) >= 0:
+                    sc.text = line[:clause.start()].rstrip()
+                    if kind == "lambda":
+                        exp_lam.append((sc.scalar(), clause.group(1)))
+                    else:
+                        v = vector_of(dim, _parse_vector(sc, dim))
+                        (exp_nabla if kind == "nabla" else exp_riem).append(
+                            (*idx, v, clause.group(1)))
+                    continue
+            sc.pos = 0
+
         head = sc.word()
 
         if head == "manifold":
@@ -279,8 +425,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
             source = clause.group(1)
             if kind == "lambda":
                 sc.char("=")
-                sc._ws = Scanner._ws  # the value reads as parse_scalar reads it
-                exp_lam.append((sc.scalar(), source))
+                exp_lam.append((sc.scalar(), source))  # as parse_scalar reads it
             elif kind == "ricci":
                 i = sc.index_1based(dim)
                 j = sc.index_1based(dim)

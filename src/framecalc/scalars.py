@@ -18,15 +18,22 @@ monomial_parts and join_parts move between a map of ParamScalars and its
 split by monomial, {monomial: {key: Fraction}}, so that kernels can work on
 the rational parts one at a time and build one ParamScalar per entry.
 
-Scanner reads every text input: parse_scalar is Scanner.scalar,
-parse_rational (the --df and --dlambda components) is
-Scanner.signed_rational, the grammar of a metric g entry, and
-manifold_format's line scanner is a subclass. Scanner.scalar reads each
-term's monomial in canonical form, sums the signed coefficients in one
-{monomial: Fraction} dict and builds one ParamScalar per call. Between the
-tokens of a text, the '/' of a rational included, the scanner takes the
-whitespace its _ws allows. Malformed text raises ScalarError with the
-offset of the offending token and the text.
+Text is read one term per match of one compiled pattern, _TERM: a term's
+Fraction and canonical monomial are built from the groups of the match and
+the signed coefficients summed in one {monomial: Fraction} dict, so
+parse_scalar (Scanner.scalar) builds one ParamScalar per call, and
+parse_rational (the --df and --dlambda components, the grammar of a metric
+g entry) is one match. The scalar grammar takes any whitespace between
+tokens, the '/' of a rational included. A term is taken only when the end
+of the text or a sign follows it. Every blank run has one place in the
+pattern, so a match takes time linear in the text.
+
+Scanner's token methods (peek, word, signs, rational, monomial, ...) read
+text one token at a time. They run only from the start of a term the
+pattern rejected, and there they word and place the error: malformed text
+raises ScalarError with the offset of the offending token and the text.
+manifold_format's line scanner is a subclass, with its own whitespace and
+errors.
 """
 from __future__ import annotations
 
@@ -57,14 +64,62 @@ class SolveError(ScalarError):
 
 
 # Scanner tokens, matched in place at the scan position.
-_WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_WORD = re.compile(_NAME)
 _INTEGER = re.compile(r"\d+")
 
+# One term of the scalar grammar, sign* (coeff [[*] mono] | mono), with any
+# whitespace before each token. Groups: 1 the signs, 2 and 3 the numerator
+# and denominator, 4 and 5 the first name and its exponent, 6 the other
+# factors. Every part after the signs is optional, so it always matches; an
+# empty term has neither group 2 nor group 4. Each blank run has one place
+# in the pattern, \s* before a '*', '/' or '^' and \s* after it: an
+# optional '*' between two \s* would split a run in as many ways as it is
+# long, and a match would take time quadratic in the run.
+_TERM = re.compile(
+    r"((?:\s*[+-])*)\s*"
+    r"(?:(\d+)(?:\s*/\s*(\d+))?(?:\s*(?:\*\s*)?(?=[A-Za-z_]))?)?"
+    rf"(?:({_NAME})(?:\s*\^\s*(\d+))?((?:\s*\*\s*{_NAME}(?:\s*\^\s*\d+)?)*))?"
+).match
+
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 # Longest integer literal accepted in scalars and manifold files, in digits;
 # Python reads and prints at most 4300 by default.
 MAX_DIGITS = 1000
+
+
+def _coefficient(signs: str, num: str | None, den: str | None) -> Fraction | None:
+    """The signed coefficient of a term from the groups a pattern matched,
+    1 or -1 without num; None where the token methods must word an error:
+    a literal over MAX_DIGITS digits or a zero denominator."""
+    negative = signs.count("-") & 1
+    if num is None:
+        return _MINUS_ONE if negative else _ONE
+    if len(num) > MAX_DIGITS:
+        return None
+    a = -int(num) if negative else int(num)
+    if den is None:
+        return Fraction(a)
+    d = int(den) if len(den) <= MAX_DIGITS else 0
+    return Fraction(a, d) if d else None
+
+
+def _monomial(name: str, exp: str | None, rest: str) -> Monomial | None:
+    """The canonical monomial of a term's factors: the first name and its
+    exponent, and the text of the others, '*' NAME ['^' INT] each; None
+    when an exponent is over MAX_DIGITS digits."""
+    pairs = [(name, exp or "")]
+    for factor in rest.split("*")[1:]:
+        sym, _, e = factor.partition("^")
+        pairs.append((sym.strip(), e.strip()))
+    out = []
+    for sym, e in pairs:
+        if len(e) > MAX_DIGITS:
+            return None
+        out.append((sym, int(e) if e else 1))
+    return canonical_monomial(out)
 
 
 def format_rational(q: Fraction) -> str:
@@ -348,10 +403,11 @@ def join_parts(parts: dict) -> dict:
 # -- parsing ---------------------------------------------------------------
 
 class Scanner:
-    """Reads the tokens of text in place, each after the whitespace before
-    it: any whitespace here, a subclass may narrow _ws. error raises
-    ScalarError with the offset and the text; manifold_format's line
-    scanner raises its ParseError instead."""
+    """Reads text in place, one token at a time after the whitespace before
+    it: any whitespace here, a subclass may narrow _ws. scalar reads one
+    term per match of _TERM. error raises ScalarError with the offset and
+    the text; manifold_format's line scanner raises its ParseError
+    instead."""
 
     _ws = re.compile(r"\s*").match
 
@@ -375,6 +431,48 @@ class Scanner:
         """Require that nothing but whitespace is left."""
         if not self.eof():
             self.error("trailing text")
+
+    # -- readers by pattern ------------------------------------------------
+
+    def scalar(self) -> ParamScalar:
+        """The rest of the text in the scalar grammar:
+
+            expr  := sign* term { sign+ term }
+            term  := coeff [ ['*'] mono ] | mono
+            coeff := INT [ '/' INT ]
+            mono  := NAME [ '^' INT ] { '*' NAME [ '^' INT ] }
+
+        A term is taken when the end of the text or a sign follows it. The
+        grammar takes any whitespace, also in a subclass's text."""
+        self._ws = ws = Scanner._ws
+        text = self.text
+        n = len(text)
+        terms: dict = {}  # {monomial: Fraction}, summed over the terms
+        first = True
+        while True:
+            m = _TERM(text, self.pos)
+            signs, num, den, name, exp, rest = m.groups()
+            coeff = _coefficient(signs, num, den)
+            if name is None:
+                mono = () if num else None
+            elif exp or rest:
+                mono = _monomial(name, exp, rest)
+            else:
+                mono = ((name, 1),)
+            if coeff is None or mono is None:
+                break
+            if (p := m.end()) < n:
+                p = ws(text, p).end()
+                if p < n and text[p] not in "+-":
+                    break
+            terms[mono] = terms[mono] + coeff if mono in terms else coeff
+            self.pos = p
+            if p == n:
+                return ParamScalar._of({m: c for m, c in terms.items() if c})
+            first = False
+        return self._scalar_by_tokens(terms, first)
+
+    # -- token methods: they word and place the errors of rejected text ------
 
     def peek(self) -> str:
         self.pos = p = self._ws(self.text, self.pos).end()
@@ -468,17 +566,14 @@ class Scanner:
             self.pos += 1
             what = "a parameter name"
 
-    def scalar(self) -> ParamScalar:
-        """The rest of the text in the scalar grammar:
-
-            expr  := sign* term { sign+ term }
-            term  := coeff [ ['*'] mono ] | mono
-            coeff := INT [ '/' INT ]
-            mono  := NAME [ '^' INT ] { '*' NAME [ '^' INT ] }
-        """
-        terms: dict = {}  # {monomial: Fraction}, summed over the terms
-        negative = self.signs()
-        while True:
+    def _scalar_by_tokens(self, terms: dict, first: bool) -> ParamScalar:
+        """scalar, one token at a time from the start of a term: the first
+        term of the text when first, else a term after the ones in terms."""
+        while first or not self.eof():
+            if not first and self.text[self.pos] not in "+-":
+                self.error("expected '+' or '-' between terms")
+            first = False
+            negative = self.signs()
             mono = ()
             if self.peek().isdigit():
                 coeff = self.rational()
@@ -493,11 +588,7 @@ class Scanner:
             if negative:
                 coeff = -coeff
             terms[mono] = terms[mono] + coeff if mono in terms else coeff
-            if self.eof():
-                return ParamScalar._of({m: c for m, c in terms.items() if c})
-            if self.text[self.pos] not in "+-":
-                self.error("expected '+' or '-' between terms")
-            negative = self.signs()
+        return ParamScalar._of({m: c for m, c in terms.items() if c})
 
 
 def parse_scalar(text: str) -> ParamScalar:
@@ -507,7 +598,13 @@ def parse_scalar(text: str) -> ParamScalar:
 
 def parse_rational(text: str) -> Fraction:
     """Parse sign* a [/ b] with unsigned integers a, b != 0, the grammar of
-    a metric g entry, e.g. "-9/6" or "--2"."""
+    a metric g entry, e.g. "-9/6" or "--2", as one match of _TERM."""
+    m = _TERM(text)
+    signs, num, den, name = m.group(1, 2, 3, 4)
+    if num and not name and Scanner._ws(text, m.end()).end() == len(text):
+        q = _coefficient(signs, num, den)
+        if q is not None:
+            return q
     sc = Scanner(text)
     q = sc.signed_rational()
     sc.end()

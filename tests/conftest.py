@@ -4,7 +4,9 @@ examples, for the deeper property run of CI:
 
     PYTHONPATH=src python -m pytest -q tests/test_scalars.py \
         tests/test_solitons.py tests/test_format.py tests/test_fuzz.py \
-        tests/test_contact.py tests/test_geometry.py --hypothesis-profile=ci
+        tests/test_contact.py tests/test_geometry.py \
+        tests/test_closed_forms.py tests/test_frame_change.py \
+        --hypothesis-profile=ci
 
 A property without a fixed max_examples takes its count from the loaded
 profile, so it runs deeper under "ci"; tests/test_fuzz.py sets multiples of

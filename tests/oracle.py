@@ -1,5 +1,6 @@
 """Independent naive oracle: brute-force Koszul / curvature / contraction
-loops on raw Fraction lists. Shares no code with the package under test;
+loops on raw Fraction lists, per-pair references for the checks, and the
+token-by-token text readers. Shares no code with the package under test;
 used to pin expected values."""
 from fractions import Fraction as F
 
@@ -565,3 +566,424 @@ def reeb_ricci_text(name, c, g, xi):
             bad.append(f"e{k + 1}: ric(xi, e_k) = {lhs}, want {(n - 1) * eta[k]}")
     return report_text(f"{name} reeb ricci identity",
                        [(f"ric(xi, Z) = {n - 1} eta(Z)", bad, "")])
+
+
+# Token-by-token references for the text grammars: the scanner, the scalar
+# loop, the vector reader and the statement code of the manifold reader as
+# they read text one token at a time, before the readers matched whole terms
+# and statement heads with patterns. Only the line split differs: lines end
+# at \n, \r\n or \r alone. Values come back as plain dicts, errors as
+# ScalarTextError or LineError with the engine's message text.
+
+import re as _re
+
+_WORD = _re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_INTEGER = _re.compile(r"\d+")
+_BASIS = _re.compile(r"e(\d+)")
+_SOURCE = _re.compile(r'source\s+"([^"]*)"\s*$')
+_EXPECT_KINDS = ("nabla", "riem", "ricci", "lambda")
+MAX_DIGITS = 1000
+MAX_DIM = 128
+_ONE = F(1)
+
+
+class ScalarTextError(ValueError):
+    pass
+
+
+class LineError(ValueError):
+    def __init__(self, lineno, col, message):
+        super().__init__(f"line {lineno}, col {col}: {message}")
+        self.lineno = lineno
+        self.col = col
+        self.message = message
+
+
+def canonical_monomial(pairs):
+    if len(pairs) == 1 and pairs[0][1] > 0:
+        return tuple(pairs)
+    exps = {}
+    for sym, e in pairs:
+        exps[sym] = exps.get(sym, 0) + e
+    return tuple(sorted((sym, e) for sym, e in exps.items() if e))
+
+
+class TokenScanner:
+    _ws = _re.compile(r"\s*").match
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def error(self, msg, pos=None):
+        p = self.pos if pos is None else pos
+        raise ScalarTextError(f"{msg} at offset {p} in scalar {self.text!r}")
+
+    def skip_ws(self):
+        self.pos = p = self._ws(self.text, self.pos).end()
+        return p
+
+    def eof(self):
+        self.pos = p = self._ws(self.text, self.pos).end()
+        return p >= len(self.text)
+
+    def end(self):
+        if not self.eof():
+            self.error("trailing text")
+
+    def peek(self):
+        self.pos = p = self._ws(self.text, self.pos).end()
+        return self.text[p:p + 1]
+
+    def peek_word(self):
+        m = _WORD.match(self.text, self.skip_ws())
+        return m.group(0) if m else ""
+
+    def word(self, what="an identifier"):
+        m = _WORD.match(self.text, self.skip_ws())
+        if not m:
+            self.error(f"expected {what}")
+        self.pos = m.end()
+        return m.group(0)
+
+    def keyword(self, lit):
+        start = self.pos
+        w = self.word()
+        if w != lit:
+            self.error(f"expected {lit!r}, found {w!r}", start)
+
+    def char(self, ch):
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def signs(self):
+        negative = False
+        while (ch := self.peek()) in ("+", "-"):
+            negative ^= ch == "-"
+            self.pos += 1
+        return negative
+
+    def literal(self, m, group):
+        digits = m.group(group)
+        if len(digits) > MAX_DIGITS:
+            self.error(f"integer literal of {len(digits)} digits exceeds "
+                       f"the limit of {MAX_DIGITS}", m.start(group))
+        return int(digits)
+
+    def integer(self):
+        m = _INTEGER.match(self.text, self.skip_ws())
+        if not m:
+            self.error("expected an integer")
+        value = self.literal(m, 0)
+        self.pos = m.end()
+        return value
+
+    def rational(self):
+        start = self.skip_ws()
+        m = _INTEGER.match(self.text, start)
+        if not m:
+            self.error("expected a rational number")
+        num = self.literal(m, 0)
+        self.pos = m.end()
+        if self.peek() != "/":
+            return F(num)
+        self.pos += 1
+        m = _INTEGER.match(self.text, self.skip_ws())
+        if not m:
+            self.error("expected an integer denominator")
+        den = self.literal(m, 0)
+        self.pos = m.end()
+        if den == 0:
+            self.error("zero denominator", start)
+        return F(num, den)
+
+    def signed_rational(self):
+        negative = self.signs()
+        q = self.rational()
+        return -q if negative else q
+
+    def monomial(self, what):
+        pairs = []
+        while True:
+            name = self.word(what)
+            exp = 1
+            if self.peek() == "^":
+                self.pos += 1
+                exp = self.integer()
+            pairs.append((name, exp))
+            if self.peek() != "*":
+                return canonical_monomial(pairs)
+            self.pos += 1
+            what = "a parameter name"
+
+    def scalar(self):
+        """{monomial: Fraction}, zero coefficients left out."""
+        terms = {}
+        negative = self.signs()
+        while True:
+            mono = ()
+            if self.peek().isdigit():
+                coeff = self.rational()
+                ch = self.peek()
+                if ch == "*":
+                    self.pos += 1
+                if ch == "*" or ch == "_" or ch.isalpha():
+                    mono = self.monomial("a parameter name")
+            else:
+                coeff = _ONE
+                mono = self.monomial("a term")
+            if negative:
+                coeff = -coeff
+            terms[mono] = terms[mono] + coeff if mono in terms else coeff
+            if self.eof():
+                return {m: c for m, c in terms.items() if c}
+            if self.text[self.pos] not in "+-":
+                self.error("expected '+' or '-' between terms")
+            negative = self.signs()
+
+
+class LineScanner(TokenScanner):
+    _ws = _re.compile(r"[ \t]*").match
+
+    def __init__(self, text, lineno):
+        super().__init__(text)
+        self.lineno = lineno
+
+    def error(self, msg, pos=None):
+        p = self.pos if pos is None else pos
+        raise LineError(self.lineno, p + 1, msg)
+
+    def basis_index(self, dim):
+        start = self.skip_ws()
+        m = _BASIS.match(self.text, start)
+        if not m:
+            self.error("expected a frame vector e<k>")
+        k = self.literal(m, 1)
+        self.pos = m.end()
+        if not 1 <= k <= dim:
+            self.error(f"frame index e{k} out of range 1..{dim}", start)
+        return k - 1
+
+    def index_1based(self, dim):
+        start = self.skip_ws()
+        k = self.integer()
+        if not 1 <= k <= dim:
+            self.error(f"index {k} out of range 1..{dim}", start)
+        return k - 1
+
+
+def parse_vector(sc, dim):
+    coeffs = {}
+    if sc.peek() == "0":
+        save = sc.pos
+        sc.pos += 1
+        if sc.eof():
+            return coeffs
+        sc.pos = save
+    first = True
+    while not sc.eof():
+        start = sc.pos
+        negative = sc.signs()
+        if not first and sc.pos == start:
+            sc.error("expected '+' or '-' between terms")
+        q = _ONE
+        if sc.peek().isdigit():
+            q = sc.rational()
+            if sc.peek() == "*":
+                sc.pos += 1
+        k = sc.basis_index(dim)
+        if negative:
+            q = -q
+        coeffs[k] = coeffs[k] + q if k in coeffs else q
+        first = False
+    if first:
+        sc.error("expected a vector expression")
+    return {k: x for k, x in coeffs.items() if x}
+
+
+def reference_scalar(text):
+    return TokenScanner(text).scalar()
+
+
+def reference_rational(text):
+    sc = TokenScanner(text)
+    q = sc.signed_rational()
+    sc.end()
+    return q
+
+
+def reference_vector(text, dim):
+    return parse_vector(LineScanner(text, 1), dim)
+
+
+def _strip_comment(raw):
+    if "#" not in raw:
+        return raw
+    quoted = False
+    for pos, ch in enumerate(raw):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return raw[:pos]
+    return raw
+
+
+def text_lines(text):
+    """The lines of text, each ended by \\n, \\r\\n or \\r."""
+    lines = _re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def reference_document(text):
+    """A manifold file's statements as a dict of plain values: name, dim,
+    params, brackets {(i, j): {k: Fraction}} for i < j, metric ("identity"
+    or the dense rows), xi, phi {j: {a: Fraction}}, and the expect entries
+    nabla, riem (vectors as dicts), ricci and lam ({monomial: Fraction})."""
+    name = None
+    dim = 0
+    params = []
+    brackets = {}
+    bracket_lines = {}
+    metric_mode = None
+    metric_entries = {}
+    xi = None
+    phi_cols = {}
+    exp_nabla = []
+    exp_riem = []
+    exp_ricci = []
+    exp_lam = []
+    last_line = 0
+
+    for lineno, raw in enumerate(text_lines(text), start=1):
+        last_line = lineno
+        line = _strip_comment(raw).rstrip("\r").rstrip()
+        if not line.strip():
+            continue
+        sc = LineScanner(line, lineno)
+        head = sc.word()
+
+        if head == "manifold":
+            if name is not None:
+                sc.error("duplicate manifold declaration")
+            name = sc.word()
+            sc.keyword("dim")
+            dim_pos = sc.skip_ws()
+            dim = sc.integer()
+            if dim < 1:
+                sc.error("dimension must be positive")
+            if dim > MAX_DIM:
+                sc.error(f"dimension {dim} exceeds the limit {MAX_DIM}", dim_pos)
+            sc.end()
+            continue
+
+        if name is None:
+            sc.error("the manifold declaration must come first", 0)
+
+        if head == "param":
+            params.append(sc.word())
+            sc.end()
+        elif head == "bracket":
+            i = sc.basis_index(dim)
+            j = sc.basis_index(dim)
+            if i == j:
+                sc.error("bracket of a frame vector with itself is zero; omit it")
+            key = (min(i, j), max(i, j))
+            if key in brackets:
+                sc.error(f"bracket for pair (e{key[0] + 1}, e{key[1] + 1}) "
+                         f"already declared on line {bracket_lines[key]}")
+            sc.char("=")
+            v = parse_vector(sc, dim)
+            brackets[key] = v if i < j else {k: -x for k, x in v.items()}
+            bracket_lines[key] = lineno
+        elif head == "metric":
+            which = sc.peek_word()
+            if which == "identity":
+                sc.word()
+                if metric_mode is not None:
+                    sc.error("metric already declared")
+                metric_mode = "identity"
+                sc.end()
+            elif which == "g":
+                sc.word()
+                if metric_mode == "identity":
+                    sc.error("metric already declared as identity")
+                metric_mode = "entries"
+                i = sc.index_1based(dim)
+                j = sc.index_1based(dim)
+                if (i, j) in metric_entries or (j, i) in metric_entries:
+                    sc.error(f"metric entry ({i + 1},{j + 1}) already declared")
+                sc.char("=")
+                q = sc.signed_rational()
+                sc.end()
+                metric_entries[(i, j)] = q
+                metric_entries[(j, i)] = q
+            else:
+                sc.error("expected 'identity' or 'g'")
+        elif head == "contact":
+            which = sc.word()
+            if which == "xi":
+                if xi is not None:
+                    sc.error("contact xi already declared")
+                sc.char("=")
+                xi = parse_vector(sc, dim)
+            elif which == "phi":
+                j = sc.basis_index(dim)
+                if j in phi_cols:
+                    sc.error(f"contact phi e{j + 1} already declared")
+                sc.char("=")
+                phi_cols[j] = parse_vector(sc, dim)
+            else:
+                sc.error("expected 'xi' or 'phi'")
+        elif head == "expect":
+            start = sc.pos
+            clause = _SOURCE.search(line)
+            kind = sc.peek_word() if clause and sc.skip_ws() > start else ""
+            sc.pos += len(kind)
+            if kind not in _EXPECT_KINDS or not line[sc.pos:sc.pos + 1].isspace():
+                sc.error("malformed expect line; need = <value> source \"...\"",
+                         start)
+            sc.text = line[:clause.start()].rstrip()
+            source = clause.group(1)
+            if kind == "lambda":
+                sc.char("=")
+                sc._ws = TokenScanner._ws
+                exp_lam.append((sc.scalar(), source))
+            elif kind == "ricci":
+                i = sc.index_1based(dim)
+                j = sc.index_1based(dim)
+                sc.char("=")
+                q = sc.signed_rational()
+                sc.end()
+                exp_ricci.append((i, j, q, source))
+            else:
+                nabla = kind == "nabla"
+                idx = [sc.basis_index(dim) for _ in range(2 if nabla else 3)]
+                sc.char("=")
+                v = parse_vector(sc, dim)
+                (exp_nabla if nabla else exp_riem).append((*idx, v, source))
+        else:
+            sc.error(f"unknown statement {head!r}", 0)
+
+    if name is None:
+        raise LineError(last_line + 1, 1, "missing manifold declaration")
+    if metric_mode is None:
+        raise LineError(last_line + 1, 1, "missing metric declaration")
+    allowed = set(params) | {"p"}
+    for lam, _src in exp_lam:
+        extra = {sym for mono in lam for sym, _ in mono} - allowed
+        if extra:
+            raise LineError(last_line + 1, 1,
+                            f"expected lambda uses undeclared parameter "
+                            f"{sorted(extra)[0]!r}")
+    if phi_cols and xi is None:
+        raise LineError(last_line + 1, 1, "contact phi requires contact xi")
+    metric = "identity" if metric_mode == "identity" else [
+        [metric_entries.get((i, j), F(0)) for j in range(dim)]
+        for i in range(dim)]
+    return {"name": name, "dim": dim, "params": params,
+            "brackets": brackets, "metric": metric, "xi": xi,
+            "phi": phi_cols, "nabla": exp_nabla, "riem": exp_riem,
+            "ricci": exp_ricci, "lam": exp_lam}

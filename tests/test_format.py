@@ -5,13 +5,15 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from frames import MALFORMED_SCALARS, scalar_texts
+from readers import token_reads
 from framecalc.catalog import FIXTURES, builtin_names, load_builtin
 from framecalc.cli import main
-from framecalc.geometry import FrameVector, identity_metric
+from framecalc.geometry import FrameVector, identity_metric, vector_of
 from framecalc.manifold_format import (MAX_DIM, ParseError, parse_manifold,
                                        parse_vector_text, render_manifold)
 from framecalc.scalars import (ParamScalar, ScalarError, parse_rational,
@@ -329,15 +331,67 @@ def test_statement_errors(tmp_path, capsys, text, lineno, col, message):
     assert captured.err == f"parse error: line {lineno}, col {col}: {message}\n"
 
 
-def test_long_blank_runs_read_in_linear_time():
-    """The source clause is found without backtracking over blank runs."""
-    run = " " * 100_000
+# Texts with a gap, "|", before and after each token: a scalar term, a
+# vector term and each statement. A statement ends its line, on a document
+# whose other lines parse; where a blank must separate two tokens the gap
+# holds one.
+RUN = " " * 100_000
+LINEAR_CASES = [
+    ("scalar", "|-|2|/|3|*|p|^|2|*|q|^|3|+|-|1|"),
+    ("scalar-no-star", "|2|q|"),
+    ("vector", "|-|2|/|3|*|e1|+|-|e2|"),
+    ("manifold", "| manifold | t | dim | 3 |"),
+    ("param", "|param | q|"),
+    ("bracket", "|bracket | e1|e2|=|e3|"),
+    ("identity", "|metric | identity|"),
+    ("metric-g", "|metric | g | 1 | 1|=|-|2|/|3|"),
+    ("xi", "|contact | xi|=|e3|"),
+    ("phi", "|contact | phi | e1|=|e2|"),
+    ("ricci", '|expect | ricci | 1 | 1|=|-|2|/|3|source | "s"|'),
+    ("nabla", '|expect | nabla | e1|e2|=|e3|source | "s"|'),
+    ("riem", '|expect | riem | e1|e2|e1|=|e3|source | "s"|'),
+    ("lambda", '|expect | lambda | =|1|/|2|*|p|source | "s"|'),
+]
+
+
+def linear_case_texts():
+    for name, template in LINEAR_CASES:
+        parts = template.split("|")
+        for gap in range(len(parts) - 1):
+            head = "".join(parts[:gap + 1])
+            accepted = head + RUN + "".join(parts[gap + 1:])
+            yield pytest.param(name, accepted, True, id=f"{name}-{gap}-accepted")
+            yield pytest.param(name, head + RUN + "$", False,
+                               id=f"{name}-{gap}-rejected")
+
+
+def read_linear_case(name, text):
+    if name.startswith("scalar"):
+        return parse_scalar(text)
+    if name == "vector":
+        return parse_vector_text(text, 3)
+    if name == "manifold":
+        return parse_manifold(text + "\nmetric identity\n")
+    lines = ["manifold t dim 3", text]
+    if name == "phi":
+        lines.append("contact xi = e3")
+    if name not in ("identity", "metric-g"):
+        lines.append("metric identity")
+    return parse_manifold("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name, text, accepted", linear_case_texts())
+def test_long_blank_runs_read_in_linear_time(name, text, accepted):
+    """A 100,000-blank run in any gap of a term or a statement, on a text
+    that parses and on one that fails right after the run, is read in well
+    under a second: no pattern splits a blank run in more than one way."""
     t0 = time.perf_counter()
-    doc = parse_manifold(
-        EXPECT_HEAD + f'expect lambda = 1{run}+ 1 source "s"\n')
-    assert doc.expected.lam == ((ParamScalar.rational(2), "s"),)
-    assert "malformed expect" in err(EXPECT_HEAD + f"expect {run}x\n").message
-    assert time.perf_counter() - t0 < 5
+    if accepted:
+        read_linear_case(name, text)
+    else:
+        with pytest.raises((ParseError, ScalarError)):
+            read_linear_case(name, text)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_non_breaking_space():
@@ -402,6 +456,181 @@ def test_dimension_limit():
         e = err(f"manifold big dim {dim}\nmetric identity\n")
         assert str(e).startswith("line 1, col 18: ")
         assert f"dimension {dim} exceeds the limit 128" in e.message
+
+
+# -- the token-by-token references ------------------------------------------------
+
+VECTOR_PIECES = (["e1", "e2", "e3", "e4", "e0", "e03", "e٣", "0", "1", "2",
+                  "/", "*", "+", "-", " ", "\t", "\xa0", "$"]
+                 + ["7" * 1001, "1/0", "1/-2", "--2", "2*"])
+
+
+def outcome(reader, text):
+    """(("ok", value) or ("error", line, col, message), the token methods
+    that ran)."""
+    with token_reads() as calls:
+        try:
+            return ("ok", reader(text)), calls
+        except (ParseError, oracle.LineError) as exc:
+            return ("error", exc.lineno, exc.col, exc.message), calls
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from(VECTOR_PIECES), max_size=10).map("".join))
+def test_vector_reads_as_the_token_reference(text):
+    """parse_vector_text gives the reference's coefficients, or its error at
+    the same column; on accepted text no token method runs."""
+    got, calls = outcome(lambda t: parse_vector_text(t, 3), text)
+    want, _ = outcome(lambda t: vector_of(3, oracle.reference_vector(t, 3)),
+                      text)
+    assert got == want
+    if got[0] == "ok":
+        assert calls == []
+
+
+# One statement per kind; each word of a template is drawn from PIECES
+# (G a gap that needs a blank, g any gap), is e and an index drawn for I,
+# or stands for itself.
+MANIFOLD_TEMPLATE = "manifold G t G dim G N"
+STATEMENT_TEMPLATES = [
+    "param G NAME", "bracket G eI g eI g = g V",
+    "metric G identity", "metric G g G I G I g = g R", "contact G xi g = g V",
+    "contact G phi G eI g = g V", "expect G ricci G I G I g = g R g S",
+    "expect G nabla G eI g eI g = g V g S",
+    "expect G riem G eI g eI g eI g = g V g S",
+    "expect G lambda G = g X g S", "frob", "# note",
+]
+# Each piece: (text that reads, text that fails or reads in a way of its
+# own); a statement draws the first kind nine times in ten.
+PIECES = {
+    "G": ([" ", "\t", " \t "], ["", "\xa0", "\x0c"]),
+    "g": (["", " ", "\t"], ["\xa0", "\x85"]),
+    "N": (["3"], ["03", "0", "129", "9" * 1001]),
+    "NAME": (["q", "r", "x1"], ["p", "1x", "é"]),
+    "I": (["1", "2", "3"], ["0", "4", "01", "9" * 1001, "٣", "x", ""]),
+    "V": (["e1", "2*e3", "-1/2 e2 + e1", "0", "e1 - -e2", "3e3", "e2+e2"],
+          ["e4", "0 e1", "00", "", "e1 e2", "1/0 e1", "2*", "e1 +",
+           "1 /\xa02e1", "7" * 1001 + "e1", "e" + "1" * 1001]),
+    "R": (["2", "-1/3", "--2", "+ 4 / 6", "0"],
+          ["1/0", "1/-2", "2*", "7" * 1001, "1/" + "7" * 1001, "٣", "2p",
+           "", "3\xa0/4", "1 2"]),
+    "X": (["1/2*p + 9/5", "p", "q^2*p - 1", "2p", "-3", "1\xa0/\xa02 p"],
+          ["p^", "2*", "1/0", "--2", "r", "p q", ""]),
+    "S": (['source "s"', 'source\t"a # b"', 'source "x\x0cy"', 'source  ""'],
+          ['source "s" junk', 'source "a" source "b"', 'source"s"', "",
+           'source "s', "source s"]),
+}
+
+
+@st.composite
+def statements(draw, templates=st.sampled_from(STATEMENT_TEMPLATES)):
+    def piece(word):
+        if word == "eI":
+            return "e" + piece("I")
+        if word not in PIECES:
+            return word
+        reads, other = PIECES[word]
+        return draw(st.sampled_from(other if draw(st.integers(0, 9)) == 9 else reads))
+
+    line = "".join(piece(w) for w in draw(templates).split(" "))
+    return line + draw(st.sampled_from(["", "", "", "  # c", ' # "q', "\t#"]))
+
+
+@st.composite
+def documents(draw):
+    lines = [draw(statements(st.just(MANIFOLD_TEMPLATE))), "param q"] + draw(
+        st.lists(statements(), max_size=5))
+    if draw(st.integers(0, 9)) < 9:
+        lines.append("metric identity")
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def document_view(doc):
+    """A ManifoldDocument in the reference's terms."""
+    M, e = doc.manifold, doc.expected
+    contact = doc.contact and (doc.contact.phi, doc.contact.xi)
+    return (M.name, M.dim, M.params,
+            {key: row for key, row in M.brackets.items() if key[0] < key[1]},
+            M.g, contact, e.nabla, e.riem, e.ricci,
+            tuple((lam.terms(), src) for lam, src in e.lam))
+
+
+def reference_view(ref):
+    dim = ref["dim"]
+    zero = Fraction(0)
+    g = identity_metric(dim) if ref["metric"] == "identity" else \
+        tuple(map(tuple, ref["metric"]))
+    contact = None
+    if ref["xi"] is not None:
+        contact = (tuple(tuple(ref["phi"].get(j, {}).get(a, zero)
+                               for j in range(dim)) for a in range(dim)),
+                   tuple(ref["xi"].get(a, zero) for a in range(dim)))
+    return (ref["name"], dim, frozenset(ref["params"]) | {"p"},
+            {key: row for key, row in ref["brackets"].items() if row},
+            g, contact,
+            tuple((*idx, vector_of(dim, v), src) for *idx, v, src in ref["nabla"]),
+            tuple((*idx, vector_of(dim, v), src) for *idx, v, src in ref["riem"]),
+            tuple(ref["ricci"]), tuple(ref["lam"]))
+
+
+@settings(deadline=None)
+@given(documents())
+@example('manifold t dim 3\nexpect ricci 1 1 = 2 source "s" junk\n')
+@example('manifold t dim 3\nexpect ricci 1 1 = 2 source "a" source "b"\n')
+@example('manifold t dim 3\nexpect nabla e1 e2 = e3 source "a" b\n')
+@example('manifold t dim 3\nexpect lambda = p source "a" source "b"\n')
+def test_document_reads_as_the_token_reference(text):
+    """parse_manifold holds what the token-by-token statement code reads,
+    or fails with its message at the same line and column; on a document
+    that parses no token method runs."""
+    got, calls = outcome(lambda t: document_view(parse_manifold(t)), text)
+    want, _ = outcome(lambda t: reference_view(oracle.reference_document(t)),
+                      text)
+    assert got == want
+    if got[0] == "ok":
+        assert calls == []
+
+
+def test_builtins_read_without_token_methods():
+    for name in builtin_names():
+        with token_reads() as calls:
+            parse_manifold(FIXTURES[name])
+        assert calls == [], name
+
+
+# -- line ends ----------------------------------------------------------------------
+
+# Characters str.splitlines() ends a line at, but open() in text mode does not.
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                 "\u2029"]
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_ENDS, ids=ascii)
+def test_only_lf_crlf_and_cr_end_a_line(ch):
+    doc = parse_manifold(f"manifold t dim 2\nmetric identity\n# note{ch} page\n"
+                         f'expect ricci 1 1 = 2 source "a{ch}b"  # c{ch}d\n')
+    assert doc.expected.ricci == ((0, 0, Fraction(2), f"a{ch}b"),)
+    text = f"manifold t dim 2\n# a{ch}b{ch}\nmetric identity{ch}\n\nfrob\n"
+    e = err(text)
+    assert (e.lineno, e.col) == (text.count("\n"), 1)
+    assert "unknown statement 'frob'" in e.message
+    e = err(f"manifold t dim 3\nbracket e1{ch}e2 = e3\n")
+    assert (e.lineno, e.col) == (2, 11)
+    e = err(f"# a{ch}b\n")
+    assert (e.lineno, e.message) == (2, "missing manifold declaration")
+
+
+def test_cr_and_crlf_line_ends():
+    e = err("manifold t dim 2\rmetric identity\r\n\rfrob\r")
+    assert (e.lineno, e.col) == (4, 1)
+    for text in ("manifold t dim 2\r\n", "manifold t dim 2\r",
+                 "manifold t dim 2"):
+        e = err(text)
+        assert (e.lineno, e.message) == (2, "missing metric declaration")
+    e = err("manifold t dim 2\n\n")
+    assert (e.lineno, e.message) == (3, "missing metric declaration")
 
 
 # -- rendering ----------------------------------------------------------------------------

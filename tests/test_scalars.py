@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from frames import MALFORMED_SCALARS, scalar_texts
+from readers import token_reads
 from framecalc.manifold_format import ParseError, parse_manifold
 from framecalc.scalars import (MAX_DIGITS, ZERO, EvaluationError,
                                LinearForm, ParamScalar, ScalarError,
@@ -271,7 +273,9 @@ def sum_of_terms(draw):
 @given(sum_of_terms())
 def test_parse_equals_the_terms_combined_by_arithmetic(case):
     text, value = case
-    parsed = parse_scalar(text)
+    with token_reads() as calls:
+        parsed = parse_scalar(text)
+    assert calls == []
     assert parsed == value, text
     assert_canonical(parsed)
 
@@ -355,6 +359,47 @@ def test_any_text_parses_canonically_or_raises_scalar_error(text):
 @given(scalars())
 def test_parse_render_roundtrip(a):
     assert parse_scalar(a.render()) == a
+
+
+# Pieces of text for the differential properties: whitespace the scalar
+# grammar takes or a line rejects, a Unicode digit \d takes, literals over
+# the digit limit, and texts each reader words its own error for.
+TEXT_PIECES = (list("0123456789") + ["p", "q", "e1", "_x", "p2"]
+               + list("+-*/^$") + [" ", "\t", "\xa0", "\r", "\u0663", "\xb2"]
+               + ["7" * 1001, "1/0", "1/-2", "--2", "2*", "p^"])
+piece_texts = st.lists(st.sampled_from(TEXT_PIECES), max_size=10).map("".join)
+
+
+def read(reader, text):
+    """(("ok", value) or ("error", message), the token methods that ran)."""
+    with token_reads() as calls:
+        try:
+            return ("ok", reader(text)), calls
+        except (ScalarError, oracle.ScalarTextError) as exc:
+            return ("error", str(exc)), calls
+
+
+@settings(deadline=None)
+@given(piece_texts)
+def test_scalar_reads_as_the_token_reference(text):
+    """parse_scalar gives the token-by-token reference's terms, or its
+    error with the same message and offset; on accepted text no token
+    method runs."""
+    got, calls = read(lambda t: parse_scalar(t).terms(), text)
+    want, _ = read(oracle.reference_scalar, text)
+    assert got == want
+    if got[0] == "ok":
+        assert calls == []
+
+
+@settings(deadline=None)
+@given(piece_texts)
+def test_rational_reads_as_the_token_reference(text):
+    got, calls = read(parse_rational, text)
+    want, _ = read(oracle.reference_rational, text)
+    assert got == want
+    if got[0] == "ok":
+        assert calls == []
 
 
 # -- linear forms ----------------------------------------------------------------
