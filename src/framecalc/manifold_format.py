@@ -25,18 +25,20 @@ so repeated or contradictory expect lines are legal.
 A line ends at \\n, \\r\\n or \\r, as open() in text mode ends it; other
 characters str.splitlines() breaks at (\\x0c, \\x85, \\u2028, ...) stay in
 the line. Each statement is recognised by one anchored match of
-_STATEMENT over its head and indices (over the whole line for manifold,
-param, metric and expect ricci), with blanks and tabs between tokens. Its
-value is read by the term readers: a vector-expr one term per match of
-_VECTOR_TERM, an expect lambda scalar-expr by Scanner.scalar with any
-whitespace, as parse_scalar reads it. The value of an expect nabla, riem or
-lambda line ends before the trailing source clause.
+_STATEMENT over its head and indices, up to the = (over the whole line
+for manifold, param and metric identity), with blanks and tabs between
+tokens. Its value is read by the term readers: a vector-expr one term per
+match of _VECTOR_TERM, a rational by one match of _RATIONAL, an expect
+lambda scalar-expr by Scanner.scalar with any whitespace, as parse_scalar
+reads it. The value of an expect line ends before the trailing source
+clause.
 
 A line the pattern rejects, or whose indices or declarations fail their
 checks, is read again by the token methods of _Scanner, a subclass of
 scalars.Scanner, from the start of the line. They raise ParseError at the
 line and column of the offending token; no line that parses goes through
-them.
+them. Both ways check a statement by the same rules and record it by the
+same code, the methods of _Document.
 """
 from __future__ import annotations
 
@@ -109,14 +111,14 @@ class _Scanner(Scanner):
             self.error("expected a frame vector e<k>")
         k = self.literal(m, 1)
         self.pos = m.end()
-        if not 1 <= k <= dim:
+        if _index(m.group(1), dim) < 0:
             self.error(f"frame index e{k} out of range 1..{dim}", start)
         return k - 1
 
     def index_1based(self, dim: int) -> int:
         start = self.skip_ws()
         k = self.integer()
-        if not 1 <= k <= dim:
+        if _index(self.text[start:self.pos], dim) < 0:
             self.error(f"index {k} out of range 1..{dim}", start)
         return k - 1
 
@@ -194,34 +196,54 @@ def parse_vector_text(text: str, dim: int) -> FrameVector:
 _SOURCE = re.compile(r'source\s+"([^"]*)"\s*$')
 _EXPECT_KINDS = ("nabla", "riem", "ricci", "lambda")
 
+# The number of indices in the head of each statement kind with indices.
+_INDICES = {"bracket": 2, "identity": 0, "g": 2, "xi": 0, "phi": 1,
+            "ricci": 2, "nabla": 2, "riem": 3, "lambda": 0}
+
+# A signed rational that ends the text: the value of a metric g or an
+# expect ricci line. Groups as _VECTOR_TERM's 1 to 3.
+_RATIONAL = re.compile(r"((?:[ \t]*[+-])*)[ \t]*(\d+)(?:[ \t]*/[ \t]*(\d+))?"
+                       r"[ \t]*$").match
+
 
 def _statement_pattern():
     r"""The match function of a statement head, each kind a named group: a
-    whole line for manifold, param, the metric and expect ricci, up to the =
-    for the others. Where two tokens would merge without a blank between
-    them, [ \t]+ separates them, else [ \t]*. A kind's capture groups
-    follow its named group, so m.groups()[m.lastindex:] starts with them."""
+    whole line for manifold, param and metric identity, up to the = for the
+    others. Where two tokens would merge without a blank between them, or
+    the token reader needs whitespace after an expect kind, [ \t]+
+    separates them, else [ \t]*. A kind's capture groups follow its named
+    group, so m.groups()[m.lastindex:] starts with them."""
     b, e, name = "[ \t]", r"e(\d+)", r"([A-Za-z_][A-Za-z_0-9]*)"
-    rational = rf"((?:{b}*[+-])*){b}*(\d+)(?:{b}*/{b}*(\d+))?"
     heads = {
         "manifold": rf"manifold{b}+{name}{b}+dim{b}+(\d+)$",
         "param": rf"param{b}+{name}$",
         "bracket": rf"bracket{b}+{e}{b}*{e}{b}*=",
         "identity": rf"metric{b}+identity$",
-        "g": rf"metric{b}+g{b}+(\d+){b}+(\d+){b}*={rational}$",
+        "g": rf"metric{b}+g{b}+(\d+){b}+(\d+){b}*=",
         "xi": rf"contact{b}+xi{b}*=",
         "phi": rf"contact{b}+phi{b}+{e}{b}*=",
-        "ricci": rf"expect{b}+ricci{b}+(\d+){b}+(\d+){b}*={rational}"
-                 rf'\s*source\s+"([^"]*)"\s*$',
-        "lambda": rf"expect{b}+lambda{b}+=",
+        "ricci": rf"expect{b}+ricci{b}+(\d+){b}+(\d+){b}*=",
         "nabla": rf"expect{b}+nabla{b}+{e}{b}*{e}{b}*=",
         "riem": rf"expect{b}+riem{b}+{e}{b}*{e}{b}*{e}{b}*=",
+        "lambda": rf"expect{b}+lambda{b}+=",
     }
     return re.compile(f"{b}*(?:" + "|".join(
         f"(?P<{kind}>{head})" for kind, head in heads.items()) + ")").match
 
 
 _STATEMENT = _statement_pattern()
+
+
+def _rational(sc: _Scanner) -> Fraction:
+    """The signed rational that fills the rest of sc's text, by one match
+    of _RATIONAL, or by the token methods where that is rejected."""
+    m = _RATIONAL(sc.text, sc.pos)
+    if m and (q := _coefficient(*m.groups())) is not None:
+        sc.pos = m.end()
+        return q
+    q = sc.signed_rational()
+    sc.end()
+    return q
 
 
 def _lines(text: str) -> list:
@@ -247,236 +269,246 @@ def _strip_comment(raw: str) -> str:
     return raw
 
 
+class _Document:
+    """The statements of a manifold file read so far.
+
+    A line is read by read_match where _STATEMENT matches its head, else by
+    read_tokens. Both check a statement by the same rules, each a method
+    that returns the message of the error the statement makes or None, and
+    both hand it to record, which reads its value with the term readers
+    and stores it. read_match takes a line only where its indices are in
+    range and every rule passes; read_tokens raises a rule's message where
+    the token that breaks it ends, and a grammar error at its token."""
+
+    def __init__(self):
+        self.name = None
+        self.dim = 0
+        self.params: list = []
+        self.brackets: dict = {}  # {(i, j): {k: Fraction}}, i < j
+        self.bracket_lines: dict = {}
+        self.metric_mode = None  # None | "identity" | "entries"
+        self.metric_entries: dict = {}
+        self.xi = None
+        self.phi_cols: dict = {}
+        self.nabla: list = []
+        self.riem: list = []
+        self.ricci: list = []
+        self.lam: list = []
+
+    # -- rules: checked after the first word, the kind's words, the indices
+
+    def order_error(self, head: str) -> str | None:
+        if head == "manifold":
+            return None if self.name is None else "duplicate manifold declaration"
+        if self.name is None:
+            return "the manifold declaration must come first"
+        return None
+
+    def kind_error(self, kind: str) -> str | None:
+        if kind == "identity" and self.metric_mode is not None:
+            return "metric already declared"
+        if kind == "g" and self.metric_mode == "identity":
+            return "metric already declared as identity"
+        if kind == "xi" and self.xi is not None:
+            return "contact xi already declared"
+        return None
+
+    def index_error(self, kind: str, idx: tuple) -> str | None:
+        if kind == "bracket":
+            i, j = idx
+            if i == j:
+                return "bracket of a frame vector with itself is zero; omit it"
+            key = (min(i, j), max(i, j))
+            if key in self.brackets:
+                return (f"bracket for pair (e{key[0] + 1}, e{key[1] + 1}) "
+                        f"already declared on line {self.bracket_lines[key]}")
+        elif kind == "g" and tuple(idx) in self.metric_entries:
+            return f"metric entry ({idx[0] + 1},{idx[1] + 1}) already declared"
+        elif kind == "phi" and idx[0] in self.phi_cols:
+            return f"contact phi e{idx[0] + 1} already declared"
+        return None
+
+    # -- the two readers of a line -----------------------------------------
+
+    def read_match(self, m, sc: _Scanner) -> bool:
+        """Read the line of sc whose head m matched; False, with nothing
+        recorded, where an index is out of range or a rule fails."""
+        kind = m.lastgroup
+        args = m.groups()[m.lastindex:]
+        if kind == "manifold":
+            k = _index(args[1], MAX_DIM)
+            fields = (args[0], k + 1) if k >= 0 else None
+        elif kind == "param":
+            fields = args[:1]
+        else:
+            fields = [_index(k, self.dim) for k in args[:_INDICES[kind]]]
+            if min(fields, default=0) < 0:
+                return False
+        if (fields is None or self.order_error(kind) or self.kind_error(kind)
+                or self.index_error(kind, fields)):
+            return False
+        source = None
+        if kind in _EXPECT_KINDS:
+            clause = _SOURCE.search(sc.text, m.end())
+            if not clause:
+                return False
+            sc.text, source = sc.text[:clause.start()].rstrip(), clause.group(1)
+        sc.pos = m.end()
+        self.record(kind, fields, sc, source)
+        return True
+
+    def read_tokens(self, sc: _Scanner):
+        """Read the line of sc one token at a time; ParseError at the first
+        token that breaks the grammar or a rule."""
+        dim = self.dim
+        head = sc.word()
+        if msg := self.order_error(head):
+            sc.error(msg, None if head == "manifold" else 0)
+        if head == "manifold":
+            name = sc.word()
+            sc.keyword("dim")
+            dim_pos = sc.skip_ws()
+            dim = sc.integer()
+            if _index(sc.text[dim_pos:sc.pos], MAX_DIM) < 0:
+                if dim < 1:
+                    sc.error("dimension must be positive")
+                sc.error(f"dimension {dim} exceeds the limit {MAX_DIM}", dim_pos)
+            sc.end()
+            self.record(head, (name, dim), sc)
+            return
+        if head == "param":
+            name = sc.word()
+            sc.end()
+            self.record(head, (name,), sc)
+            return
+        source = None
+        if head == "bracket":
+            kind = head
+            idx = (sc.basis_index(dim), sc.basis_index(dim))
+        elif head == "metric":
+            kind = sc.peek_word()
+            if kind not in ("identity", "g"):
+                sc.error("expected 'identity' or 'g'")
+            sc.word()
+            if msg := self.kind_error(kind):
+                sc.error(msg)
+            if kind == "identity":
+                sc.end()
+                self.record(kind, (), sc)
+                return
+            idx = (sc.index_1based(dim), sc.index_1based(dim))
+        elif head == "contact":
+            kind = sc.word()
+            if kind not in ("xi", "phi"):
+                sc.error("expected 'xi' or 'phi'")
+            if msg := self.kind_error(kind):
+                sc.error(msg)
+            idx = (sc.basis_index(dim),) if kind == "phi" else ()
+        elif head == "expect":
+            # The kind follows blanks or tabs and precedes whitespace; the
+            # rest is read up to the source clause.
+            start = sc.pos
+            clause = _SOURCE.search(sc.text)
+            kind = sc.peek_word() if clause and sc.skip_ws() > start else ""
+            sc.pos += len(kind)
+            if (kind not in _EXPECT_KINDS
+                    or not sc.text[sc.pos:sc.pos + 1].isspace()):
+                sc.error("malformed expect line; need = <value> source \"...\"",
+                         start)
+            sc.text, source = sc.text[:clause.start()].rstrip(), clause.group(1)
+            read = sc.index_1based if kind == "ricci" else sc.basis_index
+            idx = tuple(read(dim) for _ in range(_INDICES[kind]))
+        else:
+            sc.error(f"unknown statement {head!r}", 0)
+        if msg := self.index_error(kind, idx):
+            sc.error(msg)
+        sc.char("=")
+        self.record(kind, idx, sc, source)
+
+    def record(self, kind: str, fields: tuple, sc: _Scanner, source=None):
+        """Store a statement whose head and rules passed: fields are the
+        name and dimension of a manifold line, the name of a param line,
+        else the 0-based indices; the value is read from sc's position."""
+        if kind == "manifold":
+            self.name, self.dim = fields
+        elif kind == "param":
+            self.params.append(fields[0])
+        elif kind == "identity":
+            self.metric_mode = "identity"
+        elif kind == "g":
+            i, j = fields
+            self.metric_mode = "entries"
+            self.metric_entries[i, j] = self.metric_entries[j, i] = _rational(sc)
+        elif kind == "ricci":
+            self.ricci.append((*fields, _rational(sc), source))
+        elif kind == "lambda":
+            self.lam.append((sc.scalar(), source))  # as parse_scalar reads it
+        else:
+            v = _parse_vector(sc, self.dim)
+            if kind == "bracket":
+                i, j = fields
+                key = (min(i, j), max(i, j))
+                self.brackets[key] = v if i < j else {k: -x for k, x in v.items()}
+                self.bracket_lines[key] = sc.lineno
+            elif kind == "xi":
+                self.xi = v
+            elif kind == "phi":
+                self.phi_cols[fields[0]] = v
+            else:
+                (self.nabla if kind == "nabla" else self.riem).append(
+                    (*fields, vector_of(self.dim, v), source))
+
+    def document(self, last_line: int) -> ManifoldDocument:
+        """The document the statements describe, after the checks that need
+        the whole file; their errors are at the line after the last."""
+        if self.name is None:
+            raise ParseError(last_line + 1, 1, "missing manifold declaration")
+        if self.metric_mode is None:
+            raise ParseError(last_line + 1, 1, "missing metric declaration")
+        dim = self.dim
+        zero = Fraction(0)
+        if self.metric_mode == "identity":
+            g = identity_metric(dim)
+        else:
+            g = tuple(tuple(self.metric_entries.get((i, j), zero)
+                            for j in range(dim)) for i in range(dim))
+        M = FrameManifold.from_brackets(self.name, dim, self.brackets, g,
+                                        self.params)
+        for lam, _src in self.lam:
+            extra = lam.symbols() - M.params
+            if extra:
+                raise ParseError(last_line + 1, 1,
+                                 f"expected lambda uses undeclared parameter "
+                                 f"{sorted(extra)[0]!r}")
+        contact = None
+        if self.phi_cols and self.xi is None:
+            raise ParseError(last_line + 1, 1, "contact phi requires contact xi")
+        if self.xi is not None:
+            phi = tuple(tuple(self.phi_cols.get(j, {}).get(a, zero)
+                              for j in range(dim)) for a in range(dim))
+            contact = AlmostContactData(phi, tuple(self.xi.get(a, zero)
+                                                   for a in range(dim)))
+        expected = ExpectedValues(tuple(self.nabla), tuple(self.riem),
+                                  tuple(self.ricci), tuple(self.lam))
+        return ManifoldDocument(M, contact, expected)
+
+
 def parse_manifold(text: str) -> ManifoldDocument:
     """Parse the manifold file grammar. Grammar violations raise ParseError
     with a line and column; the described geometry is not judged here beyond
     shape, so files for validate-rejected manifolds still parse."""
-    name = None
-    dim = 0
-    params: list = []
-    brackets: dict = {}
-    bracket_lines: dict = {}
-    metric_mode = None  # None | "identity" | "entries"
-    metric_entries: dict = {}
-    xi = None
-    phi_cols: dict = {}
-    exp_nabla: list = []
-    exp_riem: list = []
-    exp_ricci: list = []
-    exp_lam: list = []
+    doc = _Document()
     last_line = 0
-
     for lineno, raw in enumerate(_lines(text), start=1):
         last_line = lineno
         line = _strip_comment(raw).rstrip()
         if not line:
             continue
         sc = _Scanner(line, lineno)
-
-        # By pattern: a statement whose head matches and passes its checks
-        # is read here, its value by the term readers; any other line falls
-        # through to the token methods below, which word its error.
         m = _STATEMENT(line)
-        kind = m and m.lastgroup
-        if kind and (name is None) == (kind == "manifold"):
-            args = m.groups()[m.lastindex:]
-            sc.pos = m.end()
-            if kind == "manifold":
-                if (k := _index(args[1], MAX_DIM)) >= 0:
-                    name, dim = args[0], k + 1
-                    continue
-            elif kind == "param":
-                params.append(args[0])
-                continue
-            elif kind == "bracket":
-                i, j = _index(args[0], dim), _index(args[1], dim)
-                key = (min(i, j), max(i, j))
-                if 0 <= i != j >= 0 and key not in brackets:
-                    v = _parse_vector(sc, dim)
-                    brackets[key] = v if i < j else {k: -x for k, x in v.items()}
-                    bracket_lines[key] = lineno
-                    continue
-            elif kind == "identity":
-                if metric_mode is None:
-                    metric_mode = "identity"
-                    continue
-            elif kind == "g":
-                i, j = _index(args[0], dim), _index(args[1], dim)
-                q = _coefficient(*args[2:5])
-                if (metric_mode != "identity" and i >= 0 and j >= 0
-                        and (i, j) not in metric_entries and q is not None):
-                    metric_mode = "entries"
-                    metric_entries[(i, j)] = metric_entries[(j, i)] = q
-                    continue
-            elif kind == "xi":
-                if xi is None:
-                    xi = _parse_vector(sc, dim)
-                    continue
-            elif kind == "phi":
-                j = _index(args[0], dim)
-                if j >= 0 and j not in phi_cols:
-                    phi_cols[j] = _parse_vector(sc, dim)
-                    continue
-            elif kind == "ricci":
-                i, j = _index(args[0], dim), _index(args[1], dim)
-                q = _coefficient(*args[2:5])
-                if i >= 0 and j >= 0 and q is not None:
-                    exp_ricci.append((i, j, q, args[5]))
-                    continue
-            else:
-                idx = [_index(k, dim) for k in args[:3] if k]
-                clause = _SOURCE.search(line)
-                if clause and min(idx, default=0) >= 0:
-                    sc.text = line[:clause.start()].rstrip()
-                    if kind == "lambda":
-                        exp_lam.append((sc.scalar(), clause.group(1)))
-                    else:
-                        v = vector_of(dim, _parse_vector(sc, dim))
-                        (exp_nabla if kind == "nabla" else exp_riem).append(
-                            (*idx, v, clause.group(1)))
-                    continue
-            sc.pos = 0
-
-        head = sc.word()
-
-        if head == "manifold":
-            if name is not None:
-                sc.error("duplicate manifold declaration")
-            name = sc.word()
-            sc.keyword("dim")
-            dim_pos = sc.skip_ws()
-            dim = sc.integer()
-            if dim < 1:
-                sc.error("dimension must be positive")
-            if dim > MAX_DIM:
-                sc.error(f"dimension {dim} exceeds the limit {MAX_DIM}", dim_pos)
-            sc.end()
-            continue
-
-        if name is None:
-            sc.error("the manifold declaration must come first", 0)
-
-        if head == "param":
-            params.append(sc.word())
-            sc.end()
-        elif head == "bracket":
-            i = sc.basis_index(dim)
-            j = sc.basis_index(dim)
-            if i == j:
-                sc.error("bracket of a frame vector with itself is zero; omit it")
-            key = (min(i, j), max(i, j))
-            if key in brackets:
-                sc.error(f"bracket for pair (e{key[0] + 1}, e{key[1] + 1}) "
-                         f"already declared on line {bracket_lines[key]}")
-            sc.char("=")
-            v = _parse_vector(sc, dim)
-            brackets[key] = v if i < j else {k: -x for k, x in v.items()}
-            bracket_lines[key] = lineno
-        elif head == "metric":
-            which = sc.peek_word()
-            if which == "identity":
-                sc.word()
-                if metric_mode is not None:
-                    sc.error("metric already declared")
-                metric_mode = "identity"
-                sc.end()
-            elif which == "g":
-                sc.word()
-                if metric_mode == "identity":
-                    sc.error("metric already declared as identity")
-                metric_mode = "entries"
-                i = sc.index_1based(dim)
-                j = sc.index_1based(dim)
-                if (i, j) in metric_entries or (j, i) in metric_entries:
-                    sc.error(f"metric entry ({i + 1},{j + 1}) already declared")
-                sc.char("=")
-                q = sc.signed_rational()
-                sc.end()
-                metric_entries[(i, j)] = q
-                metric_entries[(j, i)] = q
-            else:
-                sc.error("expected 'identity' or 'g'")
-        elif head == "contact":
-            which = sc.word()
-            if which == "xi":
-                if xi is not None:
-                    sc.error("contact xi already declared")
-                sc.char("=")
-                xi = _parse_vector(sc, dim)
-            elif which == "phi":
-                j = sc.basis_index(dim)
-                if j in phi_cols:
-                    sc.error(f"contact phi e{j + 1} already declared")
-                sc.char("=")
-                phi_cols[j] = _parse_vector(sc, dim)
-            else:
-                sc.error("expected 'xi' or 'phi'")
-        elif head == "expect":
-            # The kind follows blanks or tabs and precedes whitespace; the
-            # rest is read up to the source clause.
-            start = sc.pos
-            clause = _SOURCE.search(line)
-            kind = sc.peek_word() if clause and sc.skip_ws() > start else ""
-            sc.pos += len(kind)
-            if kind not in _EXPECT_KINDS or not line[sc.pos:sc.pos + 1].isspace():
-                sc.error("malformed expect line; need = <value> source \"...\"",
-                         start)
-            sc.text = line[:clause.start()].rstrip()
-            source = clause.group(1)
-            if kind == "lambda":
-                sc.char("=")
-                exp_lam.append((sc.scalar(), source))  # as parse_scalar reads it
-            elif kind == "ricci":
-                i = sc.index_1based(dim)
-                j = sc.index_1based(dim)
-                sc.char("=")
-                q = sc.signed_rational()
-                sc.end()
-                exp_ricci.append((i, j, q, source))
-            else:
-                nabla = kind == "nabla"
-                idx = [sc.basis_index(dim) for _ in range(2 if nabla else 3)]
-                sc.char("=")
-                v = vector_of(dim, _parse_vector(sc, dim))
-                (exp_nabla if nabla else exp_riem).append((*idx, v, source))
-        else:
-            sc.error(f"unknown statement {head!r}", 0)
-
-    if name is None:
-        raise ParseError(last_line + 1, 1, "missing manifold declaration")
-    if metric_mode is None:
-        raise ParseError(last_line + 1, 1, "missing metric declaration")
-
-    if metric_mode == "identity":
-        g = identity_metric(dim)
-    else:
-        zero = Fraction(0)
-        g = tuple(tuple(metric_entries.get((i, j), zero)
-                        for j in range(dim)) for i in range(dim))
-
-    M = FrameManifold.from_brackets(name, dim, brackets, g, params)
-
-    allowed = M.params
-    for lam, _src in exp_lam:
-        extra = lam.symbols() - allowed
-        if extra:
-            raise ParseError(last_line + 1, 1,
-                             f"expected lambda uses undeclared parameter "
-                             f"{sorted(extra)[0]!r}")
-
-    contact = None
-    if phi_cols and xi is None:
-        raise ParseError(last_line + 1, 1, "contact phi requires contact xi")
-    if xi is not None:
-        zero = Fraction(0)
-        phi = tuple(tuple(phi_cols.get(j, {}).get(a, zero) for j in range(dim))
-                    for a in range(dim))
-        contact = AlmostContactData(phi, tuple(xi.get(a, zero)
-                                               for a in range(dim)))
-
-    expected = ExpectedValues(tuple(exp_nabla), tuple(exp_riem),
-                              tuple(exp_ricci), tuple(exp_lam))
-    return ManifoldDocument(M, contact, expected)
+        if not (m and doc.read_match(m, sc)):
+            doc.read_tokens(sc)
+    return doc.document(last_line)
 
 
 def render_manifold(doc: ManifoldDocument) -> str:

@@ -350,7 +350,7 @@ LINEAR_CASES = [
     ("ricci", '|expect | ricci | 1 | 1|=|-|2|/|3|source | "s"|'),
     ("nabla", '|expect | nabla | e1|e2|=|e3|source | "s"|'),
     ("riem", '|expect | riem | e1|e2|e1|=|e3|source | "s"|'),
-    ("lambda", '|expect | lambda | =|1|/|2|*|p|source | "s"|'),
+    ("lambda", '|expect | lambda | =|1|/|2|*|p|+|1|source | "s"|'),
 ]
 
 
@@ -365,33 +365,69 @@ def linear_case_texts():
                                id=f"{name}-{gap}-rejected")
 
 
-def read_linear_case(name, text):
-    if name.startswith("scalar"):
-        return parse_scalar(text)
-    if name == "vector":
-        return parse_vector_text(text, 3)
+def linear_document(name, text):
+    """A statement case's text on a document whose other lines parse."""
     if name == "manifold":
-        return parse_manifold(text + "\nmetric identity\n")
+        return text + "\nmetric identity\n"
     lines = ["manifold t dim 3", text]
     if name == "phi":
         lines.append("contact xi = e3")
     if name not in ("identity", "metric-g"):
         lines.append("metric identity")
-    return parse_manifold("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def linear_case_readers(name):
+    """The reader of a case and the token reference's, each from the text
+    to a value that compares equal to the other's."""
+    if name.startswith("scalar"):
+        return lambda t: parse_scalar(t).terms(), oracle.reference_scalar
+    if name == "vector":
+        return (lambda t: parse_vector_text(t, 3),
+                lambda t: vector_of(3, oracle.reference_vector(t, 3)))
+    return (lambda t: document_view(parse_manifold(linear_document(name, t))),
+            lambda t: reference_view(
+                oracle.reference_document(linear_document(name, t))))
+
+
+def settle(reader, text):
+    """("ok", value), or "error" with the line, column and message of a
+    ParseError, or the text of a ScalarError."""
+    try:
+        return ("ok", reader(text))
+    except (ParseError, oracle.LineError) as exc:
+        return ("error", exc.lineno, exc.col, exc.message)
+    except (ScalarError, oracle.ScalarTextError) as exc:
+        return ("error", str(exc))
 
 
 @pytest.mark.parametrize("name, text, accepted", linear_case_texts())
 def test_long_blank_runs_read_in_linear_time(name, text, accepted):
     """A 100,000-blank run in any gap of a term or a statement, on a text
     that parses and on one that fails right after the run, is read in well
-    under a second: no pattern splits a blank run in more than one way."""
+    under a second: no pattern splits a blank run in more than one way. The
+    text reads as the token reference reads it: the same value, or the
+    same error message at the same place."""
+    reader, reference = linear_case_readers(name)
     t0 = time.perf_counter()
-    if accepted:
-        read_linear_case(name, text)
-    else:
-        with pytest.raises((ParseError, ScalarError)):
-            read_linear_case(name, text)
+    got = settle(reader, text)
     assert time.perf_counter() - t0 < 1
+    assert got[0] == ("ok" if accepted else "error")
+    assert got == settle(reference, text)
+
+
+def test_long_blank_runs_keep_values_and_messages():
+    """A run before a '+' in an expect lambda value, and one after expect."""
+    doc = parse_manifold(
+        EXPECT_HEAD + f'expect lambda = 1{RUN}+ 1 source "s"\n')
+    assert doc.expected.lam == ((ParamScalar.rational(2), "s"),)
+    assert "malformed expect" in err(EXPECT_HEAD + f"expect {RUN}x\n").message
+
+
+def test_expect_kind_needs_whitespace_after_it():
+    for line in ('expect lambda= 1 source "s"', 'expect ricci1 1 = 2 source "s"'):
+        e = err(EXPECT_HEAD + line + "\n")
+        assert (e.lineno, e.col) == (3, 7) and "malformed expect" in e.message
 
 
 def test_non_breaking_space():
