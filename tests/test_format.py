@@ -424,12 +424,6 @@ def test_long_blank_runs_keep_values_and_messages():
     assert "malformed expect" in err(EXPECT_HEAD + f"expect {RUN}x\n").message
 
 
-def test_expect_kind_needs_whitespace_after_it():
-    for line in ('expect lambda= 1 source "s"', 'expect ricci1 1 = 2 source "s"'):
-        e = err(EXPECT_HEAD + line + "\n")
-        assert (e.lineno, e.col) == (3, 7) and "malformed expect" in e.message
-
-
 def test_non_breaking_space():
     """Manifold lines take blanks and tabs between tokens, expect lines
     included, the scalar grammar of an expect lambda value any whitespace."""
@@ -472,6 +466,10 @@ def test_blanks_and_tabs_inside_a_rational():
 def test_malformed_expect():
     e = err("manifold t dim 2\nmetric identity\nexpect ricci 1 1 = 3\n")
     assert "malformed expect" in e.message
+    # The kind of an expect line needs whitespace after it.
+    for line in ('expect lambda= 1 source "s"', 'expect ricci1 1 = 2 source "s"'):
+        e = err(EXPECT_HEAD + line + "\n")
+        assert (e.lineno, e.col) == (3, 7) and "malformed expect" in e.message
 
 
 def test_zero_denominator():
