@@ -2,10 +2,10 @@
 normality and Reeb-field identities.
 
 The structure is (phi, xi, eta): an endomorphism phi, a Reeb vector xi, and
-eta the g-dual covector of xi (always derived from xi, never stored). All
-entries are exact rationals. Each check builds both sides of its identity
-as integer tables in sweeps over the nonzero bracket, Gamma, phi and g
-entries, so it costs time in proportion to those, not to the m^2 frame
+eta the g-dual covector of xi, all exact rationals. A structure is derived
+once per manifold (AlmostContactData.on): eta, phi, g phi and the axioms.
+Each check builds both sides of its identity as integer tables in sweeps
+over the nonzero bracket, Gamma, phi and g entries, not over the m^2 frame
 pairs; one comparer, geometry.compare, lists the defects of every check.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        bracket_sum, compare, divided, endo_derivative_int,
                        integer_map, integer_rows, sparse_columns, vector_of)
 from .record import Record
-from .reports import PRECONDITION, CheckItem, CheckReport
+from .reports import PASS, PRECONDITION, CheckItem, CheckReport
 from .scalars import format_rational
 
 
@@ -47,9 +47,15 @@ class AlmostContactData(Record):
         """(columns {j: {a: int}} of phi, d), each value being int / d."""
         return integer_rows(dict(enumerate(sparse_columns(self.phi))))
 
+    def on(self, M: FrameManifold) -> "ContactDerivation":
+        """This structure on M, derived once for the last manifold asked for."""
+        if getattr(self, "_on", None) is None or self._on.manifold is not M:
+            self._on = ContactDerivation(M, self)
+        return self._on
+
     def eta(self, M: FrameManifold) -> tuple:
         """eta(e_i) = g(e_i, xi)."""
-        _, _, eta, de = _xi_eta(M, self)
+        _, _, eta, de = self.on(M).xi_eta
         return tuple(Fraction(eta.get(i, 0), de) for i in range(M.dim))
 
     def xi_vector(self) -> FrameVector:
@@ -59,23 +65,34 @@ class AlmostContactData(Record):
         return FrameVector.from_values(tuple(self.phi[a][j] for a in range(self.dim)))
 
 
-def _xi_eta(M: FrameManifold, D: AlmostContactData) -> tuple:
-    """(xi, dx, eta, de): xi and eta = g(., xi) as integer maps over dx, de."""
-    xi, dx = integer_map({a: x for a, x in enumerate(D.xi) if x})
-    gcols, dg = M.g_int
-    return xi, dx, _apply(gcols, xi), dg * dx
+class ContactDerivation:
+    """D on M, derived once: the integer forms two or more of the pair's
+    checks read, and the axioms' items, whose verdict check_sasakian reads."""
 
-
-def _g_xi_minus_eta(M: FrameManifold, D: AlmostContactData) -> tuple:
-    """({(i, j): g(e_i, e_j) xi - eta(e_j) e_i}, d): the right side of the
-    Sasakian equation, and minus that of the Reeb curvature identity."""
-    (gcols, dg), (xi, dx, eta, de) = M.g_int, _xi_eta(M, D)
-    rhs = {(i, j): {i: -y * dg * dx} for j, y in eta.items()
-           for i in range(M.dim)}
-    for j, col in gcols.items():
-        for i, x in col.items():
-            add_to(rhs, (i, j), xi, x * de)
-    return rhs, dg * dx * de
+    def __init__(self, M: FrameManifold, D: AlmostContactData):
+        if {D.dim, len(D.phi), *map(len, D.phi)} != {m := M.dim}:
+            raise ContactError(f"contact structure of dimension {D.dim} on {M.name} "
+                               f"of dimension {m}: xi needs {m} entries, phi {m} x {m}")
+        self.manifold, self.phi_int, (gcols, dg) = M, D.phi_int, M.g_int
+        xi, dx = integer_map({a: x for a, x in enumerate(D.xi) if x})
+        eta, de = _apply(gcols, xi), dg * dx  # eta = g(., xi)
+        self.xi_eta = xi, dx, eta, de
+        # the nonzero phi_aj; by rows, phi over dp, a: [(j, phi_aj)], and
+        # g phi over dg dp, a: {j: g(e_a, phi e_j)}
+        self.phi, self.rows, self.g_phi = {}, {}, {}
+        for j, col in self.phi_int[0].items():
+            for a, x in col.items():
+                self.phi[a, j] = D.phi[a][j]
+                self.rows.setdefault(a, []).append((j, x))
+            for a, y in _apply(gcols, col).items():
+                self.g_phi.setdefault(a, {})[j] = y
+        # g(e_i, e_j) xi - eta(e_j) e_i over dg dx de, the Sasakian right side
+        rhs = {(i, j): {i: -y * dg * dx} for j, y in eta.items() for i in range(m)}
+        for j, col in gcols.items():
+            for i, x in col.items():
+                add_to(rhs, (i, j), xi, x * de)
+        self.g_xi_minus_eta = rhs, dg * dx * de
+        self.axioms = axiom_items(self)
 
 
 def d_eta(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> Fraction:
@@ -85,17 +102,17 @@ def d_eta(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> Fraction:
                 Fraction(0)) / 2
 
 
-def check_almost_contact(M: FrameManifold, D: AlmostContactData) -> CheckReport:
+def axiom_items(on: ContactDerivation) -> list:
     """The defining axioms: eta(xi) = 1, phi^2 = -I + xi (x) eta, the metric
     phi-compatibility g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y), phi(xi) = 0
-    and eta(phi(.)) = 0. Each side is a sum of integer numerators."""
-    m = M.dim
-    report = CheckReport(f"{M.name} almost-contact axioms")
-    (cols, dp), (gcols, dg) = D.phi_int, M.g_int
-    xi, dx, eta, de = _xi_eta(M, D)
+    and eta(phi(.)) = 0, each side a sum of integer numerators; the defect
+    text is built for a failing item only."""
+    m, (cols, dp), (xi, dx, eta, de) = on.manifold.dim, on.phi_int, on.xi_eta
+    gcols, dg = on.manifold.g_int
+    report = CheckReport("")
 
     val = Fraction(sum(eta.get(a, 0) * x for a, x in xi.items()), de * dx)
-    report.add("eta(xi) = 1", val == 1, f"eta(xi) = {format_rational(val)}")
+    report.add("eta(xi) = 1", val == 1, val != 1 and f"eta(xi) = {format_rational(val)}")
 
     square, want = {}, {}  # phi^2 e_j over dp^2, xi eta_j - e_j over dx de
     for j in range(m):
@@ -106,13 +123,10 @@ def check_almost_contact(M: FrameManifold, D: AlmostContactData) -> CheckReport:
         square, dp * dp, want, dx * de, lambda key, left, _:
         [f"phi^2(e{key[0] + 1}) = {vector_of(m, left).render()}"]))
 
-    g_phi, lhs, rhs = {}, {}, {}  # the two sides by rows, (i,): {j: int}
-    for j, col in cols.items():  # g(e_a, phi e_j) over dg dp
-        for a, y in _apply(gcols, col).items():
-            g_phi.setdefault(a, {})[j] = y
+    lhs, rhs = {}, {}  # the two sides by rows, (i,): {j: int}
     for i, col in cols.items():  # g(phi e_i, phi e_j) over dp^2 dg
         for a, x in col.items():
-            add_to(lhs, (i,), g_phi.get(a, {}), x)
+            add_to(lhs, (i,), on.g_phi.get(a, {}), x)
     for j, col in gcols.items():  # g(e_i, e_j) - eta_i eta_j over dg de^2
         for i, x in col.items():
             rhs.setdefault((i,), {})[j] = x * de * de
@@ -124,38 +138,38 @@ def check_almost_contact(M: FrameManifold, D: AlmostContactData) -> CheckReport:
          if left.get(j, 0) != right.get(j, 0)]), "violated at ")
 
     pxi = divided(_apply(cols, xi), dp * dx)
-    report.add("phi(xi) = 0", not pxi, f"phi(xi) = {vector_of(m, pxi).render()}")
+    report.add("phi(xi) = 0", not pxi, pxi and f"phi(xi) = {vector_of(m, pxi).render()}")
 
     etaphi = divided({j: sum(eta.get(a, 0) * x for a, x in col.items())
                       for j, col in cols.items()}, de * dp)
     report.add("eta(phi(.)) = 0", not etaphi,
-               f"eta(phi(e_j)) = {vector_of(m, etaphi).render()}")
-    return report
+               etaphi and f"eta(phi(e_j)) = {vector_of(m, etaphi).render()}")
+    return report.items
+
+
+def check_almost_contact(M: FrameManifold, D: AlmostContactData) -> CheckReport:
+    """The almost-contact axioms (axiom_items) of D on M."""
+    return CheckReport(f"{M.name} almost-contact axioms", list(D.on(M).axioms))
 
 
 def check_sasakian(M: FrameManifold, conn: ConnectionTable,
                    D: AlmostContactData) -> CheckReport:
     """(nabla_X phi) Y = g(X, Y) xi - eta(Y) X on all frame pairs."""
-    report = CheckReport(f"{M.name} sasakian equation")
-    pre = check_almost_contact(M, D)
-    if pre.overall == "fail":
-        failing = [item.name for item in pre.items if item.status != "pass"]
+    report, on = CheckReport(f"{M.name} sasakian equation"), D.on(M)
+    failing = [item.name for item in on.axioms if item.status != PASS]
+    if failing:
         report.add_item(CheckItem("almost-contact axioms", PRECONDITION,
                                   "failing: " + "; ".join(failing)))
         return report
-
-    phi = {(a, j): x for a, row in enumerate(D.phi)
-           for j, x in enumerate(row) if x}
     report.add_check("(nabla_X phi)Y = g(X,Y)xi - eta(Y)X", compare(
-        *endo_derivative_int(conn, phi), *_g_xi_minus_eta(M, D)))
+        *endo_derivative_int(conn, on.phi), *on.g_xi_minus_eta))
     return report
 
 
 def nijenhuis(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> tuple:
     """[phi, phi](e_i, e_j) =
     phi^2 [e_i,e_j] + [phi e_i, phi e_j] - phi[phi e_i, e_j] - phi[e_i, phi e_j]."""
-    cols, dp = D.phi_int
-    table, dc = M.brackets_int
+    (cols, dp), (table, dc) = D.on(M).phi_int, M.brackets_int
     n = _apply(cols, _apply(cols, table.get((i, j), {})))
     for sign, v in ((1, bracket_sum(table, cols[i], cols[j])),
                     (-1, _apply(cols, bracket_sum(table, cols[i], {j: 1}))),
@@ -170,13 +184,9 @@ def check_normality(M: FrameManifold, D: AlmostContactData) -> CheckReport:
     2 d eta(X, Y) = -eta([X, Y]). One sweep over the brackets [e_a, e_b]
     and the phi entries in rows a and b builds [phi e_i, phi e_j] and
     phi[e_i, e_j] - [phi e_i, e_j] - [e_i, phi e_j], mapped by phi once."""
-    report = CheckReport(f"{M.name} normality")
-    (cols, dp), (table, dc) = D.phi_int, M.brackets_int
-    xi, dx, eta, de = _xi_eta(M, D)
-    rows = {}  # phi by rows, a: [(j, phi_aj)]
-    for j, col in cols.items():
-        for a, x in col.items():
-            rows.setdefault(a, []).append((j, x))
+    report, on = CheckReport(f"{M.name} normality"), D.on(M)
+    (cols, dp), (table, dc), (xi, dx, eta, de) = on.phi_int, M.brackets_int, on.xi_eta
+    rows = on.rows
     lhs, inner, rhs = {}, {}, {}  # over dp^2 dc, dp dc and de dc dx
     for (a, b), br in table.items():
         if a < b:
@@ -203,13 +213,11 @@ def check_contact_metric(M: FrameManifold, D: AlmostContactData) -> CheckReport:
     """Contact-metric compatibility d eta(X, Y) = g(X, phi Y). Normal almost
     contact structures can still fail this; Sasakian ones never do."""
     report = CheckReport(f"{M.name} contact-metric compatibility")
-    (cols, dp), (gcols, dg) = D.phi_int, M.g_int
-    table, dc = M.brackets_int
-    _, _, eta, de = _xi_eta(M, D)
+    on, (table, dc), dg = D.on(M), M.brackets_int, M.g_int[1]
+    (_, dp), (_, _, eta, de) = on.phi_int, on.xi_eta
     lhs = {key: {0: -sum(eta.get(k, 0) * x for k, x in row.items())}
-           for key, row in table.items()}  # over 2 de dc
-    rhs = {(i, j): {0: x} for j, col in cols.items()
-           for i, x in _apply(gcols, col).items()}  # over dg dp
+           for key, row in table.items()}  # over 2 de dc, and rhs over dg dp
+    rhs = {(i, j): {0: y} for i, row in on.g_phi.items() for j, y in row.items()}
     report.add_check("d eta(X,Y) = g(X, phi Y)", compare(
         lhs, 2 * de * dc, rhs, dg * dp, lambda key, left, right:
         [f"({key[0] + 1},{key[1] + 1}): d eta = {format_rational(left.get(0, 0))}, "
@@ -225,15 +233,13 @@ def check_curvature_identity(M: FrameManifold, R: CurvatureTensor,
     - nabla_{[e_y, xi]} e_z, on the integer Gamma over dgam and c over dc;
     each term is swept over the nonzero Gamma entries it takes."""
     report = CheckReport(f"{M.name} reeb curvature identity")
-    m = M.dim
-    gamma, dgam = R.conn.gamma_int
-    brackets, dc = M.brackets_int
-    xi, dx, _, _ = _xi_eta(M, D)
+    (gamma, dgam), (brackets, dc), on = R.conn.gamma_int, M.brackets_int, D.on(M)
+    xi, dx, _, _ = on.xi_eta
     by_first, by_second = {}, {}
     for (i, a), row in gamma.items():
         by_first.setdefault(i, []).append((a, row))
         by_second.setdefault(a, []).append((i, row))
-    nxi = {z: bracket_sum(gamma, xi, {z: 1}) for z in range(m)}  # over dgam dx
+    nxi = {z: bracket_sum(gamma, xi, {z: 1}) for z in range(M.dim)}  # over dgam dx
     lhs = {}  # over dgam^2 dc dx
     for z, col in nxi.items():
         for a, w in col.items():
@@ -241,11 +247,11 @@ def check_curvature_identity(M: FrameManifold, R: CurvatureTensor,
                 add_to(lhs, (y, z), row, dc * w)
     for key, row in gamma.items():
         add_to(lhs, key, _apply(nxi, row), -dc)
-    for y in range(m):
+    for y in range(M.dim):
         for s, w in bracket_sum(brackets, {y: 1}, xi).items():  # over dc dx
             for z, row in by_first.get(s, ()):
                 add_to(lhs, (y, z), row, -dgam * w)
-    rhs, dr = _g_xi_minus_eta(M, D)
+    rhs, dr = on.g_xi_minus_eta
     report.add_check("R(Y, xi)Z = eta(Z)Y - g(Y,Z)xi",
                      compare(lhs, dgam * dgam * dc * dx, rhs, -dr))
     return report
@@ -256,30 +262,24 @@ def check_reeb_ricci(M: FrameManifold, ric_t: RicciTensor,
     """ric(xi, Z) = (m - 1) eta(Z), the 2n multiple in dimension m = 2n + 1."""
     report = CheckReport(f"{M.name} reeb ricci identity")
     m = M.dim
-    (ric, dr), (xi, dx, eta, de) = ric_t.ric_int, _xi_eta(M, D)
-    lhs = {}  # ric(xi, e_k) over dx dr
+    (ric, dr), (xi, dx, eta, de) = ric_t.ric_int, D.on(M).xi_eta
+    lhs = {}  # ric(xi, e_k) over dx dr, by (k,)
     for (j, k), x in ric.items():
         if j in xi:
-            lhs[k] = lhs.get(k, 0) + xi[j] * x
+            add_to(lhs, (k,), {0: xi[j] * x})
     report.add_check(f"ric(xi, Z) = {m - 1} eta(Z)", compare(
-        {(): lhs}, dx * dr, {(): {k: (m - 1) * x for k, x in eta.items()}}, de,
-        lambda _, left, right: [
-            f"e{k + 1}: ric(xi, e_k) = {format_rational(left.get(k, 0))}, "
-            f"want {format_rational(right.get(k, 0))}"
-            for k in sorted(left.keys() | right.keys())
-            if left.get(k, 0) != right.get(k, 0)]))
+        lhs, dx * dr, {(k,): {0: (m - 1) * x} for k, x in eta.items()}, de,
+        lambda key, left, right: [
+            f"e{key[0] + 1}: ric(xi, e_k) = {format_rational(left.get(0, 0))}, "
+            f"want {format_rational(right.get(0, 0))}"]))
     return report
 
 
 def derive_phi(M: FrameManifold, conn: ConnectionTable, xi) -> tuple:
-    """Recover phi from the connection by phi(Y) = -nabla_Y xi.
-
-    On a Sasakian presentation this reproduces the declared phi table.
-    """
-    m = M.dim
-    xi_vec = FrameVector.from_values(xi)
-    cols = []
-    for j in range(m):
-        col = -conn.nabla_vec(j, xi_vec)
-        cols.append(col.rational_coeffs())
-    return tuple(tuple(cols[j][a] for j in range(m)) for a in range(m))
+    """Recover phi from the connection by phi(Y) = -nabla_Y xi, on the
+    integer Gamma. On a Sasakian presentation this reproduces the declared
+    phi table."""
+    (gamma, dg), (x, dx) = conn.gamma_int, integer_map(dict(enumerate(xi)))
+    cols = [bracket_sum(gamma, {j: 1}, x) for j in range(M.dim)]
+    return tuple(tuple(Fraction(-col.get(a, 0), dg * dx) for col in cols)
+                 for a in range(M.dim))

@@ -405,17 +405,23 @@ def add_to(table: dict, key, vec: dict, w: int = 1) -> None:
 
 def compare(lhs: dict, dl: int, rhs: dict, dr: int, fmt=None) -> list:
     """The defects of lhs / dl = rhs / dr for integer tables {key: {k: int}},
-    in key order: where the sides differ, the list fmt(key, left, right) on
-    their rational maps, or the 1-based key and the difference, "(1,2): -e3".
-    Every check of an identity lists its defects here."""
-    bad = []
-    for key in sorted(lhs.keys() | rhs.keys()):
+    in key order: each key is decided on ints, and only where the sides differ
+    is the list fmt(key, left, right) on their rational maps, or the 1-based
+    key and the difference, "(1,2): -e3", built. Every check lists its
+    defects here."""
+    bad, keys = [], []
+    for key in lhs.keys() | rhs.keys():
         left, right = lhs.get(key, {}), rhs.get(key, {})
+        for k in left.keys() | right.keys():
+            if left.get(k, 0) * dr != right.get(k, 0) * dl:
+                keys.append((key, left, right))
+                break
+    for key, left, right in sorted(keys):  # distinct keys: no map is compared
         diff = {k: x for k in left.keys() | right.keys()
                 if (x := left.get(k, 0) * dr - right.get(k, 0) * dl)}
-        if diff and fmt:
+        if fmt:
             bad += fmt(key, divided(left, dl), divided(right, dr))
-        elif diff:
+        else:
             label = ",".join(str(t + 1) for t in key)
             bad.append(f"({label}): " + vector_of(
                 max(diff) + 1, divided(diff, dl * dr)).render())
@@ -731,19 +737,13 @@ def is_killing(M: FrameManifold, conn: ConnectionTable, X: FrameVector):
     return ok, lx
 
 
-def endo_derivative_coeffs(conn: ConnectionTable, q: dict) -> dict:
-    """{(i, j): {k: ((nabla_{e_i} Q) e_j)_k}} for a frame-constant
-    endomorphism given as {(a, j): Q_aj}, nonzero entries only:
-    (nabla_{e_i} Q) e_j = nabla_{e_i}(Q e_j) - Q(nabla_{e_i} e_j)."""
-    return divided_rows(*endo_derivative_int(conn, q))
-
-
 def endo_derivative_int(conn: ConnectionTable, q: dict) -> tuple:
-    """(table, d): endo_derivative_coeffs as numerators over d, zeros kept."""
+    """({(i, j): {k: ((nabla_{e_i} Q) e_j)_k}}, d) on ints over d, zeros kept,
+    for a frame-constant endomorphism given as {(a, j): Q_aj}:
+    (nabla_{e_i} Q) e_j = nabla_{e_i}(Q e_j) - Q(nabla_{e_i} e_j)."""
     gamma, dg = conn.gamma_int
     q, dq = integer_map(q)
-    q_rows: dict = {}
-    q_cols: dict = {}
+    q_rows, q_cols = {}, {}
     for (a, j), x in q.items():
         q_rows.setdefault(a, []).append((j, x))
         q_cols.setdefault(j, []).append((a, x))

@@ -25,7 +25,7 @@ from math import lcm
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, RicciTensor, apply_columns, bracket_sum,
-                       divided, endo_derivative_coeffs, integer_map,
+                       divided, divided_rows, endo_derivative_int, integer_map,
                        lie_derivative_parts, matrix_of, ricci_operator_coeffs,
                        vector_of)
 from .record import Record
@@ -285,7 +285,7 @@ def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
     # nab[b] = nabla_{e_b} Df over dg dd, so that R(e_i, e_j) Df =
     # nabla_i nab[j] - nabla_j nab[i] - sum_b c_ij^b nab[b] over dg^2 dc dd
     nab = [bracket_sum(gamma, {b: 1}, df_vec) for b in range(m)]
-    dq = endo_derivative_coeffs(conn, ricci_operator_coeffs(M, ric_t))
+    dq = divided_rows(*endo_derivative_int(conn, ricci_operator_coeffs(M, ric_t)))
     bad = []
     for i in range(m):
         for j in range(m):

@@ -366,6 +366,26 @@ def render_vector(v):
     return " + ".join(parts) or "0"
 
 
+def reference_compare(lhs, dl, rhs, dr, fmt=None):
+    """The per-key comparer of lhs / dl = rhs / dr on integer tables
+    {key: {k: int}}: every key in order, its difference built before it is
+    tested; fmt(key, left, right) gets the nonzero rational entries of each
+    side, and without fmt a defect is the 1-based key and the difference."""
+    bad = []
+    for key in sorted(lhs.keys() | rhs.keys()):
+        left, right = lhs.get(key, {}), rhs.get(key, {})
+        diff = {k: x for k in left.keys() | right.keys()
+                if (x := left.get(k, 0) * dr - right.get(k, 0) * dl)}
+        if diff and fmt:
+            bad += fmt(key, {k: F(x, dl) for k, x in left.items() if x},
+                       {k: F(x, dr) for k, x in right.items() if x})
+        elif diff:
+            label = ",".join(str(t + 1) for t in key)
+            bad.append(f"({label}): " + render_vector(
+                [F(diff.get(k, 0), dl * dr) for k in range(max(diff) + 1)]))
+    return bad
+
+
 def report_text(subject, items):
     """items: (name, defects or None, prefix); a check passes on no defects."""
     rows = [(name, "pass" if not bad else "fail",

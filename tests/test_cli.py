@@ -252,6 +252,15 @@ def test_verify_paper_example_derives_geometry_once(monkeypatch, capsys):
     assert calls == {"levi_civita": 1, "curvature": 1}
 
 
+def test_verify_paper_example_runs_the_contact_axioms_once(monkeypatch, capsys):
+    """The almost-contact section and the Sasakian precondition read one
+    derivation of the heisenberg5 structure."""
+    code, calls = kernel_calls(monkeypatch, capsys, "verify-paper-example",
+                               names=("axiom_items",), module="contact")
+    assert code == 2
+    assert calls == {"axiom_items": 1}
+
+
 @pytest.mark.parametrize("argv", [
     ("solve-lambda", "--builtin", "heisenberg5", "--field", "xi",
      "--flavor", "conformal", "--use-expected-ricci"),

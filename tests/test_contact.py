@@ -2,12 +2,15 @@
 import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
 import oracle
 from frames import contact_frames, dense_of
 from framecalc.catalog import load_builtin
-from framecalc.contact import (AlmostContactData, check_almost_contact,
+from framecalc import contact
+from framecalc.contact import (AlmostContactData, ContactError,
+                               check_almost_contact,
                                check_contact_metric, check_curvature_identity,
                                check_normality, check_reeb_ricci,
                                check_sasakian, d_eta, derive_phi, nijenhuis)
@@ -292,3 +295,68 @@ def test_heisenberg_127_passes_strict_validate_and_every_contact_check():
                check_reeb_ricci(M, M.ric, D)]
     assert [r.overall for r in reports] == ["pass"] * 7
     assert reports[-1].items[0].name == "ric(xi, Z) = 126 eta(Z)"
+
+
+# -- one derivation per (manifold, structure) pair ----------------------------------
+
+def every_check(M, D) -> list:
+    """Calls of the six checks of D on M, then of d_eta, nijenhuis and eta."""
+    return [lambda: check_almost_contact(M, D),
+            lambda: check_sasakian(M, M.conn, D),
+            lambda: check_normality(M, D), lambda: check_contact_metric(M, D),
+            lambda: check_curvature_identity(M, M.riem, D),
+            lambda: check_reeb_ricci(M, M.ric, D),
+            lambda: d_eta(M, D, 0, 1), lambda: nijenhuis(M, D, 0, 1),
+            lambda: D.eta(M)]
+
+
+def test_the_axioms_run_once_for_every_check_of_one_pair(monkeypatch):
+    calls = []
+    kernel = contact.axiom_items
+    monkeypatch.setattr(contact, "axiom_items",
+                        lambda on: calls.append(on) or kernel(on))
+    doc = load_builtin("heisenberg5")
+    results = [call() for call in every_check(doc.manifold, doc.contact)]
+    assert [r.overall for r in results[:6]] == ["pass"] * 6
+    assert len(calls) == 1
+
+
+def test_one_structure_on_two_manifolds_gets_a_verdict_for_each():
+    """The derivation is kept for one manifold at a time, matched by
+    identity: alternating between heisenberg5 and a copy whose e1 is
+    stretched never hands one manifold's verdict to the other."""
+    doc = load_builtin("heisenberg5")
+    M, D = doc.manifold, doc.contact
+    g = [list(row) for row in M.g]
+    g[0][0] = Fraction(4)
+    S = FrameManifold(M.name, M.dim, M.brackets, g)
+    for _ in range(2):
+        assert check_almost_contact(M, D).overall == "pass"
+        assert check_sasakian(M, M.conn, D).overall == "pass"
+        bad = check_almost_contact(S, D)
+        assert [i.name for i in bad.items if i.status == "fail"] == \
+            ["g(phi X, phi Y) = g(X, Y) - eta(X)eta(Y)"]
+        assert check_sasakian(S, S.conn, D).items[0].status == \
+            "precondition_violated"
+
+
+def test_passing_axioms_write_no_defect_text(monkeypatch):
+    calls = []
+    monkeypatch.setattr(contact, "vector_of",
+                        lambda *args: calls.append(args) or None)
+    doc = load_builtin("heisenberg5")
+    assert check_almost_contact(doc.manifold, doc.contact).overall == "pass"
+    assert calls == []
+
+
+def test_a_structure_of_another_dimension_is_a_contact_error():
+    M = load_builtin("heisenberg5").manifold
+    D3 = load_builtin("heisenberg3").contact
+    D5 = load_builtin("heisenberg5").contact
+    narrow = AlmostContactData(tuple(row[:3] for row in D5.phi), D5.xi)
+    for D, message in ((D3, "dimension 3 on heisenberg5 of dimension 5"),
+                       (narrow, "dimension 5 on heisenberg5 of dimension 5: "
+                                "xi needs 5 entries, phi 5 x 5")):
+        for call in every_check(M, D):
+            with pytest.raises(ContactError, match=re.escape(message)):
+                call()

@@ -13,7 +13,7 @@ import oracle
 from framecalc import geometry
 from framecalc.catalog import load_builtin
 from framecalc.geometry import (FrameManifold, FrameVector, GeometryError,
-                                bianchi_defect, covariant_derivative_endo,
+                                bianchi_defect, compare, covariant_derivative_endo,
                                 curvature, identity_metric, invert_matrix,
                                 is_killing, jacobi_defect,
                                 leading_minor_determinants, levi_civita,
@@ -703,3 +703,36 @@ def test_identity_metric_helper():
     assert g == ((Fraction(1), Fraction(0), Fraction(0)),
                  (Fraction(0), Fraction(1), Fraction(0)),
                  (Fraction(0), Fraction(0), Fraction(1)))
+
+
+# -- the comparer against the per-key reference ----------------------------------
+
+integer_tables = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=4),
+    max_size=6)
+denominators = st.integers(1, 6).flatmap(lambda d: st.sampled_from((d, -d)))
+
+
+@st.composite
+def compare_cases(draw):
+    """Two sides equal on a shared table T (lhs = T dl, rhs = T dr, so most
+    keys agree), then entries and keys of either side overwritten: explicit
+    zeros, keys on one side only, and unequal denominators all occur."""
+    base, dl, dr = draw(integer_tables), draw(denominators), draw(denominators)
+    lhs = {key: {k: x * dl for k, x in row.items()} for key, row in base.items()}
+    rhs = {key: {k: x * dr for k, x in row.items()} for key, row in base.items()}
+    for side in (lhs, rhs):
+        for key, row in draw(integer_tables).items():
+            side.setdefault(key, {}).update(row)
+    return lhs, dl, rhs, dr
+
+
+@settings(deadline=None)
+@given(compare_cases(), st.booleans())
+def test_compare_prints_what_the_per_key_reference_prints(case, with_fmt):
+    lhs, dl, rhs, dr = case
+    fmt = (lambda key, left, right: [f"{key}: {sorted(left.items())} "
+                                     f"vs {sorted(right.items())}"]) if with_fmt else None
+    assert compare(lhs, dl, rhs, dr, fmt) == \
+        oracle.reference_compare(lhs, dl, rhs, dr, fmt)
