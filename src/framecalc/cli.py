@@ -14,15 +14,16 @@ from .contact import (ContactError, check_almost_contact,
                       check_contact_metric, check_curvature_identity,
                       check_normality, check_reeb_ricci, check_sasakian)
 from .geometry import (FrameManifold, FrameVector, GeometryError,
-                       RicciTensor, is_killing, scalar_curvature, validate)
+                       RicciTensor, entry_defects, lie_derivative_parts,
+                       scalar_curvature, validate)
 from .manifold_format import ManifoldDocument, ParseError, parse_manifold
 from .reports import CheckReport, combine
 from .scalars import ScalarError, parse_rational, parse_scalar
-from .solitons import (GradientData, SolitonError, SolitonFlavor, classify,
-                       check_gradient_curvature_identity,
-                       concurrent_soliton_constants, gradient_soliton_residual,
+from .solitons import (GradientData, SolitonError, SolitonFlavor,
+                       add_identity_check, classify,
+                       concurrent_soliton_constants, gradient_residual_parts,
                        integrability_defects, solve_lambda_trace,
-                       soliton_residual)
+                       soliton_residual_parts)
 
 
 class UsageError(Exception):
@@ -232,14 +233,6 @@ def _solve_lambda_report(doc: ManifoldDocument, X: FrameVector,
     return report
 
 
-def _add_zero_check(report: CheckReport, name: str, res) -> None:
-    """An item that passes when the matrix res vanishes, else lists its
-    nonzero entries."""
-    report.add_check(name, [f"({i + 1},{j + 1}): {e.render()}"
-                            for i, row in enumerate(res)
-                            for j, e in enumerate(row) if not e.is_zero()])
-
-
 # -- sections: one report per subcommand, run as run(doc, args) -------------
 
 def _connection(doc: ManifoldDocument, args=None) -> CheckReport:
@@ -279,8 +272,8 @@ def _check_soliton(doc: ManifoldDocument, args) -> CheckReport:
     flavor = SolitonFlavor(args.flavor)
     report = CheckReport(f"{M.name} soliton [{flavor.value}] X = {X.render()} "
                          f"lambda = {lam.render()}")
-    _add_zero_check(report, "L_X g + 2 ric - s g = 0",
-                    soliton_residual(M, M.conn, M.ric, X, lam, flavor))
+    report.add_check("L_X g + 2 ric - s g = 0", entry_defects(
+        soliton_residual_parts(M, M.conn, M.ric, X, lam, flavor)))
     return report
 
 
@@ -299,14 +292,10 @@ def _check_gradient(doc: ManifoldDocument, args) -> CheckReport:
     report.add_check("df integrable", [f"({i + 1},{j + 1}): {d}"
                                        for (i, j), d in defects])
     if not defects:
-        _add_zero_check(report, "Hess f + ric - s' g = 0",
-                        gradient_soliton_residual(M, M.conn, M.ric, gd, lam,
-                                                  flavor))
+        res = gradient_residual_parts(M, M.conn, M.ric, gd, lam, flavor)
+        report.add_check("Hess f + ric - s' g = 0", entry_defects(res))
         if dlam is not None:
-            sub = check_gradient_curvature_identity(M, M.conn, M.riem, M.ric,
-                                                    gd, lam, flavor)
-            for item in sub.items:
-                report.add_item(item)
+            add_identity_check(report, M, M.conn, M.ric, gd, res)
     return report
 
 
@@ -331,7 +320,8 @@ def _verify_paper_example() -> CheckReport:
     scal = CheckReport(f"{M.name} scalar curvature")
     scal.add(f"r = {scalar_curvature(M, M.ric).render()}", True)
     killing = CheckReport(f"{M.name} reeb field")
-    _add_zero_check(killing, "L_xi g = 0", is_killing(M, M.conn, xi)[1])
+    killing.add_check("L_xi g = 0",
+                      entry_defects(lie_derivative_parts(M.conn, xi)))
     sections = [
         validate(M, strict=True), _connection(doc), _curvature(doc),
         _ricci(doc), scal, _check_contact(doc), _check_sasakian(doc),

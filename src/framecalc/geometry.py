@@ -428,6 +428,17 @@ def compare(lhs: dict, dl: int, rhs: dict, dr: int, fmt=None) -> list:
     return bad
 
 
+def entry_defects(parts: dict, limit: int | None = None) -> list:
+    """"(1,2): value" for the first limit nonzero entries, in key order, of
+    a table given by its monomial parts {monomial: ({(i, j): int}, d)}; a
+    ParamScalar is built only for an entry listed."""
+    keys = sorted({key for vec, _ in parts.values()
+                   for key, x in vec.items() if x})[:limit]
+    shown = joined({mono: ({key: vec.get(key, 0) for key in keys}, d)
+                    for mono, (vec, d) in parts.items()})
+    return [f"({i + 1},{j + 1}): {shown[i, j].render()}" for i, j in keys]
+
+
 # -- validation ---------------------------------------------------------------
 
 def jacobi_defect(M: FrameManifold, i: int, j: int, k: int) -> FrameVector:

@@ -14,24 +14,25 @@ The residuals do no polynomial arithmetic per entry. L_X g and the Hessian
 come as monomial parts {monomial: ({(i, j): int}, d)}; for each monomial
 of the parts, of s and the constant one, the part, the weighted Ricci
 tensor and that monomial's coefficient of s times g are summed on ints over
-one denominator. Each entry is divided once and one ParamScalar is built
-per nonzero entry.
+one denominator. Every decision is taken on these integer tables, and a
+ParamScalar is built only for an entry that a caller reads or prints.
 """
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
-                       FrameVector, RicciTensor, apply_columns, bracket_sum,
-                       divided, divided_rows, endo_derivative_int, integer_map,
-                       lie_derivative_parts, matrix_of, ricci_operator_coeffs,
-                       vector_of)
+                       FrameVector, RicciTensor, add_to, apply_columns,
+                       bracket_sum, compare, divided, endo_derivative_int,
+                       entry_defects, integer_map, joined, lie_derivative_parts,
+                       matrix_of, ricci_operator_coeffs, vector_of)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import (LinearForm, ParamScalar, ZERO, ScalarError, SolveError,
-                      format_rational, join_parts, solve_linear)
+                      format_rational, solve_linear)
 
 P = ParamScalar.param("p")
 
@@ -79,17 +80,25 @@ def soliton_residual(M: FrameManifold, conn: ConnectionTable, ric_t: RicciTensor
                      flavor: SolitonFlavor) -> tuple:
     """L_X g + 2 ric - s g as an exact matrix; zero iff (X, lambda) solves the
     flavor's soliton equation on the frame."""
-    return _metric_residual(M, lie_derivative_parts(conn, X), ric_t, 2,
-                            _scale(flavor, lam, M.dim))
+    return matrix_of(M.dim, joined(soliton_residual_parts(M, conn, ric_t, X,
+                                                          lam, flavor)))
 
 
-def _metric_residual(M: FrameManifold, parts: dict, ric_t: RicciTensor,
-                     ric_weight: int, s: ParamScalar) -> tuple:
-    """table + ric_weight * ric - s g as an exact matrix, for a table given
-    by its monomial parts {monomial: ({(i, j): int}, d)}. Each monomial's
-    entries are summed on ints over one denominator and divided once, and
-    one ParamScalar is built per nonzero entry."""
-    ric, dr = ric_t.ric_int
+def soliton_residual_parts(M: FrameManifold, conn: ConnectionTable,
+                           ric_t: RicciTensor, X: FrameVector,
+                           lam: ParamScalar, flavor: SolitonFlavor) -> dict:
+    """soliton_residual as _residual_parts gives it."""
+    return _residual_parts(M, lie_derivative_parts(conn, X), ric_t.ric_int, 2,
+                           _scale(flavor, lam, M.dim))
+
+
+def _residual_parts(M: FrameManifold, parts: dict, ric_int: tuple,
+                    ric_weight: int, s: ParamScalar) -> dict:
+    """table + ric_weight * ric - s g as parts {monomial: ({(i, j): int},
+    den)}, zeros kept, for a table given by such parts and ric_int as
+    RicciTensor.ric_int: each monomial's entries summed on ints over one
+    denominator. joined() divides them and builds the ParamScalars."""
+    ric, dr = ric_int
     g_cols, dg = M.g_int
     s_terms = s.terms()
     entries = {}
@@ -107,17 +116,21 @@ def _metric_residual(M: FrameManifold, parts: dict, ric_t: RicciTensor,
             for j, col in g_cols.items():
                 for i, x in col.items():
                     acc[i, j] = acc.get((i, j), 0) - w * x
-        entries[mono] = divided(acc, den)
-    return matrix_of(M.dim, join_parts(entries))
+        entries[mono] = acc, den
+    return entries
 
 
 class LambdaSolve(Record):
     def __init__(self, lam: ParamScalar, form: LinearForm, status: str,
-                 residual: tuple):
+                 residual):
         self.lam = lam
         self.form = form
         self.status = status  # "einstein_exact" or "trace_only"
-        self.residual = residual
+        self._residual = residual  # the matrix, or a function building it
+
+    @cached_property
+    def residual(self) -> tuple:
+        return self._residual() if callable(self._residual) else self._residual
 
 
 def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
@@ -125,7 +138,7 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
                        flavor: SolitonFlavor) -> LambdaSolve:
     """Contract the soliton equation with g^{-1} and solve the resulting
     linear equation for lambda. Status is einstein_exact when the full
-    residual vanishes at the solved lambda, else trace_only."""
+    residual, built when first read, vanishes at the solved lambda."""
     m = M.dim
     gi_cols, dgi = M.g_inv_int  # g^{ij} = gi_cols[j][i] / dgi
     parts = lie_derivative_parts(conn, X)  # the one L_X g of this solve
@@ -140,9 +153,10 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     shift = (P + Fraction(2, m)) if flavor.is_conformal else ZERO
     form = LinearForm(Fraction(2 * m), -(shift * m) - ParamScalar(trace))
     lam = solve_linear(form)
-    res = _metric_residual(M, parts, ric_t, 2, _scale(flavor, lam, m))
-    exact = all(e.is_zero() for row in res for e in row)
-    return LambdaSolve(lam, form, "einstein_exact" if exact else "trace_only", res)
+    res = _residual_parts(M, parts, (ric, dr), 2, _scale(flavor, lam, m))
+    exact = not any(x for vec, _ in res.values() for x in vec.values())
+    return LambdaSolve(lam, form, "einstein_exact" if exact else "trace_only",
+                       lambda: matrix_of(m, joined(res)))
 
 
 # -- classification ------------------------------------------------------------
@@ -197,9 +211,18 @@ class GradientData(Record):
                    None if dlambda is None else tuple(Fraction(x) for x in dlambda))
 
 
+def _sized(M: FrameManifold, df, dlambda=None):
+    """df, once it and any dlambda have one entry per frame vector."""
+    for what, v in (("df", df), ("dlambda", dlambda)):
+        if v is not None and len(v) != M.dim:
+            raise SolitonError(f"{what} has {len(v)} entries, not {M.dim}")
+    return df
+
+
 def integrability_defects(M: FrameManifold, df) -> list:
     """Pairs (i, j) with sum_k df[k] c[i][j][k] nonzero. A frame-constant df
     is a genuine differential only when all of these vanish."""
+    _sized(M, df)
     out = []
     for (i, j), row in M.brackets.items():
         if i < j:
@@ -225,7 +248,7 @@ def _hessian_int(conn: ConnectionTable, df) -> tuple:
 
 def hessian(M: FrameManifold, conn: ConnectionTable, df) -> tuple:
     """Hess f as an exact matrix."""
-    return matrix_of(M.dim, divided(*_hessian_int(conn, df)))
+    return matrix_of(M.dim, divided(*_hessian_int(conn, _sized(M, df))))
 
 
 def _gradient_int(M: FrameManifold, df) -> tuple:
@@ -237,18 +260,25 @@ def _gradient_int(M: FrameManifold, df) -> tuple:
 
 def gradient_vector(M: FrameManifold, df) -> FrameVector:
     """Df = g^{-1} df, the metric dual of the differential."""
-    return vector_of(M.dim, divided(*_gradient_int(M, df)))
+    return vector_of(M.dim, divided(*_gradient_int(M, _sized(M, df))))
 
 
 def gradient_soliton_residual(M: FrameManifold, conn: ConnectionTable,
                               ric_t: RicciTensor, gd: GradientData,
                               lam: ParamScalar, flavor: SolitonFlavor) -> tuple:
     """Hess f + ric - s' g; df must be integrable."""
-    bad = integrability_defects(M, gd.df)
-    if bad:
+    if bad := integrability_defects(M, _sized(M, gd.df, gd.dlambda)):
         raise IntegrabilityError(bad)
-    return _metric_residual(M, {(): _hessian_int(conn, gd.df)}, ric_t, 1,
-                            _gradient_scale(flavor, lam, M.dim))
+    return matrix_of(M.dim, joined(gradient_residual_parts(M, conn, ric_t, gd,
+                                                           lam, flavor)))
+
+
+def gradient_residual_parts(M: FrameManifold, conn: ConnectionTable,
+                            ric_t: RicciTensor, gd: GradientData,
+                            lam: ParamScalar, flavor: SolitonFlavor) -> dict:
+    """gradient_soliton_residual as _residual_parts gives it, unchecked."""
+    return _residual_parts(M, {(): _hessian_int(conn, gd.df)}, ric_t.ric_int,
+                           1, _gradient_scale(flavor, lam, M.dim))
 
 
 def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
@@ -259,56 +289,58 @@ def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
     R(X, Y) Df = (X lambda) Y - (Y lambda) X - (nabla_X Q) Y + (nabla_Y Q) X
     with Q the Ricci operator. The soliton equation itself is the hypothesis:
     a nonzero residual is a precondition violation, not a failure."""
+    _sized(M, gd.df, gd.dlambda)
     report = CheckReport(f"{M.name} gradient curvature identity")
     if gd.dlambda is None:
         report.add_item(CheckItem("dlambda supplied", PRECONDITION,
                                   "gradient data carries no dlambda"))
-        return report
-    try:
-        res = gradient_soliton_residual(M, conn, ric_t, gd, lam, flavor)
-    except IntegrabilityError as exc:
-        report.add_item(CheckItem("df integrable", PRECONDITION, str(exc)))
-        return report
-    nonzero = [(i, j) for i, row in enumerate(res)
-               for j, e in enumerate(row) if not e.is_zero()]
-    if nonzero:
-        listed = "; ".join(f"({i + 1},{j + 1}): {res[i][j].render()}"
-                           for i, j in nonzero[:6])
-        report.add_item(CheckItem("gradient soliton equation holds",
-                                  PRECONDITION, listed))
-        return report
+    elif bad := integrability_defects(M, gd.df):
+        report.add_item(CheckItem("df integrable", PRECONDITION,
+                                  str(IntegrabilityError(bad))))
+    else:
+        add_identity_check(report, M, conn, ric_t, gd, gradient_residual_parts(
+            M, conn, ric_t, gd, lam, flavor))
+    return report
 
-    m = M.dim
+
+def add_identity_check(report: CheckReport, M: FrameManifold,
+                       conn: ConnectionTable, ric_t: RicciTensor,
+                       gd: GradientData, res: dict) -> None:
+    """The identity's item for an integrable df and a dlambda, given the
+    gradient_residual_parts res: a precondition violation while res != 0."""
+    if shown := entry_defects(res, 6):
+        report.add_item(CheckItem("gradient soliton equation holds",
+                                  PRECONDITION, "; ".join(shown)))
+        return
     gamma, dg = conn.gamma_int
     brackets, dc = M.brackets_int
     df_vec, dd = _gradient_int(M, gd.df)
-    # nab[b] = nabla_{e_b} Df over dg dd, so that R(e_i, e_j) Df =
-    # nabla_i nab[j] - nabla_j nab[i] - sum_b c_ij^b nab[b] over dg^2 dc dd
-    nab = [bracket_sum(gamma, {b: 1}, df_vec) for b in range(m)]
-    dq = divided_rows(*endo_derivative_int(conn, ricci_operator_coeffs(M, ric_t)))
-    bad = []
-    for i in range(m):
-        for j in range(m):
-            # lhs - rhs = R(e_i, e_j) Df - dlam_i e_j + dlam_j e_i
-            #             + (nabla_i Q) e_j - (nabla_j Q) e_i
-            rij = {}
-            for vec, w in ((bracket_sum(gamma, {i: 1}, nab[j]), dc),
-                           (bracket_sum(gamma, {j: 1}, nab[i]), -dc),
-                           (apply_columns(nab, brackets.get((i, j), {})), -dg)):
-                for k, x in vec.items():
-                    rij[k] = rij.get(k, 0) + w * x
-            diff = divided(rij, dg * dg * dc * dd)
-            diff[j] = diff.get(j, 0) - gd.dlambda[i]
-            diff[i] = diff.get(i, 0) + gd.dlambda[j]
-            for sign, key in ((1, (i, j)), (-1, (j, i))):
-                for k, x in dq.get(key, {}).items():
-                    diff[k] = diff.get(k, 0) + sign * x
-            diff = {k: x for k, x in diff.items() if x}
-            if diff:
-                bad.append(f"({i + 1},{j + 1}): {vector_of(m, diff).render()}")
+    # nab[b] = nabla_{e_b} Df over dg dd; lhs[i, j] = R(e_i, e_j) Df =
+    # nabla_i nab[j] - nabla_j nab[i] - sum_b c_ij^b nab[b] over dg^2 dc dd,
+    # swept over the nonzero Gamma and c entries
+    nab = [bracket_sum(gamma, {b: 1}, df_vec) for b in range(M.dim)]
+    lhs = {}
+    for (i, a), row in gamma.items():
+        for j, vec in enumerate(nab):
+            if vec.get(a):
+                add_to(lhs, (i, j), row, dc * vec[a])
+                add_to(lhs, (j, i), row, -dc * vec[a])
+    for key, row in brackets.items():
+        add_to(lhs, key, apply_columns(nab, row), -dg)
+    # rhs[i, j] = dlam_i e_j - dlam_j e_i - (nabla_i Q) e_j + (nabla_j Q) e_i
+    q_tab, dq = endo_derivative_int(conn, ricci_operator_coeffs(M, ric_t))
+    dlam, dl = _df_int(gd.dlambda)
+    rhs = {}
+    for (i, j), vec in q_tab.items():
+        add_to(rhs, (i, j), vec, -dl)
+        add_to(rhs, (j, i), vec, dl)
+    for i, x in dlam.items():
+        for j in range(M.dim):
+            add_to(rhs, (i, j), {j: x * dq})
+            add_to(rhs, (j, i), {j: -x * dq})
     report.add_check(
-        "R(X,Y)Df = (X lam)Y - (Y lam)X - (nabla_X Q)Y + (nabla_Y Q)X", bad)
-    return report
+        "R(X,Y)Df = (X lam)Y - (Y lam)X - (nabla_X Q)Y + (nabla_Y Q)X",
+        compare(lhs, dg * dg * dc * dd, rhs, dq * dl))
 
 
 def distribution_constant(m: int) -> Fraction:
@@ -324,6 +356,7 @@ def check_distribution_gradient(M: FrameManifold, D, gd: GradientData,
     exactly p/2 and dlambda vanishes, df itself must vanish there."""
     m = M.dim
     k = distribution_constant(m)
+    _sized(M, gd.df, gd.dlambda)
     report = CheckReport(f"{M.name} distribution gradient check "
                          f"(k = {format_rational(k)})")
     if gd.dlambda is None:
@@ -332,13 +365,15 @@ def check_distribution_gradient(M: FrameManifold, D, gd: GradientData,
         return report
     eta = D.eta(M)
     dist = [i for i in range(m) if eta[i] == 0]
-    df_vec = gradient_vector(M, gd.df)
+    df_vec, dd = _gradient_int(M, gd.df)
+    g_cols, dg = M.g_int
     bad = []
     for i in dist:
         # g(Df, e_i) collapses back to df[i] for any metric
-        val = M.g_of(df_vec, FrameVector.basis(m, i)).constant_value()
-        if val + gd.dlambda[i] != 0:
-            bad.append(f"e{i + 1}: {format_rational(val + gd.dlambda[i])}")
+        val = Fraction(sum(x * g_cols[i].get(a, 0) for a, x in df_vec.items()),
+                       dd * dg) + gd.dlambda[i]
+        if val != 0:
+            bad.append(f"e{i + 1}: {format_rational(val)}")
     report.add_check("g(Df, e_i) + dlambda[i] = 0 on the distribution", bad)
 
     if lam is not None and lam == P / 2 and not any(gd.dlambda):
@@ -351,6 +386,7 @@ def check_distribution_gradient(M: FrameManifold, D, gd: GradientData,
 
 def check_lambda_f_constant(M: FrameManifold, gd: GradientData) -> CheckReport:
     """df + dlambda = 0 in every frame direction, i.e. lambda + f is constant."""
+    _sized(M, gd.df, gd.dlambda)
     report = CheckReport(f"{M.name} lambda + f constancy")
     if gd.dlambda is None:
         report.add_item(CheckItem("dlambda supplied", PRECONDITION,
@@ -374,25 +410,20 @@ def concurrent_check(M: FrameManifold, conn: ConnectionTable, V: FrameVector,
     check verifies directly; with assume_concurrent the substitution
     nabla_{e_i} V := e_i is made instead and L_V g = 2 g is verified."""
     report = CheckReport(f"{M.name} concurrent field check")
-    m = M.dim
-    e = [FrameVector.basis(m, a) for a in range(m)]
-
     if assume_concurrent:
-        nv = e
         report.add_item(CheckItem("nabla_{e_i} V = e_i", "pass",
                                   "assumed, not derived"))
+        lv = {}  # L_V g = 2 g exactly under the substitution
     else:
+        m = M.dim
         nv = [conn.nabla_vec(i, V) for i in range(m)]
         bad = [f"e{i + 1}: nabla V = {nv[i].render()}"
-               for i in range(m) if nv[i] != e[i]]
+               for i in range(m) if nv[i] != FrameVector.basis(m, i)]
         report.add_check("nabla_{e_i} V = e_i", bad[:6])
-
-    lv = tuple(tuple(M.g_of(nv[i], e[j]) + M.g_of(e[i], nv[j])
-                     for j in range(m)) for i in range(m))
-    bad = [f"({i + 1},{j + 1}): {(lv[i][j] - 2 * M.g[i][j]).render()}"
-           for i in range(m) for j in range(m)
-           if lv[i][j] != ParamScalar.rational(2 * M.g[i][j])]
-    report.add_check("L_V g = 2 g", bad[:6])
+        # L_V g - 2 g, with no Ricci term
+        lv = _residual_parts(M, lie_derivative_parts(conn, V), ({}, 1), 0,
+                             ParamScalar.rational(2))
+    report.add_check("L_V g = 2 g", entry_defects(lv, 6))
     return report
 
 

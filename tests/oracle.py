@@ -40,8 +40,9 @@ def bracket(c, x, y):
 
 
 def g_of(g, x, y):
-    n = len(g)
-    return sum(g[a][b] * x[a] * y[b] for a in range(n) for b in range(n))
+    n = len(g)  # terms with x[a] = 0 vanish: most of them, for a basis x
+    return sum((g[a][b] * x[a] * y[b] for a in range(n) if x[a]
+                for b in range(n)), F(0))
 
 
 def basis(n, i):
@@ -586,6 +587,71 @@ def reeb_ricci_text(name, c, g, xi):
             bad.append(f"e{k + 1}: ric(xi, e_k) = {lhs}, want {(n - 1) * eta[k]}")
     return report_text(f"{name} reeb ricci identity",
                        [(f"ric(xi, Z) = {n - 1} eta(Z)", bad, "")])
+
+
+# The gradient curvature identity as the engine checked it pair by pair: for
+# each (i, j), R(e_i, e_j) Df from nabla Df, less the right-hand side, built
+# and rendered before it is tested. s, the multiplier in Hess f + ric = s g,
+# may be parametric; the residual entries are rendered with str().
+
+_PRE = "precondition_violated"
+IDENTITY = "R(X,Y)Df = (X lam)Y - (Y lam)X - (nabla_X Q)Y + (nabla_Y Q)X"
+
+
+def gradient_identity_defects(c, g, gamma, ric, df, dlambda):
+    """The pairs (i, j) where R(e_i, e_j) Df differs from dlambda_i e_j -
+    dlambda_j e_i - (nabla_i Q) e_j + (nabla_j Q) e_i, with Df = g^{-1} df
+    and Q = g^{-1} ric, each listed with the difference."""
+    n = len(g)
+    gi = inv(g)
+    Df = _matvec(gi, df)
+    nab = [nabla(gamma, b, Df) for b in range(n)]
+    Q = [[sum(gi[a][l] * ric[l][j] for l in range(n)) for j in range(n)]
+         for a in range(n)]
+
+    def dQ(i, j):  # (nabla_i Q) e_j = nabla_i (Q e_j) - Q (nabla_i e_j)
+        return _sub(nabla(gamma, i, _column(Q, j)), _matvec(Q, gamma[i][j]))
+
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            lhs = _sub(_sub(nabla(gamma, i, nab[j]), nabla(gamma, j, nab[i])),
+                       [sum(c[i][j][b] * nab[b][k] for b in range(n))
+                        for k in range(n)])
+            rhs = _sub(_sub(_scaled(basis(n, j), dlambda[i]),
+                            _scaled(basis(n, i), dlambda[j])),
+                       _sub(dQ(i, j), dQ(j, i)))
+            diff = _sub(lhs, rhs)
+            if any(diff):
+                bad.append(f"({i + 1},{j + 1}): {render_vector(diff)}")
+    return bad
+
+
+def gradient_identity_text(name, c, g, gamma, ric, df, dlambda, s):
+    """The identity's report, with gamma and ric from naive_koszul and
+    naive_ricci: dlambda supplied, df closed and the gradient soliton
+    equation holding (its first six nonzero residual entries listed
+    otherwise) are preconditions, checked in that order."""
+    subject = f"{name} gradient curvature identity"
+    n = len(g)
+    if dlambda is None:
+        return _layout(subject, [("dlambda supplied", _PRE,
+                                  "gradient data carries no dlambda")])
+    open_pairs = [f"({i + 1},{j + 1}): {F(d)}" for i in range(n)
+                  for j in range(i + 1, n)
+                  if (d := sum(df[k] * c[i][j][k] for k in range(n)))]
+    if open_pairs:
+        return _layout(subject, [("df integrable", _PRE, "df is not integrable: "
+                                  + "; ".join(open_pairs))])
+    hess = naive_hessian(gamma, df)
+    res = [f"({i + 1},{j + 1}): {v}" for i in range(n) for j in range(n)
+           if (v := hess[i][j] + ric[i][j] - s * g[i][j]) != 0]
+    if res:
+        return _layout(subject, [("gradient soliton equation holds", _PRE,
+                                  "; ".join(res[:6]))])
+    bad = gradient_identity_defects(c, g, gamma, ric, df, dlambda)
+    return _layout(subject, [(IDENTITY, "fail" if bad else "pass",
+                              "; ".join(bad) if bad else None)])
 
 
 # Token-by-token references for the text grammars: the scanner, the scalar

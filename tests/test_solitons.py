@@ -1,6 +1,7 @@
 """Soliton residuals, lambda solving, gradient machinery, and the
 closed-form concurrent-potential constants."""
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,17 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framecalc.cli
+import framecalc.geometry
+import framecalc.scalars
 import framecalc.solitons
 import oracle
 from framecalc.catalog import builtin_names, load_builtin
-from frames import heisenberg, sparse_brackets
+from frames import (gram_plus_identity, heisenberg, identity, lie_algebras,
+                    small, sparse_brackets, table_of)
 from framecalc.geometry import (FrameManifold, FrameVector, curvature,
                                 levi_civita, lie_derivative_metric, ricci)
 from framecalc.manifold_format import parse_manifold
+from framecalc.reports import CheckReport
 from framecalc.scalars import ParamScalar
 from framecalc.solitons import (Classification, GradientData,
-                                IntegrabilityError, SolitonError,
-                                SolitonFlavor, check_distribution_gradient,
+                                IntegrabilityError, LambdaSolve, SolitonError,
+                                SolitonFlavor, add_identity_check,
+                                check_distribution_gradient,
                                 check_gradient_curvature_identity,
                                 check_lambda_f_constant, classify,
                                 concurrent_check, concurrent_soliton_constants,
@@ -163,6 +170,80 @@ def test_one_solve_computes_the_lie_derivative_once(monkeypatch):
     calls.clear()
     soliton_residual(M, conn, ric, X, P - 1, SolitonFlavor.CONFORMAL)
     assert len(calls) == 1, calls
+
+
+def count_calls(monkeypatch, names) -> list:
+    """Record each call of the named framecalc functions, wherever a
+    framecalc module binds them."""
+    calls = []
+    for name in names:
+        fn = getattr(framecalc.geometry, name, None) or getattr(
+            framecalc.scalars, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls.append(name)
+            return fn(*args)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("framecalc") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ("heisenberg5", "abelian5", "dense5"))
+def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
+    """solve_lambda_trace decides its status on the integer residual, every
+    monomial of it (q xi is a Killing field of heisenberg5, so L_X g has an
+    empty q part); the matrix is built, once, on the first read of .residual
+    and equals soliton_residual at the solved lambda. Equality and repr are
+    those of a LambdaSolve given the matrix."""
+    M, conn, ric = reference_geometry(name)[:3]
+    calls = count_calls(monkeypatch, ("matrix_of", "join_parts"))
+    for X in (FrameVector.zero(5), FrameVector.from_values([P, 0, Q, 0, 1]),
+              FrameVector.from_values([0, 0, Q, 0, 0])):
+        for flavor in SolitonFlavor:
+            calls.clear()
+            solve = solve_lambda_trace(M, conn, ric, X, flavor)
+            assert calls == [], (name, flavor)
+            res = solve.residual
+            assert sorted(set(calls)) == ["join_parts", "matrix_of"]
+            calls.clear()
+            assert solve.residual is res and calls == []
+            assert res == soliton_residual(M, conn, ric, X, solve.lam, flavor)
+            assert solve.status == ("einstein_exact" if zero_table(res)
+                                    else "trace_only"), (name, X, flavor)
+            given_matrix = LambdaSolve(solve.lam, solve.form, solve.status, res)
+            assert solve == given_matrix and hash(solve) == hash(given_matrix)
+            assert repr(solve) == repr(given_matrix)
+            assert repr(solve).startswith(
+                f"LambdaSolve(lam={solve.lam!r}, form={solve.form!r}, "
+                f"status={solve.status!r}, residual=((ParamScalar(")
+    assert solve_lambda_trace(M, conn, ric, FrameVector.zero(5),
+                              SolitonFlavor.RICCI).status == (
+        "einstein_exact" if name == "abelian5" else "trace_only")
+
+
+def test_check_gradient_tests_integrability_once(monkeypatch, capsys):
+    """One check-gradient call finds the integrability defects once, and its
+    residual and identity items use that answer."""
+    calls = []
+    fn = framecalc.solitons.integrability_defects
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(framecalc.solitons, "integrability_defects", counted)
+    monkeypatch.setattr(framecalc.cli, "integrability_defects", counted)
+    for df, dlam, code in (("1,0,0,0,0", "0,0,0,0,0", 1),
+                           ("0,0,1,0,0", "0,0,0,0,0", 1),
+                           ("0,0,0,0,0", None, 1)):
+        calls.clear()
+        argv = ["check-gradient", "--builtin", "heisenberg5", "--df", df,
+                "--flavor", "conformal", "--lambda", "1/2*p - 3/5"]
+        if dlam is not None:
+            argv += ["--dlambda", dlam]
+        assert framecalc.cli.main(argv) == code
+        capsys.readouterr()
+        assert len(calls) == 1, (df, calls)
 
 
 @pytest.mark.parametrize("name", REFERENCE_NAMES)
@@ -379,6 +460,36 @@ def test_gradient_vector_identity_metric():
         (1, 0, -2, 0, 0))
 
 
+WRONG_LENGTHS = (("df", (1, 0, 0), None, 3), ("df", (1, 0, 0, 0, 0, 1), None, 6),
+                 ("dlambda", (1, 0, 0, 0, 0), (0, 0), 2))
+
+
+@pytest.mark.parametrize("what, df, dlambda, n", WRONG_LENGTHS)
+def test_gradient_functions_reject_data_of_another_length(what, df, dlambda, n):
+    """Every public gradient function names both lengths instead of reading
+    past the data or ignoring some of it; abelian5 takes any df."""
+    doc, M, conn, R, ric = setup("abelian5")
+    gd = GradientData.from_values(df, dlambda if dlambda else (0,) * len(df))
+    lam = P / 2 + Fraction(1, 5)
+    runs = [lambda: gradient_soliton_residual(M, conn, ric, gd, lam,
+                                              SolitonFlavor.CONFORMAL),
+            lambda: check_gradient_curvature_identity(
+                M, conn, R, ric, gd, lam, SolitonFlavor.CONFORMAL),
+            lambda: check_distribution_gradient(M, doc.contact, gd, lam),
+            lambda: check_lambda_f_constant(M, gd)]
+    if what == "df":
+        runs += [lambda: integrability_defects(M, df),
+                 lambda: hessian(M, conn, df), lambda: gradient_vector(M, df)]
+    for run in runs:
+        with pytest.raises(SolitonError, match=f"^{what} has {n} entries, not 5$"):
+            run()
+    if what == "df":  # a missing dlambda does not hide a wrong df
+        gd = GradientData.from_values(df)
+        for run in runs[:4]:
+            with pytest.raises(SolitonError, match=f"^df has {n} entries"):
+                run()
+
+
 def test_gradient_residual_rejects_nonintegrable():
     doc, M, conn, R, ric = setup("heisenberg5")
     gd = GradientData.from_values((0, 0, 1, 0, 0))
@@ -457,6 +568,129 @@ def test_curvature_identity_preconditions():
     assert rep.items[0].name == "gradient soliton equation holds"
     assert rep.items[0].status == "precondition_violated"
     assert "(3,3): 24/5" in rep.items[0].defect
+
+
+def _engine(c, g) -> tuple:
+    m = len(g)
+    M = FrameManifold("frame", m, table_of(c), g)
+    conn = levi_civita(M)
+    R = curvature(M, conn)
+    return M, conn, R, ricci(M, R)
+
+
+@st.composite
+def gradient_cases(draw) -> tuple:
+    """(c, g, gamma, ric, df, dlambda, lam, flavor): a metric Lie algebra of
+    tests/frames.py up to dimension 5, or a flat frame (zero brackets) with
+    an identity or B^T B + I metric, with its naive connection and Ricci
+    tensor. df is closed (a combination of the closed forms), random (often
+    not closed) or zero; dlambda is missing, zero, random or -df; lambda is
+    random or, when Hess f + ric = k g, the lambda that makes the gradient
+    soliton equation hold."""
+    if draw(st.booleans()):
+        c, g = draw(lie_algebras().filter(lambda alg: len(alg[1]) <= 5))
+        m = len(g)
+        gamma = oracle.naive_koszul(c, g)
+        ric = oracle.naive_ricci(oracle.naive_curvature(c, gamma))
+    else:  # zero brackets: Gamma = 0 by the Koszul formula, so ric = 0
+        m = draw(st.integers(1, 5))
+        c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+        gamma = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+        ric = [[Fraction(0)] * m for _ in range(m)]
+        g = identity(m) if draw(st.booleans()) else gram_plus_identity(
+            draw(st.lists(st.lists(small, min_size=m, max_size=m),
+                          min_size=m, max_size=m)))
+    vec = st.lists(small, min_size=m, max_size=m)
+    kind = draw(st.sampled_from(["closed", "random", "zero"]))
+    if kind == "closed":
+        closed = oracle.annihilator([c[i][j] for i in range(m)
+                                     for j in range(i + 1, m)], m)
+        a = draw(st.lists(small, min_size=len(closed), max_size=len(closed)))
+        df = [sum((x * v[k] for x, v in zip(a, closed)), Fraction(0))
+              for k in range(m)]
+    else:
+        df = draw(vec) if kind == "random" else [Fraction(0)] * m
+    dlambda = draw(st.sampled_from([None, [Fraction(0)] * m,
+                                    [-x for x in df], draw(vec)]))
+    flavor = draw(st.sampled_from(list(SolitonFlavor)))
+    hess = oracle.naive_hessian(gamma, df)
+    k = (hess[0][0] + ric[0][0]) / g[0][0] if g[0][0] else None
+    einstein = k is not None and all(hess[i][j] + ric[i][j] == k * g[i][j]
+                                     for i in range(m) for j in range(m))
+    lam = (gradient_shift(flavor, m) + k if einstein and draw(st.booleans())
+           else draw(scalars))
+    return c, g, gamma, ric, df, dlambda, lam, flavor
+
+
+def gradient_shift(flavor: SolitonFlavor, m: int) -> ParamScalar:
+    """lambda - s' for s' the multiplier in Hess f + ric = s' g."""
+    return P / 2 + Fraction(1, m) if flavor.is_conformal else sc(0)
+
+
+def check_identity_against_the_loop(c, g, gamma, ric, df, dlambda, lam,
+                                    flavor) -> str:
+    M, conn, R, ric_t = _engine(c, g)
+    got = check_gradient_curvature_identity(
+        M, conn, R, ric_t, GradientData.from_values(df, dlambda), lam, flavor)
+    want = oracle.gradient_identity_text(
+        M.name, c, g, gamma, ric, df, dlambda, lam - gradient_shift(flavor, M.dim))
+    assert got.render_text() == want
+    return got.items[0].name
+
+
+@settings(deadline=None)
+@given(gradient_cases())
+def test_identity_sweep_matches_the_per_pair_loop(case):
+    """The report of check_gradient_curvature_identity, byte for byte, against
+    oracle.gradient_identity_text, the per-pair loop it replaced. Random
+    frames rarely satisfy the gradient soliton equation, so add_identity_check
+    is also told that the residual vanishes: the sweep then runs on every
+    frame, df and dlambda, with curvature, Ricci operator and dlambda terms
+    all present, against the loop's defects."""
+    check_identity_against_the_loop(*case)
+    c, g, gamma, ric, df, dlambda, lam, flavor = case
+    dlambda = dlambda or df
+    M, conn, R, ric_t = _engine(c, g)
+    report = CheckReport("sweep")
+    add_identity_check(report, M, conn, ric_t,
+                       GradientData.from_values(df, dlambda), {})
+    bad = oracle.gradient_identity_defects(c, g, gamma, ric, df, dlambda)
+    assert report.render_text() == oracle.report_text(
+        "sweep", [(oracle.IDENTITY, bad, "")])
+
+
+def test_identity_sweep_matches_the_per_pair_loop_on_every_path():
+    """Each outcome of the identity check at least once, against the loop:
+    the three preconditions (a residual with more than six nonzero entries
+    among them) and the identity passing and failing with nonzero df and
+    dlambda, also on a non-flat frame."""
+    m, c, g, _, _ = heisenberg(2)
+    zero5 = [Fraction(0)] * 5
+    flat4 = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
+    gram4 = gram_plus_identity([[Fraction(i - j, 2) for j in range(4)]
+                                for i in range(4)])
+    conformal = SolitonFlavor.CONFORMAL
+    cases = [
+        (c, g, zero5, None, P, conformal, "dlambda supplied"),
+        (c, g, [0, 0, 1, 0, 0], zero5, P, conformal, "df integrable"),
+        (flat4, gram4, [1, 2, 0, -1], [1, 0, 0, 0], P,
+         SolitonFlavor.RICCI, "gradient soliton equation holds"),
+        (flat4, gram4, [1, 2, 0, -1], [0, 0, 0, 0], sc(0),
+         SolitonFlavor.RICCI, oracle.IDENTITY),
+        (flat4, gram4, [1, 2, 0, -1], [1, -1, 0, 3], P / 2 + Fraction(1, 4),
+         conformal, oracle.IDENTITY),
+        (c, g, zero5, [0, 1, 0, 0, 2], P / 2 - Fraction(3, 5) + 1,
+         conformal, "gradient soliton equation holds"),
+    ]
+    for c, g, df, dlambda, lam, flavor, name in cases:
+        gamma = oracle.naive_koszul(c, g)
+        ric = oracle.naive_ricci(oracle.naive_curvature(c, gamma))
+        assert check_identity_against_the_loop(
+            c, g, gamma, ric, df, dlambda, lam, flavor) == name
+    M, conn, R, ric = _engine(flat4, gram4)
+    res = gradient_soliton_residual(M, conn, ric, GradientData.from_values(
+        [1, 2, 0, -1]), P, SolitonFlavor.RICCI)
+    assert sum(not e.is_zero() for row in res for e in row) == 16
 
 
 # -- distribution-level and constancy checks ---------------------------------------------
@@ -561,6 +795,23 @@ def test_concurrent_check_assumed_mode():
     assert rep.items[0].defect == "assumed, not derived"
     assert rep.items[1].name == "L_V g = 2 g"
     assert rep.items[1].status == "pass"
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_concurrent_check_lie_derivative_matches_the_naive_reference(name):
+    """The L_V g = 2 g item lists the first six nonzero entries of L_V g - 2 g
+    from oracle.naive_lie_derivative, for parametric V."""
+    M, conn, ric, gamma, ric_ref, g = reference_geometry(name)
+    m = M.dim
+    rng = random.Random(name)
+    for _ in range(3):
+        V = FrameVector(tuple(random_scalar(rng) if rng.random() < 0.7
+                              else sc(0) for _ in range(m)))
+        lv = oracle.naive_lie_derivative(gamma, g, list(V.coeffs))
+        bad = [f"({i + 1},{j + 1}): {d}" for i in range(m) for j in range(m)
+               if (d := lv[i][j] - 2 * g[i][j]) != 0]
+        assert concurrent_check(M, conn, V).items[1].defect == (
+            "; ".join(bad[:6]) if bad else None), name
 
 
 # -- concurrent-potential constants ------------------------------------------------------
