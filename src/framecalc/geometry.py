@@ -429,9 +429,9 @@ def compare(lhs: dict, dl: int, rhs: dict, dr: int, fmt=None) -> list:
 
 
 def entry_defects(parts: dict, limit: int | None = None) -> list:
-    """"(1,2): value" for the first limit nonzero entries, in key order, of
-    a table given by its monomial parts {monomial: ({(i, j): int}, d)}; a
-    ParamScalar is built only for an entry listed."""
+    """The texts "(1,2): value" of the first limit nonzero entries, in key
+    order, of a table given by its monomial parts {monomial: ({(i, j): int},
+    d)}; a ParamScalar is built only for an entry listed."""
     keys = sorted({key for vec, _ in parts.values()
                    for key, x in vec.items() if x})[:limit]
     shown = joined({mono: ({key: vec.get(key, 0) for key in keys}, d)

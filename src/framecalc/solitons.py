@@ -87,7 +87,7 @@ def soliton_residual(M: FrameManifold, conn: ConnectionTable, ric_t: RicciTensor
 def soliton_residual_parts(M: FrameManifold, conn: ConnectionTable,
                            ric_t: RicciTensor, X: FrameVector,
                            lam: ParamScalar, flavor: SolitonFlavor) -> dict:
-    """soliton_residual as _residual_parts gives it."""
+    """soliton_residual as integer parts {monomial: ({(i, j): int}, d)}."""
     return _residual_parts(M, lie_derivative_parts(conn, X), ric_t.ric_int, 2,
                            _scale(flavor, lam, M.dim))
 
@@ -138,7 +138,8 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
                        flavor: SolitonFlavor) -> LambdaSolve:
     """Contract the soliton equation with g^{-1} and solve the resulting
     linear equation for lambda. Status is einstein_exact when the full
-    residual, built when first read, vanishes at the solved lambda."""
+    residual vanishes at the solved lambda, else trace_only; the residual
+    matrix is built on the first read of .residual."""
     m = M.dim
     gi_cols, dgi = M.g_inv_int  # g^{ij} = gi_cols[j][i] / dgi
     parts = lie_derivative_parts(conn, X)  # the one L_X g of this solve
@@ -276,7 +277,8 @@ def gradient_soliton_residual(M: FrameManifold, conn: ConnectionTable,
 def gradient_residual_parts(M: FrameManifold, conn: ConnectionTable,
                             ric_t: RicciTensor, gd: GradientData,
                             lam: ParamScalar, flavor: SolitonFlavor) -> dict:
-    """gradient_soliton_residual as _residual_parts gives it, unchecked."""
+    """gradient_soliton_residual as integer parts {monomial: ({(i, j): int},
+    d)}, for a df already found integrable."""
     return _residual_parts(M, {(): _hessian_int(conn, gd.df)}, ric_t.ric_int,
                            1, _gradient_scale(flavor, lam, M.dim))
 

@@ -172,23 +172,6 @@ def test_one_solve_computes_the_lie_derivative_once(monkeypatch):
     assert len(calls) == 1, calls
 
 
-def count_calls(monkeypatch, names) -> list:
-    """Record each call of the named framecalc functions, wherever a
-    framecalc module binds them."""
-    calls = []
-    for name in names:
-        fn = getattr(framecalc.geometry, name, None) or getattr(
-            framecalc.scalars, name)
-
-        def counted(*args, fn=fn, name=name):
-            calls.append(name)
-            return fn(*args)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("framecalc") and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", ("heisenberg5", "abelian5", "dense5"))
 def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
     """solve_lambda_trace decides its status on the integer residual, every
@@ -197,7 +180,15 @@ def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
     and equals soliton_residual at the solved lambda. Equality and repr are
     those of a LambdaSolve given the matrix."""
     M, conn, ric = reference_geometry(name)[:3]
-    calls = count_calls(monkeypatch, ("matrix_of", "join_parts"))
+    calls = []
+    for fn in (framecalc.geometry.matrix_of, framecalc.scalars.join_parts):
+        def counted(*args, fn=fn):
+            calls.append(fn.__name__)
+            return fn(*args)
+        for mod_name, mod in list(sys.modules.items()):  # every binding
+            if mod_name.startswith("framecalc") and getattr(
+                    mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
     for X in (FrameVector.zero(5), FrameVector.from_values([P, 0, Q, 0, 1]),
               FrameVector.from_values([0, 0, Q, 0, 0])):
         for flavor in SolitonFlavor:
