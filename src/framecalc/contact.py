@@ -15,8 +15,8 @@ from functools import cached_property
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, RicciTensor, add_to, apply_columns as _apply,
-                       bracket_sum, compare, divided, endo_derivative_int,
-                       integer_map, integer_rows, sparse_columns, vector_of)
+                       bracket_sum, columns, compare, dense, divided,
+                       endo_derivative_int, integer_map, integer_rows, vector_of)
 from .record import Record
 from .reports import PASS, PRECONDITION, CheckItem, CheckReport
 from .scalars import format_rational
@@ -27,25 +27,31 @@ class ContactError(ValueError):
 
 
 class AlmostContactData(Record):
-    """phi[a][j] = coefficient of e_a in phi(e_j); xi = Reeb vector coeffs."""
+    """phi[a][j] = coefficient of e_a in phi(e_j); xi = Reeb vector coeffs.
+    phi, dense or by columns {j: {a: phi_aj}}, is stored as phi_cols only
+    (columns); a dense phi not of xi's size fails every check."""
 
-    def __init__(self, phi: tuple, xi: tuple):
-        self.phi = phi
-        self.xi = xi
+    def __init__(self, phi, xi: tuple):
+        self.xi, m = xi, len(xi)
+        self.square = isinstance(phi, dict) or {len(phi), *map(len, phi)} == {m}
+        if isinstance(phi, dict):
+            phi = {(a, j): x for j, col in phi.items() for a, x in col.items()}
+        self.phi_cols = columns(m, phi if self.square else {}, ContactError, "phi")
 
     @classmethod
     def from_values(cls, phi, xi) -> "AlmostContactData":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in phi),
-                   tuple(Fraction(x) for x in xi))
+        return cls(phi, tuple(Fraction(x) for x in xi))
 
     @property
     def dim(self) -> int:
         return len(self.xi)
 
+    phi = cached_property(lambda self: dense(self.phi_cols))  # built when first read
+
     @cached_property
     def phi_int(self) -> tuple:
         """(columns {j: {a: int}} of phi, d), each value being int / d."""
-        return integer_rows(dict(enumerate(sparse_columns(self.phi))))
+        return integer_rows(self.phi_cols)
 
     def on(self, M: FrameManifold) -> "ContactDerivation":
         """This structure on M, derived once for the last manifold asked for."""
@@ -62,7 +68,7 @@ class AlmostContactData(Record):
         return FrameVector.from_values(self.xi)
 
     def phi_column(self, j: int) -> FrameVector:
-        return FrameVector.from_values(tuple(self.phi[a][j] for a in range(self.dim)))
+        return vector_of(self.dim, self.phi_cols[j])
 
 
 class ContactDerivation:
@@ -70,19 +76,19 @@ class ContactDerivation:
     checks read, and the axioms' items, whose verdict check_sasakian reads."""
 
     def __init__(self, M: FrameManifold, D: AlmostContactData):
-        if {D.dim, len(D.phi), *map(len, D.phi)} != {m := M.dim}:
+        if D.dim != (m := M.dim) or not D.square:
             raise ContactError(f"contact structure of dimension {D.dim} on {M.name} "
                                f"of dimension {m}: xi needs {m} entries, phi {m} x {m}")
         self.manifold, self.phi_int, (gcols, dg) = M, D.phi_int, M.g_int
         xi, dx = integer_map({a: x for a, x in enumerate(D.xi) if x})
         eta, de = _apply(gcols, xi), dg * dx  # eta = g(., xi)
         self.xi_eta = xi, dx, eta, de
-        # the nonzero phi_aj; by rows, phi over dp, a: [(j, phi_aj)], and
+        # the nonzero phi_aj over dp; by rows, a: [(j, phi_aj)], and
         # g phi over dg dp, a: {j: g(e_a, phi e_j)}
         self.phi, self.rows, self.g_phi = {}, {}, {}
         for j, col in self.phi_int[0].items():
             for a, x in col.items():
-                self.phi[a, j] = D.phi[a][j]
+                self.phi[a, j] = x
                 self.rows.setdefault(a, []).append((j, x))
             for a, y in _apply(gcols, col).items():
                 self.g_phi.setdefault(a, {})[j] = y
@@ -162,7 +168,7 @@ def check_sasakian(M: FrameManifold, conn: ConnectionTable,
                                   "failing: " + "; ".join(failing)))
         return report
     report.add_check("(nabla_X phi)Y = g(X,Y)xi - eta(Y)X", compare(
-        *endo_derivative_int(conn, on.phi), *on.g_xi_minus_eta))
+        *endo_derivative_int(conn, on.phi, on.phi_int[1]), *on.g_xi_minus_eta))
     return report
 
 

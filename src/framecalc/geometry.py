@@ -8,16 +8,16 @@ e_1..e_m with constant antisymmetric structure coefficients
 brackets, and a constant symmetric metric g on the frame. All indices are
 0-based internally; rendered output is 1-based.
 
-Tensors are sparse: a dict from an index tuple to a Fraction, or to a sparse
-vector {k: Fraction} for the upper index, holding nonzero entries only. The
-geometry is built from c and g alone, so it is rational; kernels cost time
-in proportion to the nonzero entries they combine, and so do the checks
-(validate here, contact.py), which list their defects through one comparer,
-compare. One elimination per manifold gives g^{-1} and the leading minors
-(FrameManifold.elimination). ParamScalar appears only in the accessors and
-where a caller's vector field or scalar brings in parameters; such an
-argument is split by monomial (by_monomial) and each rational part goes
-through the integer kernels on its own.
+Tensors are sparse: a dict from an index tuple to a number, or to a sparse
+vector {k: number} for the upper index, holding nonzero entries only. The
+geometry is built from c and g alone, so it is rational; each stage stores
+and hands on integer tables over one denominator, (table, d), and Fraction
+tables are built only when read. Kernels cost time in proportion to the
+nonzero entries they combine, and so do the checks (validate here,
+contact.py), which list their defects through one comparer, compare. One
+elimination per manifold gives g^{-1} and the leading minors. ParamScalar
+appears only in the accessors and where a caller's field or scalar brings
+in parameters, split by monomial (by_monomial) for the integer kernels.
 """
 from __future__ import annotations
 
@@ -61,8 +61,8 @@ def matrix_of(dim: int, entries: dict) -> tuple:
 
 
 # Kernels multiply and add on ints: a rational table is scaled to integers
-# over one common denominator and each output entry is divided once. A
-# parametric argument is split by monomial first (by_monomial).
+# over one common denominator, and an output is kept in lowest terms
+# (reduced) or divided once. A parametric argument is split by monomial.
 
 def integer_map(vec: dict) -> tuple:
     """({k: int}, d) with vec[k] = int / d for a map of rationals."""
@@ -86,6 +86,19 @@ def divided(vec: dict, d: int) -> dict:
 def divided_rows(table: dict, d: int) -> dict:
     """divided over each row, without the rows it leaves empty."""
     return {key: row for key, r in table.items() if (row := divided(r, d))}
+
+
+def reduced(vec: dict, d: int) -> tuple:
+    """integer_map(divided(vec, d)), in its order: (vec, d) in lowest terms."""
+    q = gcd(d, *vec.values())
+    return {k: x // q for k, x in vec.items() if x}, d // q
+
+
+def reduced_rows(table: dict, d: int) -> tuple:
+    """integer_rows(divided_rows(table, d)), as reduced gives for a map."""
+    q = gcd(d, *(x for row in table.values() for x in row.values()))
+    return {key: r for key, row in table.items()
+            if (r := {k: x // q for k, x in row.items() if x})}, d // q
 
 
 def by_monomial(kernel, *maps) -> dict:
@@ -118,6 +131,29 @@ def joined(parts: dict) -> dict:
     return join_parts({mono: divided(vec, d) for mono, (vec, d) in parts.items()})
 
 
+def columns(dim: int, mat, error, name: str) -> dict:
+    """{j: {i: Fraction}}: the nonzero entries of a dim x dim matrix, dense or
+    {(i, j): x}, by columns, all present, i ascending; else error(text)."""
+    if not isinstance(mat, dict):
+        if len(mat) != dim or any(len(r) != dim for r in mat):
+            raise error(f"{name} must be dim x dim")
+        mat = {(i, j): x for i, row in enumerate(mat) for j, x in enumerate(row) if x}
+    cols = {j: {} for j in range(dim)}
+    for (i, j), x in sorted(mat.items()):
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise error(f"{name} index out of range 0..{dim - 1} at entry ({i}, {j})")
+        if x:
+            cols[j][i] = as_fraction(x)
+    return cols
+
+
+def dense(cols: dict) -> Matrix:
+    """The dense matrix of a square one's columns (columns)."""
+    zero = Fraction(0)
+    return tuple(tuple(col.get(i, zero) for col in cols.values())
+                 for i in range(len(cols)))
+
+
 def apply_columns(cols, v: dict) -> dict:
     """The endomorphism with coefficient-map columns cols, applied to v."""
     out = {}
@@ -125,12 +161,6 @@ def apply_columns(cols, v: dict) -> dict:
         for a, p in cols[j].items():
             out[a] = out.get(a, 0) + p * x
     return {a: x for a, x in out.items() if x}
-
-
-def sparse_columns(mat) -> list:
-    """col[l] = {k: mat[k][l]} over the nonzero entries of a square matrix."""
-    n = len(mat)
-    return [{k: mat[k][l] for k in range(n) if mat[k][l]} for l in range(n)]
 
 
 # -- exact linear algebra: fraction-free elimination ---------------------------
@@ -248,6 +278,8 @@ class FrameManifold:
     with both orders of every pair, kept in ascending order of (i, j) and
     of k; it is the only stored form of c. The constructor takes such a
     table as given; from_brackets builds one from the pairs i < j.
+    g_cols, the only stored form of g, holds it by columns (columns); the
+    constructor takes g as a dense matrix or as a map {(i, j): g_ij}.
     """
 
     def __init__(self, name: str, dim: int, brackets: dict, g, params=()):
@@ -264,10 +296,8 @@ class FrameManifold:
             if row:
                 table[i, j] = row
         self.brackets = table
-        self.g = tuple(tuple(map(as_fraction, row)) for row in g)
+        self.g_cols = columns(dim, g, GeometryError, "metric")
         self.params = frozenset(params) | {"p"}
-        if len(self.g) != dim or any(len(r) != dim for r in self.g):
-            raise GeometryError("metric must be dim x dim")
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, brackets: dict,
@@ -278,7 +308,7 @@ class FrameManifold:
             table[i, j] = row = {k: as_fraction(x) for k, x in comps.items()}
             table[j, i] = {k: -x for k, x in row.items()}
         if g is None:
-            g = identity_metric(dim)
+            g = dict.fromkeys(((i, i) for i in range(dim)), Fraction(1))
         return cls(name, dim, table, g, params)
 
     @cached_property
@@ -290,15 +320,19 @@ class FrameManifold:
                                  for k in range(m)) for j in range(m))
                      for i in range(m))
 
+    g = cached_property(lambda self: dense(self.g_cols))  # built when first read
+
     @cached_property
     def elimination(self) -> tuple:
         """(minors, inverse) from one fraction-free elimination of [g | I]:
         the leading minors of g (after a zero one, each from an elimination
         of its own), and g^{-1} as integer columns {j: {i: int}} over the
         least d > 0, (cols, d), or None if g is singular."""
-        d = lcm(*(x.denominator for row in self.g for x in row))
-        a = [[x.numerator * (d // x.denominator) for x in row] for row in self.g]
-        n = len(a)
+        (cols, d), n = self.g_int, self.dim
+        a = [[0] * n for _ in range(n)]
+        for j, col in cols.items():
+            for i, x in col.items():
+                a[i][j] = x
         aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
         det, minors = _bareiss(aug)
         minors += [_bareiss([row[:k] for row in a[:k]])[0]
@@ -324,7 +358,7 @@ class FrameManifold:
 
     @cached_property
     def g_int(self) -> tuple:
-        return integer_rows(dict(enumerate(sparse_columns(self.g))))
+        return integer_rows(self.g_cols)
 
     @cached_property
     def g_inv_int(self) -> tuple:
@@ -358,20 +392,17 @@ class FrameManifold:
 
     def g_of(self, x: FrameVector, y: FrameVector) -> ParamScalar:
         total = ZERO
-        for a in range(self.dim):
-            xa = x.coeffs[a]
-            if xa.is_zero():
-                continue
-            for b in range(self.dim):
-                if self.g[a][b]:
-                    total = total + xa * y.coeffs[b] * self.g[a][b]
+        for b, col in self.g_cols.items():
+            for a, gab in col.items():
+                if not x.coeffs[a].is_zero():
+                    total = total + x.coeffs[a] * y.coeffs[b] * gab
         return total
 
     def __eq__(self, other):
         if not isinstance(other, FrameManifold):
             return NotImplemented
-        return (self.name, self.dim, self.brackets, self.g, self.params) == \
-               (other.name, other.dim, other.brackets, other.g, other.params)
+        return (self.name, self.dim, self.brackets, self.g_cols, self.params) == \
+               (other.name, other.dim, other.brackets, other.g_cols, other.params)
 
     def __repr__(self):
         return f"FrameManifold({self.name!r}, dim={self.dim})"
@@ -470,9 +501,9 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
     bad = sorted(bad)
     report.add_check("bracket antisymmetry", bad[:8], "violated at ")
 
-    cols = tuple(zip(*M.g))  # tuples compare entries by identity first
-    asym = [(i + 1, j + 1) for i, row in enumerate(M.g) if row != cols[i]
-            for j, x in enumerate(row) if x != cols[i][j]]
+    cols = M.g_cols
+    asym = sorted({key for j, col in cols.items() for i, x in col.items()
+                   if cols[i].get(j) != x for key in ((i + 1, j + 1), (j + 1, i + 1))})
     report.add_check("metric symmetry", asym[:8], "violated at ")
 
     if not asym:
@@ -501,21 +532,25 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
 # -- connection, curvature, ricci ---------------------------------------------
 
 class ConnectionTable(Record):
+    """Gamma and the Koszul table; the kernel gives (given) their integer
+    forms (table, d), and either form is built from the other on read."""
+
     def __init__(self, manifold: FrameManifold, gamma: dict, koszul: dict):
         self.manifold = manifold
         self.gamma = gamma    # {(i, j): {k: Gamma_ij^k}}, nabla_{e_i} e_j = Gamma_ij^k e_k
         self.koszul = koszul  # {(i, j, l): g(nabla_{e_i} e_j, e_l)}
 
-    @cached_property
-    def gamma_int(self) -> tuple:  # (table, d) as FrameManifold.brackets_int
-        return integer_rows(self.gamma)
+    gamma = cached_property(lambda self: divided_rows(*self.gamma_int))
+    koszul = cached_property(lambda self: divided(*self.koszul_int))
+    gamma_int = cached_property(lambda self: integer_rows(self.gamma))
+    koszul_int = cached_property(lambda self: integer_map(self.koszul))
 
     @cached_property
     def lie_int(self) -> tuple:
         """(table, d): {a: {(i, j): int}} with (L_{e_a} g)(e_i, e_j) =
         g(nabla_{e_i} e_a, e_j) + g(e_i, nabla_{e_j} e_a) = int / d, the
         Koszul table indexed by its middle index; nonzero entries only."""
-        koszul, dk = integer_map(self.koszul)
+        koszul, dk = self.koszul_int
         table: dict = {}
         for (i, a, j), q in koszul.items():
             row = table.setdefault(a, {})
@@ -558,8 +593,8 @@ def levi_civita(M: FrameManifold) -> ConnectionTable:
     for (i, j, l), x in twice.items():
         if x:
             add_to(raised, (i, j), gi_cols[l], x)
-    return ConnectionTable(M, divided_rows(raised, 2 * dc * dg * dgi),
-                           divided(twice, 2 * dc * dg))
+    return ConnectionTable.given(manifold=M, koszul_int=reduced(twice, 2 * dc * dg),
+                                 gamma_int=reduced_rows(raised, 2 * dc * dg * dgi))
 
 
 class CurvatureTensor(Record):
@@ -579,9 +614,9 @@ class CurvatureTensor(Record):
 
     def lowered(self, i: int, j: int, k: int, l: int) -> ParamScalar:
         """R(e_i, e_j, e_k, e_l) = g(R(e_i, e_j) e_k, e_l)."""
-        g = self.manifold.g
+        col = self.manifold.g_cols[l]
         return ParamScalar.rational(sum(
-            (x * g[a][l] for a, x in self.comp.get((i, j, k), {}).items()),
+            (x * col.get(a, 0) for a, x in self.comp.get((i, j, k), {}).items()),
             Fraction(0)))
 
     def apply_int(self, x: dict, y: dict, z: dict) -> tuple:
@@ -647,13 +682,15 @@ def bianchi_defect(R: CurvatureTensor, i: int, j: int, k: int) -> FrameVector:
 
 
 class RicciTensor(Record):
+    """ric; the kernel gives (given) its integer form (table, d), and either
+    form is built from the other on read."""
+
     def __init__(self, manifold: FrameManifold, ric: dict):
         self.manifold = manifold
         self.ric = ric  # {(j, k): ric(e_j, e_k)}, nonzero entries only
 
-    @cached_property
-    def ric_int(self) -> tuple:  # (table, d) as integer_map(ric)
-        return integer_map(self.ric)
+    ric = cached_property(lambda self: divided(*self.ric_int))
+    ric_int = cached_property(lambda self: integer_map(self.ric))
 
     def entry(self, j: int, k: int) -> ParamScalar:
         return ParamScalar.rational(self.ric.get((j, k), 0))
@@ -691,7 +728,7 @@ def ricci(M: FrameManifold, R: CurvatureTensor) -> RicciTensor:
             x *= dg
             for k, y in by_first.get((a, i), ()):
                 acc[j, k] = acc.get((j, k), 0) - x * y
-    return RicciTensor(M, divided(acc, dg * dg * dc))
+    return RicciTensor.given(manifold=M, ric_int=reduced(acc, dg * dg * dc))
 
 
 def scalar_curvature(M: FrameManifold, ric_t: RicciTensor) -> ParamScalar:
@@ -748,12 +785,11 @@ def is_killing(M: FrameManifold, conn: ConnectionTable, X: FrameVector):
     return ok, lx
 
 
-def endo_derivative_int(conn: ConnectionTable, q: dict) -> tuple:
+def endo_derivative_int(conn: ConnectionTable, q: dict, dq: int) -> tuple:
     """({(i, j): {k: ((nabla_{e_i} Q) e_j)_k}}, d) on ints over d, zeros kept,
-    for a frame-constant endomorphism given as {(a, j): Q_aj}:
+    for a frame-constant endomorphism given on ints over dq as {(a, j): int}:
     (nabla_{e_i} Q) e_j = nabla_{e_i}(Q e_j) - Q(nabla_{e_i} e_j)."""
     gamma, dg = conn.gamma_int
-    q, dq = integer_map(q)
     q_rows, q_cols = {}, {}
     for (a, j), x in q.items():
         q_rows.setdefault(a, []).append((j, x))
@@ -781,7 +817,7 @@ def covariant_derivative_endo(M: FrameManifold, conn: ConnectionTable,
     m = M.dim
 
     def kernel(q: dict) -> tuple:
-        table, d = endo_derivative_int(conn, q)
+        table, d = endo_derivative_int(conn, q, 1)
         return {(i, j, k): x for (i, j), row in table.items()
                 for k, x in row.items()}, d
     q = {(a, j): x for a, row in enumerate(Q) for j, x in enumerate(row)}

@@ -16,11 +16,11 @@
 A vector-expr is 0 or a sum of signed terms <rational>[*]e<k>; indices are
 1-based and must stay within the declared dimension, which is at most
 MAX_DIM; integer literals have at most scalars.MAX_DIGITS digits. Brackets
-may be declared at most once per unordered pair; the parser keeps only
-their nonzero coefficients and hands them to FrameManifold.from_brackets
-as a sparse table. Expected values are audit
-data: they never feed computation, they only populate discrepancy ledgers,
-so repeated or contradictory expect lines are legal.
+may be declared at most once per unordered pair. The brackets, the metric
+entries and the phi columns go to FrameManifold and AlmostContactData as
+sparse tables; no m x m matrix is built. Expected values are audit data:
+they never feed computation, they only populate discrepancy ledgers, so
+repeated or contradictory expect lines are legal.
 
 A line ends at \\n, \\r\\n or \\r, as open() in text mode ends it; other
 characters str.splitlines() breaks at (\\x0c, \\x85, \\u2028, ...) stay in
@@ -46,15 +46,14 @@ import re
 from fractions import Fraction
 
 from .contact import AlmostContactData
-from .geometry import FrameManifold, FrameVector, identity_metric, vector_of
+from .geometry import FrameManifold, FrameVector, vector_of
 from .record import Record
 from .scalars import (_ONE, MAX_DIGITS, Scanner, _coefficient,
                       format_rational)
 
-# Largest accepted dimension. Brackets are stored sparse, but the metric and
-# its inverse stay dense (m^2 entries, one elimination each) and the strict
-# Jacobi scan visits all m^3 / 6 triples, so the declared dimension alone
-# sets a floor on the cost of a command.
+# Largest accepted dimension. Brackets, the metric and phi are stored sparse,
+# but the one elimination of the metric works on dense m x m integer rows,
+# so the declared dimension alone sets a floor on the cost of a command.
 MAX_DIM = 128
 
 
@@ -466,12 +465,7 @@ class _Document:
         if self.metric_mode is None:
             raise ParseError(last_line + 1, 1, "missing metric declaration")
         dim = self.dim
-        zero = Fraction(0)
-        if self.metric_mode == "identity":
-            g = identity_metric(dim)
-        else:
-            g = tuple(tuple(self.metric_entries.get((i, j), zero)
-                            for j in range(dim)) for i in range(dim))
+        g = self.metric_entries if self.metric_mode == "entries" else None  # identity
         M = FrameManifold.from_brackets(self.name, dim, self.brackets, g,
                                         self.params)
         for lam, _src in self.lam:
@@ -484,10 +478,9 @@ class _Document:
         if self.phi_cols and self.xi is None:
             raise ParseError(last_line + 1, 1, "contact phi requires contact xi")
         if self.xi is not None:
-            phi = tuple(tuple(self.phi_cols.get(j, {}).get(a, zero)
-                              for j in range(dim)) for a in range(dim))
-            contact = AlmostContactData(phi, tuple(self.xi.get(a, zero)
-                                                   for a in range(dim)))
+            zero = Fraction(0)
+            contact = AlmostContactData(self.phi_cols, tuple(
+                self.xi.get(a, zero) for a in range(dim)))
         expected = ExpectedValues(tuple(self.nabla), tuple(self.riem),
                                   tuple(self.ricci), tuple(self.lam))
         return ManifoldDocument(M, contact, expected)
@@ -521,17 +514,14 @@ def render_manifold(doc: ManifoldDocument) -> str:
         if i < j:
             lines.append(f"bracket e{i + 1} e{j + 1} = "
                          f"{vector_of(M.dim, row).render()}")
-    if M.g == identity_metric(M.dim):
+    upper = sorted((i, j, x) for j, col in M.g_cols.items()
+                   for i, x in col.items() if i <= j)
+    if all(col == {j: 1} for j, col in M.g_cols.items()):
         lines.append("metric identity")
     else:
-        wrote = False
-        for i in range(M.dim):
-            for j in range(i, M.dim):
-                if M.g[i][j]:
-                    lines.append(f"metric g {i + 1} {j + 1} = "
-                                 f"{format_rational(M.g[i][j])}")
-                    wrote = True
-        if not wrote:  # degenerate all-zero metric still needs a statement
+        for i, j, x in upper:
+            lines.append(f"metric g {i + 1} {j + 1} = {format_rational(x)}")
+        if not upper:  # degenerate all-zero metric still needs a statement
             lines.append("metric g 1 1 = 0")
     if doc.contact is not None:
         lines.append(f"contact xi = "

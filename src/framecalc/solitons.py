@@ -330,7 +330,7 @@ def add_identity_check(report: CheckReport, M: FrameManifold,
     for key, row in brackets.items():
         add_to(lhs, key, apply_columns(nab, row), -dg)
     # rhs[i, j] = dlam_i e_j - dlam_j e_i - (nabla_i Q) e_j + (nabla_j Q) e_i
-    q_tab, dq = endo_derivative_int(conn, ricci_operator_coeffs(M, ric_t))
+    q_tab, dq = endo_derivative_int(conn, *integer_map(ricci_operator_coeffs(M, ric_t)))
     dlam, dl = _df_int(gd.dlambda)
     rhs = {}
     for (i, j), vec in q_tab.items():

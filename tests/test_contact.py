@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from frames import contact_frames, dense_of
@@ -14,9 +15,11 @@ from framecalc.contact import (AlmostContactData, ContactError,
                                check_contact_metric, check_curvature_identity,
                                check_normality, check_reeb_ricci,
                                check_sasakian, d_eta, derive_phi, nijenhuis)
-from framecalc.geometry import (FrameManifold, curvature, levi_civita, ricci,
-                                validate)
+from framecalc.geometry import (FrameManifold, FrameVector, curvature,
+                                levi_civita, ricci, ricci_operator,
+                                scalar_curvature, validate)
 from framecalc.manifold_format import MAX_DIM, parse_manifold
+from framecalc.solitons import SolitonFlavor, solve_lambda_trace
 
 
 def setup_h5():
@@ -295,6 +298,76 @@ def test_heisenberg_127_passes_strict_validate_and_every_contact_check():
                check_reeb_ricci(M, M.ric, D)]
     assert [r.overall for r in reports] == ["pass"] * 7
     assert reports[-1].items[0].name == "ric(xi, Z) = 126 eta(Z)"
+
+
+# -- phi stored by columns --------------------------------------------------------
+
+def six_checks(M, D) -> list:
+    """The texts of the six checks of D on M."""
+    R = curvature(M, levi_civita(M))
+    return [check(M, D).render_text() for check in (
+        check_almost_contact, lambda M, D: check_sasakian(M, R.conn, D),
+        check_normality, check_contact_metric,
+        lambda M, D: check_curvature_identity(M, R, D),
+        lambda M, D: check_reeb_ricci(M, ricci(M, R), D))]
+
+
+@settings(deadline=None)
+@given(contact_frames(), st.data())
+def test_dense_and_sparse_phi_give_one_structure(case, data):
+    """phi given dense or by columns {j: {a: phi_aj}}, in any order, some
+    columns left out and some given empty, makes equal structures with equal phi_int, key
+    order included, and equal texts from all six checks."""
+    table, g, phi, xi = case
+    m = len(g)
+    cols = {}
+    for j in data.draw(st.permutations(range(m))):
+        col = {a: phi[a][j] for a in data.draw(st.permutations(range(m)))
+               if phi[a][j]}
+        if col or data.draw(st.booleans()):
+            cols[j] = col
+    dense = AlmostContactData.from_values(phi, xi)
+    sparse = AlmostContactData(cols, dense.xi)
+    assert dense == sparse
+    assert [list(row) for row in sparse.phi] == [list(row) for row in phi]
+    assert [list(col.items()) for col in dense.phi_int[0].values()] == \
+        [list(col.items()) for col in sparse.phi_int[0].values()]
+    assert dense.phi_int[1] == sparse.phi_int[1]
+    M = FrameManifold("f", m, table, g)
+    assert six_checks(M, dense) == six_checks(M, sparse)
+
+
+def test_a_sparse_phi_index_out_of_range_is_a_contact_error():
+    xi = (Fraction(0), Fraction(0), Fraction(1))
+    for cols, entry in (({5: {0: 1}}, "(0, 5)"), ({0: {3: 1}}, "(3, 0)")):
+        with pytest.raises(ContactError, match=re.escape(
+                f"phi index out of range 0..2 at entry {entry}")):
+            AlmostContactData(cols, xi)
+
+
+def test_an_audit_builds_no_dense_or_fraction_view():
+    """The benchmark's audit of a parsed H_9 reads the integer forms only:
+    no dense g or phi and no Fraction Gamma, Koszul or Ricci table is built,
+    and metric identity stores one entry per frame vector."""
+    doc = parse_manifold(heisenberg_text(4))
+    M, D = doc.manifold, doc.contact
+    assert sum(map(len, M.g_cols.values())) == M.dim == 9
+    assert validate(M, strict=True).overall == "pass"
+    conn = levi_civita(M)
+    R = curvature(M, conn)
+    ric = ricci(M, R)
+    ricci_operator(M, ric)
+    scalar_curvature(M, ric)
+    reports = [check_almost_contact(M, D), check_sasakian(M, conn, D),
+               check_normality(M, D), check_curvature_identity(M, R, D),
+               check_reeb_ricci(M, ric, D)]
+    assert [r.overall for r in reports] == ["pass"] * 5
+    solve_lambda_trace(M, conn, ric, FrameVector.from_values(D.xi),
+                       SolitonFlavor.CONFORMAL)
+    assert "g" not in vars(M)
+    assert "phi" not in vars(D)
+    assert not {"gamma", "koszul"} & set(vars(conn))
+    assert "ric" not in vars(ric)
 
 
 # -- one derivation per (manifold, structure) pair ----------------------------------

@@ -1,6 +1,7 @@
 """Connection, curvature, Ricci machinery against the naive oracle and
 exhaustively enumerated tensor identities."""
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -10,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from frames import contact_frames, lie_algebras, table_of
 from framecalc import geometry
 from framecalc.catalog import load_builtin
-from framecalc.geometry import (FrameManifold, FrameVector, GeometryError,
-                                bianchi_defect, compare, covariant_derivative_endo,
+from framecalc.geometry import (ConnectionTable, FrameManifold, FrameVector,
+                                GeometryError, RicciTensor, bianchi_defect, compare, covariant_derivative_endo,
                                 curvature, identity_metric, invert_matrix,
                                 is_killing, jacobi_defect,
                                 leading_minor_determinants, levi_civita,
@@ -351,6 +353,109 @@ def test_validate_prints_the_per_triple_reference_report(case, strict):
                     want = [x + y for x, y in zip(want, oracle.bracket(
                         c, c[a][b], oracle.basis(n, z)))]
                 assert list(jacobi_defect(M, i, j, k).rational_coeffs()) == want
+
+
+# -- the metric stored by columns, and kernel tables stored on ints -----------------
+
+def ordered(x):
+    """x with every dict turned into its list of items, so that == also
+    compares the order of the keys."""
+    if isinstance(x, dict):
+        return [(k, ordered(v)) for k, v in x.items()]
+    if isinstance(x, tuple):
+        return tuple(ordered(v) for v in x)
+    return x
+
+
+@st.composite
+def metric_frames(draw) -> tuple:
+    """(table, g): a frame of tests/frames.py, or random brackets with a
+    hand-picked metric: singular with an empty column, indefinite, all
+    zero, or with a zero first leading minor."""
+    kind = draw(st.sampled_from(["lie", "contact", "empty column",
+                                 "indefinite", "zero", "first minor"]))
+    if kind == "lie":
+        c, g = draw(lie_algebras())
+        return table_of(c), g
+    if kind == "contact":
+        return draw(contact_frames())[:2]
+    table, g = draw(frames_for_validate())
+    n = len(g)
+    if kind == "empty column":
+        k = draw(st.integers(0, n - 1))
+        g = [[0 if k in (i, j) else x for j, x in enumerate(row)]
+             for i, row in enumerate(g)]
+    elif kind == "indefinite":
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n,
+                              max_size=n).filter(lambda s: -1 in s))
+        g = [[Fraction(s * (i + 1) if i == j else 0) for j in range(n)]
+             for i, s in enumerate(signs)]
+    elif kind == "zero":
+        g = [[Fraction(0)] * n for _ in range(n)]
+    else:
+        g[0][0] = Fraction(0)
+    return table, g
+
+
+@settings(deadline=None)
+@given(metric_frames(), st.booleans(), st.randoms(use_true_random=False))
+def test_dense_and_sparse_metrics_give_one_manifold(case, zeros, rng):
+    """A metric given dense or as its entries {(i, j): g_ij}, in any order,
+    with its zero entries or without, makes equal manifolds, with equal
+    eliminations, integer forms and strict validate texts; the dense view g
+    is the matrix given. Where the metric is invertible, the kernels' connection
+    and Ricci tensor, stored on ints, equal the records built from their
+    own Fraction tables, integer forms and key order included."""
+    table, g = case
+    n = len(g)
+    entries = [((i, j), x) for i, row in enumerate(g) for j, x in enumerate(row)
+               if x or zeros]
+    rng.shuffle(entries)
+    entries = dict(entries)
+    dense, sparse = (FrameManifold("f", n, table, g),
+                     FrameManifold("f", n, table, entries))
+    assert dense == sparse
+    assert ordered(dense.g_cols) == ordered(sparse.g_cols)
+    assert all(list(col) == sorted(col) for col in sparse.g_cols.values())
+    assert [list(row) for row in sparse.g] == [list(row) for row in g]
+    assert dense.elimination == sparse.elimination
+    assert ordered(dense.g_int) == ordered(sparse.g_int)
+    assert validate(dense, strict=True).render_text() == \
+        validate(sparse, strict=True).render_text()
+    if dense.elimination[1] is None:
+        for M in (dense, sparse):
+            with pytest.raises(GeometryError, match="metric is singular"):
+                M.g_inv_int
+        return
+    assert ordered(dense.g_inv_int) == ordered(sparse.g_inv_int)
+    conn = levi_civita(sparse)
+    ric = ricci(sparse, curvature(sparse, conn))
+    assert "gamma" not in vars(conn) and "ric" not in vars(ric)
+    again = ConnectionTable(sparse, conn.gamma, conn.koszul)
+    ric_again = RicciTensor(sparse, ric.ric)
+    assert conn == again and ric == ric_again
+    for attr in ("gamma_int", "koszul_int", "lie_int"):
+        assert ordered(getattr(conn, attr)) == ordered(getattr(again, attr)), attr
+    assert ordered(ric.ric_int) == ordered(ric_again.ric_int)
+
+
+def test_a_sparse_metric_index_out_of_range_is_a_geometry_error():
+    for g in ({(0, 5): 1}, {(3, 0): 1}, {(-1, 0): 1}):
+        with pytest.raises(GeometryError, match=re.escape(
+                f"metric index out of range 0..2 at entry {next(iter(g))}")):
+            FrameManifold("bad", 3, {(0, 1): {2: 1}}, g)
+    for g in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1], [0, 0, 1]]):
+        with pytest.raises(GeometryError, match="metric must be dim x dim"):
+            FrameManifold("bad", 3, {}, g)
+
+
+def test_identity_metric_stores_one_entry_per_frame_vector():
+    M = parse_manifold("manifold h dim 9\nbracket e1 e2 = e3\n"
+                       "metric identity\n").manifold
+    assert M.g_cols == {j: {j: 1} for j in range(9)}
+    assert sum(map(len, M.g_cols.values())) == 9
+    assert "g" not in vars(M)
+    assert M.g == identity_metric(9)
 
 
 # -- connection -------------------------------------------------------------------
