@@ -15,8 +15,9 @@ from frames import contact_frames, lie_algebras, table_of
 from framecalc import geometry
 from framecalc.catalog import load_builtin
 from framecalc.geometry import (ConnectionTable, FrameManifold, FrameVector,
-                                GeometryError, RicciTensor, bianchi_defect, compare, covariant_derivative_endo,
-                                curvature, identity_metric, invert_matrix,
+                                GeometryError, RicciTensor, bianchi_defect,
+                                compare, covariant_derivative_endo, curvature,
+                                identity_metric, invert_matrix,
                                 is_killing, jacobi_defect,
                                 leading_minor_determinants, levi_civita,
                                 lie_derivative_metric, ricci, ricci_operator,
@@ -403,9 +404,9 @@ def test_dense_and_sparse_metrics_give_one_manifold(case, zeros, rng):
     """A metric given dense or as its entries {(i, j): g_ij}, in any order,
     with its zero entries or without, makes equal manifolds, with equal
     eliminations, integer forms and strict validate texts; the dense view g
-    is the matrix given. Where the metric is invertible, the kernels' connection
-    and Ricci tensor, stored on ints, equal the records built from their
-    own Fraction tables, integer forms and key order included."""
+    is the matrix given. Where the metric is invertible, the kernels'
+    connection and Ricci tensor, stored on ints, equal the records built
+    from their own Fraction tables, integer forms and key order included."""
     table, g = case
     n = len(g)
     entries = [((i, j), x) for i, row in enumerate(g) for j, x in enumerate(row)
@@ -447,15 +448,6 @@ def test_a_sparse_metric_index_out_of_range_is_a_geometry_error():
     for g in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1], [0, 0, 1]]):
         with pytest.raises(GeometryError, match="metric must be dim x dim"):
             FrameManifold("bad", 3, {}, g)
-
-
-def test_identity_metric_stores_one_entry_per_frame_vector():
-    M = parse_manifold("manifold h dim 9\nbracket e1 e2 = e3\n"
-                       "metric identity\n").manifold
-    assert M.g_cols == {j: {j: 1} for j in range(9)}
-    assert sum(map(len, M.g_cols.values())) == 9
-    assert "g" not in vars(M)
-    assert M.g == identity_metric(9)
 
 
 # -- connection -------------------------------------------------------------------
