@@ -16,7 +16,8 @@ from functools import cached_property
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, RicciTensor, add_to, apply_columns as _apply,
                        bracket_sum, columns, compare, dense, divided,
-                       endo_derivative_int, integer_map, integer_rows, vector_of)
+                       divided_columns, endo_derivative_int, integer_map,
+                       vector_of)
 from .record import Record
 from .reports import PASS, PRECONDITION, CheckItem, CheckReport
 from .scalars import format_rational
@@ -28,15 +29,16 @@ class ContactError(ValueError):
 
 class AlmostContactData(Record):
     """phi[a][j] = coefficient of e_a in phi(e_j); xi = Reeb vector coeffs.
-    phi, dense or by columns {j: {a: phi_aj}}, is stored as phi_cols only
-    (columns); a dense phi not of xi's size fails every check."""
+    phi, dense or by columns {j: {a: phi_aj}}, is stored only as phi_int,
+    integer columns over one denominator (columns); a dense phi not of xi's
+    size fails every check. phi_cols and phi are views built on read."""
 
     def __init__(self, phi, xi: tuple):
         self.xi, m = xi, len(xi)
         self.square = isinstance(phi, dict) or {len(phi), *map(len, phi)} == {m}
         if isinstance(phi, dict):
             phi = {(a, j): x for j, col in phi.items() for a, x in col.items()}
-        self.phi_cols = columns(m, phi if self.square else {}, ContactError, "phi")
+        self.phi_int = columns(m, phi if self.square else {}, ContactError, "phi")
 
     @classmethod
     def from_values(cls, phi, xi) -> "AlmostContactData":
@@ -46,12 +48,8 @@ class AlmostContactData(Record):
     def dim(self) -> int:
         return len(self.xi)
 
-    phi = cached_property(lambda self: dense(self.phi_cols))  # built when first read
-
-    @cached_property
-    def phi_int(self) -> tuple:
-        """(columns {j: {a: int}} of phi, d), each value being int / d."""
-        return integer_rows(self.phi_cols)
+    phi_cols = cached_property(lambda self: divided_columns(*self.phi_int))
+    phi = cached_property(lambda self: dense(self.phi_cols))
 
     def on(self, M: FrameManifold) -> "ContactDerivation":
         """This structure on M, derived once for the last manifold asked for."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 from math import gcd, lcm
 
 from .record import Record
@@ -71,7 +71,10 @@ def integer_map(vec: dict) -> tuple:
 
 
 def integer_rows(table: dict) -> tuple:
-    """({key: {k: int}}, d) with every value of table equal to int / d."""
+    """({key: {k: int}}, d) with every value of table equal to int / d over
+    the least such d; a table of ints is returned as it is, with d = 1."""
+    if all(type(x) is int for row in table.values() for x in row.values()):
+        return table, 1
     d = lcm(*(x.denominator for row in table.values() for x in row.values()))
     return {key: {k: x.numerator * (d // x.denominator)
                   for k, x in row.items()}
@@ -131,9 +134,10 @@ def joined(parts: dict) -> dict:
     return join_parts({mono: divided(vec, d) for mono, (vec, d) in parts.items()})
 
 
-def columns(dim: int, mat, error, name: str) -> dict:
-    """{j: {i: Fraction}}: the nonzero entries of a dim x dim matrix, dense or
-    {(i, j): x}, by columns, all present, i ascending; else error(text)."""
+def columns(dim: int, mat, error, name: str) -> tuple:
+    """({j: {i: int}}, d): the nonzero entries of a dim x dim matrix, dense or
+    {(i, j): x}, by columns, all present, i ascending, on ints over their
+    least common denominator (integer_rows); else error(text)."""
     if not isinstance(mat, dict):
         if len(mat) != dim or any(len(r) != dim for r in mat):
             raise error(f"{name} must be dim x dim")
@@ -144,11 +148,16 @@ def columns(dim: int, mat, error, name: str) -> dict:
             raise error(f"{name} index out of range 0..{dim - 1} at entry ({i}, {j})")
         if x:
             cols[j][i] = as_fraction(x)
-    return cols
+    return integer_rows(cols)
+
+
+def divided_columns(cols: dict, d: int) -> dict:
+    """The Fraction columns of integer ones over d (columns), all kept."""
+    return {j: divided(col, d) for j, col in cols.items()}
 
 
 def dense(cols: dict) -> Matrix:
-    """The dense matrix of a square one's columns (columns)."""
+    """The dense matrix of a square one's Fraction columns."""
     zero = Fraction(0)
     return tuple(tuple(col.get(i, zero) for col in cols.values())
                  for i in range(len(cols)))
@@ -195,7 +204,7 @@ def _bareiss(a: list) -> tuple:
 def leading_minor_determinants(g: Matrix) -> list:
     """Determinants of the leading principal k x k submatrices, k = 1..m,
     of g as a frame metric (FrameManifold.elimination)."""
-    return FrameManifold("", len(g), {}, g).elimination[0]
+    return [as_fraction(x) for x in FrameManifold("", len(g), {}, g).elimination[0]]
 
 
 def invert_matrix(g: Matrix) -> Matrix:
@@ -274,19 +283,19 @@ class FrameVector(Record):
 class FrameManifold:
     """Constant structure constants plus a constant metric g.
 
-    brackets is the nonzero bracket table {(i, j): {k: c_ij^k}}, 0-based,
-    with both orders of every pair, kept in ascending order of (i, j) and
-    of k; it is the only stored form of c. The constructor takes such a
-    table as given; from_brackets builds one from the pairs i < j.
-    g_cols, the only stored form of g, holds it by columns (columns); the
-    constructor takes g as a dense matrix or as a map {(i, j): g_ij}.
+    c and g are stored only as integer forms (table, d), each value being
+    int / d over the least such d. brackets_int holds the nonzero bracket
+    table {(i, j): {k: int}}, 0-based, with both orders of every pair, in
+    ascending order of (i, j) and of k; g_int holds g by columns (columns).
+    The constructor takes a bracket table of rationals with both orders,
+    and g as a dense matrix or as a map {(i, j): g_ij}; from_brackets
+    builds the table from the pairs i < j, and given takes the integer
+    forms as they are. brackets, g_cols, g and c are views built on read.
     """
 
     def __init__(self, name: str, dim: int, brackets: dict, g, params=()):
         if dim < 1:
             raise GeometryError("dimension must be positive")
-        self.name = name
-        self.dim = dim
         table = {}
         for (i, j), row in sorted(brackets.items()):
             if not all(0 <= t < dim for t in (i, j, *row)):
@@ -295,21 +304,35 @@ class FrameManifold:
             row = {k: as_fraction(x) for k, x in sorted(row.items()) if x}
             if row:
                 table[i, j] = row
-        self.brackets = table
-        self.g_cols = columns(dim, g, GeometryError, "metric")
-        self.params = frozenset(params) | {"p"}
+        self.name, self.dim, self.params = name, dim, frozenset(params) | {"p"}
+        self.brackets_int = integer_rows(table)
+        self.g_int = columns(dim, g, GeometryError, "metric")
+
+    @classmethod
+    def given(cls, name: str, dim: int, brackets_int: tuple, g_int: tuple,
+              params=()) -> "FrameManifold":
+        """The manifold of integer forms already in the order and lowest
+        terms the constructor gives them, taken as they are."""
+        M = cls.__new__(cls)
+        M.name, M.dim, M.params = name, dim, frozenset(params) | {"p"}
+        M.brackets_int, M.g_int = brackets_int, g_int
+        return M
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, brackets: dict,
                       g=None, params=()) -> "FrameManifold":
         """brackets: {(i, j): {k: coeff}} for i < j, all 0-based."""
         table = {}
-        for (i, j), comps in brackets.items():
-            table[i, j] = row = {k: as_fraction(x) for k, x in comps.items()}
+        for (i, j), row in brackets.items():
+            table[i, j] = row
             table[j, i] = {k: -x for k, x in row.items()}
         if g is None:
-            g = dict.fromkeys(((i, i) for i in range(dim)), Fraction(1))
+            g = dict.fromkeys(((i, i) for i in range(dim)), 1)
         return cls(name, dim, table, g, params)
+
+    # Fraction views of the integer forms, built when first read
+    brackets = cached_property(lambda self: divided_rows(*self.brackets_int))
+    g_cols = cached_property(lambda self: divided_columns(*self.g_int))
 
     @cached_property
     def c(self) -> tuple:
@@ -320,45 +343,45 @@ class FrameManifold:
                                  for k in range(m)) for j in range(m))
                      for i in range(m))
 
-    g = cached_property(lambda self: dense(self.g_cols))  # built when first read
+    g = cached_property(lambda self: dense(self.g_cols))
 
     @cached_property
     def elimination(self) -> tuple:
         """(minors, inverse) from one fraction-free elimination of [g | I]:
-        the leading minors of g (after a zero one, each from an elimination
-        of its own), and g^{-1} as integer columns {j: {i: int}} over the
-        least d > 0, (cols, d), or None if g is singular."""
+        the leading minors of g, ints where g is integral (after a zero one,
+        each from an elimination of its own), and g^{-1} as integer columns
+        {j: {i: int}} over the least d > 0, (cols, d), or None if g is
+        singular."""
         (cols, d), n = self.g_int, self.dim
-        a = [[0] * n for _ in range(n)]
+        aug = [[0] * (2 * n) for _ in range(n)]  # [a | I], a = d g
         for j, col in cols.items():
+            aug[j][n + j] = 1
             for i, x in col.items():
-                a[i][j] = x
-        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+                aug[i][j] = x
         det, minors = _bareiss(aug)
-        minors += [_bareiss([row[:k] for row in a[:k]])[0]
+        minors += [_bareiss([[cols[j].get(i, 0) for j in range(k)]
+                             for i in range(k)])[0]
                    for k in range(len(minors) + 1, n + 1)]
-        minors = [Fraction(x, d ** k) for k, x in enumerate(minors, start=1)]
+        if d > 1:
+            minors = [Fraction(x, d ** k) for k, x in enumerate(minors, start=1)]
         if not det:
             return minors, None
-        p = aug[0][0]  # p * I beside p * a^{-1}, and g^{-1} = d * a^{-1}
-        q = gcd(p, d * gcd(*(x for row in aug for x in row[n:]))) * (p // abs(p))
-        return minors, ({j: {i: d * row[n + j] // q for i, row in enumerate(aug)
-                             if row[n + j]} for j in range(n)}, p // q)
+        p, q = aug[0][0], 0  # p * I beside p * a^{-1}, and g^{-1} = d * a^{-1}
+        for row in aug:  # the gcd of the inverse block, row by row
+            if (q := gcd(q, *row[n:])) == 1:
+                break
+        q = gcd(p, d * q) * (p // abs(p))
+        inverse = {j: {} for j in range(n)}
+        for i, row in enumerate(aug):  # its nonzero entries, row by row
+            for j in compress(range(n), row[n:]):
+                inverse[j][i] = d * row[n + j] // q
+        return minors, (inverse, p // q)
 
     @cached_property
     def g_inv(self) -> Matrix:
         cols, d = self.g_inv_int
         return tuple(tuple(Fraction(cols[j].get(i, 0), d) for j in cols)
                      for i in cols)
-
-    # integer forms (table, d), each value being int / d; g by columns
-    @cached_property
-    def brackets_int(self) -> tuple:
-        return integer_rows(self.brackets)
-
-    @cached_property
-    def g_int(self) -> tuple:
-        return integer_rows(self.g_cols)
 
     @cached_property
     def g_inv_int(self) -> tuple:
@@ -401,8 +424,8 @@ class FrameManifold:
     def __eq__(self, other):
         if not isinstance(other, FrameManifold):
             return NotImplemented
-        return (self.name, self.dim, self.brackets, self.g_cols, self.params) == \
-               (other.name, other.dim, other.brackets, other.g_cols, other.params)
+        return (self.name, self.dim, self.brackets_int, self.g_int, self.params) == \
+               (other.name, other.dim, other.brackets_int, other.g_int, other.params)
 
     def __repr__(self):
         return f"FrameManifold({self.name!r}, dim={self.dim})"
@@ -501,7 +524,7 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
     bad = sorted(bad)
     report.add_check("bracket antisymmetry", bad[:8], "violated at ")
 
-    cols = M.g_cols
+    cols = M.g_int[0]
     asym = sorted({key for j, col in cols.items() for i, x in col.items()
                    if cols[i].get(j) != x for key in ((i + 1, j + 1), (j + 1, i + 1))})
     report.add_check("metric symmetry", asym[:8], "violated at ")
@@ -738,15 +761,21 @@ def scalar_curvature(M: FrameManifold, ric_t: RicciTensor) -> ParamScalar:
         sum(x * gi_cols[j].get(i, 0) for (i, j), x in ric.items()), dgi * dr))
 
 
-def ricci_operator_coeffs(M: FrameManifold, ric_t: RicciTensor) -> dict:
-    """{(a, j): Q_aj} with g(Q e_j, e_k) = ric(e_j, e_k), nonzero only."""
+def ricci_operator_int(M: FrameManifold, ric_t: RicciTensor) -> tuple:
+    """({(a, j): int}, d): Q_aj = int / d with g(Q e_j, e_k) = ric(e_j, e_k),
+    nonzero only, over d = dgi dr for g^{-1} over dgi and ric over dr."""
     gi_cols, dgi = M.g_inv_int
     ric, dr = ric_t.ric_int
     acc = {}
     for (l, j), x in ric.items():
         for a, gal in gi_cols[l].items():
             acc[a, j] = acc.get((a, j), 0) + gal * x
-    return divided(acc, dgi * dr)
+    return {key: x for key, x in acc.items() if x}, dgi * dr
+
+
+def ricci_operator_coeffs(M: FrameManifold, ric_t: RicciTensor) -> dict:
+    """{(a, j): Q_aj} with g(Q e_j, e_k) = ric(e_j, e_k), nonzero only."""
+    return divided(*ricci_operator_int(M, ric_t))
 
 
 def ricci_operator(M: FrameManifold, ric_t: RicciTensor) -> tuple:

@@ -16,29 +16,25 @@
 A vector-expr is 0 or a sum of signed terms <rational>[*]e<k>; indices are
 1-based and must stay within the declared dimension, which is at most
 MAX_DIM; integer literals have at most scalars.MAX_DIGITS digits. Brackets
-may be declared at most once per unordered pair. The brackets, the metric
-entries and the phi columns go to FrameManifold and AlmostContactData as
-sparse tables; no m x m matrix is built. Expected values are audit data:
-they never feed computation, they only populate discrepancy ledgers, so
-repeated or contradictory expect lines are legal.
+may be declared at most once per unordered pair. Expected values are audit
+data: they never feed computation, they only populate discrepancy ledgers,
+so repeated or contradictory expect lines are legal.
 
 A line ends at \\n, \\r\\n or \\r, as open() in text mode ends it; other
 characters str.splitlines() breaks at (\\x0c, \\x85, \\u2028, ...) stay in
-the line. Each statement is recognised by one anchored match of
-_STATEMENT over its head and indices, up to the = (over the whole line
-for manifold, param and metric identity), with blanks and tabs between
-tokens. Its value is read by the term readers: a vector-expr one term per
-match of _VECTOR_TERM, a rational by one match of _RATIONAL, an expect
-lambda scalar-expr by Scanner.scalar with any whitespace, as parse_scalar
-reads it. The value of an expect line ends before the trailing source
-clause.
+the line. Each line is read by one full match of _LINE, blanks and tabs
+between tokens: head, indices, value, source clause and # comment. A
+vector-expr is split into terms by one findall, a rational taken from the
+groups, an expect lambda scalar-expr read by Scanner.scalar, as
+parse_scalar reads it. An integer literal is read as an int and only a/b
+as a Fraction, and the brackets, the metric and phi go to FrameManifold and
+AlmostContactData as the integer tables the kernels read, in final order.
 
-A line the pattern rejects, or whose indices or declarations fail their
-checks, is read again by the token methods of _Scanner, a subclass of
-scalars.Scanner, from the start of the line. They raise ParseError at the
-line and column of the offending token; no line that parses goes through
-them. Both ways check a statement by the same rules and record it by the
-same code, the methods of _Document.
+A line the pattern rejects, or whose limits or rules fail, is cut at its
+comment and read again by the token methods of _Scanner, a subclass of
+scalars.Scanner, which raise ParseError at the line and column of the
+offending token; no line that parses goes through them. Both ways check a
+statement by the same rules and record it by the same code (_Document).
 """
 from __future__ import annotations
 
@@ -46,9 +42,9 @@ import re
 from fractions import Fraction
 
 from .contact import AlmostContactData
-from .geometry import FrameManifold, FrameVector, vector_of
+from .geometry import FrameManifold, FrameVector, integer_rows, vector_of
 from .record import Record
-from .scalars import (_ONE, MAX_DIGITS, Scanner, _coefficient,
+from .scalars import (_INTEGER, _ONE, MAX_DIGITS, Scanner, as_fraction,
                       format_rational)
 
 # Largest accepted dimension. Brackets, the metric and phi are stored sparse,
@@ -70,7 +66,7 @@ class ExpectedValues(Record):
                  ricci: tuple = (), lam: tuple = ()):
         self.nabla = nabla  # (i, j, FrameVector, source)
         self.riem = riem    # (i, j, k, FrameVector, source)
-        self.ricci = ricci  # (i, j, Fraction, source)
+        self.ricci = ricci  # (i, j, int or Fraction, source)
         self.lam = lam      # (ParamScalar, source)
 
     def is_empty(self) -> bool:
@@ -122,10 +118,17 @@ class _Scanner(Scanner):
         return k - 1
 
 
-# One term of a vector-expr, sign* [rational [*]] e<k>. Groups: 1 the signs,
-# 2 and 3 the numerator and denominator, 4 the frame index.
-_VECTOR_TERM = re.compile(r"((?:[ \t]*[+-])*)[ \t]*(?:(\d+)(?:[ \t]*/[ \t]*(\d+))?"
-                          r"[ \t]*(?:\*[ \t]*)?)?e(\d+)").match
+# A vector-expr: 0, or terms sign* [rational [*]] e<k> with a sign before
+# all but the first; the terms in one group, without the blanks after them.
+_TERM = r"(?:\d+(?:[ \t]*/[ \t]*\d+)?[ \t]*(?:\*[ \t]*)?)?e\d+"
+_VECTOR_EXPR = rf"(?:[ \t]*0|([ \t+-]*{_TERM}(?:[ \t]*[+-][ \t+-]*{_TERM})*))"
+# Its terms, one per match: signs, numerator, denominator, frame index. It
+# reads only such a group, from the start of a term, so checks nothing.
+_TERMS = re.compile(r"([-+ \t]*)(\d*)[ \t/]*(\d*)[ \t*]*e(\d+)").findall
+# The source clause of an expect line.
+_SOURCE = r'source\s+"([^"]*)"'
+# A line up to its comment, the first # not inside "...", as one match.
+_CODE = r'(?:[^"#]+|"[^"]*(?:"|$))*'
 
 
 def _index(digits: str, bound: int) -> int:
@@ -135,36 +138,36 @@ def _index(digits: str, bound: int) -> int:
     return k - 1 if 1 <= k <= bound else -1
 
 
-def _parse_vector(sc: _Scanner, dim: int) -> dict:
-    """The nonzero coefficients {k: Fraction} of the vector-expr that fills
-    the rest of sc's text, read one term per match. A term is taken when
-    the end of the text or a sign follows it."""
-    text, ws = sc.text, sc._ws
-    n = len(text)
-    p = ws(text, sc.pos).end()
-    if text.startswith("0", p) and ws(text, p + 1).end() == n:  # bare zero
-        sc.pos = n
-        return {}
+def _number(signs: str, num: str, den: str):
+    """The signed value of a term's or a rational's groups: an int, 1 or -1
+    without num, a Fraction for num/den; None where the token methods must
+    word an error: a literal over MAX_DIGITS digits or a zero denominator."""
+    if len(num) > MAX_DIGITS or len(den) > MAX_DIGITS or den and not int(den):
+        return None
+    a = -int(num or 1) if signs.count("-") & 1 else int(num or 1)
+    return Fraction(a, int(den)) if den else a
+
+
+def _vector(text: str, dim: int) -> dict | None:
+    """The nonzero coefficients {k: value}, k ascending, of a vector-expr
+    the line pattern matched, or None where a term breaks a limit."""
+    coeffs: dict = {}
+    for signs, num, den, k in _TERMS(text):
+        q, k = _number(signs, num, den), _index(k, dim)
+        if q is None or k < 0:
+            return None
+        coeffs[k] = coeffs[k] + q if k in coeffs else q
+    if len(coeffs) == 1 and coeffs[k]:
+        return coeffs
+    return {k: x for k, x in sorted(coeffs.items()) if x}
+
+
+def _vector_by_tokens(sc: _Scanner, dim: int) -> dict:
+    """The vector-expr that fills the rest of sc's text, one token at a
+    time: ParseError at the first token that breaks the grammar. Only text
+    the pattern rejects is read here, so never a bare 0."""
     coeffs: dict = {}
     first = True
-    while m := _VECTOR_TERM(text, sc.pos):
-        signs, num, den, k = m.groups()
-        q = _coefficient(signs, num, den)
-        k = _index(k, dim)
-        p = ws(text, m.end()).end()
-        if q is None or k < 0 or p < n and text[p] not in "+-":
-            break
-        coeffs[k] = coeffs[k] + q if k in coeffs else q
-        sc.pos = p
-        first = False
-        if p == n:
-            return {k: x for k, x in coeffs.items() if x}
-    return _vector_by_tokens(sc, dim, coeffs, first)
-
-
-def _vector_by_tokens(sc: _Scanner, dim: int, coeffs: dict, first: bool) -> dict:
-    """_parse_vector one token at a time from the start of a term: the first
-    of the text when first, else a term after the ones in coeffs."""
     while not sc.eof():
         start = sc.pos
         negative = sc.signs()
@@ -182,67 +185,45 @@ def _vector_by_tokens(sc: _Scanner, dim: int, coeffs: dict, first: bool) -> dict
         first = False
     if first:
         sc.error("expected a vector expression")
-    return {k: x for k, x in coeffs.items() if x}
+    return {k: x for k, x in sorted(coeffs.items()) if x}
 
 
-def parse_vector_text(text: str, dim: int) -> FrameVector:
-    return vector_of(dim, _parse_vector(_Scanner(text, 1), dim))
+def _line_pattern():
+    r"""The full-match function of a line: a statement, each kind a named
+    group, or a blank or comment-only line (blank), then the whitespace and
+    comment the token reader cuts. [ \t]+ separates tokens that would merge
+    without it, or an expect kind from what follows, else [ \t]*; every
+    blank run has one place. A kind's groups follow its named group, so
+    m.groups()[m.lastindex:] starts with them. Every copy of a value
+    pattern is compiled at every import, so the kinds with a rational share
+    one group, rational, and those with a vector-expr another, vector:
+    kind word, indices, value, and the source clause where r or v matched."""
+    name = r"([A-Za-z_][A-Za-z_0-9]*)"
+    heads = {
+        "manifold": rf"manifold[ \t]+{name}[ \t]+dim[ \t]+(\d+)",
+        "param": rf"param[ \t]+{name}",
+        "identity": r"metric[ \t]+identity",
+        "rational": r"(?:metric[ \t]+(g)|expect[ \t]+(?P<r>ricci))"
+                    r"[ \t]+(\d+)[ \t]+(\d+)[ \t]*="
+                    r"([ \t+-]*)(\d+)(?:[ \t]*/[ \t]*(\d+))?"
+                    rf"(?(r)\s*{_SOURCE})",
+        "lambda": rf'expect[ \t]+lambda[ \t]+=([^#"]*){_SOURCE}',
+        "vector": r"(?:(bracket)|contact[ \t]+(xi|phi)"
+                  r"|expect[ \t]+(?P<v>nabla|riem))"
+                  rf"((?:[ \t]+e\d+(?:[ \t]*e\d+)*)?)[ \t]*={_VECTOR_EXPR}"
+                  rf"(?(v)\s*{_SOURCE})",
+    }
+    return re.compile(r"(?:[ \t]*(?:" + "|".join(
+        f"(?P<{kind}>{head})" for kind, head in heads.items())
+        + r")|(?P<blank>))\s*(?:#.*)?").fullmatch
 
 
-# The source clause that ends an expect line. The whitespace before it is
-# cut with rstrip: a leading \s* here would rescan each blank run from
-# every position in it.
-_SOURCE = re.compile(r'source\s+"([^"]*)"\s*$')
+_LINE = _line_pattern()
 _EXPECT_KINDS = ("nabla", "riem", "ricci", "lambda")
 
 # The number of indices in the head of each statement kind with indices.
 _INDICES = {"bracket": 2, "identity": 0, "g": 2, "xi": 0, "phi": 1,
             "ricci": 2, "nabla": 2, "riem": 3, "lambda": 0}
-
-# A signed rational that ends the text: the value of a metric g or an
-# expect ricci line. Groups as _VECTOR_TERM's 1 to 3.
-_RATIONAL = re.compile(r"((?:[ \t]*[+-])*)[ \t]*(\d+)(?:[ \t]*/[ \t]*(\d+))?"
-                       r"[ \t]*$").match
-
-
-def _statement_pattern():
-    r"""The match function of a statement head, each kind a named group: a
-    whole line for manifold, param and metric identity, up to the = for the
-    others. Where two tokens would merge without a blank between them, or
-    the token reader needs whitespace after an expect kind, [ \t]+
-    separates them, else [ \t]*. A kind's capture groups follow its named
-    group, so m.groups()[m.lastindex:] starts with them."""
-    b, e, name = "[ \t]", r"e(\d+)", r"([A-Za-z_][A-Za-z_0-9]*)"
-    heads = {
-        "manifold": rf"manifold{b}+{name}{b}+dim{b}+(\d+)$",
-        "param": rf"param{b}+{name}$",
-        "bracket": rf"bracket{b}+{e}{b}*{e}{b}*=",
-        "identity": rf"metric{b}+identity$",
-        "g": rf"metric{b}+g{b}+(\d+){b}+(\d+){b}*=",
-        "xi": rf"contact{b}+xi{b}*=",
-        "phi": rf"contact{b}+phi{b}+{e}{b}*=",
-        "ricci": rf"expect{b}+ricci{b}+(\d+){b}+(\d+){b}*=",
-        "nabla": rf"expect{b}+nabla{b}+{e}{b}*{e}{b}*=",
-        "riem": rf"expect{b}+riem{b}+{e}{b}*{e}{b}*{e}{b}*=",
-        "lambda": rf"expect{b}+lambda{b}+=",
-    }
-    return re.compile(f"{b}*(?:" + "|".join(
-        f"(?P<{kind}>{head})" for kind, head in heads.items()) + ")").match
-
-
-_STATEMENT = _statement_pattern()
-
-
-def _rational(sc: _Scanner) -> Fraction:
-    """The signed rational that fills the rest of sc's text, by one match
-    of _RATIONAL, or by the token methods where that is rejected."""
-    m = _RATIONAL(sc.text, sc.pos)
-    if m and (q := _coefficient(*m.groups())) is not None:
-        sc.pos = m.end()
-        return q
-    q = sc.signed_rational()
-    sc.end()
-    return q
 
 
 def _lines(text: str) -> list:
@@ -255,44 +236,27 @@ def _lines(text: str) -> list:
     return lines
 
 
-def _strip_comment(raw: str) -> str:
-    """Cut a line at its first # that is not inside a double-quoted string."""
-    if "#" not in raw:
-        return raw
-    quoted = False
-    for pos, ch in enumerate(raw):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return raw[:pos]
-    return raw
-
-
 class _Document:
     """The statements of a manifold file read so far.
 
-    A line is read by read_match where _STATEMENT matches its head, else by
+    A line is read by read_match where _LINE matches it, else by
     read_tokens. Both check a statement by the same rules, each a method
-    that returns the message of the error the statement makes or None, and
-    both hand it to record, which reads its value with the term readers
-    and stores it. read_match takes a line only where its indices are in
-    range and every rule passes; read_tokens raises a rule's message where
-    the token that breaks it ends, and a grammar error at its token."""
+    returning the message of its error or None, and hand it and its value
+    to record. read_match takes a line only where every limit and rule
+    passes; read_tokens raises each error at its token."""
 
     def __init__(self):
+        self.lineno = 0
         self.name = None
         self.dim = 0
         self.params: list = []
-        self.brackets: dict = {}  # {(i, j): {k: Fraction}}, i < j
-        self.bracket_lines: dict = {}
+        self.brackets: dict = {}  # {(i, j): {k: value}}, both orders, rows != 0
+        self.bracket_lines: dict = {}  # {(i, j): line}, i < j
         self.metric_mode = None  # None | "identity" | "entries"
         self.metric_entries: dict = {}
         self.xi = None
         self.phi_cols: dict = {}
-        self.nabla: list = []
-        self.riem: list = []
-        self.ricci: list = []
-        self.lam: list = []
+        self.expected: dict = {kind: [] for kind in _EXPECT_KINDS}
 
     # -- rules: checked after the first word, the kind's words, the indices
 
@@ -318,7 +282,7 @@ class _Document:
             if i == j:
                 return "bracket of a frame vector with itself is zero; omit it"
             key = (min(i, j), max(i, j))
-            if key in self.brackets:
+            if key in self.bracket_lines:
                 return (f"bracket for pair (e{key[0] + 1}, e{key[1] + 1}) "
                         f"already declared on line {self.bracket_lines[key]}")
         elif kind == "g" and tuple(idx) in self.metric_entries:
@@ -329,31 +293,36 @@ class _Document:
 
     # -- the two readers of a line -----------------------------------------
 
-    def read_match(self, m, sc: _Scanner) -> bool:
-        """Read the line of sc whose head m matched; False, with nothing
-        recorded, where an index is out of range or a rule fails."""
-        kind = m.lastgroup
-        args = m.groups()[m.lastindex:]
-        if kind == "manifold":
-            k = _index(args[1], MAX_DIM)
-            fields = (args[0], k + 1) if k >= 0 else None
+    def read_match(self, m, raw: str) -> bool:
+        """Read the line raw that _LINE matched as m; False, with nothing
+        recorded, where a limit or a rule fails."""
+        kind, at = m.lastgroup, m.lastindex + 1
+        args, dim = m.groups("")[at - 1:], self.dim
+        fields, value, source = (), (), None  # metric identity
+        if kind == "vector":  # kind word, frame indices, value, source
+            kind, idx = args[0] or args[1] or args[2], _INTEGER.findall(args[3])
+            if len(idx) != _INDICES[kind]:
+                return False
+            fields = [_index(k, dim) for k in idx]
+            value, source = _vector(args[4], dim), args[5]
+        elif kind == "rational":  # kind word, indices, value, source
+            kind, fields = args[0] or args[1], (_index(args[2], dim),
+                                                _index(args[3], dim))
+            value, source = _number(*args[4:7]), args[7]
+        elif kind == "manifold":  # its name and dimension, -1 if out of range
+            fields = (args[0], _index(args[1], MAX_DIM) + 1 or -1)
         elif kind == "param":
             fields = args[:1]
-        else:
-            fields = [_index(k, self.dim) for k in args[:_INDICES[kind]]]
-            if min(fields, default=0) < 0:
-                return False
-        if (fields is None or self.order_error(kind) or self.kind_error(kind)
-                or self.index_error(kind, fields)):
+        elif kind == "blank":
+            return True
+        if (value is None or -1 in fields or self.order_error(kind)
+                or self.kind_error(kind) or self.index_error(kind, fields)):
             return False
-        source = None
-        if kind in _EXPECT_KINDS:
-            clause = _SOURCE.search(sc.text, m.end())
-            if not clause:
-                return False
-            sc.text, source = sc.text[:clause.start()].rstrip(), clause.group(1)
-        sc.pos = m.end()
-        self.record(kind, fields, sc, source)
+        if kind == "lambda":  # from the =, on the line up to source
+            sc = _Scanner(raw[:m.end(at)].rstrip(), self.lineno)
+            sc.pos = m.start(at)
+            value, source = sc.scalar(), args[1]
+        self.record(kind, fields, value, source)
         return True
 
     def read_tokens(self, sc: _Scanner):
@@ -373,12 +342,12 @@ class _Document:
                     sc.error("dimension must be positive")
                 sc.error(f"dimension {dim} exceeds the limit {MAX_DIM}", dim_pos)
             sc.end()
-            self.record(head, (name, dim), sc)
+            self.record(head, (name, dim))
             return
         if head == "param":
             name = sc.word()
             sc.end()
-            self.record(head, (name,), sc)
+            self.record(head, (name,))
             return
         source = None
         if head == "bracket":
@@ -393,7 +362,7 @@ class _Document:
                 sc.error(msg)
             if kind == "identity":
                 sc.end()
-                self.record(kind, (), sc)
+                self.record(kind, ())
                 return
             idx = (sc.index_1based(dim), sc.index_1based(dim))
         elif head == "contact":
@@ -407,7 +376,7 @@ class _Document:
             # The kind follows blanks or tabs and precedes whitespace; the
             # rest is read up to the source clause.
             start = sc.pos
-            clause = _SOURCE.search(sc.text)
+            clause = re.search(_SOURCE + r"\s*$", sc.text)
             kind = sc.peek_word() if clause and sc.skip_ws() > start else ""
             sc.pos += len(kind)
             if (kind not in _EXPECT_KINDS
@@ -422,12 +391,19 @@ class _Document:
         if msg := self.index_error(kind, idx):
             sc.error(msg)
         sc.char("=")
-        self.record(kind, idx, sc, source)
+        if kind in ("g", "ricci"):
+            value = sc.signed_rational()
+            sc.end()
+        elif kind == "lambda":
+            value = sc.scalar()  # as parse_scalar reads it
+        else:
+            value = _vector_by_tokens(sc, dim)
+        self.record(kind, idx, value, source)
 
-    def record(self, kind: str, fields: tuple, sc: _Scanner, source=None):
-        """Store a statement whose head and rules passed: fields are the
-        name and dimension of a manifold line, the name of a param line,
-        else the 0-based indices; the value is read from sc's position."""
+    def record(self, kind: str, fields: tuple, value=None, source=None):
+        """Store a statement whose head, rules and value passed: fields are
+        the name and dimension of a manifold line, the name of a param
+        line, else the 0-based indices."""
         if kind == "manifold":
             self.name, self.dim = fields
         elif kind == "param":
@@ -437,53 +413,62 @@ class _Document:
         elif kind == "g":
             i, j = fields
             self.metric_mode = "entries"
-            self.metric_entries[i, j] = self.metric_entries[j, i] = _rational(sc)
-        elif kind == "ricci":
-            self.ricci.append((*fields, _rational(sc), source))
-        elif kind == "lambda":
-            self.lam.append((sc.scalar(), source))  # as parse_scalar reads it
+            self.metric_entries[i, j] = self.metric_entries[j, i] = value
+        elif kind in _EXPECT_KINDS:
+            if kind in ("nabla", "riem"):
+                value = vector_of(self.dim, value)
+            self.expected[kind].append((*fields, value, source))
+        elif kind == "bracket":
+            i, j = fields
+            self.bracket_lines[min(i, j), max(i, j)] = self.lineno
+            if value:
+                self.brackets[i, j] = value
+                self.brackets[j, i] = {k: -x for k, x in value.items()}
+        elif kind == "xi":
+            self.xi = value
         else:
-            v = _parse_vector(sc, self.dim)
-            if kind == "bracket":
-                i, j = fields
-                key = (min(i, j), max(i, j))
-                self.brackets[key] = v if i < j else {k: -x for k, x in v.items()}
-                self.bracket_lines[key] = sc.lineno
-            elif kind == "xi":
-                self.xi = v
-            elif kind == "phi":
-                self.phi_cols[fields[0]] = v
-            else:
-                (self.nabla if kind == "nabla" else self.riem).append(
-                    (*fields, vector_of(self.dim, v), source))
+            self.phi_cols[fields[0]] = value
 
-    def document(self, last_line: int) -> ManifoldDocument:
-        """The document the statements describe, after the checks that need
-        the whole file; their errors are at the line after the last."""
+    def document(self) -> ManifoldDocument:
+        """The document the statements describe, its tables in final order,
+        after the checks that need the whole file; their errors are at the
+        line after the last."""
+        end = self.lineno + 1
         if self.name is None:
-            raise ParseError(last_line + 1, 1, "missing manifold declaration")
+            raise ParseError(end, 1, "missing manifold declaration")
         if self.metric_mode is None:
-            raise ParseError(last_line + 1, 1, "missing metric declaration")
-        dim = self.dim
-        g = self.metric_entries if self.metric_mode == "entries" else None  # identity
-        M = FrameManifold.from_brackets(self.name, dim, self.brackets, g,
-                                        self.params)
-        for lam, _src in self.lam:
+            raise ParseError(end, 1, "missing metric declaration")
+        dim, identity = self.dim, self.metric_mode == "identity"
+        g = {j: {j: 1} if identity else {} for j in range(dim)}
+        for (i, j), x in sorted(self.metric_entries.items()):
+            if x:
+                g[j][i] = x
+        M = FrameManifold.given(self.name, dim, integer_rows(dict(sorted(
+            self.brackets.items()))), integer_rows(g), self.params)
+        for lam, _src in self.expected["lambda"]:
             extra = lam.symbols() - M.params
             if extra:
-                raise ParseError(last_line + 1, 1,
-                                 f"expected lambda uses undeclared parameter "
-                                 f"{sorted(extra)[0]!r}")
+                raise ParseError(end, 1, f"expected lambda uses undeclared "
+                                         f"parameter {sorted(extra)[0]!r}")
         contact = None
         if self.phi_cols and self.xi is None:
-            raise ParseError(last_line + 1, 1, "contact phi requires contact xi")
+            raise ParseError(end, 1, "contact phi requires contact xi")
         if self.xi is not None:
-            zero = Fraction(0)
-            contact = AlmostContactData(self.phi_cols, tuple(
-                self.xi.get(a, zero) for a in range(dim)))
-        expected = ExpectedValues(tuple(self.nabla), tuple(self.riem),
-                                  tuple(self.ricci), tuple(self.lam))
-        return ManifoldDocument(M, contact, expected)
+            zero, xi = Fraction(0), self.xi
+            contact = AlmostContactData.given(
+                xi=tuple(as_fraction(xi[a]) if a in xi else zero
+                         for a in range(dim)), square=True,
+                phi_int=integer_rows({j: self.phi_cols.get(j, {})
+                                      for j in range(dim)}))
+        return ManifoldDocument(M, contact, ExpectedValues(
+            *map(tuple, self.expected.values())))
+
+
+def parse_vector_text(text: str, dim: int) -> FrameVector:
+    m = re.fullmatch(_VECTOR_EXPR + r"[ \t]*", text)
+    v = _vector(m.group(1) or "", dim) if m else None
+    return vector_of(dim, _vector_by_tokens(_Scanner(text, 1), dim)
+                     if v is None else v)
 
 
 def parse_manifold(text: str) -> ManifoldDocument:
@@ -491,17 +476,11 @@ def parse_manifold(text: str) -> ManifoldDocument:
     with a line and column; the described geometry is not judged here beyond
     shape, so files for validate-rejected manifolds still parse."""
     doc = _Document()
-    last_line = 0
-    for lineno, raw in enumerate(_lines(text), start=1):
-        last_line = lineno
-        line = _strip_comment(raw).rstrip()
-        if not line:
-            continue
-        sc = _Scanner(line, lineno)
-        m = _STATEMENT(line)
-        if not (m and doc.read_match(m, sc)):
-            doc.read_tokens(sc)
-    return doc.document(last_line)
+    for doc.lineno, raw in enumerate(_lines(text), start=1):
+        m = _LINE(raw)
+        if not (m and doc.read_match(m, raw)):
+            doc.read_tokens(_Scanner(re.match(_CODE, raw)[0].rstrip(), doc.lineno))
+    return doc.document()
 
 
 def render_manifold(doc: ManifoldDocument) -> str:

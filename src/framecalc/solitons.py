@@ -28,7 +28,7 @@ from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, RicciTensor, add_to, apply_columns,
                        bracket_sum, compare, divided, endo_derivative_int,
                        entry_defects, integer_map, joined, lie_derivative_parts,
-                       matrix_of, ricci_operator_coeffs, vector_of)
+                       matrix_of, ricci_operator_int, vector_of)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import (LinearForm, ParamScalar, ZERO, ScalarError, SolveError,
@@ -330,7 +330,7 @@ def add_identity_check(report: CheckReport, M: FrameManifold,
     for key, row in brackets.items():
         add_to(lhs, key, apply_columns(nab, row), -dg)
     # rhs[i, j] = dlam_i e_j - dlam_j e_i - (nabla_i Q) e_j + (nabla_j Q) e_i
-    q_tab, dq = endo_derivative_int(conn, *integer_map(ricci_operator_coeffs(M, ric_t)))
+    q_tab, dq = endo_derivative_int(conn, *ricci_operator_int(M, ric_t))
     dlam, dl = _df_int(gd.dlambda)
     rhs = {}
     for (i, j), vec in q_tab.items():

@@ -348,11 +348,11 @@ def test_a_sparse_phi_index_out_of_range_is_a_contact_error():
 
 def test_an_audit_builds_no_dense_or_fraction_view():
     """The benchmark's audit of a parsed H_9 reads the integer forms only:
-    no dense g or phi and no Fraction Gamma, Koszul or Ricci table is built,
-    and metric identity stores one entry per frame vector."""
+    no dense or Fraction c, g or phi and no Fraction Gamma, Koszul or Ricci
+    table is built, and metric identity stores one entry per frame vector."""
     doc = parse_manifold(heisenberg_text(4))
     M, D = doc.manifold, doc.contact
-    assert M.g_cols == {j: {j: 1} for j in range(9)}  # m entries
+    assert M.g_int == ({j: {j: 1} for j in range(9)}, 1)  # m entries
     assert validate(M, strict=True).overall == "pass"
     conn = levi_civita(M)
     R = curvature(M, conn)
@@ -365,8 +365,8 @@ def test_an_audit_builds_no_dense_or_fraction_view():
     assert [r.overall for r in reports] == ["pass"] * 5
     solve_lambda_trace(M, conn, ric, FrameVector.from_values(D.xi),
                        SolitonFlavor.CONFORMAL)
-    assert "g" not in vars(M)
-    assert "phi" not in vars(D)
+    assert not {"g", "g_cols", "brackets", "c"} & set(vars(M))
+    assert not {"phi", "phi_cols"} & set(vars(D))
     assert not {"gamma", "koszul"} & set(vars(conn))
     assert "ric" not in vars(ric)
 

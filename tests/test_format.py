@@ -351,6 +351,8 @@ LINEAR_CASES = [
     ("nabla", '|expect | nabla | e1|e2|=|e3|source | "s"|'),
     ("riem", '|expect | riem | e1|e2|e1|=|e3|source | "s"|'),
     ("lambda", '|expect | lambda | =|1|/|2|*|p|+|1|source | "s"|'),
+    ("comment", "|bracket | e1|e2|=|-|2|*|e3|# c"),
+    ("source", '|expect | nabla | e1|e2|=|0|source | "s"|# c'),
 ]
 
 
@@ -611,6 +613,29 @@ def reference_view(ref):
 
 @settings(deadline=None)
 @given(documents())
+# line tails: comments, # and " in and around the source, and the
+# whitespace that rstrip cuts before the end or the comment
+@example('manifold t dim 3  # c\nmetric identity#c\nbracket e1 e2 = e3 # n\n'
+         'expect ricci 1 1 = 2 source "a # b"  # c "d\n')
+@example('manifold t dim 3\nmetric identity # "q\nbracket e1 e2 = e3 "x # y\n')
+@example('manifold t dim 3\nmetric identity\nexpect ricci 1 1 = 2 source "a" "# b\n')
+@example('manifold t dim 3\t\nmetric identity\x0c\nbracket e1 e2 = e3\xa0# c\n'
+         'contact xi = e3\u2028\ncontact phi e1 = e2 \u2028# c\n'
+         'expect nabla e1 e2 = 0\x0csource "s"\xa0\n')
+# limits: literals of 1000 and 1001 digits, a zero denominator, indices 0
+# and dim + 1, and a duplicate bracket named with its first line
+@example("manifold t dim 3\nmetric identity\nbracket e1 e2 = " + "7" * 1000
+         + "/" + "9" * 1000 + "e3 + 0" + "1" * 999 + "e1\n")
+@example("manifold t dim 3\nmetric g 1 1 = " + "7" * 1001 + "\n")
+@example("manifold t dim 3\nmetric identity\nbracket e1 e2 = e" + "1" * 1001 + "\n")
+@example("manifold t dim 3\nmetric identity\nbracket e1 e2 = 1/0 e3\n")
+@example("manifold t dim 3\nmetric g 1 1 = 2/00\n")
+@example("manifold t dim 3\nmetric identity\nbracket e0 e2 = e3\n")
+@example("manifold t dim 3\nmetric identity\ncontact phi e4 = e3\n")
+@example('manifold t dim 3\nmetric identity\nexpect ricci 1 4 = 1 source "s"\n')
+@example("manifold t dim 3\nmetric g 0 1 = 1\n")
+@example("manifold t dim 3\nmetric identity\nbracket e1 e2 = e3\n"
+         "bracket e2 e1 = e3\n")
 @example('manifold t dim 3\nexpect ricci 1 1 = 2 source "s" junk\n')
 @example('manifold t dim 3\nexpect ricci 1 1 = 2 source "a" source "b"\n')
 @example('manifold t dim 3\nexpect nabla e1 e2 = e3 source "a" b\n')

@@ -14,6 +14,7 @@ import oracle
 from frames import contact_frames, lie_algebras, table_of
 from framecalc import geometry
 from framecalc.catalog import load_builtin
+from framecalc.contact import AlmostContactData
 from framecalc.geometry import (ConnectionTable, FrameManifold, FrameVector,
                                 GeometryError, RicciTensor, bianchi_defect,
                                 compare, covariant_derivative_endo, curvature,
@@ -511,17 +512,43 @@ def test_cached_derivation_matches_kernels(name):
     assert M.ric == ricci(M, curvature(M, levi_civita(M)))
 
 
-def test_coefficients_become_fractions_once():
-    """from_brackets and the constructor keep the parser's Fractions and
-    convert ints and floats."""
+def test_c_g_and_phi_are_stored_as_integer_tables():
+    """c, g and phi are stored only as integer tables over their least
+    denominator: a parsed integer document gives tables of ints with d = 1,
+    and int, Fraction and float input gives tables whose Fraction views,
+    brackets, g_cols and phi_cols, equal the tables given."""
+    doc = parse_manifold("manifold t dim 3\nbracket e2 e1 = e1 - 2e3\n"
+                         "metric g 3 1 = -1\nmetric g 1 1 = 2\n"
+                         "metric g 2 2 = 1\nmetric g 3 3 = 1\n"
+                         "contact xi = e3\ncontact phi e2 = -e1\n"
+                         "contact phi e1 = e2\n")
+    M, D = doc.manifold, doc.contact
+    assert M.brackets_int == ({(0, 1): {0: -1, 2: 2}, (1, 0): {0: 1, 2: -2}}, 1)
+    assert M.g_int == ({0: {0: 2, 2: -1}, 1: {1: 1}, 2: {0: -1, 2: 1}}, 1)
+    assert D.phi_int == ({0: {1: 1}, 1: {0: -1}, 2: {}}, 1)
+    for table, _ in (M.brackets_int, M.g_int, D.phi_int):
+        assert [list(row) for row in table.values()] == \
+            [sorted(row) for row in table.values()]
+        assert all(type(x) is int for row in table.values() for x in row.values())
+    assert list(M.brackets_int[0]) == [(0, 1), (1, 0)]
+
     q = Fraction(2, 3)
     M = FrameManifold.from_brackets("t", 3, {(0, 1): {2: q}, (0, 2): {1: 2}},
                                     [[1, 0, 0], [0, 0.5, 0], [0, 0, q]])
-    assert M.brackets[0, 1][2] is q
-    assert M.brackets[1, 0][2] == -q
-    assert M.brackets[0, 2][1] == 2 and type(M.brackets[0, 2][1]) is Fraction
-    assert M.g[2][2] is q and M.g[1][1] == Fraction(1, 2)
-    assert all(type(x) is Fraction for row in M.g for x in row)
+    assert M.brackets_int == ({(0, 1): {2: 2}, (0, 2): {1: 6},
+                               (1, 0): {2: -2}, (2, 0): {1: -6}}, 3)
+    assert M.g_int == ({0: {0: 6}, 1: {1: 3}, 2: {2: 4}}, 6)
+    assert M.brackets == {(0, 1): {2: q}, (0, 2): {1: 2},
+                          (1, 0): {2: -q}, (2, 0): {1: -2}}
+    assert M.g_cols == {0: {0: 1}, 1: {1: Fraction(1, 2)}, 2: {2: q}}
+    D = AlmostContactData([[0, -1.0, 0], [q, 0, 0], [0, 0, 0]],
+                          (Fraction(0), Fraction(0), Fraction(1)))
+    assert D.phi_int == ({0: {1: 2}, 1: {0: -3}, 2: {}}, 3)
+    assert D.phi_cols == {0: {1: q}, 1: {0: -1}, 2: {}}
+    for view in (M.brackets, M.g_cols, D.phi_cols):
+        assert all(type(x) is Fraction for row in view.values()
+                   for x in row.values())
+
 
 # -- identities that hold for every antisymmetric bracket ---------------------------
 
