@@ -804,6 +804,8 @@ def lie_derivative_metric(M: FrameManifold, conn: ConnectionTable,
                           X: FrameVector) -> tuple:
     """(L_X g)(e_i, e_j) = g(nabla_{e_i} X, e_j) + g(e_i, nabla_{e_j} X),
     one ParamScalar per nonzero entry."""
+    if X.dim != M.dim:
+        raise GeometryError(f"X has {X.dim} entries, not {M.dim}")
     return matrix_of(M.dim, joined(lie_derivative_parts(conn, X)))
 
 

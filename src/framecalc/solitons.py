@@ -14,8 +14,18 @@ The residuals do no polynomial arithmetic per entry. L_X g and the Hessian
 come as monomial parts {monomial: ({(i, j): int}, d)}; for each monomial
 of the parts, of s and the constant one, the part, the weighted Ricci
 tensor and that monomial's coefficient of s times g are summed on ints over
-one denominator. Every decision is taken on these integer tables, and a
-ParamScalar is built only for an entry that a caller reads or prints.
+one denominator. s and s' are {monomial: Fraction} maps. Every decision is
+taken on these integer tables, and a ParamScalar is built only for an entry
+that a caller reads or prints.
+
+The trace solve reads the trace of L_X g from the brackets: nabla is
+metric and torsion-free, so g^{ij} (L_X g)_ij = 2 div X = -2 sum_a x_a
+tr ad_{e_a} (Milnor, "Curvatures of left invariant metrics on Lie groups",
+Adv. Math. 21, 1976), zero on a unimodular frame. s, lambda and the trace
+equation are built as {monomial: Fraction} maps, each wrapped once in a
+ParamScalar. The status sweeps the residual one monomial at a time and
+stops at the first monomial holding a nonzero entry; the residual parts
+and matrix are built on the first read of LambdaSolve.residual.
 """
 from __future__ import annotations
 
@@ -31,10 +41,12 @@ from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        matrix_of, ricci_operator_int, vector_of)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
-from .scalars import (LinearForm, ParamScalar, ZERO, ScalarError, SolveError,
-                      format_rational, solve_linear)
+from .scalars import (LinearForm, ParamScalar, ScalarError, format_rational,
+                      monomial_parts)
 
 P = ParamScalar.param("p")
+_P = (("p", 1),)  # the monomial p
+_HALF = Fraction(1, 2)
 
 
 class SolitonError(ValueError):
@@ -60,19 +72,27 @@ class SolitonFlavor(enum.Enum):
         return self in (SolitonFlavor.CONFORMAL, SolitonFlavor.ALMOST_CONFORMAL)
 
 
-def _scale(flavor: SolitonFlavor, lam: ParamScalar, m: int) -> ParamScalar:
-    """The metric multiplier s in L_X g + 2 ric = s g."""
-    s = ParamScalar.rational(2) * lam
+def _gradient_scale(flavor: SolitonFlavor, lam: ParamScalar, m: int) -> dict:
+    """The metric multiplier s' in Hess f + ric = s' g: lambda, less
+    p/2 + 1/m for the conformal flavors, as {monomial: Fraction} without
+    zeros."""
+    terms = lam.terms()
     if flavor.is_conformal:
-        s = s - (P + Fraction(2, m))
-    return s
+        for mono, c in ((_P, _HALF), ((), Fraction(1, m))):
+            terms[mono] = terms.get(mono, 0) - c
+    return {mono: c for mono, c in terms.items() if c}
 
 
-def _gradient_scale(flavor: SolitonFlavor, lam: ParamScalar, m: int) -> ParamScalar:
-    """The metric multiplier s' in Hess f + ric = s' g."""
-    if flavor.is_conformal:
-        return lam - (P / 2 + Fraction(1, m))
-    return lam
+def _scale(flavor: SolitonFlavor, lam: ParamScalar, m: int) -> dict:
+    """The metric multiplier s = 2 s' in L_X g + 2 ric = s g."""
+    return {mono: 2 * c for mono, c in _gradient_scale(flavor, lam, m).items()}
+
+
+def _field(M: FrameManifold, X: FrameVector, what: str = "X") -> tuple:
+    """X's coefficients, once X has one per frame vector."""
+    if X.dim != M.dim:
+        raise SolitonError(f"{what} has {X.dim} entries, not {M.dim}")
+    return X.coeffs
 
 
 def soliton_residual(M: FrameManifold, conn: ConnectionTable, ric_t: RicciTensor,
@@ -88,23 +108,23 @@ def soliton_residual_parts(M: FrameManifold, conn: ConnectionTable,
                            ric_t: RicciTensor, X: FrameVector,
                            lam: ParamScalar, flavor: SolitonFlavor) -> dict:
     """soliton_residual as integer parts {monomial: ({(i, j): int}, d)}."""
+    _field(M, X)
     return _residual_parts(M, lie_derivative_parts(conn, X), ric_t.ric_int, 2,
                            _scale(flavor, lam, M.dim))
 
 
-def _residual_parts(M: FrameManifold, parts: dict, ric_int: tuple,
-                    ric_weight: int, s: ParamScalar) -> dict:
-    """table + ric_weight * ric - s g as parts {monomial: ({(i, j): int},
-    den)}, zeros kept, for a table given by such parts and ric_int as
-    RicciTensor.ric_int: each monomial's entries summed on ints over one
-    denominator. joined() divides them and builds the ParamScalars."""
+def _residual_monomials(M: FrameManifold, parts: dict, ric_int: tuple,
+                        ric_weight: int, s: dict):
+    """Yield (monomial, ({(i, j): int}, den)) of table + ric_weight * ric -
+    s g, zeros kept, for a table given by parts {monomial: ({(i, j): int},
+    d)}, ric_int as RicciTensor.ric_int and s as {monomial: Fraction}: each
+    monomial's entries summed on ints over one denominator, one monomial
+    at a time."""
     ric, dr = ric_int
     g_cols, dg = M.g_int
-    s_terms = s.terms()
-    entries = {}
-    for mono in dict.fromkeys([*parts, *s_terms, ()]):
+    for mono in dict.fromkeys([*parts, *s, ()]):
         vec, d = parts.get(mono, ({}, 1))
-        q = s_terms.get(mono, 0)  # this monomial's part of s, a rational
+        q = s.get(mono, 0)  # this monomial's part of s, a rational
         den = lcm(d, dr, dg * q.denominator)
         acc = {key: x * (den // d) for key, x in vec.items()}
         if mono == ():
@@ -116,8 +136,14 @@ def _residual_parts(M: FrameManifold, parts: dict, ric_int: tuple,
             for j, col in g_cols.items():
                 for i, x in col.items():
                     acc[i, j] = acc.get((i, j), 0) - w * x
-        entries[mono] = acc, den
-    return entries
+        yield mono, (acc, den)
+
+
+def _residual_parts(M: FrameManifold, parts: dict, ric_int: tuple,
+                    ric_weight: int, s: dict) -> dict:
+    """The residual of _residual_monomials as parts {monomial: ({(i, j):
+    int}, den)}; joined() divides them and builds the ParamScalars."""
+    return dict(_residual_monomials(M, parts, ric_int, ric_weight, s))
 
 
 class LambdaSolve(Record):
@@ -137,27 +163,42 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
                        ric_t: RicciTensor, X: FrameVector,
                        flavor: SolitonFlavor) -> LambdaSolve:
     """Contract the soliton equation with g^{-1} and solve the resulting
-    linear equation for lambda. Status is einstein_exact when the full
+    linear equation for lambda; the trace of L_X g comes from the brackets,
+    -2 sum_a x_a tr ad_{e_a}. Status is einstein_exact when the full
     residual vanishes at the solved lambda, else trace_only; the residual
-    matrix is built on the first read of .residual."""
+    is built from this solve's L_X g on the first read of .residual."""
     m = M.dim
+    coeffs = _field(M, X)
+    table, dc = M.brackets_int
+    tr_ad = {}  # {a: tr ad_{e_a} * dc}, from the diagonal entries c_ak^k
+    for (a, k), row in table.items():
+        if k in row:
+            tr_ad[a] = tr_ad.get(a, 0) + row[k]
+    # tr = g^{ij}(L_X g + 2 ric)_ij, with tr_g L_X g = 2 div X =
+    # -2 sum_a x_a tr ad_{e_a}, as nabla is metric and torsion-free
     gi_cols, dgi = M.g_inv_int  # g^{ij} = gi_cols[j][i] / dgi
-    parts = lie_derivative_parts(conn, X)  # the one L_X g of this solve
     ric, dr = ric_t.ric_int
-    trace = {(): Fraction(2 * sum(x * gi_cols[j].get(i, 0)
-                                  for (i, j), x in ric.items()), dr * dgi)}
-    for mono, (vec, d) in parts.items():
-        t = Fraction(sum(x * gi_cols[j].get(i, 0) for (i, j), x in vec.items()),
-                     d * dgi)
-        trace[mono] = trace.get(mono, 0) + t
-    # trace == m * s; as a linear form in lambda: 2m * lambda + remainder = 0
-    shift = (P + Fraction(2, m)) if flavor.is_conformal else ZERO
-    form = LinearForm(Fraction(2 * m), -(shift * m) - ParamScalar(trace))
-    lam = solve_linear(form)
-    res = _residual_parts(M, parts, (ric, dr), 2, _scale(flavor, lam, m))
-    exact = not any(x for vec, _ in res.values() for x in vec.values())
-    return LambdaSolve(lam, form, "einstein_exact" if exact else "trace_only",
-                       lambda: matrix_of(m, joined(res)))
+    tr = {(): Fraction(2 * sum(x * gi_cols[j].get(i, 0)
+                               for (i, j), x in ric.items()), dr * dgi)}
+    for mono, part in monomial_parts({a: coeffs[a] for a in tr_ad}).items():
+        t = Fraction(-2, dc) * sum(x * tr_ad[a] for a, x in part.items())
+        tr[mono] = tr.get(mono, 0) + t
+    # tr == m * s with s = 2 lambda - shift, so lambda = (s + shift) / 2 and
+    # the trace equation 2m * lambda - m * shift - tr = 0 has the remainder
+    # -m * shift - tr = -2m * lambda
+    shift = {_P: Fraction(1), (): Fraction(2, m)} if flavor.is_conformal else {}
+    s = {mono: t / m for mono, t in tr.items() if t}
+    lam = {mono: c for mono in dict.fromkeys([*s, *shift])
+           if (c := (s.get(mono, 0) + shift.get(mono, 0)) * _HALF)}
+    form = LinearForm(Fraction(2 * m), ParamScalar._of(
+        {mono: -2 * m * c for mono, c in lam.items()}))
+    parts = lie_derivative_parts(conn, X)  # the one L_X g of this solve
+    exact = not any(any(acc.values()) for _, (acc, _) in
+                    _residual_monomials(M, parts, (ric, dr), 2, s))
+    return LambdaSolve(ParamScalar._of(lam), form,
+                       "einstein_exact" if exact else "trace_only",
+                       lambda: matrix_of(m, joined(
+                           _residual_parts(M, parts, (ric, dr), 2, s))))
 
 
 # -- classification ------------------------------------------------------------
@@ -411,6 +452,7 @@ def concurrent_check(M: FrameManifold, conn: ConnectionTable, V: FrameVector,
     vectors can only satisfy this through the connection table, which the
     check verifies directly; with assume_concurrent the substitution
     nabla_{e_i} V := e_i is made instead and L_V g = 2 g is verified."""
+    _field(M, V, "V")
     report = CheckReport(f"{M.name} concurrent field check")
     if assume_concurrent:
         report.add_item(CheckItem("nabla_{e_i} V = e_i", "pass",
@@ -424,7 +466,7 @@ def concurrent_check(M: FrameManifold, conn: ConnectionTable, V: FrameVector,
         report.add_check("nabla_{e_i} V = e_i", bad[:6])
         # L_V g - 2 g, with no Ricci term
         lv = _residual_parts(M, lie_derivative_parts(conn, V), ({}, 1), 0,
-                             ParamScalar.rational(2))
+                             {(): Fraction(2)})
     report.add_check("L_V g = 2 g", entry_defects(lv, 6))
     return report
 

@@ -774,6 +774,20 @@ def test_oracle_equivalence_connection_curvature_ricci():
 
 # -- derived operators ----------------------------------------------------------------
 
+@pytest.mark.parametrize("values", [(0, 0, 1), (0, 0, 1, 0, 0, 5, 7)])
+def test_lie_derivative_rejects_a_field_of_another_length(values):
+    """L_X g and the Killing test name both lengths for a field X with
+    fewer or more entries than the frame."""
+    M = man("heisenberg5")
+    conn = levi_civita(M)
+    X = FrameVector.from_values(values)
+    for run in (lambda: lie_derivative_metric(M, conn, X),
+                lambda: is_killing(M, conn, X)):
+        with pytest.raises(GeometryError,
+                           match=f"^X has {len(values)} entries, not 5$"):
+            run()
+
+
 def test_lie_derivative_and_killing():
     M = man("heisenberg5")
     conn = levi_civita(M)

@@ -59,16 +59,24 @@ Q = ParamScalar.param("q")
 R = ParamScalar.param("r")
 
 
+# R x_I R^3: e1 acts on R^3 as the identity, so tr ad_{e1} = 3 and the Lie
+# algebra is not unimodular; with the identity metric it is real hyperbolic
+# 4-space, ric = -3 g.
+SEMIDIRECT4 = ("manifold semidirect4 dim 4\nbracket e1 e2 = e2\n"
+               "bracket e1 e3 = e3\nbracket e1 e4 = e4\nmetric identity\n")
+
+
 @lru_cache(maxsize=None)
 def reference_geometry(name: str) -> tuple:
-    """(M, conn, ric, gamma, naive ric, g) for a builtin or a dense-snapshot
-    document with an invertible metric; gamma and the naive Ricci tensor
-    come from tests/oracle.py."""
+    """(M, conn, ric, gamma, naive ric, g) for a builtin, a dense-snapshot
+    document with an invertible metric or semidirect4; gamma and the naive
+    Ricci tensor come from tests/oracle.py."""
     from test_dense_snapshot import documents
     if name in builtin_names():
         M = load_builtin(name).manifold
     else:
-        M = parse_manifold(documents()[name]).manifold
+        text = SEMIDIRECT4 if name == "semidirect4" else documents()[name]
+        M = parse_manifold(text).manifold
     m = M.dim
     c = [[list(M.c[i][j]) for j in range(m)] for i in range(m)]
     g = [list(row) for row in M.g]
@@ -80,7 +88,7 @@ def reference_geometry(name: str) -> tuple:
 
 REFERENCE_NAMES = ("abelian3", "abelian5", "heisenberg3", "heisenberg5",
                    "nonjacobi3", "dense5", "dense7", "frac5", "hyperbolic3",
-                   "indefinite3", "nonjacobi4", "nonnormal5")
+                   "indefinite3", "nonjacobi4", "nonnormal5", "semidirect4")
 
 
 def random_scalar(rng) -> ParamScalar:
@@ -127,7 +135,16 @@ def check_against_reference(name: str, X: FrameVector, lams) -> None:
 @pytest.mark.parametrize("name", REFERENCE_NAMES)
 def test_soliton_layer_matches_the_naive_reference(name):
     rng = random.Random(name)
-    m = reference_geometry(name)[0].dim
+    M, conn = reference_geometry(name)[:2]
+    m = M.dim
+    # the trace the solve reads from the brackets: g^{ij} (L_{e_a} g)_ij =
+    # 2 div e_a = -2 tr ad_{e_a}
+    lie, dl = conn.lie_int
+    gi_cols, dgi = M.g_inv_int
+    for a in range(m):
+        tr = Fraction(sum(x * gi_cols[j].get(i, 0)
+                          for (i, j), x in lie.get(a, {}).items()), dl * dgi)
+        assert tr == -2 * sum(M.c[a][k][k] for k in range(m)), (name, a)
     for _ in range(3):
         X = FrameVector(tuple(random_scalar(rng) if rng.random() < 0.7
                               else sc(0) for _ in range(m)))
@@ -174,14 +191,16 @@ def test_one_solve_computes_the_lie_derivative_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ("heisenberg5", "abelian5", "dense5"))
 def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
-    """solve_lambda_trace decides its status on the integer residual, every
-    monomial of it (q xi is a Killing field of heisenberg5, so L_X g has an
-    empty q part); the matrix is built, once, on the first read of .residual
-    and equals soliton_residual at the solved lambda. Equality and repr are
-    those of a LambdaSolve given the matrix."""
+    """solve_lambda_trace decides its status on the integer residual, one
+    monomial at a time (q xi is a Killing field of heisenberg5, so L_X g has
+    an empty q part); the residual parts and the matrix are built, once, on
+    the first read of .residual, for a trace_only and an einstein_exact
+    solve alike, and equal soliton_residual at the solved lambda. Equality
+    and repr are those of a LambdaSolve given the matrix."""
     M, conn, ric = reference_geometry(name)[:3]
     calls = []
-    for fn in (framecalc.geometry.matrix_of, framecalc.scalars.join_parts):
+    for fn in (framecalc.geometry.matrix_of, framecalc.scalars.join_parts,
+               framecalc.solitons._residual_parts):
         def counted(*args, fn=fn):
             calls.append(fn.__name__)
             return fn(*args)
@@ -189,14 +208,18 @@ def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
             if mod_name.startswith("framecalc") and getattr(
                     mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, counted)
+    statuses = set()
     for X in (FrameVector.zero(5), FrameVector.from_values([P, 0, Q, 0, 1]),
               FrameVector.from_values([0, 0, Q, 0, 0])):
         for flavor in SolitonFlavor:
             calls.clear()
             solve = solve_lambda_trace(M, conn, ric, X, flavor)
             assert calls == [], (name, flavor)
+            statuses.add(solve.status)
             res = solve.residual
-            assert sorted(set(calls)) == ["join_parts", "matrix_of"]
+            assert sorted(set(calls)) == ["_residual_parts", "join_parts",
+                                          "matrix_of"]
+            assert calls.count("_residual_parts") == 1, calls
             calls.clear()
             assert solve.residual is res and calls == []
             assert res == soliton_residual(M, conn, ric, X, solve.lam, flavor)
@@ -208,6 +231,8 @@ def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
             assert repr(solve).startswith(
                 f"LambdaSolve(lam={solve.lam!r}, form={solve.form!r}, "
                 f"status={solve.status!r}, residual=((ParamScalar(")
+    assert statuses == {"einstein_exact" if name == "abelian5"
+                        else "trace_only"}, name
     assert solve_lambda_trace(M, conn, ric, FrameVector.zero(5),
                               SolitonFlavor.RICCI).status == (
         "einstein_exact" if name == "abelian5" else "trace_only")
@@ -264,15 +289,16 @@ def test_gradient_residual_matches_the_naive_reference(name):
 
 
 def test_soliton_layer_does_no_per_entry_polynomial_arithmetic(monkeypatch):
-    """The residuals are built from monomial parts on ints, so a solve or a
-    residual makes as many ParamScalar +, - and * calls on H_9 as on H_5,
-    for the same parametric X and lambda."""
+    """The residuals are built from monomial parts on ints, and s, lambda and
+    the trace equation as Fraction maps, so a solve or a residual makes as
+    many ParamScalar +, -, * and / calls on H_9 as on H_5, for the same
+    parametric X and lambda: none."""
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__",
-                 "__mul__", "__rmul__"):
-        def counted(self, other, fn=getattr(ParamScalar, name)):
+                 "__mul__", "__rmul__", "__truediv__", "__neg__"):
+        def counted(self, *other, fn=getattr(ParamScalar, name)):
             calls.append(fn)
-            return fn(self, other)
+            return fn(self, *other)
         monkeypatch.setattr(ParamScalar, name, counted)
 
     def counts(n: int) -> list:
@@ -286,7 +312,8 @@ def test_soliton_layer_does_no_per_entry_polynomial_arithmetic(monkeypatch):
         gd = GradientData.from_values([1, *zeros, 0, *zeros, 2])
         out = []
         for flavor in SolitonFlavor:
-            for run in (lambda: solve_lambda_trace(M, conn, ric, X, flavor),
+            for run in (lambda: solve_lambda_trace(M, conn, ric, X,
+                                                   flavor).residual,
                         lambda: soliton_residual(M, conn, ric, X, lam, flavor),
                         lambda: gradient_soliton_residual(M, conn, ric, gd,
                                                           lam, flavor)):
@@ -294,7 +321,7 @@ def test_soliton_layer_does_no_per_entry_polynomial_arithmetic(monkeypatch):
                 run()
                 out.append(len(calls))
         return out
-    assert counts(2) == counts(4)
+    assert counts(2) == counts(4) == [0] * 12
 
 
 # -- trace solving ----------------------------------------------------------------
@@ -331,6 +358,63 @@ def test_abelian_einstein_exact():
         assert solve.lam == sc(0)
         assert solve.status == "einstein_exact"
         assert zero_table(solve.residual)
+
+
+def test_non_unimodular_solve_values():
+    """On R x_I R^3, where tr ad_{e1} = 3, the trace of L_{e1} g is -6:
+    lambda and the status for X = 0 and X = e1."""
+    M, conn, ric = reference_geometry("semidirect4")[:3]
+    assert all(ric.entry(i, j) == sc(-3 if i == j else 0)
+               for i in range(4) for j in range(4))
+    e1 = FrameVector.basis(4, 0)
+    for X, flavor, lam, status in (
+            (FrameVector.zero(4), SolitonFlavor.RICCI, sc(-3), "einstein_exact"),
+            (e1, SolitonFlavor.RICCI, sc(Fraction(-15, 4)), "trace_only"),
+            (e1, SolitonFlavor.CONFORMAL, P / 2 - Fraction(7, 2), "trace_only")):
+        solve = solve_lambda_trace(M, conn, ric, X, flavor)
+        assert (solve.lam, solve.status) == (lam, status), (X, flavor)
+    assert solve.lam.render() == "1/2*p + -7/2"
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_no_float_enters_a_solve(monkeypatch, name):
+    """Every coefficient of lambda, of the trace equation, of s and of the
+    residual matrix is a Fraction, and the residual parts hold ints, for
+    every flavor. Equality cannot see a float (0.5 == 1/2), so the types
+    are read."""
+    M, conn, ric = reference_geometry(name)[:3]
+    m = M.dim
+    seen = []
+    fn = framecalc.solitons._residual_parts
+
+    def recorded(*args):
+        seen.append((args[4], fn(*args)))
+        return seen[-1][1]
+    monkeypatch.setattr(framecalc.solitons, "_residual_parts", recorded)
+    rng = random.Random(name)
+    fields = [FrameVector.zero(m), FrameVector.basis(m, 0),
+              *(FrameVector(tuple(random_scalar(rng) for _ in range(m)))
+                for _ in range(2))]
+
+    def fractions(terms: dict) -> bool:
+        return all(type(c) is Fraction for c in terms.values())
+    for X in fields:
+        for flavor in SolitonFlavor:
+            seen.clear()
+            solve = solve_lambda_trace(M, conn, ric, X, flavor)
+            res = solve.residual
+            (s, parts), = seen
+            assert type(solve.form.coefficient) is Fraction
+            assert fractions(solve.lam.terms()), (name, flavor)
+            assert fractions(solve.form.remainder.terms()), (name, flavor)
+            assert fractions(s), (name, flavor)
+            for scale in (framecalc.solitons._scale,
+                          framecalc.solitons._gradient_scale):
+                assert fractions(scale(flavor, solve.lam, m)), (name, flavor)
+            for vec, d in parts.values():
+                assert type(d) is int, (name, flavor)
+                assert all(type(x) is int for x in vec.values()), (name, flavor)
+            assert all(fractions(e.terms()) for row in res for e in row)
 
 
 def test_solved_lambda_kills_the_trace():
@@ -479,6 +563,23 @@ def test_gradient_functions_reject_data_of_another_length(what, df, dlambda, n):
         for run in runs[:4]:
             with pytest.raises(SolitonError, match=f"^df has {n} entries"):
                 run()
+
+
+@pytest.mark.parametrize("values", [(0, 0, 1), (0, 0, 1, 0, 0, 5, 7)])
+def test_soliton_functions_reject_a_field_of_another_length(values):
+    """A field X with fewer or more entries than the frame is refused with
+    both lengths named, instead of solved with some entries dropped."""
+    doc, M, conn, R, ric = setup("heisenberg5")
+    X = FrameVector.from_values(values)
+    runs = [lambda: soliton_residual(M, conn, ric, X, P, SolitonFlavor.RICCI),
+            lambda: concurrent_check(M, conn, X)]
+    runs += [lambda flavor=flavor: solve_lambda_trace(M, conn, ric, X, flavor)
+             for flavor in SolitonFlavor]
+    for i, run in enumerate(runs):
+        what = "V" if i == 1 else "X"
+        with pytest.raises(SolitonError,
+                           match=f"^{what} has {len(values)} entries, not 5$"):
+            run()
 
 
 def test_gradient_residual_rejects_nonintegrable():
