@@ -15,10 +15,10 @@ from .contact import (ContactError, check_almost_contact,
                       check_normality, check_reeb_ricci, check_sasakian)
 from .geometry import (FrameManifold, FrameVector, GeometryError,
                        RicciTensor, entry_defects, lie_derivative_parts,
-                       scalar_curvature, validate)
+                       render_vector, scalar_curvature, validate)
 from .manifold_format import ManifoldDocument, ParseError, parse_manifold
 from .reports import CheckReport, combine
-from .scalars import ScalarError, parse_rational, parse_scalar
+from .scalars import ScalarError, format_rational, parse_rational, parse_scalar
 from .solitons import (GradientData, SolitonError, SolitonFlavor,
                        add_identity_check, classify,
                        concurrent_soliton_constants, gradient_residual_parts,
@@ -160,15 +160,17 @@ _RIEM = "R(e{},e{})e{}"
 _RIC = "ric[{}][{}]"
 
 
-def _table_report(title: str, label: str, table, expected) -> CheckReport:
-    """A passing item per nonzero entry of table, and a ledger record per
-    expected (*index, value, source) that table.entry does not reproduce."""
+def _table_report(title: str, label: str, table, rows: dict, show,
+                  expected) -> CheckReport:
+    """A passing item per entry of rows (table's nonzero rational entries),
+    printed by show in index order, and a ledger record per expected (*index,
+    value, source) that table.entry, read for these alone, does not give."""
     def name(idx):
         return label.format(*(i + 1 for i in idx))
 
     report = CheckReport(title)
-    for *idx, value in table.nonzero():
-        report.add(f"{name(idx)} = {value}", True)
+    for idx in sorted(rows):
+        report.add(f"{name(idx)} = {show(rows[idx])}", True)
     for *idx, want, src in expected:
         got = table.entry(*idx)
         if got != want:
@@ -237,19 +239,20 @@ def _solve_lambda_report(doc: ManifoldDocument, X: FrameVector,
 
 def _connection(doc: ManifoldDocument, args=None) -> CheckReport:
     M = doc.manifold
-    return _table_report(f"{M.name} connection", _NABLA, M.conn,
-                         doc.expected.nabla)
+    return _table_report(f"{M.name} connection", _NABLA, M.conn, M.conn.gamma,
+                         render_vector, doc.expected.nabla)
 
 
 def _curvature(doc: ManifoldDocument, args=None) -> CheckReport:
     M = doc.manifold
-    return _table_report(f"{M.name} curvature", _RIEM, M.riem,
-                         doc.expected.riem)
+    return _table_report(f"{M.name} curvature", _RIEM, M.riem, M.riem.comp,
+                         render_vector, doc.expected.riem)
 
 
 def _ricci(doc: ManifoldDocument, args=None) -> CheckReport:
     M = doc.manifold
-    return _table_report(f"{M.name} ricci", _RIC, M.ric, doc.expected.ricci)
+    return _table_report(f"{M.name} ricci", _RIC, M.ric, M.ric.ric,
+                         format_rational, doc.expected.ricci)
 
 
 def _check_contact(doc: ManifoldDocument, args=None) -> CheckReport:

@@ -17,7 +17,7 @@ from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, RicciTensor, add_to, apply_columns as _apply,
                        bracket_sum, columns, compare, dense, divided,
                        divided_columns, endo_derivative_int, integer_map,
-                       vector_of)
+                       render_vector, vector_of)
 from .record import Record
 from .reports import PASS, PRECONDITION, CheckItem, CheckReport
 from .scalars import format_rational
@@ -125,7 +125,7 @@ def axiom_items(on: ContactDerivation) -> list:
         w[j] = w.get(j, 0) - dx * de
     report.add_check("phi^2 = -I + xi(x)eta", compare(
         square, dp * dp, want, dx * de, lambda key, left, _:
-        [f"phi^2(e{key[0] + 1}) = {vector_of(m, left).render()}"]))
+        [f"phi^2(e{key[0] + 1}) = {render_vector(left)}"]))
 
     lhs, rhs = {}, {}  # the two sides by rows, (i,): {j: int}
     for i, col in cols.items():  # g(phi e_i, phi e_j) over dp^2 dg
@@ -142,12 +142,12 @@ def axiom_items(on: ContactDerivation) -> list:
          if left.get(j, 0) != right.get(j, 0)]), "violated at ")
 
     pxi = divided(_apply(cols, xi), dp * dx)
-    report.add("phi(xi) = 0", not pxi, pxi and f"phi(xi) = {vector_of(m, pxi).render()}")
+    report.add("phi(xi) = 0", not pxi, pxi and f"phi(xi) = {render_vector(pxi)}")
 
     etaphi = divided({j: sum(eta.get(a, 0) * x for a, x in col.items())
                       for j, col in cols.items()}, de * dp)
     report.add("eta(phi(.)) = 0", not etaphi,
-               etaphi and f"eta(phi(e_j)) = {vector_of(m, etaphi).render()}")
+               etaphi and f"eta(phi(e_j)) = {render_vector(etaphi)}")
     return report.items
 
 

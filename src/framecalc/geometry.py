@@ -15,9 +15,10 @@ and hands on integer tables over one denominator, (table, d), and Fraction
 tables are built only when read. Kernels cost time in proportion to the
 nonzero entries they combine, and so do the checks (validate here,
 contact.py), which list their defects through one comparer, compare. One
-elimination per manifold gives g^{-1} and the leading minors. ParamScalar
-appears only in the accessors and where a caller's field or scalar brings
-in parameters, split by monomial (by_monomial) for the integer kernels.
+elimination per manifold gives g^{-1} and the leading minors. Every vector
+text is rendered from a sparse map (render_vector). ParamScalar and
+FrameVector appear only in the accessors and where a caller's field or
+scalar brings in parameters, split by monomial (by_monomial) for the kernels.
 """
 from __future__ import annotations
 
@@ -214,6 +215,36 @@ def invert_matrix(g: Matrix) -> Matrix:
 
 # -- vectors -----------------------------------------------------------------
 
+def render_vector(coeffs: dict) -> str:
+    """sum_k coeffs[k] e_{k+1} as text, for {k: int, Fraction or ParamScalar}
+    in any key order: zeros skipped, e1 for 1, -e1 for -1, "0" for no term."""
+    parts = []
+    for k in sorted(coeffs):
+        c, name = coeffs[k], f"e{k + 1}"
+        s = c.render() if isinstance(c, ParamScalar) else format_rational(c)
+        if s == "1":
+            parts.append(name)
+        elif s == "-1":
+            parts.append("-" + name)
+        elif s != "0":
+            parts.append(f"({s})*{name}" if " + " in s else f"{s}*{name}")
+    return " + ".join(parts) or "0"
+
+
+def check_lengths(dim: int, what: str, *lengths) -> None:
+    for n in lengths:
+        if n != dim:
+            raise GeometryError(f"{what} has {n} entries, not {dim}")
+
+
+def field_map(dim: int, kernel, *vectors) -> "FrameVector":
+    """by_monomial(kernel, ...) on the coefficient maps of vectors, once each
+    has dim entries, as a vector."""
+    check_lengths(dim, "vector", *(v.dim for v in vectors))
+    return vector_of(dim, joined(by_monomial(
+        kernel, *(dict(enumerate(v.coeffs)) for v in vectors))))
+
+
 class FrameVector(Record):
     """A vector field with constant coefficients in the frame."""
 
@@ -240,9 +271,11 @@ class FrameVector(Record):
         return all(c.is_zero() for c in self.coeffs)
 
     def __add__(self, other: "FrameVector") -> "FrameVector":
+        check_lengths(self.dim, "vector", other.dim)
         return FrameVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "FrameVector") -> "FrameVector":
+        check_lengths(self.dim, "vector", other.dim)
         return FrameVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "FrameVector":
@@ -256,26 +289,10 @@ class FrameVector(Record):
         return tuple(c.constant_value() for c in self.coeffs)
 
     def render(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            name = f"e{k + 1}"
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append("-" + name)
-            else:
-                s = c.render()
-                if " + " in s:
-                    s = "(" + s + ")"
-                parts.append(f"{s}*{name}")
-        return " + ".join(parts) if parts else "0"
+        return render_vector(dict(enumerate(self.coeffs)))
 
     def __str__(self):
         return self.render()
-
-
 
 
 # -- the manifold ------------------------------------------------------------
@@ -409,11 +426,10 @@ class FrameManifold:
 
     def bracket_vec(self, x: FrameVector, y: FrameVector) -> FrameVector:
         table, dc = self.brackets_int
-        return vector_of(self.dim, joined(by_monomial(
-            lambda x, y: (bracket_sum(table, x, y), dc),
-            dict(enumerate(x.coeffs)), dict(enumerate(y.coeffs)))))
+        return field_map(self.dim, lambda x, y: (bracket_sum(table, x, y), dc), x, y)
 
     def g_of(self, x: FrameVector, y: FrameVector) -> ParamScalar:
+        check_lengths(self.dim, "vector", x.dim, y.dim)
         total = ZERO
         for b, col in self.g_cols.items():
             for a, gab in col.items():
@@ -471,14 +487,13 @@ def compare(lhs: dict, dl: int, rhs: dict, dr: int, fmt=None) -> list:
                 keys.append((key, left, right))
                 break
     for key, left, right in sorted(keys):  # distinct keys: no map is compared
-        diff = {k: x for k in left.keys() | right.keys()
-                if (x := left.get(k, 0) * dr - right.get(k, 0) * dl)}
         if fmt:
             bad += fmt(key, divided(left, dl), divided(right, dr))
         else:
             label = ",".join(str(t + 1) for t in key)
-            bad.append(f"({label}): " + vector_of(
-                max(diff) + 1, divided(diff, dl * dr)).render())
+            bad.append(f"({label}): " + render_vector({
+                k: Fraction(left.get(k, 0) * dr - right.get(k, 0) * dl, dl * dr)
+                for k in left.keys() | right.keys()}))
     return bad
 
 
@@ -588,9 +603,8 @@ class ConnectionTable(Record):
     def nabla_vec(self, i: int, v: FrameVector) -> FrameVector:
         """nabla_{e_i} of a frame-constant vector field."""
         table, dg = self.gamma_int
-        return vector_of(self.manifold.dim, joined(by_monomial(
-            lambda x: (bracket_sum(table, {i: 1}, x), dg),
-            dict(enumerate(v.coeffs)))))
+        return field_map(self.manifold.dim,
+                         lambda x: (bracket_sum(table, {i: 1}, x), dg), v)
 
     def nonzero(self):
         for (i, j) in sorted(self.gamma):
@@ -657,8 +671,7 @@ class CurvatureTensor(Record):
 
     def apply(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
         """Trilinear extension of R to frame-constant vector fields."""
-        return vector_of(self.manifold.dim, joined(by_monomial(
-            self.apply_int, *(dict(enumerate(v.coeffs)) for v in (x, y, z)))))
+        return field_map(self.manifold.dim, self.apply_int, x, y, z)
 
     def nonzero(self):
         for (i, j, k) in sorted(self.comp):
@@ -773,15 +786,10 @@ def ricci_operator_int(M: FrameManifold, ric_t: RicciTensor) -> tuple:
     return {key: x for key, x in acc.items() if x}, dgi * dr
 
 
-def ricci_operator_coeffs(M: FrameManifold, ric_t: RicciTensor) -> dict:
-    """{(a, j): Q_aj} with g(Q e_j, e_k) = ric(e_j, e_k), nonzero only."""
-    return divided(*ricci_operator_int(M, ric_t))
-
-
 def ricci_operator(M: FrameManifold, ric_t: RicciTensor) -> tuple:
     """Endomorphism Q with g(Q e_j, e_k) = ric(e_j, e_k); column j is Q e_j.
     Returned as a matrix q[a][j] of ParamScalar."""
-    return matrix_of(M.dim, ricci_operator_coeffs(M, ric_t))
+    return matrix_of(M.dim, divided(*ricci_operator_int(M, ric_t)))
 
 
 # -- derived operations --------------------------------------------------------
@@ -804,8 +812,7 @@ def lie_derivative_metric(M: FrameManifold, conn: ConnectionTable,
                           X: FrameVector) -> tuple:
     """(L_X g)(e_i, e_j) = g(nabla_{e_i} X, e_j) + g(e_i, nabla_{e_j} X),
     one ParamScalar per nonzero entry."""
-    if X.dim != M.dim:
-        raise GeometryError(f"X has {X.dim} entries, not {M.dim}")
+    check_lengths(M.dim, "X", X.dim)
     return matrix_of(M.dim, joined(lie_derivative_parts(conn, X)))
 
 
@@ -846,6 +853,7 @@ def covariant_derivative_endo(M: FrameManifold, conn: ConnectionTable,
     frame-constant endomorphism Q given column-wise (Q[a][j] = coeff of e_a
     in Q e_j). Returns a table [i][j] of FrameVector."""
     m = M.dim
+    check_lengths(m, "a column or row of Q", len(Q), *map(len, Q))
 
     def kernel(q: dict) -> tuple:
         table, d = endo_derivative_int(conn, q, 1)

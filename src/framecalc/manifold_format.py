@@ -42,7 +42,8 @@ import re
 from fractions import Fraction
 
 from .contact import AlmostContactData
-from .geometry import FrameManifold, FrameVector, integer_rows, vector_of
+from .geometry import (FrameManifold, FrameVector, integer_rows, render_vector,
+                       vector_of)
 from .record import Record
 from .scalars import (_INTEGER, _ONE, MAX_DIGITS, Scanner, as_fraction,
                       format_rational)
@@ -491,8 +492,7 @@ def render_manifold(doc: ManifoldDocument) -> str:
         lines.append(f"param {p}")
     for (i, j), row in M.brackets.items():
         if i < j:
-            lines.append(f"bracket e{i + 1} e{j + 1} = "
-                         f"{vector_of(M.dim, row).render()}")
+            lines.append(f"bracket e{i + 1} e{j + 1} = {render_vector(row)}")
     upper = sorted((i, j, x) for j, col in M.g_cols.items()
                    for i, x in col.items() if i <= j)
     if all(col == {j: 1} for j, col in M.g_cols.items()):
@@ -503,12 +503,10 @@ def render_manifold(doc: ManifoldDocument) -> str:
         if not upper:  # degenerate all-zero metric still needs a statement
             lines.append("metric g 1 1 = 0")
     if doc.contact is not None:
-        lines.append(f"contact xi = "
-                     f"{FrameVector.from_values(doc.contact.xi).render()}")
-        for j in range(M.dim):
-            col = doc.contact.phi_column(j)
-            if not col.is_zero():
-                lines.append(f"contact phi e{j + 1} = {col.render()}")
+        lines.append(f"contact xi = {render_vector(dict(enumerate(doc.contact.xi)))}")
+        for j, col in doc.contact.phi_cols.items():
+            if col:
+                lines.append(f"contact phi e{j + 1} = {render_vector(col)}")
     for kind, entries in (("nabla", doc.expected.nabla),
                           ("riem", doc.expected.riem)):
         for *idx, v, src in entries:

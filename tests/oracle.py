@@ -395,6 +395,33 @@ def report_text(subject, items):
     return _layout(subject, rows)
 
 
+def table_text(subject, label, values, expected):
+    """The connection, curvature or ricci report on dense reference values
+    {index: coefficient list or rational}: a passing row per nonzero entry,
+    in index order, and a ledger record per (index, value, source) of
+    expected that values does not reproduce."""
+    def show(v):
+        return render_vector(v) if isinstance(v, list) else str(F(v))
+
+    def name(idx):
+        return label.format(*(i + 1 for i in idx))
+
+    rows = [f"{name(idx)} = {show(v)}" for idx, v in sorted(values.items())
+            if (any(v) if isinstance(v, list) else v)]
+    ledger = [f"  [{src}] expected {name(idx)} = {show(want)}; "
+              f"computed {name(idx)} = {show(values[idx])}"
+              for idx, want, src in expected if want != values[idx]]
+    lines = [f"subject: {subject}",
+             "overall: " + ("discrepancies" if ledger else "pass")]
+    width = max(map(len, rows), default=0)
+    lines += [f"  {row.ljust(width)}  pass" for row in rows]
+    if not rows and not ledger:
+        lines.append("  no checks run")
+    if ledger:
+        lines += ["ledger:", *ledger]
+    return "\n".join(lines) + "\n"
+
+
 def _layout(subject, rows):
     overall = "fail" if any(s != "pass" for _, s, _ in rows) else "pass"
     width = max(len(name) for name, _, _ in rows)

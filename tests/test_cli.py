@@ -1,17 +1,28 @@
 """End-to-end CLI behavior: commands, formats, exit codes."""
+import contextlib
 import importlib
+import io
 import json
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frames import MALFORMED_SCALARS, document, identity
-from framecalc.catalog import FIXTURES
+import oracle
+from frames import (MALFORMED_SCALARS, change_frame, document,
+                    elementary_change, gram_plus_identity, heisenberg,
+                    identity, small)
+from framecalc.catalog import FIXTURES, load_builtin
 from framecalc.cli import main
+from framecalc.geometry import FrameVector
+from framecalc.scalars import ParamScalar
 
 
 def run(capsys, *argv):
@@ -59,6 +70,128 @@ def test_ricci_clean_manifold(capsys):
     code, out, _ = run(capsys, "ricci", "--builtin", "heisenberg3")
     assert code == 0
     assert "overall: pass" in out
+
+
+TABLE_COMMANDS = ("connection", "curvature", "ricci")
+
+
+def counted_constructions(monkeypatch) -> list:
+    """The names of the ParamScalar and FrameVector constructors, one per call
+    from now on."""
+    calls = []
+    for name in ("_of", "rational"):
+        def counted(cls, arg, name=name, fn=getattr(ParamScalar, name).__func__):
+            calls.append(name)
+            return fn(cls, arg)
+        monkeypatch.setattr(ParamScalar, name, classmethod(counted))
+
+    def counted_init(self, coeffs, init=FrameVector.__init__):
+        calls.append("FrameVector")
+        init(self, coeffs)
+    monkeypatch.setattr(FrameVector, "__init__", counted_init)
+    return calls
+
+
+def test_table_reports_build_no_per_entry_objects(monkeypatch, capsys, tmp_path):
+    """Gamma, R and ric are rational, so their reports print the rows as
+    they are: no ParamScalar or FrameVector for a document without expect
+    lines, on builtins and on Heisenberg frames in a dense frame."""
+    m, c, g, _, _ = heisenberg(2)
+    A, Ainv = elementary_change(m, [("add", 0, 1, 1), ("add", 2, 0, Fraction(-1, 2)),
+                                    ("scale", 1, Fraction(3, 2)), ("add", 1, 4, -1)])
+    path = tmp_path / "dense5.txt"
+    path.write_text(document("dense5", *change_frame(c, g, A, Ainv)[:2]))
+    subjects = [("--builtin", name) for name in ("heisenberg3", "nonjacobi3", "abelian5")]
+    calls = counted_constructions(monkeypatch)
+    for subject in [*subjects, ("--file", str(path))]:
+        for command in TABLE_COMMANDS:
+            for fmt in ("text", "json"):
+                calls.clear()
+                code = main([command, *subject, "--format", fmt])
+                out = capsys.readouterr().out
+                assert code == 0 and "pass" in out, (command, subject)
+                assert calls == [], (command, subject, fmt)
+
+
+def test_a_table_report_builds_objects_for_its_expect_lines_only(monkeypatch, capsys):
+    """heisenberg5's curvature report builds one FrameVector per expect riem
+    line, 18, beyond those the parse builds, and not one per nonzero R
+    entry, 48."""
+    doc = load_builtin("heisenberg5")
+    expected, m = len(doc.expected.riem), doc.manifold.dim
+    assert (expected, len(doc.manifold.riem.comp)) == (18, 48)
+    calls = counted_constructions(monkeypatch)
+    counts = []
+    for command in ("validate", "curvature"):  # the parse alone, then the report
+        calls.clear()
+        main([command, "--builtin", "heisenberg5"])
+        capsys.readouterr()
+        counts.append({name: calls.count(name)
+                       for name in ("_of", "rational", "FrameVector")})
+    report = {name: n - counts[0][name] for name, n in counts[1].items()}
+    assert report["FrameVector"] == expected
+    assert report["_of"] <= expected * m and report["rational"] <= expected * m
+
+
+@st.composite
+def table_frames(draw) -> tuple:
+    """(c, g): antisymmetric brackets on up to 7 frame vectors, Jacobi or
+    not, under the identity or a fractional B^T B + I metric."""
+    m = draw(st.integers(1, 7))
+    index = st.integers(0, m - 1)
+    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for i, j, k, q in draw(st.lists(st.tuples(index, index, index, small),
+                                    max_size=2 * m)):
+        if i != j:
+            c[i][j][k] += q
+            c[j][i][k] -= q
+    g = identity(m)
+    if draw(st.booleans()):
+        sparse = st.one_of(st.just(Fraction(0)), small)
+        g = gram_plus_identity([[draw(sparse) for _ in range(m)] for _ in range(m)])
+    return c, g
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_frames(), st.data())
+def test_table_reports_print_the_naive_oracle_tables(frame, data):
+    """The connection, curvature and ricci reports, rows and ledger, are the
+    text the oracle's brute-force Gamma, R and Ric print, with one wrong
+    expect line of each kind."""
+    c, g = frame
+    m = len(g)
+    gamma = oracle.naive_koszul(c, g)
+    R = oracle.naive_curvature(c, gamma)
+    ric = oracle.naive_ricci(R)
+    index = st.integers(0, m - 1)
+    i, j, k, t = (data.draw(index) for _ in range(4))
+
+    def wrong(v):  # v changed in entry t, never to the zero vector
+        return [x + (2 if x == -1 else 1) * (s == t) for s, x in enumerate(v)]
+    expects = (("nabla", (i, j), wrong(gamma[i][j]),
+                f"expect nabla e{i + 1} e{j + 1}"),
+               ("riem", (i, j, k), wrong(R[i][j][k]),
+                f"expect riem e{i + 1} e{j + 1} e{k + 1}"),
+               ("ricci", (i, j), ric[i][j] + 1, f"expect ricci {i + 1} {j + 1}"))
+    extra = [f"{head} = {oracle.render_vector(want) if kind != 'ricci' else want}"
+             f' source "guess"' for kind, _, want, head in expects]
+    tables = {
+        "connection": ("nabla_e{} e{}", {(a, b): gamma[a][b]
+                                         for a in range(m) for b in range(m)}),
+        "curvature": ("R(e{},e{})e{}", {(a, b, z): R[a][b][z] for a in range(m)
+                                        for b in range(m) for z in range(m)}),
+        "ricci": ("ric[{}][{}]", {(a, b): ric[a][b]
+                                  for a in range(m) for b in range(m)})}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.txt"
+        path.write_text(document("frame", c, g, extra=extra))
+        for (command, (label, values)), (_, idx, want, _) in zip(tables.items(), expects):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, "--file", str(path)])
+            assert code == 2
+            assert out.getvalue() == oracle.table_text(
+                f"frame {command}", label, values, [(idx, want, "guess")])
 
 
 # -- validate -----------------------------------------------------------------------

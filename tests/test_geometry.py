@@ -21,10 +21,10 @@ from framecalc.geometry import (ConnectionTable, FrameManifold, FrameVector,
                                 identity_metric, invert_matrix,
                                 is_killing, jacobi_defect,
                                 leading_minor_determinants, levi_civita,
-                                lie_derivative_metric, ricci, ricci_operator,
-                                scalar_curvature, validate)
+                                lie_derivative_metric, render_vector, ricci,
+                                ricci_operator, scalar_curvature, validate)
 from framecalc.manifold_format import parse_manifold
-from framecalc.scalars import ParamScalar
+from framecalc.scalars import ParamScalar, parse_scalar
 from test_dense_snapshot import documents
 
 NAMES = ("heisenberg5", "heisenberg3", "abelian3", "abelian5", "nonjacobi3")
@@ -63,6 +63,37 @@ def test_vector_render():
     assert vec(0, -1, 0).render() == "-e2"
     assert vec(0, 2, -1).render() == "2*e2 + -e3"
     assert vec(1, Fraction(-1, 2), 0).render() == "e1 + -1/2*e2"
+
+
+coefficients = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(-3, 3))
+
+
+@given(st.lists(coefficients, max_size=9), st.randoms(use_true_random=False))
+def test_render_vector_of_a_sparse_map_prints_the_dense_reference(values, rng):
+    """A map with its keys in any order, zero values kept in part, prints as
+    the oracle prints the dense list."""
+    keys = [k for k, x in enumerate(values) if x or rng.random() < 0.5]
+    rng.shuffle(keys)
+    assert render_vector({k: values[k] for k in keys}) == \
+        oracle.render_vector(values)
+
+
+@pytest.mark.parametrize("values, text", [
+    (("0", "1/2*p + 1", "0"), "(1/2*p + 1)*e2"),
+    (("-p", "0", "0"), "-p*e1"),
+    (("p", "-1", "1", "-1/2"), "p*e1 + -e2 + e3 + -1/2*e4"),
+    (("p^2 + -q", "2*p*q", "-3/4*q"), "(p^2 + -q)*e1 + 2*p*q*e2 + -3/4*q*e3"),
+    (("-p + 1", "0", "-2*p"), "(-p + 1)*e1 + -2*p*e3"),
+    (("0", "0"), "0")])
+def test_render_vector_of_parametric_coefficients(values, text):
+    """ParamScalar coefficients print as FrameVector.render has printed them:
+    in parentheses when they have more than one term."""
+    coeffs = [parse_scalar(v) for v in values]
+    assert FrameVector.from_values(coeffs).render() == text
+    assert render_vector(dict(reversed(list(enumerate(coeffs))))) == text
 
 
 def test_vector_algebra():
@@ -770,6 +801,38 @@ def test_oracle_equivalence_connection_curvature_ricci():
             for k in range(m):
                 assert ric.entry(j, k).constant_value() == ric_o[j][k], (M.name, j, k)
                 assert ric_o[j][k] == ric_g[j][k], (M.name, j, k)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_vectors_of_another_length_are_refused(n):
+    """Every operation on frame vectors names both lengths for a vector with
+    fewer or more entries than the frame (or the other vector), where it
+    once dropped the extra entries or read missing ones as zero."""
+    M = man("heisenberg5")
+    e1, v = FrameVector.basis(5, 0), FrameVector.from_values(range(1, n + 1))
+    runs = [lambda: e1 + v, lambda: e1 - v,
+            lambda: M.bracket_vec(v, e1), lambda: M.bracket_vec(e1, v),
+            lambda: M.conn.nabla_vec(0, v), lambda: M.g_of(v, e1),
+            lambda: M.g_of(e1, v), lambda: M.g_of(v, v),
+            *(lambda a=a: M.riem.apply(*a) for a in ((v, e1, e1), (e1, v, e1),
+                                                     (e1, e1, v)))]
+    for run in runs:
+        with pytest.raises(GeometryError, match=f"^vector has {n} entries, not 5$"):
+            run()
+    with pytest.raises(GeometryError, match=f"^vector has 5 entries, not {n}$"):
+        v + e1
+    with pytest.raises(GeometryError, match="^vector has 1 entries, not 5$"):
+        M.g_of(FrameVector.basis(1, 0), FrameVector.basis(1, 0))
+
+
+@pytest.mark.parametrize("rows, cols", [(7, 7), (3, 5), (5, 3), (5, 7)])
+def test_covariant_derivative_endo_refuses_a_matrix_of_another_size(rows, cols):
+    M = man("heisenberg5")
+    Q = tuple(tuple(Fraction(a == j) for j in range(cols)) for a in range(rows))
+    with pytest.raises(GeometryError, match=f"^a column or row of Q has "
+                                            f"{rows if rows != 5 else cols} "
+                                            f"entries, not 5$"):
+        covariant_derivative_endo(M, M.conn, Q)
 
 
 # -- derived operators ----------------------------------------------------------------
