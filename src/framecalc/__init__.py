@@ -6,10 +6,9 @@ from .scalars import (LinearForm, ParamScalar, Rational, ScalarError,
                       parse_rational, parse_scalar, solve_linear)
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, GeometryError, RicciTensor,
-                       bianchi_defect, covariant_derivative_endo, curvature,
-                       identity_metric, is_killing, jacobi_defect,
-                       levi_civita, lie_derivative_metric, ricci,
-                       ricci_operator, scalar_curvature, validate)
+                       covariant_derivative_endo, curvature, is_killing,
+                       jacobi_defect, levi_civita, lie_derivative_metric,
+                       ricci, ricci_operator, scalar_curvature, validate)
 from .contact import (AlmostContactData, ContactError, check_almost_contact,
                       check_contact_metric, check_curvature_identity,
                       check_normality, check_reeb_ricci, check_sasakian,
@@ -37,7 +36,7 @@ __all__ = [
     "GeometryError", "GradientData", "IntegrabilityError", "LambdaSolve",
     "LedgerEntry", "LinearForm", "ManifoldDocument", "ParamScalar",
     "ParseError", "Rational", "RicciTensor", "ScalarError", "SolitonError",
-    "SolitonFlavor", "SolveError", "bianchi_defect", "builtin_names",
+    "SolitonFlavor", "SolveError", "builtin_names",
     "check_almost_contact", "check_contact_metric",
     "check_curvature_identity", "check_distribution_gradient",
     "check_gradient_curvature_identity", "check_lambda_f_constant",
@@ -45,7 +44,7 @@ __all__ = [
     "combine", "concurrent_check", "concurrent_soliton_constants",
     "covariant_derivative_endo", "curvature", "d_eta", "derive_phi",
     "distribution_constant", "format_rational", "gradient_soliton_residual",
-    "gradient_vector", "hessian", "identity_metric", "integrability_defects",
+    "gradient_vector", "hessian", "integrability_defects",
     "is_killing", "jacobi_defect", "levi_civita", "lie_derivative_metric",
     "load_builtin", "nijenhuis", "parse_manifold", "parse_rational",
     "parse_scalar", "parse_vector_text", "render_manifold", "ricci",

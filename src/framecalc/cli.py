@@ -160,11 +160,12 @@ _RIEM = "R(e{},e{})e{}"
 _RIC = "ric[{}][{}]"
 
 
-def _table_report(title: str, label: str, table, rows: dict, show,
+def _table_report(title: str, label: str, rows: dict, show, zero,
                   expected) -> CheckReport:
-    """A passing item per entry of rows (table's nonzero rational entries),
-    printed by show in index order, and a ledger record per expected (*index,
-    value, source) that table.entry, read for these alone, does not give."""
+    """A passing item per entry of rows (a table's nonzero rational entries),
+    printed by show in index order, and a ledger record, both sides printed
+    by show, per expected (*index, value, source) whose value is not the
+    row at its index, zero where rows has none."""
     def name(idx):
         return label.format(*(i + 1 for i in idx))
 
@@ -172,10 +173,10 @@ def _table_report(title: str, label: str, table, rows: dict, show,
     for idx in sorted(rows):
         report.add(f"{name(idx)} = {show(rows[idx])}", True)
     for *idx, want, src in expected:
-        got = table.entry(*idx)
+        got = rows.get(tuple(idx), zero)
         if got != want:
-            report.add_ledger(src, f"{name(idx)} = {want}",
-                              f"{name(idx)} = {got}")
+            report.add_ledger(src, f"{name(idx)} = {show(want)}",
+                              f"{name(idx)} = {show(got)}")
     return report
 
 
@@ -239,20 +240,20 @@ def _solve_lambda_report(doc: ManifoldDocument, X: FrameVector,
 
 def _connection(doc: ManifoldDocument, args=None) -> CheckReport:
     M = doc.manifold
-    return _table_report(f"{M.name} connection", _NABLA, M.conn, M.conn.gamma,
-                         render_vector, doc.expected.nabla)
+    return _table_report(f"{M.name} connection", _NABLA, M.conn.gamma,
+                         render_vector, {}, doc.expected.nabla)
 
 
 def _curvature(doc: ManifoldDocument, args=None) -> CheckReport:
     M = doc.manifold
-    return _table_report(f"{M.name} curvature", _RIEM, M.riem, M.riem.comp,
-                         render_vector, doc.expected.riem)
+    return _table_report(f"{M.name} curvature", _RIEM, M.riem.comp,
+                         render_vector, {}, doc.expected.riem)
 
 
 def _ricci(doc: ManifoldDocument, args=None) -> CheckReport:
     M = doc.manifold
-    return _table_report(f"{M.name} ricci", _RIC, M.ric, M.ric.ric,
-                         format_rational, doc.expected.ricci)
+    return _table_report(f"{M.name} ricci", _RIC, M.ric.ric,
+                         format_rational, 0, doc.expected.ricci)
 
 
 def _check_contact(doc: ManifoldDocument, args=None) -> CheckReport:

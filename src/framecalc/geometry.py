@@ -16,7 +16,8 @@ tables are built only when read. Kernels cost time in proportion to the
 nonzero entries they combine, and so do the checks (validate here,
 contact.py), which list their defects through one comparer, compare. One
 elimination per manifold gives g^{-1} and the leading minors. Every vector
-text is rendered from a sparse map (render_vector). ParamScalar and
+text is rendered from a sparse map (render_vector), as are the parser's
+expect nabla and riem values, maps {k: int | Fraction}. ParamScalar and
 FrameVector appear only in the accessors and where a caller's field or
 scalar brings in parameters, split by monomial (by_monomial) for the kernels.
 """
@@ -202,17 +203,6 @@ def _bareiss(a: list) -> tuple:
     return sign * prev, minors
 
 
-def leading_minor_determinants(g: Matrix) -> list:
-    """Determinants of the leading principal k x k submatrices, k = 1..m,
-    of g as a frame metric (FrameManifold.elimination)."""
-    return [as_fraction(x) for x in FrameManifold("", len(g), {}, g).elimination[0]]
-
-
-def invert_matrix(g: Matrix) -> Matrix:
-    """Exact inverse adj / det by fraction-free Gauss-Jordan elimination."""
-    return FrameManifold("", len(g), {}, g).g_inv
-
-
 # -- vectors -----------------------------------------------------------------
 
 def render_vector(coeffs: dict) -> str:
@@ -269,21 +259,6 @@ class FrameVector(Record):
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
-
-    def __add__(self, other: "FrameVector") -> "FrameVector":
-        check_lengths(self.dim, "vector", other.dim)
-        return FrameVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "FrameVector") -> "FrameVector":
-        check_lengths(self.dim, "vector", other.dim)
-        return FrameVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "FrameVector":
-        return FrameVector(tuple(-a for a in self.coeffs))
-
-    def scaled(self, s) -> "FrameVector":
-        s = _as_scalar(s)
-        return FrameVector(tuple(s * a for a in self.coeffs))
 
     def rational_coeffs(self) -> tuple:
         return tuple(c.constant_value() for c in self.coeffs)
@@ -365,10 +340,9 @@ class FrameManifold:
     @cached_property
     def elimination(self) -> tuple:
         """(minors, inverse) from one fraction-free elimination of [g | I]:
-        the leading minors of g, ints where g is integral (after a zero one,
-        each from an elimination of its own), and g^{-1} as integer columns
-        {j: {i: int}} over the least d > 0, (cols, d), or None if g is
-        singular."""
+        the leading minors of g up to the first zero one, ints where g is
+        integral, and g^{-1} as integer columns {j: {i: int}} over the least
+        d > 0, (cols, d), or None if g is singular."""
         (cols, d), n = self.g_int, self.dim
         aug = [[0] * (2 * n) for _ in range(n)]  # [a | I], a = d g
         for j, col in cols.items():
@@ -376,9 +350,6 @@ class FrameManifold:
             for i, x in col.items():
                 aug[i][j] = x
         det, minors = _bareiss(aug)
-        minors += [_bareiss([[cols[j].get(i, 0) for j in range(k)]
-                             for i in range(k)])[0]
-                   for k in range(len(minors) + 1, n + 1)]
         if d > 1:
             minors = [Fraction(x, d ** k) for k, x in enumerate(minors, start=1)]
         if not det:
@@ -424,19 +395,6 @@ class FrameManifold:
     def bracket(self, i: int, j: int) -> FrameVector:
         return vector_of(self.dim, self.brackets.get((i, j), {}))
 
-    def bracket_vec(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        table, dc = self.brackets_int
-        return field_map(self.dim, lambda x, y: (bracket_sum(table, x, y), dc), x, y)
-
-    def g_of(self, x: FrameVector, y: FrameVector) -> ParamScalar:
-        check_lengths(self.dim, "vector", x.dim, y.dim)
-        total = ZERO
-        for b, col in self.g_cols.items():
-            for a, gab in col.items():
-                if not x.coeffs[a].is_zero():
-                    total = total + x.coeffs[a] * y.coeffs[b] * gab
-        return total
-
     def __eq__(self, other):
         if not isinstance(other, FrameManifold):
             return NotImplemented
@@ -445,11 +403,6 @@ class FrameManifold:
 
     def __repr__(self):
         return f"FrameManifold({self.name!r}, dim={self.dim})"
-
-
-def identity_metric(dim: int):
-    zeros = (Fraction(0),) * dim  # one Fraction per distinct entry
-    return tuple(zeros[:i] + (Fraction(1),) + zeros[i + 1:] for i in range(dim))
 
 
 def bracket_sum(table: dict, x: dict, y: dict) -> dict:
@@ -649,13 +602,6 @@ class CurvatureTensor(Record):
     def entry(self, i: int, j: int, k: int) -> FrameVector:
         return vector_of(self.manifold.dim, self.comp.get((i, j, k), {}))
 
-    def lowered(self, i: int, j: int, k: int, l: int) -> ParamScalar:
-        """R(e_i, e_j, e_k, e_l) = g(R(e_i, e_j) e_k, e_l)."""
-        col = self.manifold.g_cols[l]
-        return ParamScalar.rational(sum(
-            (x * col.get(a, 0) for a, x in self.comp.get((i, j, k), {}).items()),
-            Fraction(0)))
-
     def apply_int(self, x: dict, y: dict, z: dict) -> tuple:
         """(numerators, d): R(x, y) z for integer maps, straight from the
         integer Gamma over dg and c over dc, with d = dg^2 dc."""
@@ -710,11 +656,6 @@ def _curvature_components(M: FrameManifold, conn: ConnectionTable) -> dict:
             for k, row_ak in by_first.get(a, ()):
                 add_to(acc, (i, j, k), row_ak, -dg * x)
     return divided_rows(acc, dg * dg * dc)
-
-
-def bianchi_defect(R: CurvatureTensor, i: int, j: int, k: int) -> FrameVector:
-    """R(e_i,e_j)e_k + R(e_j,e_k)e_i + R(e_k,e_i)e_j (first Bianchi sum)."""
-    return R.entry(i, j, k) + R.entry(j, k, i) + R.entry(k, i, j)
 
 
 class RicciTensor(Record):

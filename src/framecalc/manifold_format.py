@@ -29,6 +29,8 @@ groups, an expect lambda scalar-expr read by Scanner.scalar, as
 parse_scalar reads it. An integer literal is read as an int and only a/b
 as a Fraction, and the brackets, the metric and phi go to FrameManifold and
 AlmostContactData as the integer tables the kernels read, in final order.
+An expect nabla or riem value is kept as the map {k: int | Fraction} of
+its nonzero coefficients, k ascending, as the table reports read it.
 
 A line the pattern rejects, or whose limits or rules fail, is cut at its
 comment and read again by the token methods of _Scanner, a subclass of
@@ -65,8 +67,8 @@ class ParseError(ValueError):
 class ExpectedValues(Record):
     def __init__(self, nabla: tuple = (), riem: tuple = (),
                  ricci: tuple = (), lam: tuple = ()):
-        self.nabla = nabla  # (i, j, FrameVector, source)
-        self.riem = riem    # (i, j, k, FrameVector, source)
+        self.nabla = nabla  # (i, j, {k: int | Fraction}, source)
+        self.riem = riem    # (i, j, k, {k: int | Fraction}, source)
         self.ricci = ricci  # (i, j, int or Fraction, source)
         self.lam = lam      # (ParamScalar, source)
 
@@ -416,8 +418,6 @@ class _Document:
             self.metric_mode = "entries"
             self.metric_entries[i, j] = self.metric_entries[j, i] = value
         elif kind in _EXPECT_KINDS:
-            if kind in ("nabla", "riem"):
-                value = vector_of(self.dim, value)
             self.expected[kind].append((*fields, value, source))
         elif kind == "bracket":
             i, j = fields
@@ -511,7 +511,7 @@ def render_manifold(doc: ManifoldDocument) -> str:
                           ("riem", doc.expected.riem)):
         for *idx, v, src in entries:
             frames = " ".join(f"e{i + 1}" for i in idx)
-            lines.append(f"expect {kind} {frames} = {v.render()} "
+            lines.append(f"expect {kind} {frames} = {render_vector(v)} "
                          f"source \"{src}\"")
     for i, j, q, src in doc.expected.ricci:
         lines.append(f"expect ricci {i + 1} {j + 1} = {format_rational(q)} "

@@ -123,8 +123,8 @@ def _monomial(name: str, exp: str | None, rest: str) -> Monomial | None:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render as "a/b", omitting the denominator when it is 1."""
-    q = Fraction(q)
+    """Render an int or a Fraction as "a/b", omitting the denominator when
+    it is 1; both hold their lowest terms, so neither is built again."""
     try:
         if q.denominator == 1:
             return str(q.numerator)

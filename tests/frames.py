@@ -220,6 +220,13 @@ def dense_of(table: dict, m: int) -> list:
     return c
 
 
+def dense_curvature(comp: dict, m: int) -> list:
+    """R[i][j][k][l] of a table {(i, j, k): {l: R_ijk^l}}, as oracle.lower
+    takes it."""
+    return [dense_of({(j, k): row for (a, j, k), row in comp.items() if a == i}, m)
+            for i in range(m)]
+
+
 @st.composite
 def contact_frames(draw) -> tuple:
     """(table, g, phi, xi) with an invertible rational metric g: H_3 or H_5

@@ -22,6 +22,7 @@ from frames import (MALFORMED_SCALARS, change_frame, document,
 from framecalc.catalog import FIXTURES, load_builtin
 from framecalc.cli import main
 from framecalc.geometry import FrameVector
+from framecalc.manifold_format import parse_manifold, render_manifold
 from framecalc.scalars import ParamScalar
 
 
@@ -114,23 +115,69 @@ def test_table_reports_build_no_per_entry_objects(monkeypatch, capsys, tmp_path)
 
 
 def test_a_table_report_builds_objects_for_its_expect_lines_only(monkeypatch, capsys):
-    """heisenberg5's curvature report builds one FrameVector per expect riem
-    line, 18, beyond those the parse builds, and not one per nonzero R
-    entry, 48."""
+    """heisenberg5's expect nabla and riem values (9 and 18) are rational
+    maps, so neither the parse nor the connection, curvature and ricci
+    reports, which compare and print them beside their 12, 48 and 5
+    entries, build a FrameVector or a rational ParamScalar for them; the
+    parse builds one ParamScalar, for the expect lambda line."""
     doc = load_builtin("heisenberg5")
-    expected, m = len(doc.expected.riem), doc.manifold.dim
-    assert (expected, len(doc.manifold.riem.comp)) == (18, 48)
+    assert (len(doc.expected.nabla), len(doc.expected.riem)) == (9, 18)
     calls = counted_constructions(monkeypatch)
-    counts = []
-    for command in ("validate", "curvature"):  # the parse alone, then the report
-        calls.clear()
-        main([command, "--builtin", "heisenberg5"])
-        capsys.readouterr()
-        counts.append({name: calls.count(name)
-                       for name in ("_of", "rational", "FrameVector")})
-    report = {name: n - counts[0][name] for name, n in counts[1].items()}
-    assert report["FrameVector"] == expected
-    assert report["_of"] <= expected * m and report["rational"] <= expected * m
+    for command in ("validate", *TABLE_COMMANDS):  # the parse alone, then each report
+        for fmt in ("text", "json"):
+            calls.clear()
+            assert main([command, "--builtin", "heisenberg5", "--format", fmt]) in (0, 2)
+            capsys.readouterr()
+            assert calls == ["_of"], (command, fmt)
+
+
+def test_verify_paper_example_builds_one_frame_vector(monkeypatch, capsys):
+    """The paper's audit builds one FrameVector, the xi its lambda solves
+    and its Killing check take, and none for its expect lines."""
+    calls = counted_constructions(monkeypatch)
+    assert main(["verify-paper-example"]) == 2
+    capsys.readouterr()
+    assert calls.count("FrameVector") <= 1
+
+
+# heisenberg3 with its expect values spelled otherwise than the reports
+# print them; {riem} and {ricci} are filled in.
+RESPELLED = """\
+manifold h3 dim 3
+bracket e1 e2 = 2e3
+metric identity
+expect nabla e1 e2 = 2/2*e3 + e1 - e1 source "respelled"
+expect riem e1 e2 e1 = {riem} source "respelled"
+expect ricci 3 3 = 4/2 source "respelled"
+expect ricci 1 2 = {ricci} source "respelled"
+"""
+
+
+def test_respelled_expect_values_compare_by_value(tmp_path, capsys):
+    """An expect value matches the computed entry it equals however it is
+    spelled, 0 included where the table holds no entry, and a ledger
+    record prints both sides as the report prints its entries."""
+    matching = RESPELLED.format(riem="6/2e2", ricci="0")
+    altered = RESPELLED.format(riem="5/2e2", ricci="1/3")
+    records = {"curvature": ("R(e1,e2)e1 = 5/2*e2", "R(e1,e2)e1 = 3*e2"),
+               "ricci": ("ric[1][2] = 1/3", "ric[1][2] = 0")}
+    for text, want in ((matching, {}), (altered, records)):
+        path = tmp_path / "h3.txt"
+        path.write_text(text)
+        doc = parse_manifold(text)
+        assert parse_manifold(render_manifold(doc)) == doc
+        for command in TABLE_COMMANDS:
+            pair = want.get(command)
+            code, out, _ = run(capsys, command, "--file", str(path))
+            assert code == (2 if pair else 0), (command, out)
+            assert out.partition("ledger:\n")[2].splitlines() == (
+                [f"  [respelled] expected {pair[0]}; computed {pair[1]}"]
+                if pair else [])
+            code, out, _ = run(capsys, command, "--file", str(path), "--format", "json")
+            assert code == (2 if pair else 0)
+            assert json.loads(out)["ledger"] == (
+                [{"source": "respelled", "expected": pair[0], "computed": pair[1]}]
+                if pair else [])
 
 
 @st.composite

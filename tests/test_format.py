@@ -13,7 +13,7 @@ from frames import MALFORMED_SCALARS, scalar_texts
 from readers import token_reads
 from framecalc.catalog import FIXTURES, builtin_names, load_builtin
 from framecalc.cli import main
-from framecalc.geometry import FrameVector, identity_metric, vector_of
+from framecalc.geometry import FrameVector, vector_of
 from framecalc.manifold_format import (MAX_DIM, ParseError, parse_manifold,
                                        parse_vector_text, render_manifold)
 from framecalc.scalars import (ParamScalar, ScalarError, parse_rational,
@@ -62,7 +62,7 @@ def test_minimal_document():
     doc = parse_manifold(MINIMAL)
     assert doc.manifold.name == "t"
     assert doc.manifold.dim == 2
-    assert doc.manifold.g == identity_metric(2)
+    assert doc.manifold.g == tuple(map(tuple, oracle.ident(2)))
     assert doc.contact is None
     assert doc.expected.is_empty()
 
@@ -127,8 +127,10 @@ def test_expect_blocks_heisenberg5():
     assert lam == ParamScalar.param("p") / 2 + Fraction(9, 5)
     assert src == "lambda after Eq (3.34)"
     assert (0, 0, Fraction(-2), "Eq (3.33)") in e.ricci
-    assert any(i == 0 and j == 1 and v == FrameVector.basis(5, 0)
+    assert any(i == 0 and j == 1 and v == {0: 1}
                and "duplicated assignment" in s for i, j, v, s in e.nabla)
+    assert all(type(x) in (int, Fraction) for *_, v, _ in e.nabla + e.riem
+               for x in v.values())
 
 
 # -- errors with positions --------------------------------------------------------------
@@ -261,9 +263,10 @@ blanks = st.text(" \t", max_size=3)
 @given(st.sampled_from(["nabla e1 e2", "riem e3 e1 e2", "ricci 2 1"]),
        st.data())
 def test_expect_value_reads_its_grammar(frame, data):
-    """An expect nabla or riem line holds what parse_vector_text gives for
-    its value, an expect ricci line what parse_rational gives, or the line
-    fails at the same token with the same message."""
+    """An expect nabla or riem line holds the nonzero coefficients
+    {k: value} of what parse_vector_text gives for its value, an expect
+    ricci line what parse_rational gives, or the line fails at the same
+    token with the same message."""
     ricci = frame.startswith("ricci")
     text = data.draw(rational_texts if ricci else vector_texts)
     prefix = f"expect {frame} ={data.draw(blanks)}"
@@ -276,6 +279,8 @@ def test_expect_value_reads_its_grammar(frame, data):
         message, offset = re.fullmatch(r"(.*) at offset (\d+) in scalar .*",
                                        str(exc), re.S).groups()
     else:
+        if not ricci:
+            want = {k: x for k, x in enumerate(want.rational_coeffs()) if x}
         expected = parse_manifold(doc_text).expected
         entry = (expected.ricci or expected.nabla or expected.riem)[0]
         assert entry[-2:] == (want, "s")
@@ -596,8 +601,8 @@ def document_view(doc):
 def reference_view(ref):
     dim = ref["dim"]
     zero = Fraction(0)
-    g = identity_metric(dim) if ref["metric"] == "identity" else \
-        tuple(map(tuple, ref["metric"]))
+    g = tuple(map(tuple, oracle.ident(dim) if ref["metric"] == "identity"
+                  else ref["metric"]))
     contact = None
     if ref["xi"] is not None:
         contact = (tuple(tuple(ref["phi"].get(j, {}).get(a, zero)
@@ -606,8 +611,7 @@ def reference_view(ref):
     return (ref["name"], dim, frozenset(ref["params"]) | {"p"},
             {key: row for key, row in ref["brackets"].items() if row},
             g, contact,
-            tuple((*idx, vector_of(dim, v), src) for *idx, v, src in ref["nabla"]),
-            tuple((*idx, vector_of(dim, v), src) for *idx, v, src in ref["riem"]),
+            tuple(ref["nabla"]), tuple(ref["riem"]),
             tuple(ref["ricci"]), tuple(ref["lam"]))
 
 

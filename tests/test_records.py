@@ -55,13 +55,18 @@ def test_frozen_records_compare_and_hash_by_value(a, b, c):
 
 
 def test_records_with_tables_compare_by_value_but_do_not_hash():
+    """Documents, connections and expected values that hold expect nabla or
+    riem lines, whose values are maps {k: int | Fraction}, compare by value
+    but do not hash."""
     doc, same = load_builtin("heisenberg5"), load_builtin("heisenberg5")
     assert doc == same
     assert doc != ManifoldDocument(doc.manifold, None, doc.expected)
+    assert doc.expected == same.expected
+    assert doc.expected != ExpectedValues(doc.expected.nabla)
     conn = levi_civita(doc.manifold)
     assert conn == levi_civita(same.manifold)
     assert conn != ConnectionTable(doc.manifold, {}, {})
-    for unhashable in (doc, conn):
+    for unhashable in (doc, doc.expected, conn):
         with pytest.raises(TypeError):
             hash(unhashable)
 

@@ -34,6 +34,19 @@ def test_format_rational():
     assert format_rational(Fraction(-5, 2)) == "-5/2"
     assert format_rational(Fraction(4, 8)) == "1/2"
     assert format_rational(Fraction(0)) == "0"
+    assert format_rational(-7) == "-7" and format_rational(0) == "0"
+
+
+def test_format_rational_builds_no_fraction(monkeypatch):
+    """An int or a Fraction is printed from its own numerator and
+    denominator, without building a Fraction again."""
+    values, built = [Fraction(-5, 2), Fraction(3), 7, Fraction(1, 10 ** 40)], []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw)))
+    assert [format_rational(q) for q in values] == \
+        ["-5/2", "3", "7", "1/" + "1" + "0" * 40]
+    assert built == []
 
 
 def metric_entry(text: str) -> Fraction:
