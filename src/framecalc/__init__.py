@@ -2,8 +2,8 @@
 presented by an orthonormal-style frame with constant structure constants."""
 
 from .scalars import (LinearForm, ParamScalar, Rational, ScalarError,
-                      EvaluationError, SolveError, format_rational,
-                      parse_rational, parse_scalar, solve_linear)
+                      EvaluationError, format_rational, parse_rational,
+                      parse_scalar)
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, GeometryError, RicciTensor,
                        covariant_derivative_endo, curvature, is_killing,
@@ -36,7 +36,7 @@ __all__ = [
     "GeometryError", "GradientData", "IntegrabilityError", "LambdaSolve",
     "LedgerEntry", "LinearForm", "ManifoldDocument", "ParamScalar",
     "ParseError", "Rational", "RicciTensor", "ScalarError", "SolitonError",
-    "SolitonFlavor", "SolveError", "builtin_names",
+    "SolitonFlavor", "builtin_names",
     "check_almost_contact", "check_contact_metric",
     "check_curvature_identity", "check_distribution_gradient",
     "check_gradient_curvature_identity", "check_lambda_f_constant",
@@ -48,6 +48,6 @@ __all__ = [
     "is_killing", "jacobi_defect", "levi_civita", "lie_derivative_metric",
     "load_builtin", "nijenhuis", "parse_manifold", "parse_rational",
     "parse_scalar", "parse_vector_text", "render_manifold", "ricci",
-    "ricci_operator", "scalar_curvature", "solve_linear",
-    "solve_lambda_trace", "soliton_residual", "validate",
+    "ricci_operator", "scalar_curvature", "solve_lambda_trace",
+    "soliton_residual", "validate",
 ]

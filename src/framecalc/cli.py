@@ -14,8 +14,9 @@ from .contact import (ContactError, check_almost_contact,
                       check_contact_metric, check_curvature_identity,
                       check_normality, check_reeb_ricci, check_sasakian)
 from .geometry import (FrameManifold, FrameVector, GeometryError,
-                       RicciTensor, entry_defects, lie_derivative_parts,
-                       render_vector, scalar_curvature, validate)
+                       RicciTensor, entry_defects, integer_map,
+                       lie_derivative_parts, render_vector, scalar_curvature,
+                       validate)
 from .manifold_format import ManifoldDocument, ParseError, parse_manifold
 from .reports import CheckReport, combine
 from .scalars import ScalarError, format_rational, parse_rational, parse_scalar
@@ -188,7 +189,7 @@ def _expected_ricci_tensor(doc: ManifoldDocument) -> RicciTensor:
     for i, j, q, _src in doc.expected.ricci:
         tab[i, j] = q
         tab[j, i] = q
-    return RicciTensor(M, {key: q for key, q in tab.items() if q})
+    return RicciTensor(M, integer_map({key: q for key, q in tab.items() if q}))
 
 
 def _solve_lambda_report(doc: ManifoldDocument, X: FrameVector,

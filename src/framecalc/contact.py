@@ -15,9 +15,10 @@ from functools import cached_property
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, RicciTensor, add_to, apply_columns as _apply,
-                       bracket_sum, columns, compare, dense, divided,
-                       divided_columns, endo_derivative_int, integer_map,
-                       render_vector, vector_of)
+                       bracket_sum, check_indices, check_lengths, columns,
+                       compare, dense, divided, divided_columns,
+                       endo_derivative_int, integer_map, render_vector,
+                       vector_of)
 from .record import Record
 from .reports import PASS, PRECONDITION, CheckItem, CheckReport
 from .scalars import format_rational
@@ -101,6 +102,7 @@ class ContactDerivation:
 
 def d_eta(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> Fraction:
     """d eta(e_i, e_j) = -1/2 eta([e_i, e_j]) for frame-constant eta."""
+    check_indices(M.dim, i, j, error=ContactError)
     eta = D.eta(M)
     return -sum((eta[k] * x for k, x in M.brackets.get((i, j), {}).items()),
                 Fraction(0)) / 2
@@ -173,6 +175,7 @@ def check_sasakian(M: FrameManifold, conn: ConnectionTable,
 def nijenhuis(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> tuple:
     """[phi, phi](e_i, e_j) =
     phi^2 [e_i,e_j] + [phi e_i, phi e_j] - phi[phi e_i, e_j] - phi[e_i, phi e_j]."""
+    check_indices(M.dim, i, j, error=ContactError)
     (cols, dp), (table, dc) = D.on(M).phi_int, M.brackets_int
     n = _apply(cols, _apply(cols, table.get((i, j), {})))
     for sign, v in ((1, bracket_sum(table, cols[i], cols[j])),
@@ -283,6 +286,7 @@ def derive_phi(M: FrameManifold, conn: ConnectionTable, xi) -> tuple:
     """Recover phi from the connection by phi(Y) = -nabla_Y xi, on the
     integer Gamma. On a Sasakian presentation this reproduces the declared
     phi table."""
+    check_lengths(M.dim, "xi", xi, error=ContactError)
     (gamma, dg), (x, dx) = conn.gamma_int, integer_map(dict(enumerate(xi)))
     cols = [bracket_sum(gamma, {j: 1}, x) for j in range(M.dim)]
     return tuple(tuple(Fraction(-col.get(a, 0), dg * dx) for col in cols)

@@ -221,16 +221,25 @@ def render_vector(coeffs: dict) -> str:
     return " + ".join(parts) or "0"
 
 
-def check_lengths(dim: int, what: str, *lengths) -> None:
-    for n in lengths:
-        if n != dim:
-            raise GeometryError(f"{what} has {n} entries, not {dim}")
+def check_lengths(dim: int, what: str, *values, error=GeometryError) -> None:
+    """error("<what> has n entries, not dim") for the first of values of
+    another length n; a value of None (an argument not given) is skipped."""
+    for v in values:
+        if v is not None and len(v) != dim:
+            raise error(f"{what} has {len(v)} entries, not {dim}")
+
+
+def check_indices(dim: int, *indices, error=GeometryError) -> None:
+    """error naming the first of the frame indices outside 0..dim-1."""
+    for i in indices:
+        if not 0 <= i < dim:
+            raise error(f"index {i} out of range 0..{dim - 1}")
 
 
 def field_map(dim: int, kernel, *vectors) -> "FrameVector":
     """by_monomial(kernel, ...) on the coefficient maps of vectors, once each
     has dim entries, as a vector."""
-    check_lengths(dim, "vector", *(v.dim for v in vectors))
+    check_lengths(dim, "vector", *(v.coeffs for v in vectors))
     return vector_of(dim, joined(by_monomial(
         kernel, *(dict(enumerate(v.coeffs)) for v in vectors))))
 
@@ -466,6 +475,7 @@ def entry_defects(parts: dict, limit: int | None = None) -> list:
 def jacobi_defect(M: FrameManifold, i: int, j: int, k: int) -> FrameVector:
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]; zero iff the
     bracket satisfies the Jacobi identity on this triple."""
+    check_indices(M.dim, i, j, k)
     table, dc = M.brackets_int
     out = {}
     for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
@@ -523,18 +533,18 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
 # -- connection, curvature, ricci ---------------------------------------------
 
 class ConnectionTable(Record):
-    """Gamma and the Koszul table; the kernel gives (given) their integer
-    forms (table, d), and either form is built from the other on read."""
+    """Gamma, nabla_{e_i} e_j = sum_k Gamma_ij^k e_k, and the Koszul table,
+    stored only as integer forms (table, d) in lowest terms; gamma and
+    koszul are Fraction views built on read."""
 
-    def __init__(self, manifold: FrameManifold, gamma: dict, koszul: dict):
+    def __init__(self, manifold: FrameManifold, gamma_int: tuple,
+                 koszul_int: tuple):
         self.manifold = manifold
-        self.gamma = gamma    # {(i, j): {k: Gamma_ij^k}}, nabla_{e_i} e_j = Gamma_ij^k e_k
-        self.koszul = koszul  # {(i, j, l): g(nabla_{e_i} e_j, e_l)}
+        self.gamma_int = gamma_int    # {(i, j): {k: Gamma_ij^k * d}}
+        self.koszul_int = koszul_int  # {(i, j, l): g(nabla_{e_i} e_j, e_l) * d}
 
     gamma = cached_property(lambda self: divided_rows(*self.gamma_int))
     koszul = cached_property(lambda self: divided(*self.koszul_int))
-    gamma_int = cached_property(lambda self: integer_rows(self.gamma))
-    koszul_int = cached_property(lambda self: integer_map(self.koszul))
 
     @cached_property
     def lie_int(self) -> tuple:
@@ -583,8 +593,8 @@ def levi_civita(M: FrameManifold) -> ConnectionTable:
     for (i, j, l), x in twice.items():
         if x:
             add_to(raised, (i, j), gi_cols[l], x)
-    return ConnectionTable.given(manifold=M, koszul_int=reduced(twice, 2 * dc * dg),
-                                 gamma_int=reduced_rows(raised, 2 * dc * dg * dgi))
+    return ConnectionTable(M, reduced_rows(raised, 2 * dc * dg * dgi),
+                           reduced(twice, 2 * dc * dg))
 
 
 class CurvatureTensor(Record):
@@ -659,15 +669,14 @@ def _curvature_components(M: FrameManifold, conn: ConnectionTable) -> dict:
 
 
 class RicciTensor(Record):
-    """ric; the kernel gives (given) its integer form (table, d), and either
-    form is built from the other on read."""
+    """ric, stored only as its integer form (table, d) in lowest terms; ric
+    is a Fraction view built on read."""
 
-    def __init__(self, manifold: FrameManifold, ric: dict):
+    def __init__(self, manifold: FrameManifold, ric_int: tuple):
         self.manifold = manifold
-        self.ric = ric  # {(j, k): ric(e_j, e_k)}, nonzero entries only
+        self.ric_int = ric_int  # {(j, k): int}, ric(e_j, e_k) over d, nonzero only
 
     ric = cached_property(lambda self: divided(*self.ric_int))
-    ric_int = cached_property(lambda self: integer_map(self.ric))
 
     def entry(self, j: int, k: int) -> ParamScalar:
         return ParamScalar.rational(self.ric.get((j, k), 0))
@@ -705,7 +714,7 @@ def ricci(M: FrameManifold, R: CurvatureTensor) -> RicciTensor:
             x *= dg
             for k, y in by_first.get((a, i), ()):
                 acc[j, k] = acc.get((j, k), 0) - x * y
-    return RicciTensor.given(manifold=M, ric_int=reduced(acc, dg * dg * dc))
+    return RicciTensor(M, reduced(acc, dg * dg * dc))
 
 
 def scalar_curvature(M: FrameManifold, ric_t: RicciTensor) -> ParamScalar:
@@ -753,7 +762,7 @@ def lie_derivative_metric(M: FrameManifold, conn: ConnectionTable,
                           X: FrameVector) -> tuple:
     """(L_X g)(e_i, e_j) = g(nabla_{e_i} X, e_j) + g(e_i, nabla_{e_j} X),
     one ParamScalar per nonzero entry."""
-    check_lengths(M.dim, "X", X.dim)
+    check_lengths(M.dim, "X", X.coeffs)
     return matrix_of(M.dim, joined(lie_derivative_parts(conn, X)))
 
 
@@ -789,20 +798,19 @@ def endo_derivative_int(conn: ConnectionTable, q: dict, dq: int) -> tuple:
 
 
 def covariant_derivative_endo(M: FrameManifold, conn: ConnectionTable,
-                              Q: tuple) -> tuple:
+                              Q: tuple) -> dict:
     """(nabla_{e_i} Q) e_j = nabla_{e_i}(Q e_j) - Q(nabla_{e_i} e_j) for a
     frame-constant endomorphism Q given column-wise (Q[a][j] = coeff of e_a
-    in Q e_j). Returns a table [i][j] of FrameVector."""
-    m = M.dim
-    check_lengths(m, "a column or row of Q", len(Q), *map(len, Q))
+    in Q e_j), as its nonzero rows {(i, j): {k: ParamScalar}}, in ascending
+    order: endo_derivative_int run on each monomial part of Q."""
+    check_lengths(M.dim, "a column or row of Q", Q, *Q)
 
     def kernel(q: dict) -> tuple:
         table, d = endo_derivative_int(conn, q, 1)
         return {(i, j, k): x for (i, j), row in table.items()
                 for k, x in row.items()}, d
     q = {(a, j): x for a, row in enumerate(Q) for j, x in enumerate(row)}
-    cols: dict = {}
-    for (i, j, k), x in joined(by_monomial(kernel, q)).items():
-        cols.setdefault((i, j), {})[k] = x
-    return tuple(tuple(vector_of(m, cols.get((i, j), {})) for j in range(m))
-                 for i in range(m))
+    rows: dict = {}
+    for (i, j, k), x in sorted(joined(by_monomial(kernel, q)).items()):
+        rows.setdefault((i, j), {})[k] = x
+    return rows

@@ -1,5 +1,5 @@
 """Exact scalar arithmetic: rationals, sparse polynomials in named parameters,
-and linear forms in a single unknown.
+and the printed form of a linear equation in one unknown (LinearForm).
 
 Rationals are stdlib fractions.Fraction (arbitrary precision, auto-normalized
 to lowest terms with positive denominator); no floats anywhere.
@@ -55,12 +55,6 @@ class ScalarError(ValueError):
 
 class EvaluationError(ScalarError):
     pass
-
-
-class SolveError(ScalarError):
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
 
 
 # Scanner tokens, matched in place at the scan position.
@@ -622,17 +616,3 @@ class LinearForm(Record):
 
     def equation_str(self, unknown: str = "lambda") -> str:
         return f"{format_rational(self.coefficient)}*{unknown} = {(-self.remainder).render()}"
-
-
-def solve_linear(form: LinearForm) -> ParamScalar:
-    """Solve coefficient * x + remainder == 0 for x.
-
-    Zero coefficient with nonzero remainder is inconsistent; zero coefficient
-    with zero remainder is underdetermined.
-    """
-    if form.coefficient == 0:
-        if form.remainder.is_zero():
-            raise SolveError("underdetermined", "underdetermined: 0 = 0")
-        raise SolveError("inconsistent",
-                         f"inconsistent: {form.remainder} = 0 has no solution")
-    return (-form.remainder) / ParamScalar.rational(form.coefficient)

@@ -36,9 +36,10 @@ from math import lcm
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, RicciTensor, add_to, apply_columns,
-                       bracket_sum, compare, divided, endo_derivative_int,
-                       entry_defects, integer_map, joined, lie_derivative_parts,
-                       matrix_of, ricci_operator_int, vector_of)
+                       bracket_sum, check_lengths, compare, divided,
+                       endo_derivative_int, entry_defects, integer_map, joined,
+                       lie_derivative_parts, matrix_of, ricci_operator_int,
+                       vector_of)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import (LinearForm, ParamScalar, ScalarError, format_rational,
@@ -88,13 +89,6 @@ def _scale(flavor: SolitonFlavor, lam: ParamScalar, m: int) -> dict:
     return {mono: 2 * c for mono, c in _gradient_scale(flavor, lam, m).items()}
 
 
-def _field(M: FrameManifold, X: FrameVector, what: str = "X") -> tuple:
-    """X's coefficients, once X has one per frame vector."""
-    if X.dim != M.dim:
-        raise SolitonError(f"{what} has {X.dim} entries, not {M.dim}")
-    return X.coeffs
-
-
 def soliton_residual(M: FrameManifold, conn: ConnectionTable, ric_t: RicciTensor,
                      X: FrameVector, lam: ParamScalar,
                      flavor: SolitonFlavor) -> tuple:
@@ -108,7 +102,7 @@ def soliton_residual_parts(M: FrameManifold, conn: ConnectionTable,
                            ric_t: RicciTensor, X: FrameVector,
                            lam: ParamScalar, flavor: SolitonFlavor) -> dict:
     """soliton_residual as integer parts {monomial: ({(i, j): int}, d)}."""
-    _field(M, X)
+    check_lengths(M.dim, "X", X.coeffs, error=SolitonError)
     return _residual_parts(M, lie_derivative_parts(conn, X), ric_t.ric_int, 2,
                            _scale(flavor, lam, M.dim))
 
@@ -168,7 +162,7 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     residual vanishes at the solved lambda, else trace_only; the residual
     is built from this solve's L_X g on the first read of .residual."""
     m = M.dim
-    coeffs = _field(M, X)
+    check_lengths(m, "X", X.coeffs, error=SolitonError)
     table, dc = M.brackets_int
     tr_ad = {}  # {a: tr ad_{e_a} * dc}, from the diagonal entries c_ak^k
     for (a, k), row in table.items():
@@ -180,7 +174,7 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     ric, dr = ric_t.ric_int
     tr = {(): Fraction(2 * sum(x * gi_cols[j].get(i, 0)
                                for (i, j), x in ric.items()), dr * dgi)}
-    for mono, part in monomial_parts({a: coeffs[a] for a in tr_ad}).items():
+    for mono, part in monomial_parts({a: X.coeffs[a] for a in tr_ad}).items():
         t = Fraction(-2, dc) * sum(x * tr_ad[a] for a, x in part.items())
         tr[mono] = tr.get(mono, 0) + t
     # tr == m * s with s = 2 lambda - shift, so lambda = (s + shift) / 2 and
@@ -253,18 +247,10 @@ class GradientData(Record):
                    None if dlambda is None else tuple(Fraction(x) for x in dlambda))
 
 
-def _sized(M: FrameManifold, df, dlambda=None):
-    """df, once it and any dlambda have one entry per frame vector."""
-    for what, v in (("df", df), ("dlambda", dlambda)):
-        if v is not None and len(v) != M.dim:
-            raise SolitonError(f"{what} has {len(v)} entries, not {M.dim}")
-    return df
-
-
 def integrability_defects(M: FrameManifold, df) -> list:
     """Pairs (i, j) with sum_k df[k] c[i][j][k] nonzero. A frame-constant df
     is a genuine differential only when all of these vanish."""
-    _sized(M, df)
+    check_lengths(M.dim, "df", df, error=SolitonError)
     out = []
     for (i, j), row in M.brackets.items():
         if i < j:
@@ -290,7 +276,8 @@ def _hessian_int(conn: ConnectionTable, df) -> tuple:
 
 def hessian(M: FrameManifold, conn: ConnectionTable, df) -> tuple:
     """Hess f as an exact matrix."""
-    return matrix_of(M.dim, divided(*_hessian_int(conn, _sized(M, df))))
+    check_lengths(M.dim, "df", df, error=SolitonError)
+    return matrix_of(M.dim, divided(*_hessian_int(conn, df)))
 
 
 def _gradient_int(M: FrameManifold, df) -> tuple:
@@ -302,14 +289,17 @@ def _gradient_int(M: FrameManifold, df) -> tuple:
 
 def gradient_vector(M: FrameManifold, df) -> FrameVector:
     """Df = g^{-1} df, the metric dual of the differential."""
-    return vector_of(M.dim, divided(*_gradient_int(M, _sized(M, df))))
+    check_lengths(M.dim, "df", df, error=SolitonError)
+    return vector_of(M.dim, divided(*_gradient_int(M, df)))
 
 
 def gradient_soliton_residual(M: FrameManifold, conn: ConnectionTable,
                               ric_t: RicciTensor, gd: GradientData,
                               lam: ParamScalar, flavor: SolitonFlavor) -> tuple:
     """Hess f + ric - s' g; df must be integrable."""
-    if bad := integrability_defects(M, _sized(M, gd.df, gd.dlambda)):
+    check_lengths(M.dim, "df", gd.df, error=SolitonError)
+    check_lengths(M.dim, "dlambda", gd.dlambda, error=SolitonError)
+    if bad := integrability_defects(M, gd.df):
         raise IntegrabilityError(bad)
     return matrix_of(M.dim, joined(gradient_residual_parts(M, conn, ric_t, gd,
                                                            lam, flavor)))
@@ -332,7 +322,8 @@ def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
     R(X, Y) Df = (X lambda) Y - (Y lambda) X - (nabla_X Q) Y + (nabla_Y Q) X
     with Q the Ricci operator. The soliton equation itself is the hypothesis:
     a nonzero residual is a precondition violation, not a failure."""
-    _sized(M, gd.df, gd.dlambda)
+    check_lengths(M.dim, "df", gd.df, error=SolitonError)
+    check_lengths(M.dim, "dlambda", gd.dlambda, error=SolitonError)
     report = CheckReport(f"{M.name} gradient curvature identity")
     if gd.dlambda is None:
         report.add_item(CheckItem("dlambda supplied", PRECONDITION,
@@ -399,7 +390,8 @@ def check_distribution_gradient(M: FrameManifold, D, gd: GradientData,
     exactly p/2 and dlambda vanishes, df itself must vanish there."""
     m = M.dim
     k = distribution_constant(m)
-    _sized(M, gd.df, gd.dlambda)
+    check_lengths(M.dim, "df", gd.df, error=SolitonError)
+    check_lengths(M.dim, "dlambda", gd.dlambda, error=SolitonError)
     report = CheckReport(f"{M.name} distribution gradient check "
                          f"(k = {format_rational(k)})")
     if gd.dlambda is None:
@@ -429,7 +421,8 @@ def check_distribution_gradient(M: FrameManifold, D, gd: GradientData,
 
 def check_lambda_f_constant(M: FrameManifold, gd: GradientData) -> CheckReport:
     """df + dlambda = 0 in every frame direction, i.e. lambda + f is constant."""
-    _sized(M, gd.df, gd.dlambda)
+    check_lengths(M.dim, "df", gd.df, error=SolitonError)
+    check_lengths(M.dim, "dlambda", gd.dlambda, error=SolitonError)
     report = CheckReport(f"{M.name} lambda + f constancy")
     if gd.dlambda is None:
         report.add_item(CheckItem("dlambda supplied", PRECONDITION,
@@ -452,7 +445,7 @@ def concurrent_check(M: FrameManifold, conn: ConnectionTable, V: FrameVector,
     vectors can only satisfy this through the connection table, which the
     check verifies directly; with assume_concurrent the substitution
     nabla_{e_i} V := e_i is made instead and L_V g = 2 g is verified."""
-    _field(M, V, "V")
+    check_lengths(M.dim, "V", V.coeffs, error=SolitonError)
     report = CheckReport(f"{M.name} concurrent field check")
     if assume_concurrent:
         report.add_item(CheckItem("nabla_{e_i} V = e_i", "pass",

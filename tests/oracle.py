@@ -625,6 +625,12 @@ _PRE = "precondition_violated"
 IDENTITY = "R(X,Y)Df = (X lam)Y - (Y lam)X - (nabla_X Q)Y + (nabla_Y Q)X"
 
 
+def endo_derivative(gamma, Q, i, j):
+    """(nabla_i Q) e_j = nabla_i (Q e_j) - Q (nabla_i e_j) for an
+    endomorphism given column-wise, Q[a][j] the coefficient of e_a in Q e_j."""
+    return _sub(nabla(gamma, i, _column(Q, j)), _matvec(Q, gamma[i][j]))
+
+
 def gradient_identity_defects(c, g, gamma, ric, df, dlambda):
     """The pairs (i, j) where R(e_i, e_j) Df differs from dlambda_i e_j -
     dlambda_j e_i - (nabla_i Q) e_j + (nabla_j Q) e_i, with Df = g^{-1} df
@@ -636,9 +642,6 @@ def gradient_identity_defects(c, g, gamma, ric, df, dlambda):
     Q = [[sum(gi[a][l] * ric[l][j] for l in range(n)) for j in range(n)]
          for a in range(n)]
 
-    def dQ(i, j):  # (nabla_i Q) e_j = nabla_i (Q e_j) - Q (nabla_i e_j)
-        return _sub(nabla(gamma, i, _column(Q, j)), _matvec(Q, gamma[i][j]))
-
     bad = []
     for i in range(n):
         for j in range(n):
@@ -647,7 +650,8 @@ def gradient_identity_defects(c, g, gamma, ric, df, dlambda):
                         for k in range(n)])
             rhs = _sub(_sub(_scaled(basis(n, j), dlambda[i]),
                             _scaled(basis(n, i), dlambda[j])),
-                       _sub(dQ(i, j), dQ(j, i)))
+                       _sub(endo_derivative(gamma, Q, i, j),
+                            endo_derivative(gamma, Q, j, i)))
             diff = _sub(lhs, rhs)
             if any(diff):
                 bad.append(f"({i + 1},{j + 1}): {render_vector(diff)}")

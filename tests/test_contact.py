@@ -92,6 +92,15 @@ def test_d_eta_values():
     assert d_eta(M, D, 0, 2) == 0
 
 
+@pytest.mark.parametrize("i, j, bad", [(0, 9, 9), (-1, 0, -1), (5, 1, 5)])
+def test_d_eta_refuses_an_index_out_of_range(i, j, bad):
+    """An index past either end of the frame is named with the range, not
+    read as a zero bracket."""
+    M, D, _ = setup_h5()
+    with pytest.raises(ContactError, match=f"^index {bad} out of range 0..4$"):
+        d_eta(M, D, i, j)
+
+
 # -- sasakian ------------------------------------------------------------------------
 
 def test_h5_sasakian_passes():
@@ -130,6 +139,15 @@ def test_nijenhuis_values_h5():
     # [phi,phi](e1,e2) = phi^2[e1,e2] = -2 e3 ... cancelled by 2 d eta xi = -2 e3
     assert nijenhuis(M, D, 0, 1) == (0, 0, 2, 0, 0)
     assert d_eta(M, D, 0, 1) * 2 == -2
+
+
+@pytest.mark.parametrize("i, j, bad", [(0, 9, 9), (-1, 0, -1), (5, 1, 5)])
+def test_nijenhuis_refuses_an_index_out_of_range(i, j, bad):
+    """An index past either end of the frame is named with the range, not a
+    bare KeyError or a wrapped-around row."""
+    M, D, _ = setup_h5()
+    with pytest.raises(ContactError, match=f"^index {bad} out of range 0..4$"):
+        nijenhuis(M, D, i, j)
 
 
 def test_flipped_phi_still_normal_but_not_contact_metric():
@@ -213,6 +231,16 @@ def test_derive_phi_h3():
     doc = load_builtin("heisenberg3")
     M, D = doc.manifold, doc.contact
     assert derive_phi(M, levi_civita(M), D.xi) == D.phi
+
+
+@pytest.mark.parametrize("xi", [(0, 0, 1), (0, 0, 1, 0, 0, 5, 7)])
+def test_derive_phi_refuses_a_xi_of_another_length(xi):
+    """A xi with fewer or more entries than the frame is refused with both
+    lengths named, instead of giving a phi of the frame's size."""
+    M, _, conn = setup_h5()
+    xi = tuple(Fraction(x) for x in xi)
+    with pytest.raises(ContactError, match=f"^xi has {len(xi)} entries, not 5$"):
+        derive_phi(M, conn, xi)
 
 
 # -- the swept checks against per-pair references ----------------------------------

@@ -20,7 +20,8 @@ from framecalc.contact import AlmostContactData
 from framecalc.geometry import (ConnectionTable, FrameManifold, FrameVector,
                                 GeometryError, RicciTensor, compare,
                                 covariant_derivative_endo, curvature,
-                                is_killing, jacobi_defect, levi_civita,
+                                integer_map, integer_rows, is_killing,
+                                jacobi_defect, levi_civita,
                                 lie_derivative_metric, render_vector, ricci,
                                 ricci_operator, scalar_curvature, validate)
 from framecalc.manifold_format import parse_manifold
@@ -116,7 +117,8 @@ def test_parametric_arguments_split_by_monomial():
     """R.apply, nabla_vec and covariant_derivative_endo on parametric
     arguments equal the sums of their rational parts, including the parts
     that two combinations of monomials share (p * 1 and 1 * p); the sums
-    are taken on the coefficient tuples with ParamScalar arithmetic."""
+    are taken on the coefficient tuples, or on the sparse rows of nabla Q,
+    with ParamScalar arithmetic."""
     M = parse_manifold(documents()["dense5"]).manifold
     conn = levi_civita(M)
     R = curvature(M, conn)
@@ -147,8 +149,14 @@ def test_parametric_arguments_split_by_monomial():
     dq = covariant_derivative_endo(M, conn, Q)
     da = covariant_derivative_endo(M, conn, A)
     db = covariant_derivative_endo(M, conn, B)
-    assert all(dq[i][j].coeffs == combination((P, da[i][j]), (1, db[i][j]))
-               for i in range(5) for j in range(5))
+    zero, want = ParamScalar.rational(0), {}
+    for key in da.keys() | db.keys():
+        a, b = da.get(key, {}), db.get(key, {})
+        row = {k: x for k in a.keys() | b.keys()
+               if not (x := P * a.get(k, zero) + b.get(k, zero)).is_zero()}
+        if row:
+            want[key] = row
+    assert dq and dq == want
 
 
 def test_validate_pass():
@@ -231,6 +239,16 @@ def test_jacobi_defect_values():
         for j in range(5):
             for k in range(5):
                 assert jacobi_defect(H, i, j, k).is_zero()
+
+
+@pytest.mark.parametrize("i, j, k, bad", [(0, 1, 9, 9), (7, 1, 2, 7),
+                                          (0, -1, 2, -1), (5, 0, 0, 5)])
+def test_jacobi_defect_refuses_an_index_out_of_range(i, j, k, bad):
+    """An index past either end of the frame is named with the range, not
+    read as a zero bracket."""
+    with pytest.raises(GeometryError,
+                       match=f"^index {bad} out of range 0..4$"):
+        jacobi_defect(man("heisenberg5"), i, j, k)
 
 
 # -- matrix helpers ---------------------------------------------------------------
@@ -421,7 +439,8 @@ def test_dense_and_sparse_metrics_give_one_manifold(case, zeros, rng):
     eliminations, integer forms and strict validate texts; the dense view g
     is the matrix given. Where the metric is invertible, the kernels'
     connection and Ricci tensor, stored on ints, equal the records built
-    from their own Fraction tables, integer forms and key order included."""
+    from what integer_rows and integer_map make of their Fraction views,
+    integer forms and key order included."""
     table, g = case
     n = len(g)
     entries = [((i, j), x) for i, row in enumerate(g) for j, x in enumerate(row)
@@ -447,8 +466,9 @@ def test_dense_and_sparse_metrics_give_one_manifold(case, zeros, rng):
     conn = levi_civita(sparse)
     ric = ricci(sparse, curvature(sparse, conn))
     assert "gamma" not in vars(conn) and "ric" not in vars(ric)
-    again = ConnectionTable(sparse, conn.gamma, conn.koszul)
-    ric_again = RicciTensor(sparse, ric.ric)
+    again = ConnectionTable(sparse, integer_rows(conn.gamma),
+                            integer_map(conn.koszul))
+    ric_again = RicciTensor(sparse, integer_map(ric.ric))
     assert conn == again and ric == ric_again
     for attr in ("gamma_int", "koszul_int", "lie_int"):
         assert ordered(getattr(conn, attr)) == ordered(getattr(again, attr)), attr
@@ -862,14 +882,59 @@ def test_covariant_derivative_of_ricci_operator():
     conn = levi_civita(M)
     ric = ricci(M, curvature(M, conn))
     dq = covariant_derivative_endo(M, conn, ricci_operator(M, ric))
-    nonzero = {(i, j): v for i in range(5) for j in range(5)
-               for v in [dq[i][j]] if not v.is_zero()}
-    assert nonzero == {
-        (0, 1): vec(0, 0, -6, 0, 0), (0, 2): vec(0, -6, 0, 0, 0),
-        (1, 0): vec(0, 0, 6, 0, 0), (1, 2): vec(6, 0, 0, 0, 0),
-        (3, 2): vec(0, 0, 0, 0, -6), (3, 4): vec(0, 0, -6, 0, 0),
-        (4, 2): vec(0, 0, 0, 6, 0), (4, 3): vec(0, 0, 6, 0, 0),
-    }
+    assert list(dq.items()) == [
+        ((0, 1), {2: sc(-6)}), ((0, 2), {1: sc(-6)}),
+        ((1, 0), {2: sc(6)}), ((1, 2), {0: sc(6)}),
+        ((3, 2), {4: sc(-6)}), ((3, 4), {2: sc(-6)}),
+        ((4, 2), {3: sc(6)}), ((4, 3), {2: sc(6)}),
+    ]
+
+
+def endo_terms(rows: dict) -> dict:
+    """{(i, j): {k: {monomial: Fraction}}} of covariant_derivative_endo's
+    rows, each entry as its polynomial's terms."""
+    return {key: {k: x.terms() for k, x in row.items()}
+            for key, row in rows.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(lie_algebras().filter(lambda cg: len(cg[1]) <= 7), st.data())
+def test_covariant_derivative_endo_matches_the_naive_nabla_q(case, data):
+    """The sparse rows of nabla Q, in ascending (i, j) and k order, hold
+    exactly the nonzero entries of oracle.endo_derivative over every pair
+    (i, j), on random frames with m <= 7: for a rational Q, and for
+    Q = p A + B, whose entries carry p times A's and B's naive entries."""
+    c, g = case
+    m = len(g)
+    M = FrameManifold("f", m, table_of(c), g)
+    gamma = dense_of(M.conn.gamma, m)
+    square = st.lists(st.lists(coefficients, min_size=m, max_size=m),
+                      min_size=m, max_size=m)
+    A, B = ([[Fraction(x) for x in row] for row in data.draw(square)]
+            for _ in range(2))
+    p = (("p", 1),)
+
+    def naive(*parts) -> dict:
+        """{(i, j): {k: {monomial: Fraction}}}, one term per (monomial, Q)."""
+        out = {}
+        for i, j in product(range(m), repeat=2):
+            row = {}
+            for mono, Q in parts:
+                for k, x in enumerate(oracle.endo_derivative(gamma, Q, i, j)):
+                    if x:
+                        row.setdefault(k, {})[mono] = x
+            if row:
+                out[i, j] = row
+        return out
+
+    rows = covariant_derivative_endo(M, M.conn, B)
+    assert endo_terms(rows) == naive(((), B))
+    assert list(rows) == sorted(rows)
+    assert all(list(row) == sorted(row) for row in rows.values())
+    Q = [[ParamScalar.param("p") * a + b for a, b in zip(ra, rb)]
+         for ra, rb in zip(A, B)]
+    assert endo_terms(covariant_derivative_endo(M, M.conn, Q)) == \
+        naive((p, A), ((), B))
 
 
 # -- the comparer against the per-key reference ----------------------------------

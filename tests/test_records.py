@@ -65,7 +65,7 @@ def test_records_with_tables_compare_by_value_but_do_not_hash():
     assert doc.expected != ExpectedValues(doc.expected.nabla)
     conn = levi_civita(doc.manifold)
     assert conn == levi_civita(same.manifold)
-    assert conn != ConnectionTable(doc.manifold, {}, {})
+    assert conn != ConnectionTable(doc.manifold, ({}, 1), ({}, 1))
     for unhashable in (doc, doc.expected, conn):
         with pytest.raises(TypeError):
             hash(unhashable)

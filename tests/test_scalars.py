@@ -11,8 +11,7 @@ from readers import token_reads
 from framecalc.manifold_format import ParseError, parse_manifold
 from framecalc.scalars import (MAX_DIGITS, ZERO, EvaluationError,
                                LinearForm, ParamScalar, ScalarError,
-                               SolveError, format_rational, parse_rational,
-                               parse_scalar, solve_linear)
+                               format_rational, parse_rational, parse_scalar)
 
 P = ParamScalar.param("p")
 Q = ParamScalar.param("q")
@@ -422,27 +421,3 @@ def test_equation_str():
     assert form.equation_str() == "10*lambda = 5*p + 18"
     assert form.equation_str("mu") == "10*mu = 5*p + 18"
 
-
-def test_solve_linear():
-    lam = solve_linear(LinearForm(Fraction(10), -(P * 5 + 18)))
-    assert lam == P / 2 + Fraction(9, 5)
-    assert lam.render() == "1/2*p + 9/5"
-    lam2 = solve_linear(LinearForm(Fraction(10), -(P * 5 - 6)))
-    assert lam2.render() == "1/2*p + -3/5"
-
-
-def test_solve_linear_degenerate():
-    with pytest.raises(SolveError) as err:
-        solve_linear(LinearForm(Fraction(0), ParamScalar.rational(0)))
-    assert err.value.kind == "underdetermined"
-    with pytest.raises(SolveError) as err:
-        solve_linear(LinearForm(Fraction(0), ParamScalar.rational(3)))
-    assert err.value.kind == "inconsistent"
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.fractions(min_value=-5, max_value=5, max_denominator=8).filter(bool),
-       scalars())
-def test_solve_linear_solves(coeff, rem):
-    x = solve_linear(LinearForm(coeff, rem))
-    assert (x * coeff + rem).is_zero()
