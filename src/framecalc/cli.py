@@ -17,7 +17,8 @@ from .geometry import (FrameManifold, FrameVector, GeometryError,
                        RicciTensor, entry_defects, integer_map,
                        lie_derivative_parts, render_vector, scalar_curvature,
                        validate)
-from .manifold_format import ManifoldDocument, ParseError, parse_manifold
+from .manifold_format import (MAX_CHARS, ManifoldDocument, ParseError,
+                              parse_manifold)
 from .reports import CheckReport, combine
 from .scalars import ScalarError, format_rational, parse_rational, parse_scalar
 from .solitons import (GradientData, SolitonError, SolitonFlavor,
@@ -109,12 +110,17 @@ def _load(args) -> ManifoldDocument:
             return catalog.load_builtin(builtin)
         except KeyError as exc:
             raise UsageError(str(exc.args[0])) from exc
+    parts, size = [], 0  # read in pieces: read(n) allocates n at once
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            while size <= MAX_CHARS and (part := fh.read(1 << 16)):
+                parts.append(part)
+                size += len(part)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    return parse_manifold(text)
+    if size > MAX_CHARS:
+        raise UsageError(f"cannot read {path}: more than {MAX_CHARS} characters")
+    return parse_manifold("".join(parts))
 
 
 def _require_contact(doc: ManifoldDocument):

@@ -54,6 +54,9 @@ from .scalars import (_INTEGER, _ONE, MAX_DIGITS, Scanner, as_fraction,
 # but the one elimination of the metric works on dense m x m integer rows,
 # so the declared dimension alone sets a floor on the cost of a command.
 MAX_DIM = 128
+# Most characters the CLI reads from a --file; past it the file is refused
+# unread, so an endless or huge one neither hangs nor exhausts memory.
+MAX_CHARS = 1 << 24
 
 
 class ParseError(ValueError):
@@ -456,11 +459,8 @@ class _Document:
             raise ParseError(end, 1, "contact phi requires contact xi")
         if self.xi is not None:
             zero, xi = Fraction(0), self.xi
-            contact = AlmostContactData.given(
-                xi=tuple(as_fraction(xi[a]) if a in xi else zero
-                         for a in range(dim)), square=True,
-                phi_int=integer_rows({j: self.phi_cols.get(j, {})
-                                      for j in range(dim)}))
+            contact = AlmostContactData(self.phi_cols, tuple(
+                as_fraction(xi[a]) if a in xi else zero for a in range(dim)))
         return ManifoldDocument(M, contact, ExpectedValues(
             *map(tuple, self.expected.values())))
 

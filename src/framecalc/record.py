@@ -10,14 +10,6 @@ class Record:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
 
-    @classmethod
-    def given(cls, **attrs):
-        """An instance with attrs set and __init__ not run: for a record
-        whose fields are views, built on first read, of other attributes."""
-        obj = cls.__new__(cls)
-        vars(obj).update(attrs)
-        return obj
-
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
 

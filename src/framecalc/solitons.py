@@ -3,12 +3,12 @@ lambda, shrinking/steady/expanding classification, gradient (potential
 function) variants, and the closed-form constants for a concurrent potential
 field.
 
-Soliton flavors all share the shape L_X g + 2 ric = s g. For the plain and
-almost flavors s = 2 lambda; the conformal flavors subtract the conformal
-pressure term: s = 2 lambda - (p + 2/m), with m the manifold dimension and p
-the pressure parameter. Gradient variants replace L_X g / 2 by the Hessian of
-the potential: Hess f + ric = s' g with s' = lambda, shifted by p/2 + 1/m for
-the conformal flavors.
+Soliton flavors all share the shape L_X g + 2 ric = s g with s = 2 s',
+s' = lambda - shift; gradient variants replace L_X g / 2 by the Hessian of
+the potential: Hess f + ric = s' g. The shift (_shift) is 0, or for the
+conformal flavors half the pressure term p + 2/m, with m the manifold
+dimension and p the pressure parameter; halved, no Fraction is doubled
+only to be halved again.
 
 The residuals do no polynomial arithmetic per entry. L_X g and the Hessian
 come as monomial parts {monomial: ({(i, j): int}, d)}; for each monomial
@@ -17,6 +17,10 @@ tensor and that monomial's coefficient of s times g are summed on ints over
 one denominator. s and s' are {monomial: Fraction} maps. Every decision is
 taken on these integer tables, and a ParamScalar is built only for an entry
 that a caller reads or prints.
+
+The constancy checks compare df[i] + dlambda[i] with 0 over every frame
+index or over the contact distribution (eta(e_i) = 0), where g(Df, e_i) =
+df[i] for any metric, so neither g nor its inverse is read.
 
 The trace solve reads the trace of L_X g from the brackets: nabla is
 metric and torsion-free, so g^{ij} (L_X g)_ij = 2 div X = -2 sum_a x_a
@@ -73,14 +77,17 @@ class SolitonFlavor(enum.Enum):
         return self in (SolitonFlavor.CONFORMAL, SolitonFlavor.ALMOST_CONFORMAL)
 
 
+def _shift(flavor: SolitonFlavor, m: int) -> dict:
+    """The flavor's shift in s' = lambda - shift as {monomial: Fraction}."""
+    return {_P: _HALF, (): Fraction(1, m)} if flavor.is_conformal else {}
+
+
 def _gradient_scale(flavor: SolitonFlavor, lam: ParamScalar, m: int) -> dict:
-    """The metric multiplier s' in Hess f + ric = s' g: lambda, less
-    p/2 + 1/m for the conformal flavors, as {monomial: Fraction} without
-    zeros."""
+    """The metric multiplier s' in Hess f + ric = s' g, as {monomial:
+    Fraction} without zeros."""
     terms = lam.terms()
-    if flavor.is_conformal:
-        for mono, c in ((_P, _HALF), ((), Fraction(1, m))):
-            terms[mono] = terms.get(mono, 0) - c
+    for mono, c in _shift(flavor, m).items():
+        terms[mono] = terms.get(mono, 0) - c
     return {mono: c for mono, c in terms.items() if c}
 
 
@@ -103,8 +110,8 @@ def soliton_residual_parts(M: FrameManifold, conn: ConnectionTable,
                            lam: ParamScalar, flavor: SolitonFlavor) -> dict:
     """soliton_residual as integer parts {monomial: ({(i, j): int}, d)}."""
     check_lengths(M.dim, "X", X.coeffs, error=SolitonError)
-    return _residual_parts(M, lie_derivative_parts(conn, X), ric_t.ric_int, 2,
-                           _scale(flavor, lam, M.dim))
+    return dict(_residual_monomials(M, lie_derivative_parts(conn, X),
+                                    ric_t.ric_int, 2, _scale(flavor, lam, M.dim)))
 
 
 def _residual_monomials(M: FrameManifold, parts: dict, ric_int: tuple,
@@ -113,7 +120,7 @@ def _residual_monomials(M: FrameManifold, parts: dict, ric_int: tuple,
     s g, zeros kept, for a table given by parts {monomial: ({(i, j): int},
     d)}, ric_int as RicciTensor.ric_int and s as {monomial: Fraction}: each
     monomial's entries summed on ints over one denominator, one monomial
-    at a time."""
+    at a time; dict() of them is the residual's parts."""
     ric, dr = ric_int
     g_cols, dg = M.g_int
     for mono in dict.fromkeys([*parts, *s, ()]):
@@ -131,13 +138,6 @@ def _residual_monomials(M: FrameManifold, parts: dict, ric_int: tuple,
                 for i, x in col.items():
                     acc[i, j] = acc.get((i, j), 0) - w * x
         yield mono, (acc, den)
-
-
-def _residual_parts(M: FrameManifold, parts: dict, ric_int: tuple,
-                    ric_weight: int, s: dict) -> dict:
-    """The residual of _residual_monomials as parts {monomial: ({(i, j):
-    int}, den)}; joined() divides them and builds the ParamScalars."""
-    return dict(_residual_monomials(M, parts, ric_int, ric_weight, s))
 
 
 class LambdaSolve(Record):
@@ -177,13 +177,13 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     for mono, part in monomial_parts({a: X.coeffs[a] for a in tr_ad}).items():
         t = Fraction(-2, dc) * sum(x * tr_ad[a] for a, x in part.items())
         tr[mono] = tr.get(mono, 0) + t
-    # tr == m * s with s = 2 lambda - shift, so lambda = (s + shift) / 2 and
-    # the trace equation 2m * lambda - m * shift - tr = 0 has the remainder
-    # -m * shift - tr = -2m * lambda
-    shift = {_P: Fraction(1), (): Fraction(2, m)} if flavor.is_conformal else {}
+    # tr == m * s with s = 2 (lambda - shift), so lambda = s / 2 + shift and
+    # the trace equation 2m * lambda - 2m * shift - tr = 0 has the remainder
+    # -2m * shift - tr = -2m * lambda
+    shift = _shift(flavor, m)
     s = {mono: t / m for mono, t in tr.items() if t}
     lam = {mono: c for mono in dict.fromkeys([*s, *shift])
-           if (c := (s.get(mono, 0) + shift.get(mono, 0)) * _HALF)}
+           if (c := s.get(mono, 0) * _HALF + shift.get(mono, 0))}
     form = LinearForm(Fraction(2 * m), ParamScalar._of(
         {mono: -2 * m * c for mono, c in lam.items()}))
     parts = lie_derivative_parts(conn, X)  # the one L_X g of this solve
@@ -191,8 +191,8 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
                     _residual_monomials(M, parts, (ric, dr), 2, s))
     return LambdaSolve(ParamScalar._of(lam), form,
                        "einstein_exact" if exact else "trace_only",
-                       lambda: matrix_of(m, joined(
-                           _residual_parts(M, parts, (ric, dr), 2, s))))
+                       lambda: matrix_of(m, joined(dict(
+                           _residual_monomials(M, parts, (ric, dr), 2, s)))))
 
 
 # -- classification ------------------------------------------------------------
@@ -260,6 +260,26 @@ def integrability_defects(M: FrameManifold, df) -> list:
     return out
 
 
+def _gradient_preamble(M: FrameManifold, gd: GradientData,
+                       report: CheckReport | None = None) -> bool:
+    """Check the lengths of gd's df and dlambda against M; whether gd
+    carries a dlambda, a precondition item added to report when it does
+    not."""
+    check_lengths(M.dim, "df", gd.df, error=SolitonError)
+    check_lengths(M.dim, "dlambda", gd.dlambda, error=SolitonError)
+    if gd.dlambda is None and report is not None:
+        report.add_item(CheckItem("dlambda supplied", PRECONDITION,
+                                  "gradient data carries no dlambda"))
+    return gd.dlambda is not None
+
+
+def _constancy_defects(gd: GradientData, indices) -> list:
+    """"e{i}: df[i] + dlambda[i]" for each i of indices where the sum is
+    not 0."""
+    return [f"e{i + 1}: {format_rational(v)}" for i in indices
+            if (v := gd.df[i] + gd.dlambda[i])]
+
+
 def _df_int(df) -> tuple:
     """({k: int}, d) of the nonzero entries of df."""
     return integer_map({k: Fraction(x) for k, x in enumerate(df) if x})
@@ -297,8 +317,7 @@ def gradient_soliton_residual(M: FrameManifold, conn: ConnectionTable,
                               ric_t: RicciTensor, gd: GradientData,
                               lam: ParamScalar, flavor: SolitonFlavor) -> tuple:
     """Hess f + ric - s' g; df must be integrable."""
-    check_lengths(M.dim, "df", gd.df, error=SolitonError)
-    check_lengths(M.dim, "dlambda", gd.dlambda, error=SolitonError)
+    _gradient_preamble(M, gd)
     if bad := integrability_defects(M, gd.df):
         raise IntegrabilityError(bad)
     return matrix_of(M.dim, joined(gradient_residual_parts(M, conn, ric_t, gd,
@@ -310,8 +329,9 @@ def gradient_residual_parts(M: FrameManifold, conn: ConnectionTable,
                             lam: ParamScalar, flavor: SolitonFlavor) -> dict:
     """gradient_soliton_residual as integer parts {monomial: ({(i, j): int},
     d)}, for a df already found integrable."""
-    return _residual_parts(M, {(): _hessian_int(conn, gd.df)}, ric_t.ric_int,
-                           1, _gradient_scale(flavor, lam, M.dim))
+    return dict(_residual_monomials(M, {(): _hessian_int(conn, gd.df)},
+                                    ric_t.ric_int, 1,
+                                    _gradient_scale(flavor, lam, M.dim)))
 
 
 def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
@@ -322,13 +342,10 @@ def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
     R(X, Y) Df = (X lambda) Y - (Y lambda) X - (nabla_X Q) Y + (nabla_Y Q) X
     with Q the Ricci operator. The soliton equation itself is the hypothesis:
     a nonzero residual is a precondition violation, not a failure."""
-    check_lengths(M.dim, "df", gd.df, error=SolitonError)
-    check_lengths(M.dim, "dlambda", gd.dlambda, error=SolitonError)
     report = CheckReport(f"{M.name} gradient curvature identity")
-    if gd.dlambda is None:
-        report.add_item(CheckItem("dlambda supplied", PRECONDITION,
-                                  "gradient data carries no dlambda"))
-    elif bad := integrability_defects(M, gd.df):
+    if not _gradient_preamble(M, gd, report):
+        return report
+    if bad := integrability_defects(M, gd.df):
         report.add_item(CheckItem("df integrable", PRECONDITION,
                                   str(IntegrabilityError(bad))))
     else:
@@ -388,28 +405,15 @@ def check_distribution_gradient(M: FrameManifold, D, gd: GradientData,
     """On the contact distribution (frame vectors with eta = 0) the potential
     and lambda move together: g(Df, e_i) + dlambda[i] = 0. When lambda is
     exactly p/2 and dlambda vanishes, df itself must vanish there."""
-    m = M.dim
-    k = distribution_constant(m)
-    check_lengths(M.dim, "df", gd.df, error=SolitonError)
-    check_lengths(M.dim, "dlambda", gd.dlambda, error=SolitonError)
+    k = distribution_constant(M.dim)
     report = CheckReport(f"{M.name} distribution gradient check "
                          f"(k = {format_rational(k)})")
-    if gd.dlambda is None:
-        report.add_item(CheckItem("dlambda supplied", PRECONDITION,
-                                  "gradient data carries no dlambda"))
+    if not _gradient_preamble(M, gd, report):
         return report
-    eta = D.eta(M)
-    dist = [i for i in range(m) if eta[i] == 0]
-    df_vec, dd = _gradient_int(M, gd.df)
-    g_cols, dg = M.g_int
-    bad = []
-    for i in dist:
-        # g(Df, e_i) collapses back to df[i] for any metric
-        val = Fraction(sum(x * g_cols[i].get(a, 0) for a, x in df_vec.items()),
-                       dd * dg) + gd.dlambda[i]
-        if val != 0:
-            bad.append(f"e{i + 1}: {format_rational(val)}")
-    report.add_check("g(Df, e_i) + dlambda[i] = 0 on the distribution", bad)
+    dist = [i for i, x in enumerate(D.eta(M)) if x == 0]
+    # g(Df, e_i) = g(g^{-1} df, e_i) = df[i] for any metric
+    report.add_check("g(Df, e_i) + dlambda[i] = 0 on the distribution",
+                     _constancy_defects(gd, dist))
 
     if lam is not None and lam == P / 2 and not any(gd.dlambda):
         still = [f"e{i + 1}: df = {format_rational(gd.df[i])}"
@@ -421,16 +425,11 @@ def check_distribution_gradient(M: FrameManifold, D, gd: GradientData,
 
 def check_lambda_f_constant(M: FrameManifold, gd: GradientData) -> CheckReport:
     """df + dlambda = 0 in every frame direction, i.e. lambda + f is constant."""
-    check_lengths(M.dim, "df", gd.df, error=SolitonError)
-    check_lengths(M.dim, "dlambda", gd.dlambda, error=SolitonError)
     report = CheckReport(f"{M.name} lambda + f constancy")
-    if gd.dlambda is None:
-        report.add_item(CheckItem("dlambda supplied", PRECONDITION,
-                                  "gradient data carries no dlambda"))
+    if not _gradient_preamble(M, gd, report):
         return report
-    bad = [f"e{i + 1}: {format_rational(gd.df[i] + gd.dlambda[i])}"
-           for i in range(M.dim) if gd.df[i] + gd.dlambda[i] != 0]
-    report.add_check("df[i] + dlambda[i] = 0 for every i", bad)
+    report.add_check("df[i] + dlambda[i] = 0 for every i",
+                     _constancy_defects(gd, range(M.dim)))
     if not any(gd.dlambda):
         # corollary: constant lambda leaves no room for a varying potential
         still = [f"e{i + 1}: {format_rational(gd.df[i])}"
@@ -439,27 +438,21 @@ def check_lambda_f_constant(M: FrameManifold, gd: GradientData) -> CheckReport:
     return report
 
 
-def concurrent_check(M: FrameManifold, conn: ConnectionTable, V: FrameVector,
-                     assume_concurrent: bool = False) -> CheckReport:
+def concurrent_check(M: FrameManifold, conn: ConnectionTable,
+                     V: FrameVector) -> CheckReport:
     """A concurrent field satisfies nabla_X V = X. Frame-constant coefficient
     vectors can only satisfy this through the connection table, which the
-    check verifies directly; with assume_concurrent the substitution
-    nabla_{e_i} V := e_i is made instead and L_V g = 2 g is verified."""
-    check_lengths(M.dim, "V", V.coeffs, error=SolitonError)
+    check verifies directly, and then L_V g = 2 g."""
+    m = M.dim
+    check_lengths(m, "V", V.coeffs, error=SolitonError)
     report = CheckReport(f"{M.name} concurrent field check")
-    if assume_concurrent:
-        report.add_item(CheckItem("nabla_{e_i} V = e_i", "pass",
-                                  "assumed, not derived"))
-        lv = {}  # L_V g = 2 g exactly under the substitution
-    else:
-        m = M.dim
-        nv = [conn.nabla_vec(i, V) for i in range(m)]
-        bad = [f"e{i + 1}: nabla V = {nv[i].render()}"
-               for i in range(m) if nv[i] != FrameVector.basis(m, i)]
-        report.add_check("nabla_{e_i} V = e_i", bad[:6])
-        # L_V g - 2 g, with no Ricci term
-        lv = _residual_parts(M, lie_derivative_parts(conn, V), ({}, 1), 0,
-                             {(): Fraction(2)})
+    nv = [conn.nabla_vec(i, V) for i in range(m)]
+    bad = [f"e{i + 1}: nabla V = {nv[i].render()}"
+           for i in range(m) if nv[i] != FrameVector.basis(m, i)]
+    report.add_check("nabla_{e_i} V = e_i", bad[:6])
+    # L_V g - 2 g, with no Ricci term
+    lv = dict(_residual_monomials(M, lie_derivative_parts(conn, V), ({}, 1), 0,
+                                  {(): Fraction(2)}))
     report.add_check("L_V g = 2 g", entry_defects(lv, 6))
     return report
 

@@ -685,6 +685,43 @@ def gradient_identity_text(name, c, g, gamma, ric, df, dlambda, s):
                               "; ".join(bad) if bad else None)])
 
 
+def _constancy_items(subject, df, dlambda, indices, name, corollary):
+    """The precondition on a missing dlambda, else the item listing
+    e{i}: df[i] + dlambda[i] over indices where the sum is nonzero and,
+    when corollary names one, the item listing the nonzero df[i] there."""
+    if dlambda is None:
+        return _layout(subject, [("dlambda supplied", _PRE,
+                                  "gradient data carries no dlambda")])
+    items = [(name, [f"e{i + 1}: {F(df[i] + dlambda[i])}" for i in indices
+                     if df[i] + dlambda[i] != 0], "")]
+    if corollary:
+        label, prefix = corollary
+        items.append((label, [f"e{i + 1}: {prefix}{F(df[i])}" for i in indices
+                              if df[i] != 0], ""))
+    return report_text(subject, items)
+
+
+def distribution_gradient_text(name, g, xi, df, dlambda, half_p):
+    """check_distribution_gradient on the frame indices i with
+    g(e_i, xi) = 0, for any metric g; half_p says lambda is p/2."""
+    n = len(g)
+    dist = [i for i, x in enumerate(_eta(g, xi)) if x == 0]
+    corollary = half_p and dlambda is not None and not any(dlambda)
+    return _constancy_items(
+        f"{name} distribution gradient check (k = {F(-2, n) - 2 * (n - 1)})",
+        df, dlambda, dist, "g(Df, e_i) + dlambda[i] = 0 on the distribution",
+        corollary and ("lambda = p/2 forces df = 0 on the distribution",
+                       "df = "))
+
+
+def lambda_f_constant_text(name, df, dlambda):
+    corollary = dlambda is not None and not any(dlambda)
+    return _constancy_items(
+        f"{name} lambda + f constancy", df, dlambda, range(len(df)),
+        "df[i] + dlambda[i] = 0 for every i",
+        corollary and ("constant lambda forces constant f", ""))
+
+
 # Token-by-token references for the text grammars: the scanner, the scalar
 # loop, the vector reader and the statement code of the manifold reader as
 # they read text one token at a time, before the readers matched whole terms

@@ -605,6 +605,23 @@ def test_non_utf8_file_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_file_past_the_character_limit_is_refused(capsys, monkeypatch,
+                                                    tmp_path):
+    """--file is read in pieces until MAX_CHARS characters are passed: a
+    longer file, as /dev/zero is, ends in exit 3 with one message; one at
+    the limit parses."""
+    text = "manifold a dim 1\nmetric identity\n"
+    path = tmp_path / "a.fc"
+    path.write_text(text)
+    monkeypatch.setattr("framecalc.cli.MAX_CHARS", len(text))
+    assert run(capsys, "validate", "--file", str(path))[0] == 0
+    monkeypatch.setattr("framecalc.cli.MAX_CHARS", len(text) - 1)
+    code, out, errtext = run(capsys, "validate", "--file", str(path))
+    assert (code, out) == (3, "")
+    assert errtext == (f"error: cannot read {path}: more than "
+                       f"{len(text) - 1} characters\n")
+
+
 def test_missing_file(capsys):
     code, _, errtext = run(capsys, "validate", "--file", "/nonexistent/x.txt")
     assert code == 3

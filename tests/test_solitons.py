@@ -15,8 +15,9 @@ import framecalc.scalars
 import framecalc.solitons
 import oracle
 from framecalc.catalog import builtin_names, load_builtin
-from frames import (gram_plus_identity, heisenberg, identity, lie_algebras,
-                    small, sparse_brackets, table_of)
+from framecalc.contact import AlmostContactData
+from frames import (contact_frames, gram_plus_identity, heisenberg, identity,
+                    lie_algebras, small, sparse_brackets, table_of)
 from framecalc.geometry import (FrameManifold, FrameVector, curvature,
                                 levi_civita, lie_derivative_metric, ricci)
 from framecalc.manifold_format import parse_manifold
@@ -193,14 +194,15 @@ def test_one_solve_computes_the_lie_derivative_once(monkeypatch):
 def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
     """solve_lambda_trace decides its status on the integer residual, one
     monomial at a time (q xi is a Killing field of heisenberg5, so L_X g has
-    an empty q part); the residual parts and the matrix are built, once, on
-    the first read of .residual, for a trace_only and an einstein_exact
+    an empty q part), in one sweep of _residual_monomials; the residual
+    parts, from a second sweep, and the matrix are built, once, on the
+    first read of .residual, for a trace_only and an einstein_exact
     solve alike, and equal soliton_residual at the solved lambda. Equality
     and repr are those of a LambdaSolve given the matrix."""
     M, conn, ric = reference_geometry(name)[:3]
     calls = []
     for fn in (framecalc.geometry.matrix_of, framecalc.scalars.join_parts,
-               framecalc.solitons._residual_parts):
+               framecalc.solitons._residual_monomials):
         def counted(*args, fn=fn):
             calls.append(fn.__name__)
             return fn(*args)
@@ -214,12 +216,12 @@ def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
         for flavor in SolitonFlavor:
             calls.clear()
             solve = solve_lambda_trace(M, conn, ric, X, flavor)
-            assert calls == [], (name, flavor)
+            assert calls == ["_residual_monomials"], (name, flavor)
+            calls.clear()
             statuses.add(solve.status)
             res = solve.residual
-            assert sorted(set(calls)) == ["_residual_parts", "join_parts",
-                                          "matrix_of"]
-            assert calls.count("_residual_parts") == 1, calls
+            assert sorted(calls) == ["_residual_monomials", "join_parts",
+                                     "matrix_of"], calls
             calls.clear()
             assert solve.residual is res and calls == []
             assert res == soliton_residual(M, conn, ric, X, solve.lam, flavor)
@@ -385,12 +387,12 @@ def test_no_float_enters_a_solve(monkeypatch, name):
     M, conn, ric = reference_geometry(name)[:3]
     m = M.dim
     seen = []
-    fn = framecalc.solitons._residual_parts
+    fn = framecalc.solitons._residual_monomials
 
     def recorded(*args):
-        seen.append((args[4], fn(*args)))
-        return seen[-1][1]
-    monkeypatch.setattr(framecalc.solitons, "_residual_parts", recorded)
+        seen.append((args[4], dict(fn(*args))))
+        return iter(seen[-1][1].items())
+    monkeypatch.setattr(framecalc.solitons, "_residual_monomials", recorded)
     rng = random.Random(name)
     fields = [FrameVector.zero(m), FrameVector.basis(m, 0),
               *(FrameVector(tuple(random_scalar(rng) for _ in range(m)))
@@ -403,7 +405,8 @@ def test_no_float_enters_a_solve(monkeypatch, name):
             seen.clear()
             solve = solve_lambda_trace(M, conn, ric, X, flavor)
             res = solve.residual
-            (s, parts), = seen
+            (s, parts), residual = seen  # the status sweep, then .residual
+            assert residual == (s, parts)
             assert type(solve.form.coefficient) is Fraction
             assert fractions(solve.lam.terms()), (name, flavor)
             assert fractions(solve.form.remainder.terms()), (name, flavor)
@@ -866,6 +869,59 @@ def test_lambda_f_constancy_random_iff():
             M, GradientData(gd.df, tuple(bumped))).overall == "fail"
 
 
+@given(contact_frames(), st.data())
+def test_constancy_checks_print_the_oracle_texts_on_any_metric(case, data):
+    """On random frames, metrics other than the identity among them, with
+    random df and dlambda (missing, random, -df or zero) and lambda p/2 or
+    not, each constancy report's text is the oracle's: df[i] + dlambda[i]
+    listed over the i with g(e_i, xi) = 0, or over every i."""
+    table, g, phi, xi = case
+    m = len(g)
+    M = FrameManifold("f", m, table, g)
+    D = AlmostContactData.from_values(phi, xi)
+    entries = st.lists(st.one_of(st.just(Fraction(0)), small),
+                       min_size=m, max_size=m)
+    df = data.draw(entries)
+    dlambda = data.draw(st.one_of(st.none(), entries, st.just([-x for x in df]),
+                                  st.just([Fraction(0)] * m)))
+    half_p = data.draw(st.booleans())
+    gd = GradientData.from_values(df, dlambda)
+    assert check_distribution_gradient(
+        M, D, gd, P / 2 if half_p else P / 2 + 1).render_text() == \
+        oracle.distribution_gradient_text("f", g, xi, df, dlambda, half_p)
+    assert check_lambda_f_constant(M, gd).render_text() == \
+        oracle.lambda_f_constant_text("f", df, dlambda)
+
+
+# heisenberg3 deformed D-homothetically with a = 2: g = 2 g_0 + 2 eta_0^2,
+# xi = xi_0 / 2, phi unchanged; still Sasakian, eta = (0, 0, 2)
+DH3 = ("manifold dh3 dim 3\nbracket e1 e2 = 2e3\nmetric g 1 1 = 2\n"
+       "metric g 2 2 = 2\nmetric g 3 3 = 4\ncontact xi = 1/2e3\n"
+       "contact phi e1 = e2\ncontact phi e2 = -e1\n")
+
+
+@pytest.mark.parametrize("text, metric, xi", [
+    (DH3, [[2, 0, 0], [0, 2, 0], [0, 0, 4]], [0, 0, Fraction(1, 2)]),
+    # a singular metric: no Df exists, the checks still read df and dlambda
+    ("manifold s dim 3\nbracket e1 e2 = e3\nmetric g 1 1 = 1\n"
+     "metric g 2 2 = 1\ncontact xi = e1\n",
+     [[1, 0, 0], [0, 1, 0], [0, 0, 0]], [1, 0, 0])], ids=["dh3", "singular"])
+def test_constancy_checks_on_fixed_metrics(text, metric, xi):
+    doc = parse_manifold(text)
+    M, D = doc.manifold, doc.contact
+    df, dlambda = (1, 2, 3), (-1, 0, 5)
+    gd = GradientData.from_values(df, dlambda)
+    rep = check_distribution_gradient(M, D, gd)
+    assert rep.render_text() == oracle.distribution_gradient_text(
+        M.name, metric, xi, df, dlambda, False)
+    assert rep.items[0].defect == ("e2: 2" if M.name == "dh3"
+                                   else "e2: 2; e3: 8")
+    rep = check_lambda_f_constant(M, gd)
+    assert rep.render_text() == oracle.lambda_f_constant_text(M.name, df,
+                                                              dlambda)
+    assert rep.items[0].defect == "e2: 2; e3: 8"
+
+
 # -- concurrent fields ----------------------------------------------------------------
 
 def test_concurrent_check_fails_on_catalog_fields():
@@ -877,16 +933,6 @@ def test_concurrent_check_fails_on_catalog_fields():
     doc, A, aconn, *_ = setup("abelian3")
     rep = concurrent_check(A, aconn, FrameVector.from_values((1, 1, 1)))
     assert rep.overall == "fail"
-
-
-def test_concurrent_check_assumed_mode():
-    doc, M, conn, R, ric = setup("heisenberg5")
-    rep = concurrent_check(M, conn, FrameVector.basis(5, 2),
-                           assume_concurrent=True)
-    assert rep.overall == "pass"
-    assert rep.items[0].defect == "assumed, not derived"
-    assert rep.items[1].name == "L_V g = 2 g"
-    assert rep.items[1].status == "pass"
 
 
 @pytest.mark.parametrize("name", REFERENCE_NAMES)
