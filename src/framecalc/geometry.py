@@ -178,14 +178,12 @@ def apply_columns(cols, v: dict) -> dict:
 # -- exact linear algebra: fraction-free elimination ---------------------------
 
 def _bareiss(a: list) -> tuple:
-    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
-    integer rows a in place over their square part, with exact divisions.
-    Returns (det, leading minors up to the first zero one, read off the
-    pivots before any row swap). With columns beyond the square part, rows
-    above each pivot are eliminated too, leaving p * I beside p * inverse
-    for the last pivot p."""
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the n
+    integer rows [b | I] of a in place, b square, with exact divisions; the
+    rows above each pivot are eliminated too, leaving p * I beside
+    p * b^{-1} for the last pivot p. Returns (det b, leading minors up to
+    the first zero one, read off the pivots before any row swap)."""
     n = len(a)
-    above = any(len(row) > n for row in a)
     prev, sign, minors = 1, 1, []
     for k in range(n):
         if sign == 1 and len(minors) == k:  # no row swap so far
@@ -196,7 +194,7 @@ def _bareiss(a: list) -> tuple:
                 return 0, minors
             a[k], a[piv], sign = a[piv], a[k], -sign
         p, rk = a[k][k], a[k]
-        for i in range(0 if above else k + 1, n):
+        for i in range(n):
             f = a[i][k]
             if i != k and (f or p != prev):
                 a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], rk)]

@@ -24,19 +24,22 @@ A line ends at \\n, \\r\\n or \\r, as open() in text mode ends it; other
 characters str.splitlines() breaks at (\\x0c, \\x85, \\u2028, ...) stay in
 the line. Each line is read by one full match of _LINE, blanks and tabs
 between tokens: head, indices, value, source clause and # comment. A
-vector-expr is split into terms by one findall, a rational taken from the
-groups, an expect lambda scalar-expr read by Scanner.scalar, as
-parse_scalar reads it. An integer literal is read as an int and only a/b
-as a Fraction, and the brackets, the metric and phi go to FrameManifold and
-AlmostContactData as the integer tables the kernels read, in final order.
+vector-expr is split into terms by one findall, a rational and each
+term's coefficient taken from the groups by scalars._number, an expect
+lambda scalar-expr read by Scanner.scalar, as parse_scalar reads it. An
+integer literal is read as an int and only a/b as a Fraction, and the
+brackets, the metric and phi go to FrameManifold and AlmostContactData as
+the integer tables the kernels read, in final order.
 An expect nabla or riem value is kept as the map {k: int | Fraction} of
 its nonzero coefficients, k ascending, as the table reports read it.
 
 A line the pattern rejects, or whose limits or rules fail, is cut at its
-comment and read again by the token methods of _Scanner, a subclass of
-scalars.Scanner, which raise ParseError at the line and column of the
-offending token; no line that parses goes through them. Both ways check a
-statement by the same rules and record it by the same code (_Document).
+comment and read again from its start by the token methods of _Scanner, a
+subclass of scalars.Scanner, which raise ParseError at the line and column
+of the offending token; an expect lambda value Scanner.scalar rejects is
+read again from its start the same way. No line that parses goes through
+them. Both ways check a statement by the same rules and record it by the
+same code (_Document).
 """
 from __future__ import annotations
 
@@ -47,8 +50,8 @@ from .contact import AlmostContactData
 from .geometry import (FrameManifold, FrameVector, integer_rows, render_vector,
                        vector_of)
 from .record import Record
-from .scalars import (_INTEGER, _ONE, MAX_DIGITS, Scanner, as_fraction,
-                      format_rational)
+from .scalars import (_INTEGER, _ONE, MAX_DIGITS, Scanner, _number,
+                      as_fraction, format_rational)
 
 # Largest accepted dimension. Brackets, the metric and phi are stored sparse,
 # but the one elimination of the metric works on dense m x m integer rows,
@@ -142,16 +145,6 @@ def _index(digits: str, bound: int) -> int:
     it is out of 1..bound or over MAX_DIGITS digits."""
     k = int(digits) if len(digits) <= MAX_DIGITS else 0
     return k - 1 if 1 <= k <= bound else -1
-
-
-def _number(signs: str, num: str, den: str):
-    """The signed value of a term's or a rational's groups: an int, 1 or -1
-    without num, a Fraction for num/den; None where the token methods must
-    word an error: a literal over MAX_DIGITS digits or a zero denominator."""
-    if len(num) > MAX_DIGITS or len(den) > MAX_DIGITS or den and not int(den):
-        return None
-    a = -int(num or 1) if signs.count("-") & 1 else int(num or 1)
-    return Fraction(a, int(den)) if den else a
 
 
 def _vector(text: str, dim: int) -> dict | None:

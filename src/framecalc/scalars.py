@@ -26,11 +26,15 @@ parse_rational (the --df and --dlambda components, the grammar of a metric
 g entry) is one match. The scalar grammar takes any whitespace between
 tokens, the '/' of a rational included. A term is taken only when the end
 of the text or a sign follows it. Every blank run has one place in the
-pattern, so a match takes time linear in the text.
+pattern, so a match takes time linear in the text. _number turns the
+literal groups of a match into a value, here and in manifold_format, so
+the digit limit and the zero denominator of every pattern path are one
+rule.
 
 Scanner's token methods (peek, word, signs, rational, monomial, ...) read
-text one token at a time. They run only from the start of a term the
-pattern rejected, and there they word and place the error: malformed text
+text one token at a time. They run only on text a pattern rejected, read
+again from where the pattern started, so nothing half read passes from
+one way to the other; there they word and place the error: malformed text
 raises ScalarError with the offset of the offending token and the text.
 manifold_format's line scanner is a subclass, with its own whitespace and
 errors.
@@ -77,25 +81,22 @@ _TERM = re.compile(
 ).match
 
 _ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 # Longest integer literal accepted in scalars and manifold files, in digits;
 # Python reads and prints at most 4300 by default.
 MAX_DIGITS = 1000
 
 
-def _coefficient(signs: str, num: str | None, den: str | None) -> Fraction | None:
-    """The signed coefficient of a term from the groups a pattern matched,
-    1 or -1 without num; None where the token methods must word an error:
-    a literal over MAX_DIGITS digits or a zero denominator."""
-    negative = signs.count("-") & 1
-    if num is None:
-        return _MINUS_ONE if negative else _ONE
+def _number(signs: str, num: str, den: str):
+    """The signed value of the groups a pattern matched for a term or a
+    rational, "" for a group that took no part: an int, 1 or -1 without
+    num, a Fraction for num/den; None where the token methods must word an
+    error: a literal over MAX_DIGITS digits or a zero denominator."""
     if len(num) > MAX_DIGITS:
         return None
-    a = -int(num) if negative else int(num)
-    if den is None:
-        return Fraction(a)
+    a = -int(num or 1) if signs.count("-") & 1 else int(num or 1)
+    if not den:
+        return a
     d = int(den) if len(den) <= MAX_DIGITS else 0
     return Fraction(a, d) if d else None
 
@@ -141,8 +142,6 @@ def _mono_str(mono: Monomial) -> str:
 def canonical_monomial(pairs) -> Monomial:
     """The monomial of (symbol, exponent) pairs in canonical form: the
     exponents of a symbol added up, zero sums left out, sorted."""
-    if len(pairs) == 1 and pairs[0][1] > 0:  # a parsed "p" or "p^2"
-        return tuple(pairs)
     exps: dict = {}
     for sym, e in pairs:
         exps[sym] = exps.get(sym, 0) + e
@@ -165,6 +164,15 @@ def _coerce(value) -> "ParamScalar | None":
     if isinstance(value, (int, Fraction)):
         return ParamScalar.rational(value)
     return None
+
+
+def _operand(method):
+    """method(self, other) on other as a ParamScalar (_coerce), or
+    NotImplemented where other is neither a ParamScalar nor a rational."""
+    def on_operand(self, other):
+        o = _coerce(other)
+        return NotImplemented if o is None else method(self, o)
+    return on_operand
 
 
 class ParamScalar:
@@ -258,10 +266,8 @@ class ParamScalar:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __add__(self, o):
         terms = dict(self._terms)
         for mono, coeff in o._terms.items():
             if mono in terms:
@@ -279,22 +285,16 @@ class ParamScalar:
     def __neg__(self):
         return ParamScalar._of({m: -c for m, c in self._terms.items()})
 
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __sub__(self, o):
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __rsub__(self, o):
         return o + (-self)
 
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __mul__(self, o):
         terms: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in o._terms.items():
@@ -304,10 +304,8 @@ class ParamScalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __truediv__(self, o):
         if not o.is_constant():
             raise ScalarError(f"division by non-constant scalar: {o}")
         q = o.constant_value()
@@ -328,10 +326,8 @@ class ParamScalar:
                 base = base * base
         return out
 
-    def __eq__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __eq__(self, o):
         return self._terms == o._terms
 
     def __hash__(self):
@@ -437,17 +433,18 @@ class Scanner:
             mono  := NAME [ '^' INT ] { '*' NAME [ '^' INT ] }
 
         A term is taken when the end of the text or a sign follows it. The
-        grammar takes any whitespace, also in a subclass's text."""
+        grammar takes any whitespace, also in a subclass's text. Text the
+        pattern rejects is read again from the start by the token methods,
+        which word the error."""
         self._ws = ws = Scanner._ws
         text = self.text
-        n = len(text)
+        n, p = len(text), self.pos
         terms: dict = {}  # {monomial: Fraction}, summed over the terms
-        first = True
         while True:
-            m = _TERM(text, self.pos)
-            signs, num, den, name, exp, rest = m.groups()
-            coeff = _coefficient(signs, num, den)
-            if name is None:
+            m = _TERM(text, p)
+            signs, num, den, name, exp, rest = m.groups("")
+            coeff = _number(signs, num, den)
+            if not name:
                 mono = () if num else None
             elif exp or rest:
                 mono = _monomial(name, exp, rest)
@@ -459,12 +456,13 @@ class Scanner:
                 p = ws(text, p).end()
                 if p < n and text[p] not in "+-":
                     break
+            if type(coeff) is int:
+                coeff = Fraction(coeff)
             terms[mono] = terms[mono] + coeff if mono in terms else coeff
-            self.pos = p
             if p == n:
+                self.pos = p
                 return ParamScalar._of({m: c for m, c in terms.items() if c})
-            first = False
-        return self._scalar_by_tokens(terms, first)
+        return self._scalar_by_tokens()
 
     # -- token methods: they word and place the errors of rejected text ------
 
@@ -560,9 +558,10 @@ class Scanner:
             self.pos += 1
             what = "a parameter name"
 
-    def _scalar_by_tokens(self, terms: dict, first: bool) -> ParamScalar:
-        """scalar, one token at a time from the start of a term: the first
-        term of the text when first, else a term after the ones in terms."""
+    def _scalar_by_tokens(self) -> ParamScalar:
+        """scalar, one token at a time from the scan position."""
+        terms: dict = {}
+        first = True
         while first or not self.eof():
             if not first and self.text[self.pos] not in "+-":
                 self.error("expected '+' or '-' between terms")
@@ -594,11 +593,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse sign* a [/ b] with unsigned integers a, b != 0, the grammar of
     a metric g entry, e.g. "-9/6" or "--2", as one match of _TERM."""
     m = _TERM(text)
-    signs, num, den, name = m.group(1, 2, 3, 4)
+    signs, num, den, name = m.groups("")[:4]
     if num and not name and Scanner._ws(text, m.end()).end() == len(text):
-        q = _coefficient(signs, num, den)
+        q = _number(signs, num, den)
         if q is not None:
-            return q
+            return as_fraction(q)
     sc = Scanner(text)
     q = sc.signed_rational()
     sc.end()

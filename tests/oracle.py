@@ -286,6 +286,24 @@ def besse_ricci(brackets, g):
     return ric
 
 
+# Sectional curvature of an orthonormal frame from the brackets alone:
+# Milnor, Adv. Math. 21 (1976). No connection and no Jacobi identity.
+
+def milnor_sectional(c, i, j):
+    """K(e_i, e_j) for a dense table c[i][j][k] = c_ij^k = a_ijk in a frame
+    that the metric makes orthonormal:
+
+      sum_k 1/2 a_ijk (-a_ijk + a_jki + a_kij)
+            - 1/4 (a_ijk - a_jki + a_kij)(a_ijk + a_jki - a_kij)
+            - a_kii a_kjj."""
+    K = F(0)
+    for k in range(len(c)):
+        a, b, d = c[i][j][k], c[j][k][i], c[k][i][j]
+        K += (a * (b + d - a) / 2 - (a - b + d) * (a + b - d) / 4
+              - c[k][i][i] * c[k][j][j])
+    return K
+
+
 # Soliton reference: L_X g entry by entry from the naive connection, and the
 # trace-solved lambda with its residual. The coefficients of X and lambda may
 # be any values that support + and * with Fractions (parametric ones

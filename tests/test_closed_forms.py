@@ -1,9 +1,11 @@
 """Answers that do not come from the engine, at sizes the naive oracle
 cannot reach: the closed form of the Heisenberg family H_{2n+1} up to
 dimension 17, Milnor's 3-dimensional unimodular family, the naive oracle
-itself on a non-identity metric in dimension 7, and Besse's Lie-algebra
+itself on a non-identity metric in dimension 7, Besse's Lie-algebra
 Ricci formula (``oracle.besse_ricci``) on random metric Lie algebras and on
-algebras of dimension 33 to 65."""
+algebras of dimension 33 to 65, and Milnor's sectional curvature
+(``oracle.milnor_sectional``) in orthonormal frames, rotated or not, and
+at m = 17 and 33."""
 import random
 from fractions import Fraction
 
@@ -12,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from frames import (direct_sum, document, gram_plus_identity, heisenberg,
-                    lie_algebras, semidirect, sparse_brackets)
+from frames import (change_frame, direct_sum, document, gram_plus_identity,
+                    heisenberg, identity, lie_algebras, matmul, semidirect,
+                    sparse_brackets, table_of, transpose)
 from framecalc.cli import main
 from framecalc.contact import check_normality, check_sasakian
 from framecalc.geometry import FrameManifold, curvature, levi_civita, ricci
@@ -166,3 +169,86 @@ def test_ricci_matches_besse_formula_large(name):
     c, g = _large_algebras()[name]
     assert 33 <= len(g) <= 65
     assert _engine_ricci(c, g) == oracle.besse_ricci(sparse_brackets(c), g)
+
+
+# -- Milnor, Adv. Math. 21 (1976): sectional curvature from the brackets --------
+
+def _sectional(c) -> tuple:
+    """({(i, j): R_ijj^i} of the engine's R table, {(i, j): Milnor's
+    K(e_i, e_j)}) over i != j, for the dense table c under the identity
+    metric, which makes its frame orthonormal."""
+    m = len(c)
+    comp = FrameManifold("milnor", m, table_of(c), identity(m)).riem.comp
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    return ({(i, j): comp.get((i, j, j), {}).get(i, 0) for i, j in pairs},
+            {(i, j): oracle.milnor_sectional(c, i, j) for i, j in pairs})
+
+
+def _random_table(rng, m: int, n: int) -> list:
+    """An antisymmetric table with n random brackets; the Jacobi identity
+    need not hold."""
+    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for _ in range(n):
+        (i, j), k = rng.sample(range(m), 2), rng.randrange(m)
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        c[i][j][k] += q
+        c[j][i][k] -= q
+    return c
+
+
+@st.composite
+def orthonormal_tables(draw) -> list:
+    """A table c in a frame the identity metric makes orthonormal: H_{2n+1},
+    R x_D R^{m-1} or a random antisymmetric table, then, if drawn, in the
+    frame turned by the Cayley rotation Q = (I - S)(I + S)^{-1} of a
+    rational skew S, so that its planes are off the first frame."""
+    kind = draw(st.sampled_from(["heisenberg", "semidirect", "random"]))
+    if kind == "heisenberg":
+        c = heisenberg(draw(st.integers(1, 2)))[1]
+    elif kind == "semidirect":
+        k = draw(st.integers(1, 4))
+        c = semidirect(draw(st.lists(st.lists(small, min_size=k, max_size=k),
+                                     min_size=k, max_size=k)))[1]
+    else:
+        c = _random_table(draw(st.randoms(use_true_random=False)),
+                          draw(st.integers(3, 6)), draw(st.integers(1, 12)))
+    if not draw(st.booleans()):
+        return c
+    m = len(c)
+    index = st.integers(0, m - 1)
+    S = [[Fraction(0)] * m for _ in range(m)]
+    for a, b, q in draw(st.lists(st.tuples(index, index, small),
+                                 min_size=1, max_size=m)):
+        if a != b:
+            S[a][b], S[b][a] = S[a][b] + q, S[b][a] - q
+    I = identity(m)
+    Q = matmul([[I[a][b] - S[a][b] for b in range(m)] for a in range(m)],
+               oracle.inv([[I[a][b] + S[a][b] for b in range(m)]
+                           for a in range(m)]))
+    c, g, _, _ = change_frame(c, I, Q, transpose(Q))
+    assert g == I
+    return c
+
+
+@settings(deadline=None)
+@given(orthonormal_tables())
+def test_sectional_curvature_is_milnors(c):
+    engine, milnor = _sectional(c)
+    assert engine == milnor
+
+
+def _sparse_tables() -> dict:
+    rng = random.Random(17)
+    return {
+        "H_17": heisenberg(8)[1],
+        "H_33": heisenberg(16)[1],
+        "R x_D R^16": _semidirect_block(rng, 16, False)[0],
+        "random m = 17": _random_table(rng, 17, 34),
+        "random m = 33": _random_table(rng, 33, 66),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_sparse_tables()))
+def test_sectional_curvature_is_milnors_sparse(name):
+    engine, milnor = _sectional(_sparse_tables()[name])
+    assert engine == milnor

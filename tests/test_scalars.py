@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -131,6 +131,21 @@ def test_division_by_scalar_constant_only():
         P / Q
     with pytest.raises(ScalarError):
         P / 0
+
+
+@pytest.mark.parametrize("op", [
+    lambda: P + "x", lambda: "x" + P, lambda: P * 1.5, lambda: 1.5 * P,
+    lambda: P - None, lambda: None - P, lambda: P / "x", lambda: 2 / P])
+def test_a_foreign_operand_is_a_type_error(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_rational_operands_on_either_side():
+    assert not P == 1.5 and not P == "p"
+    assert ParamScalar() == Fraction(0)
+    assert [str(x) for x in (1 - P, Fraction(1, 2) - P, Fraction(1, 2) * P,
+                             P / 2)] == ["-p + 1", "-p + 1/2", "1/2*p", "1/2*p"]
 
 
 def test_power():
@@ -393,6 +408,9 @@ def read(reader, text):
 
 @settings(deadline=None)
 @given(piece_texts)
+@example("p + 1/0")  # text that fails after accepted terms
+@example("1/2*p + q^")
+@example("p - -q + 3*")
 def test_scalar_reads_as_the_token_reference(text):
     """parse_scalar gives the token-by-token reference's terms, or its
     error with the same message and offset; on accepted text no token
