@@ -19,10 +19,13 @@ elimination per manifold gives g^{-1} and the leading minors. Every vector
 text is rendered from a sparse map (render_vector), as are the parser's
 expect nabla and riem values, maps {k: int | Fraction}. ParamScalar and
 FrameVector appear only in the accessors and where a caller's field or
-scalar brings in parameters, split by monomial (by_monomial) for the kernels.
+scalar brings in parameters, split by monomial (by_monomial) for the kernels;
+L_X g is split the same way and built one monomial part at a time, on the
+part's first read (LieDerivativeParts).
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, product
@@ -746,18 +749,44 @@ def ricci_operator(M: FrameManifold, ric_t: RicciTensor) -> tuple:
 
 # -- derived operations --------------------------------------------------------
 
-def lie_derivative_parts(conn: ConnectionTable, X: FrameVector) -> dict:
+class LieDerivativeParts(Mapping):
     """L_X g by the monomials of X's coefficients: {monomial: ({(i, j): int},
-    d)}, each part sum_a x_a L_{e_a} g contracted on ints (by_monomial)."""
-    lie, dl = conn.lie_int
+    d)}, each part sum_a x_a L_{e_a} g contracted on the integer
+    conn.lie_int. X is split by monomial once, into split ({monomial: {a:
+    Fraction}}); a monomial's part is built on its first read and kept, so
+    a reader that stops at one monomial builds no part after it."""
 
-    def kernel(x: dict) -> tuple:
+    def __init__(self, conn: ConnectionTable, X: FrameVector):
+        self.lie_int = conn.lie_int
+        self.split = monomial_parts(dict(enumerate(X.coeffs)))
+        self._built: dict = {}
+
+    def __getitem__(self, mono) -> tuple:
+        if mono not in self._built:
+            self._built[mono] = self._part(self.split[mono])
+        return self._built[mono]
+
+    def __iter__(self):
+        return iter(self.split)
+
+    def __len__(self) -> int:
+        return len(self.split)
+
+    def _part(self, coeffs: dict) -> tuple:
+        lie, dl = self.lie_int
+        x, d = integer_map(coeffs)
         acc: dict = {}
         for a, xa in x.items():
             for key, q in lie.get(a, {}).items():
                 acc[key] = acc.get(key, 0) + q * xa
-        return acc, dl
-    return by_monomial(kernel, dict(enumerate(X.coeffs)))
+        return acc, dl * d
+
+
+def lie_derivative_parts(conn: ConnectionTable,
+                         X: FrameVector) -> LieDerivativeParts:
+    """L_X g by the monomials of X's coefficients, each part built on its
+    first read (LieDerivativeParts)."""
+    return LieDerivativeParts(conn, X)
 
 
 def lie_derivative_metric(M: FrameManifold, conn: ConnectionTable,

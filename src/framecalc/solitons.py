@@ -27,9 +27,17 @@ metric and torsion-free, so g^{ij} (L_X g)_ij = 2 div X = -2 sum_a x_a
 tr ad_{e_a} (Milnor, "Curvatures of left invariant metrics on Lie groups",
 Adv. Math. 21, 1976), zero on a unimodular frame. s, lambda and the trace
 equation are built as {monomial: Fraction} maps, each wrapped once in a
-ParamScalar. The status sweeps the residual one monomial at a time and
-stops at the first monomial holding a nonzero entry; the residual parts
-and matrix are built on the first read of LambdaSolve.residual.
+ParamScalar. X is split by monomial once, for the trace and for L_X g
+(lie_derivative_parts), and each monomial's L_X g part is built on its
+first read, at most once per solve. The status sweeps the residual one
+monomial at a time and stops at the first monomial holding a nonzero
+entry, so it builds the L_X g parts only up to that monomial; the first
+read of LambdaSolve.residual builds the parts still missing, then the
+residual parts and matrix.
+
+df and dlambda are converted with as_fraction, which keeps a Fraction as
+it is; integrability is decided on the integer brackets and df, and a
+Fraction is built only for a defect.
 """
 from __future__ import annotations
 
@@ -46,8 +54,8 @@ from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        vector_of)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
-from .scalars import (LinearForm, ParamScalar, ScalarError, format_rational,
-                      monomial_parts)
+from .scalars import (LinearForm, ParamScalar, ScalarError, as_fraction,
+                      format_rational)
 
 P = ParamScalar.param("p")
 _P = (("p", 1),)  # the monomial p
@@ -159,8 +167,10 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     """Contract the soliton equation with g^{-1} and solve the resulting
     linear equation for lambda; the trace of L_X g comes from the brackets,
     -2 sum_a x_a tr ad_{e_a}. Status is einstein_exact when the full
-    residual vanishes at the solved lambda, else trace_only; the residual
-    is built from this solve's L_X g on the first read of .residual."""
+    residual vanishes at the solved lambda, else trace_only. The status
+    builds the L_X g parts up to the first monomial holding a nonzero
+    residual entry; the first read of .residual builds the rest and reuses
+    those."""
     m = M.dim
     check_lengths(m, "X", X.coeffs, error=SolitonError)
     table, dc = M.brackets_int
@@ -174,9 +184,10 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     ric, dr = ric_t.ric_int
     tr = {(): Fraction(2 * sum(x * gi_cols[j].get(i, 0)
                                for (i, j), x in ric.items()), dr * dgi)}
-    for mono, part in monomial_parts({a: X.coeffs[a] for a in tr_ad}).items():
-        t = Fraction(-2, dc) * sum(x * tr_ad[a] for a, x in part.items())
-        tr[mono] = tr.get(mono, 0) + t
+    parts = lie_derivative_parts(conn, X)  # X split once; parts built on read
+    for mono, part in parts.split.items():
+        if t := sum(part[a] * c for a, c in tr_ad.items() if a in part):
+            tr[mono] = tr.get(mono, 0) + Fraction(-2, dc) * t
     # tr == m * s with s = 2 (lambda - shift), so lambda = s / 2 + shift and
     # the trace equation 2m * lambda - 2m * shift - tr = 0 has the remainder
     # -2m * shift - tr = -2m * lambda
@@ -186,7 +197,6 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
            if (c := s.get(mono, 0) * _HALF + shift.get(mono, 0))}
     form = LinearForm(Fraction(2 * m), ParamScalar._of(
         {mono: -2 * m * c for mono, c in lam.items()}))
-    parts = lie_derivative_parts(conn, X)  # the one L_X g of this solve
     exact = not any(any(acc.values()) for _, (acc, _) in
                     _residual_monomials(M, parts, (ric, dr), 2, s))
     return LambdaSolve(ParamScalar._of(lam), form,
@@ -243,20 +253,20 @@ class GradientData(Record):
 
     @classmethod
     def from_values(cls, df, dlambda=None) -> "GradientData":
-        return cls(tuple(Fraction(x) for x in df),
-                   None if dlambda is None else tuple(Fraction(x) for x in dlambda))
+        return cls(tuple(as_fraction(x) for x in df),
+                   None if dlambda is None else tuple(as_fraction(x) for x in dlambda))
 
 
 def integrability_defects(M: FrameManifold, df) -> list:
     """Pairs (i, j) with sum_k df[k] c[i][j][k] nonzero. A frame-constant df
     is a genuine differential only when all of these vanish."""
     check_lengths(M.dim, "df", df, error=SolitonError)
+    table, dc = M.brackets_int
+    dfi, dd = _df_int(df)
     out = []
-    for (i, j), row in M.brackets.items():
-        if i < j:
-            d = sum((Fraction(df[k]) * x for k, x in row.items()), Fraction(0))
-            if d != 0:
-                out.append(((i, j), d))
+    for (i, j), row in table.items():
+        if i < j and (d := sum(x * dfi[k] for k, x in row.items() if k in dfi)):
+            out.append(((i, j), Fraction(d, dc * dd)))
     return out
 
 
@@ -282,7 +292,7 @@ def _constancy_defects(gd: GradientData, indices) -> list:
 
 def _df_int(df) -> tuple:
     """({k: int}, d) of the nonzero entries of df."""
-    return integer_map({k: Fraction(x) for k, x in enumerate(df) if x})
+    return integer_map({k: as_fraction(x) for k, x in enumerate(df) if x})
 
 
 def _hessian_int(conn: ConnectionTable, df) -> tuple:

@@ -2,6 +2,7 @@
 closed-form concurrent-potential constants."""
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -238,6 +239,37 @@ def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
     assert solve_lambda_trace(M, conn, ric, FrameVector.zero(5),
                               SolitonFlavor.RICCI).status == (
         "einstein_exact" if name == "abelian5" else "trace_only")
+
+
+def test_a_solve_builds_each_lie_derivative_part_at_most_once(monkeypatch):
+    """L_X g is built one monomial part at a time, on the part's first read:
+    a trace_only status stops at the first monomial with a nonzero residual
+    entry (p e1 is not Killing on heisenberg5), .residual builds only the
+    parts still missing, and an einstein_exact status reads every part
+    once."""
+    built = []
+    part = framecalc.geometry.LieDerivativeParts._part
+
+    def counted(self, coeffs):
+        built.append(coeffs)
+        return part(self, coeffs)
+    monkeypatch.setattr(framecalc.geometry.LieDerivativeParts, "_part", counted)
+    for name, X, status, first, total in (
+            ("heisenberg5", [P, 0, Q, 0, 1], "trace_only", 1, 3),
+            ("abelian5", [P, Q / 2 - 1, 0, R, Fraction(1, 3)],
+             "einstein_exact", 4, 4)):
+        M, conn, ric = reference_geometry(name)[:3]
+        X = FrameVector.from_values(X)
+        for flavor in SolitonFlavor:
+            built.clear()
+            solve = solve_lambda_trace(M, conn, ric, X, flavor)
+            assert solve.status == status and len(built) == first, (name, flavor)
+            built.clear()
+            res = solve.residual
+            assert len(built) == total - first, (name, flavor)
+            built.clear()
+            assert solve.residual is res and built == []
+            assert res == soliton_residual(M, conn, ric, X, solve.lam, flavor)
 
 
 def test_check_gradient_tests_integrability_once(monkeypatch, capsys):
@@ -536,6 +568,39 @@ def test_gradient_vector_identity_metric():
     doc, M, conn, R, ric = setup("heisenberg5")
     assert gradient_vector(M, (1, 0, -2, 0, 0)) == FrameVector.from_values(
         (1, 0, -2, 0, 0))
+
+
+class _Rational(Fraction):
+    """A Fraction subclass, which from_values converts to a Fraction."""
+
+
+def test_gradient_data_reads_ints_fractions_and_mixed_alike():
+    """df given as ints, as Fractions or mixed gives the same gradient data,
+    integrability defects, Hessian, gradient vector and gradient residual;
+    any other value converts as Fraction(x) converts it, and a value
+    Fraction refuses is refused."""
+    M, conn, ric = reference_geometry("heisenberg5")[:3]
+    lam = P / 2 - Fraction(3, 5)
+    for values in ((2, -1, 0, 3, 1), (0, 0, 1, 0, -4)):
+        want = None
+        for df in (values, tuple(map(Fraction, values)),
+                   tuple(Fraction(x) if i % 2 else x
+                         for i, x in enumerate(values))):
+            gd = GradientData.from_values(df, df)
+            assert all(type(x) is Fraction for x in gd.df + gd.dlambda)
+            got = (gd, integrability_defects(M, df), hessian(M, conn, df),
+                   gradient_vector(M, df))
+            if not got[1]:
+                got += (gradient_soliton_residual(M, conn, ric, gd, lam,
+                                                  SolitonFlavor.CONFORMAL),)
+            assert got == (want := want or got), df
+    other = ("3/4", 0.5, Decimal("1.25"), True, _Rational(7, 3))
+    gd = GradientData.from_values(other, other)
+    assert gd.df == gd.dlambda == tuple(Fraction(x) for x in other)
+    assert all(type(x) is Fraction for x in gd.df)
+    for bad, error in (("x", ValueError), (None, TypeError)):
+        with pytest.raises(error):
+            GradientData.from_values((0, bad, 0, 0, 0))
 
 
 WRONG_LENGTHS = (("df", (1, 0, 0), None, 3), ("df", (1, 0, 0, 0, 0, 1), None, 6),
