@@ -136,12 +136,15 @@ def _parse_field(text: str, doc: ManifoldDocument) -> FrameVector:
     parts = text.split(",")
     if len(parts) != M.dim:
         raise UsageError(f"--field needs {M.dim} comma-separated components")
-    coeffs = [parse_scalar(s) for s in parts]
-    for c in coeffs:
-        extra = c.symbols() - M.params
-        if extra:
-            raise UsageError(f"undeclared parameter {sorted(extra)[0]!r} in field")
-    return FrameVector.from_values(coeffs)
+    coeffs = [parse_scalar(s) for s in parts]  # all parsed, then checked
+    return FrameVector.from_values([_declared(c, M, "field") for c in coeffs])
+
+
+def _declared(c, M: FrameManifold, where: str):
+    """c, if it uses no parameter that M does not declare."""
+    if extra := c.symbols() - M.params:
+        raise UsageError(f"undeclared parameter {sorted(extra)[0]!r} in {where}")
+    return c
 
 
 def _parse_fraction_list(text: str, dim: int, what: str) -> tuple:
@@ -152,11 +155,7 @@ def _parse_fraction_list(text: str, dim: int, what: str) -> tuple:
 
 
 def _parse_lambda(text: str, M: FrameManifold):
-    lam = parse_scalar(text)
-    extra = lam.symbols() - M.params
-    if extra:
-        raise UsageError(f"undeclared parameter {sorted(extra)[0]!r} in lambda")
-    return lam
+    return _declared(parse_scalar(text), M, "lambda")
 
 
 # -- table reports -------------------------------------------------------------

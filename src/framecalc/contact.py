@@ -242,10 +242,7 @@ def check_curvature_identity(M: FrameManifold, R: CurvatureTensor,
     report = CheckReport(f"{M.name} reeb curvature identity")
     (gamma, dgam), (brackets, dc), on = R.conn.gamma_int, M.brackets_int, D.on(M)
     xi, dx, _, _ = on.xi_eta
-    by_first, by_second = {}, {}
-    for (i, a), row in gamma.items():
-        by_first.setdefault(i, []).append((a, row))
-        by_second.setdefault(a, []).append((i, row))
+    by_first, by_second = R.conn.gamma_rows
     nxi = {z: bracket_sum(gamma, xi, {z: 1}) for z in range(M.dim)}  # over dgam dx
     lhs = {}  # over dgam^2 dc dx
     for z, col in nxi.items():

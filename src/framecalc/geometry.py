@@ -350,6 +350,7 @@ class FrameManifold:
                      for i in range(m))
 
     g = cached_property(lambda self: dense(self.g_cols))
+    g_inv = cached_property(lambda self: dense(divided_columns(*self.g_inv_int)))
 
     @cached_property
     def elimination(self) -> tuple:
@@ -378,12 +379,6 @@ class FrameManifold:
             for j in compress(range(n), row[n:]):
                 inverse[j][i] = d * row[n + j] // q
         return minors, (inverse, p // q)
-
-    @cached_property
-    def g_inv(self) -> Matrix:
-        cols, d = self.g_inv_int
-        return tuple(tuple(Fraction(cols[j].get(i, 0), d) for j in cols)
-                     for i in cols)
 
     @cached_property
     def g_inv_int(self) -> tuple:
@@ -565,6 +560,16 @@ class ConnectionTable(Record):
         return {a: {key: x for key, x in row.items() if x}
                 for a, row in table.items()}, dk
 
+    @cached_property
+    def gamma_rows(self) -> tuple:
+        """(by_first, by_second): the integer Gamma rows (i, a) -> {k: int}
+        listed as by_first[i] = [(a, row)] and by_second[a] = [(i, row)]."""
+        by_first, by_second = {}, {}
+        for (i, a), row in self.gamma_int[0].items():
+            by_first.setdefault(i, []).append((a, row))
+            by_second.setdefault(a, []).append((i, row))
+        return by_first, by_second
+
     def entry(self, i: int, j: int) -> FrameVector:
         return vector_of(self.manifold.dim, self.gamma.get((i, j), {}))
 
@@ -653,11 +658,7 @@ def _curvature_components(M: FrameManifold, conn: ConnectionTable) -> dict:
     the sums run on ints over dg^2 dc, and each entry is divided once."""
     gamma, dg = conn.gamma_int
     brackets, dc = M.brackets_int
-    by_first: dict = {}
-    by_second: dict = {}
-    for (i, a), row in gamma.items():
-        by_first.setdefault(i, []).append((a, row))
-        by_second.setdefault(a, []).append((i, row))
+    by_first, by_second = conn.gamma_rows
     acc: dict = {}
     for (j, k), row_jk in gamma.items():
         for a, x in row_jk.items():
@@ -722,11 +723,15 @@ def ricci(M: FrameManifold, R: CurvatureTensor) -> RicciTensor:
     return RicciTensor(M, reduced(acc, dg * dg * dc))
 
 
-def scalar_curvature(M: FrameManifold, ric_t: RicciTensor) -> ParamScalar:
+def scalar_curvature_int(M: FrameManifold, ric_t: RicciTensor) -> tuple:
+    """(int, d): the scalar curvature g^{jk} ric_jk = int / d."""
     gi_cols, dgi = M.g_inv_int
     ric, dr = ric_t.ric_int
-    return ParamScalar.rational(Fraction(
-        sum(x * gi_cols[j].get(i, 0) for (i, j), x in ric.items()), dgi * dr))
+    return sum(x * gi_cols[j].get(i, 0) for (i, j), x in ric.items()), dgi * dr
+
+
+def scalar_curvature(M: FrameManifold, ric_t: RicciTensor) -> ParamScalar:
+    return ParamScalar.rational(Fraction(*scalar_curvature_int(M, ric_t)))
 
 
 def ricci_operator_int(M: FrameManifold, ric_t: RicciTensor) -> tuple:

@@ -414,8 +414,7 @@ class Scanner:
         return p
 
     def eof(self) -> bool:
-        self.pos = p = self._ws(self.text, self.pos).end()
-        return p >= len(self.text)
+        return self.skip_ws() >= len(self.text)
 
     def end(self):
         """Require that nothing but whitespace is left."""
@@ -467,7 +466,7 @@ class Scanner:
     # -- token methods: they word and place the errors of rejected text ------
 
     def peek(self) -> str:
-        self.pos = p = self._ws(self.text, self.pos).end()
+        p = self.skip_ws()
         return self.text[p:p + 1]
 
     def peek_word(self) -> str:

@@ -22,18 +22,19 @@ The constancy checks compare df[i] + dlambda[i] with 0 over every frame
 index or over the contact distribution (eta(e_i) = 0), where g(Df, e_i) =
 df[i] for any metric, so neither g nor its inverse is read.
 
-The trace solve reads the trace of L_X g from the brackets: nabla is
-metric and torsion-free, so g^{ij} (L_X g)_ij = 2 div X = -2 sum_a x_a
-tr ad_{e_a} (Milnor, "Curvatures of left invariant metrics on Lie groups",
-Adv. Math. 21, 1976), zero on a unimodular frame. s, lambda and the trace
-equation are built as {monomial: Fraction} maps, each wrapped once in a
-ParamScalar. X is split by monomial once, for the trace and for L_X g
-(lie_derivative_parts), and each monomial's L_X g part is built on its
-first read, at most once per solve. The status sweeps the residual one
-monomial at a time and stops at the first monomial holding a nonzero
-entry, so it builds the L_X g parts only up to that monomial; the first
-read of LambdaSolve.residual builds the parts still missing, then the
-residual parts and matrix.
+The trace solve reads the trace of L_X g from the brackets: nabla is metric
+and torsion-free, so g^{ij} (L_X g)_ij = 2 div X = -2 sum_a x_a tr ad_{e_a}
+(Milnor, "Curvatures of left invariant metrics on Lie groups", Adv. Math.
+21, 1976), zero on a unimodular frame. The trace's constant term is twice
+the scalar curvature, from geometry.scalar_curvature_int, the one helper
+scalar_curvature also reads. s, lambda and the trace equation are built as
+{monomial: Fraction} maps, each wrapped once in a ParamScalar. X is split
+by monomial once, for the trace and for L_X g (lie_derivative_parts), and
+each monomial's L_X g part is built on its first read, at most once per
+solve. The status sweeps the residual one monomial at a time and stops at
+the first monomial holding a nonzero entry, so it builds the L_X g parts
+only up to that monomial; the first read of LambdaSolve.residual builds the
+parts still missing, then the residual parts and matrix.
 
 df and dlambda are converted with as_fraction, which keeps a Fraction as
 it is; integrability is decided on the integer brackets and df, and a
@@ -51,7 +52,7 @@ from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        bracket_sum, check_lengths, compare, divided,
                        endo_derivative_int, entry_defects, integer_map, joined,
                        lie_derivative_parts, matrix_of, ricci_operator_int,
-                       vector_of)
+                       scalar_curvature_int, vector_of)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import (LinearForm, ParamScalar, ScalarError, as_fraction,
@@ -154,11 +155,11 @@ class LambdaSolve(Record):
         self.lam = lam
         self.form = form
         self.status = status  # "einstein_exact" or "trace_only"
-        self._residual = residual  # the matrix, or a function building it
+        self._residual = residual  # a function building the matrix
 
     @cached_property
     def residual(self) -> tuple:
-        return self._residual() if callable(self._residual) else self._residual
+        return self._residual()
 
 
 def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
@@ -178,12 +179,9 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     for (a, k), row in table.items():
         if k in row:
             tr_ad[a] = tr_ad.get(a, 0) + row[k]
-    # tr = g^{ij}(L_X g + 2 ric)_ij, with tr_g L_X g = 2 div X =
-    # -2 sum_a x_a tr ad_{e_a}, as nabla is metric and torsion-free
-    gi_cols, dgi = M.g_inv_int  # g^{ij} = gi_cols[j][i] / dgi
-    ric, dr = ric_t.ric_int
-    tr = {(): Fraction(2 * sum(x * gi_cols[j].get(i, 0)
-                               for (i, j), x in ric.items()), dr * dgi)}
+    # tr = g^{ij}(L_X g + 2 ric)_ij = tr_g L_X g + 2 r, r the scalar curvature
+    r, dr = scalar_curvature_int(M, ric_t)
+    tr = {(): Fraction(2 * r, dr)}
     parts = lie_derivative_parts(conn, X)  # X split once; parts built on read
     for mono, part in parts.split.items():
         if t := sum(part[a] * c for a, c in tr_ad.items() if a in part):
@@ -198,11 +196,11 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     form = LinearForm(Fraction(2 * m), ParamScalar._of(
         {mono: -2 * m * c for mono, c in lam.items()}))
     exact = not any(any(acc.values()) for _, (acc, _) in
-                    _residual_monomials(M, parts, (ric, dr), 2, s))
+                    _residual_monomials(M, parts, ric_t.ric_int, 2, s))
     return LambdaSolve(ParamScalar._of(lam), form,
                        "einstein_exact" if exact else "trace_only",
                        lambda: matrix_of(m, joined(dict(
-                           _residual_monomials(M, parts, (ric, dr), 2, s)))))
+                           _residual_monomials(M, parts, ric_t.ric_int, 2, s)))))
 
 
 # -- classification ------------------------------------------------------------

@@ -652,12 +652,19 @@ def test_bad_flavor_and_missing_args(capsys):
     assert code == 3
 
 
-def test_bad_lambda_expression(capsys):
-    code, _, errtext = run(capsys, "check-soliton", "--builtin", "abelian3",
-                           "--field", "xi", "--flavor", "ricci",
-                           "--lambda", "q + 1")
-    assert code == 3
-    assert "undeclared parameter" in errtext
+@pytest.mark.parametrize("builtin, field, lam, want", [
+    ("abelian3", "xi", "q + 1", "undeclared parameter 'q' in lambda"),
+    ("heisenberg5", "q,0,0,0,0", "0", "undeclared parameter 'q' in field"),
+    ("heisenberg5", "xi", "q + 1", "undeclared parameter 'q' in lambda"),
+    # every component is parsed before any is checked for parameters
+    ("heisenberg5", "q,1/0,0,0,0", "q + 1",
+     "zero denominator at offset 0 in scalar '1/0'"),
+])
+def test_bad_lambda_expression(capsys, builtin, field, lam, want):
+    code, out, errtext = run(capsys, "check-soliton", "--builtin", builtin,
+                             "--field", field, "--flavor", "ricci",
+                             "--lambda", lam)
+    assert (code, out, errtext) == (3, "", f"error: {want}\n")
 
 
 @pytest.mark.parametrize("text", [t for t, _ in MALFORMED_SCALARS],

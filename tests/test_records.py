@@ -31,9 +31,10 @@ def _pairs():
          LedgerEntry("src", "x", "z")),
         (LinearForm(Fraction(2), one), LinearForm(Fraction(2), one),
          LinearForm(Fraction(2), two)),
-        (LambdaSolve(one, LinearForm(Fraction(2), one), "trace_only", ()),
-         LambdaSolve(one, LinearForm(Fraction(2), one), "trace_only", ()),
-         LambdaSolve(one, LinearForm(Fraction(2), one), "einstein_exact", ())),
+        (LambdaSolve(one, LinearForm(Fraction(2), one), "trace_only", lambda: ()),
+         LambdaSolve(one, LinearForm(Fraction(2), one), "trace_only", lambda: ()),
+         LambdaSolve(one, LinearForm(Fraction(2), one), "einstein_exact",
+                     lambda: ())),
         (Classification("conditional", "p > 1", Fraction(1)),
          Classification("conditional", "p > 1", Fraction(1)),
          Classification("conditional", "p < 1", Fraction(1))),

@@ -20,7 +20,8 @@ from framecalc.contact import AlmostContactData
 from frames import (contact_frames, gram_plus_identity, heisenberg, identity,
                     lie_algebras, small, sparse_brackets, table_of)
 from framecalc.geometry import (FrameManifold, FrameVector, curvature,
-                                levi_civita, lie_derivative_metric, ricci)
+                                levi_civita, lie_derivative_metric, ricci,
+                                scalar_curvature)
 from framecalc.manifold_format import parse_manifold
 from framecalc.reports import CheckReport
 from framecalc.scalars import ParamScalar
@@ -167,6 +168,26 @@ def test_soliton_layer_matches_the_naive_reference_property(name, data):
     check_against_reference(name, X, [data.draw(scalars)])
 
 
+@settings(deadline=None, max_examples=settings.default.max_examples // 2)
+@given(lie_algebras())
+def test_zero_field_lambda_is_the_scalar_curvature_over_m_property(alg):
+    """For X = 0 the trace equation's constant term is 2r, twice the scalar
+    curvature: lambda = r/m for the Ricci flavors and p/2 + (r + 1)/m for
+    the conformal ones, also on non-unimodular frames with non-identity
+    metrics. r is the oracle's: Ricci from the brackets (Besse), traced
+    with oracle.inv(g)."""
+    c, g = alg
+    m = len(g)
+    gi, ric = oracle.inv(g), oracle.besse_ricci(sparse_brackets(c), g)
+    r = sum(gi[i][j] * ric[i][j] for i in range(m) for j in range(m))
+    M, conn, _, ric_t = _engine(c, g)
+    assert scalar_curvature(M, ric_t) == sc(r)
+    for flavor in SolitonFlavor:
+        want = P / 2 + sc((r + 1) / m) if flavor.is_conformal else sc(r / m)
+        assert solve_lambda_trace(M, conn, ric_t, FrameVector.zero(m),
+                                  flavor).lam == want, flavor
+
+
 def test_one_solve_computes_the_lie_derivative_once(monkeypatch):
     """solve_lambda_trace takes the trace and the residual from one L_X g;
     soliton_residual also computes it once. L_X g reaches the soliton layer
@@ -199,7 +220,7 @@ def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
     parts, from a second sweep, and the matrix are built, once, on the
     first read of .residual, for a trace_only and an einstein_exact
     solve alike, and equal soliton_residual at the solved lambda. Equality
-    and repr are those of a LambdaSolve given the matrix."""
+    and repr are those of a LambdaSolve whose builder returns the matrix."""
     M, conn, ric = reference_geometry(name)[:3]
     calls = []
     for fn in (framecalc.geometry.matrix_of, framecalc.scalars.join_parts,
@@ -228,7 +249,8 @@ def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
             assert res == soliton_residual(M, conn, ric, X, solve.lam, flavor)
             assert solve.status == ("einstein_exact" if zero_table(res)
                                     else "trace_only"), (name, X, flavor)
-            given_matrix = LambdaSolve(solve.lam, solve.form, solve.status, res)
+            given_matrix = LambdaSolve(solve.lam, solve.form, solve.status,
+                                       lambda: res)
             assert solve == given_matrix and hash(solve) == hash(given_matrix)
             assert repr(solve) == repr(given_matrix)
             assert repr(solve).startswith(
