@@ -14,9 +14,8 @@ from .contact import (ContactError, check_almost_contact,
                       check_contact_metric, check_curvature_identity,
                       check_normality, check_reeb_ricci, check_sasakian)
 from .geometry import (FrameManifold, FrameVector, GeometryError,
-                       RicciTensor, entry_defects, integer_map,
-                       lie_derivative_parts, render_vector, scalar_curvature,
-                       validate)
+                       LieDerivativeParts, RicciTensor, entry_defects,
+                       integer_map, render_vector, scalar_curvature, validate)
 from .manifold_format import (MAX_CHARS, ManifoldDocument, ParseError,
                               parse_manifold)
 from .reports import CheckReport, combine
@@ -331,7 +330,7 @@ def _verify_paper_example() -> CheckReport:
     scal.add(f"r = {scalar_curvature(M, M.ric).render()}", True)
     killing = CheckReport(f"{M.name} reeb field")
     killing.add_check("L_xi g = 0",
-                      entry_defects(lie_derivative_parts(M.conn, xi)))
+                      entry_defects(LieDerivativeParts(M.conn, xi)))
     sections = [
         validate(M, strict=True), _connection(doc), _curvature(doc),
         _ricci(doc), scal, _check_contact(doc), _check_sasakian(doc),

@@ -19,22 +19,24 @@ elimination per manifold gives g^{-1} and the leading minors. Every vector
 text is rendered from a sparse map (render_vector), as are the parser's
 expect nabla and riem values, maps {k: int | Fraction}. ParamScalar and
 FrameVector appear only in the accessors and where a caller's field or
-scalar brings in parameters, split by monomial (by_monomial) for the kernels;
-L_X g is split the same way and built one monomial part at a time, on the
-part's first read (LieDerivativeParts).
+scalar brings in parameters. L_X g, the one parametric contraction that
+the commands run, is split by the monomials of X and built on ints one
+monomial part at a time, on the part's first read (LieDerivativeParts);
+nabla_vec, R.apply and covariant_derivative_endo run their integer kernel
+once on ParamScalar coefficients and divide each nonzero entry once.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, product
+from itertools import compress
 from math import gcd, lcm
 
 from .record import Record
 from .reports import CheckReport
 from .scalars import (ParamScalar, ZERO, as_fraction, format_rational,
-                      join_parts, monomial_parts, monomial_product)
+                      join_parts, monomial_parts)
 
 Matrix = tuple  # tuple of tuples of Fraction
 
@@ -55,8 +57,7 @@ def _as_scalar(x) -> ParamScalar:
 
 def vector_of(dim: int, coeffs: dict) -> "FrameVector":
     """FrameVector with the given sparse coefficients (zeros allowed)."""
-    return FrameVector(tuple(_as_scalar(coeffs[k]) if k in coeffs else ZERO
-                             for k in range(dim)))
+    return FrameVector(tuple(coeffs.get(k, ZERO) for k in range(dim)))
 
 
 def matrix_of(dim: int, entries: dict) -> tuple:
@@ -67,7 +68,7 @@ def matrix_of(dim: int, entries: dict) -> tuple:
 
 # Kernels multiply and add on ints: a rational table is scaled to integers
 # over one common denominator, and an output is kept in lowest terms
-# (reduced) or divided once. A parametric argument is split by monomial.
+# (reduced) or divided once.
 
 def integer_map(vec: dict) -> tuple:
     """({k: int}, d) with vec[k] = int / d for a map of rationals."""
@@ -109,33 +110,10 @@ def reduced_rows(table: dict, d: int) -> tuple:
             if (r := {k: x // q for k, x in row.items() if x})}, d // q
 
 
-def by_monomial(kernel, *maps) -> dict:
-    """{monomial: (numerators, d)} for a kernel(*integer maps) -> (numerators,
-    d) that is linear in each argument, applied to coefficient maps of
-    ParamScalars or rationals: each map is split by monomial, the kernel
-    runs on ints once per combination of parts, and combinations whose
-    monomials multiply to the same one are added."""
-    out: dict = {}
-    for combo in product(*(monomial_parts(v).items() for v in maps)):
-        mono, den, args = (), 1, []
-        for m, part in combo:
-            x, d = integer_map(part)
-            mono, den = monomial_product(mono, m), den * d
-            args.append(x)
-        vec, d = kernel(*args)
-        d *= den
-        if mono in out:  # another combination with the same monomial
-            prev, dp = out[mono]
-            vec = {k: prev.get(k, 0) * d + vec.get(k, 0) * dp
-                   for k in prev.keys() | vec.keys()}
-            d *= dp
-        out[mono] = vec, d
-    return out
-
-
 def joined(parts: dict) -> dict:
-    """{key: ParamScalar}: the by_monomial result parts, each entry
-    divided once and one ParamScalar built per nonzero entry."""
+    """{key: ParamScalar} of a table given by its monomial parts {monomial:
+    ({key: int}, d)}: each entry divided once and one ParamScalar built per
+    nonzero entry."""
     return join_parts({mono: divided(vec, d) for mono, (vec, d) in parts.items()})
 
 
@@ -239,22 +217,25 @@ def check_indices(dim: int, *indices, error=GeometryError) -> None:
 
 
 def field_map(dim: int, kernel, *vectors) -> "FrameVector":
-    """by_monomial(kernel, ...) on the coefficient maps of vectors, once each
-    has dim entries, as a vector."""
+    """The vector of kernel(*maps) -> (vec, d), run once on the maps {k: c} of
+    the nonzero ParamScalar coefficients of vectors, once each has dim
+    entries; each nonzero entry of vec is divided by d once."""
     check_lengths(dim, "vector", *(v.coeffs for v in vectors))
-    return vector_of(dim, joined(by_monomial(
-        kernel, *(dict(enumerate(v.coeffs)) for v in vectors))))
+    vec, d = kernel(*({k: c for k, c in enumerate(v.coeffs) if c}
+                      for v in vectors))
+    return vector_of(dim, {k: x / d for k, x in vec.items() if x})
 
 
 class FrameVector(Record):
-    """A vector field with constant coefficients in the frame."""
+    """A vector field with constant coefficients in the frame, each held as
+    a ParamScalar."""
 
     def __init__(self, coeffs: tuple):
-        self.coeffs = coeffs
+        self.coeffs = tuple(_as_scalar(c) for c in coeffs)
 
     @classmethod
     def from_values(cls, values) -> "FrameVector":
-        return cls(tuple(_as_scalar(v) for v in values))
+        return cls(values)
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "FrameVector":
@@ -623,8 +604,9 @@ class CurvatureTensor(Record):
         return vector_of(self.manifold.dim, self.comp.get((i, j, k), {}))
 
     def apply_int(self, x: dict, y: dict, z: dict) -> tuple:
-        """(numerators, d): R(x, y) z for integer maps, straight from the
-        integer Gamma over dg and c over dc, with d = dg^2 dc."""
+        """(numerators, d): R(x, y) z for coefficient maps of ints or
+        ParamScalars, straight from the integer Gamma over dg and c over dc,
+        with d = dg^2 dc."""
         gamma, dg = self.conn.gamma_int
         brackets, dc = self.manifold.brackets_int
         out = {}
@@ -787,19 +769,12 @@ class LieDerivativeParts(Mapping):
         return acc, dl * d
 
 
-def lie_derivative_parts(conn: ConnectionTable,
-                         X: FrameVector) -> LieDerivativeParts:
-    """L_X g by the monomials of X's coefficients, each part built on its
-    first read (LieDerivativeParts)."""
-    return LieDerivativeParts(conn, X)
-
-
 def lie_derivative_metric(M: FrameManifold, conn: ConnectionTable,
                           X: FrameVector) -> tuple:
     """(L_X g)(e_i, e_j) = g(nabla_{e_i} X, e_j) + g(e_i, nabla_{e_j} X),
     one ParamScalar per nonzero entry."""
     check_lengths(M.dim, "X", X.coeffs)
-    return matrix_of(M.dim, joined(lie_derivative_parts(conn, X)))
+    return matrix_of(M.dim, joined(LieDerivativeParts(conn, X)))
 
 
 def is_killing(M: FrameManifold, conn: ConnectionTable, X: FrameVector):
@@ -838,15 +813,11 @@ def covariant_derivative_endo(M: FrameManifold, conn: ConnectionTable,
     """(nabla_{e_i} Q) e_j = nabla_{e_i}(Q e_j) - Q(nabla_{e_i} e_j) for a
     frame-constant endomorphism Q given column-wise (Q[a][j] = coeff of e_a
     in Q e_j), as its nonzero rows {(i, j): {k: ParamScalar}}, in ascending
-    order: endo_derivative_int run on each monomial part of Q."""
+    order: endo_derivative_int run once on Q's nonzero entries as
+    ParamScalars, and each nonzero entry divided once."""
     check_lengths(M.dim, "a column or row of Q", Q, *Q)
-
-    def kernel(q: dict) -> tuple:
-        table, d = endo_derivative_int(conn, q, 1)
-        return {(i, j, k): x for (i, j), row in table.items()
-                for k, x in row.items()}, d
-    q = {(a, j): x for a, row in enumerate(Q) for j, x in enumerate(row)}
-    rows: dict = {}
-    for (i, j, k), x in sorted(joined(by_monomial(kernel, q)).items()):
-        rows.setdefault((i, j), {})[k] = x
-    return rows
+    table, d = endo_derivative_int(conn, {
+        (a, j): _as_scalar(x) for a, row in enumerate(Q)
+        for j, x in enumerate(row) if x}, 1)
+    return {key: row for key, vec in sorted(table.items())
+            if (row := {k: x / d for k, x in sorted(vec.items()) if x})}

@@ -29,7 +29,7 @@ and torsion-free, so g^{ij} (L_X g)_ij = 2 div X = -2 sum_a x_a tr ad_{e_a}
 the scalar curvature, from geometry.scalar_curvature_int, the one helper
 scalar_curvature also reads. s, lambda and the trace equation are built as
 {monomial: Fraction} maps, each wrapped once in a ParamScalar. X is split
-by monomial once, for the trace and for L_X g (lie_derivative_parts), and
+by monomial once, for the trace and for L_X g (LieDerivativeParts), and
 each monomial's L_X g part is built on its first read, at most once per
 solve. The status sweeps the residual one monomial at a time and stops at
 the first monomial holding a nonzero entry, so it builds the L_X g parts
@@ -48,10 +48,10 @@ from functools import cached_property
 from math import lcm
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
-                       FrameVector, RicciTensor, add_to, apply_columns,
-                       bracket_sum, check_lengths, compare, divided,
-                       endo_derivative_int, entry_defects, integer_map, joined,
-                       lie_derivative_parts, matrix_of, ricci_operator_int,
+                       FrameVector, LieDerivativeParts, RicciTensor, add_to,
+                       apply_columns, bracket_sum, check_lengths, compare,
+                       divided, endo_derivative_int, entry_defects,
+                       integer_map, joined, matrix_of, ricci_operator_int,
                        scalar_curvature_int, vector_of)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
@@ -119,7 +119,7 @@ def soliton_residual_parts(M: FrameManifold, conn: ConnectionTable,
                            lam: ParamScalar, flavor: SolitonFlavor) -> dict:
     """soliton_residual as integer parts {monomial: ({(i, j): int}, d)}."""
     check_lengths(M.dim, "X", X.coeffs, error=SolitonError)
-    return dict(_residual_monomials(M, lie_derivative_parts(conn, X),
+    return dict(_residual_monomials(M, LieDerivativeParts(conn, X),
                                     ric_t.ric_int, 2, _scale(flavor, lam, M.dim)))
 
 
@@ -182,7 +182,7 @@ def solve_lambda_trace(M: FrameManifold, conn: ConnectionTable,
     # tr = g^{ij}(L_X g + 2 ric)_ij = tr_g L_X g + 2 r, r the scalar curvature
     r, dr = scalar_curvature_int(M, ric_t)
     tr = {(): Fraction(2 * r, dr)}
-    parts = lie_derivative_parts(conn, X)  # X split once; parts built on read
+    parts = LieDerivativeParts(conn, X)  # X split once; parts built on read
     for mono, part in parts.split.items():
         if t := sum(part[a] * c for a, c in tr_ad.items() if a in part):
             tr[mono] = tr.get(mono, 0) + Fraction(-2, dc) * t
@@ -459,7 +459,7 @@ def concurrent_check(M: FrameManifold, conn: ConnectionTable,
            for i in range(m) if nv[i] != FrameVector.basis(m, i)]
     report.add_check("nabla_{e_i} V = e_i", bad[:6])
     # L_V g - 2 g, with no Ricci term
-    lv = dict(_residual_monomials(M, lie_derivative_parts(conn, V), ({}, 1), 0,
+    lv = dict(_residual_monomials(M, LieDerivativeParts(conn, V), ({}, 1), 0,
                                   {(): Fraction(2)}))
     report.add_check("L_V g = 2 g", entry_defects(lv, 6))
     return report

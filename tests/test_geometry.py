@@ -103,6 +103,18 @@ def test_vector_constructors():
     assert FrameVector.zero(2) == vec(0, 0)
 
 
+@pytest.mark.parametrize("values", [(0, Fraction(1, 2), 0), (0, 0, 0)])
+def test_a_vector_of_rationals_holds_param_scalars(values):
+    """The constructor converts ints and Fractions as from_values does, so
+    the vector answers is_zero and rational_coeffs, and equals and hashes
+    like its from_values twin."""
+    v, twin = FrameVector(values), FrameVector.from_values(values)
+    assert v.is_zero() == (not any(values))
+    assert v.rational_coeffs() == values
+    assert v == twin and hash(v) == hash(twin)
+    assert all(type(c) is ParamScalar for c in v.coeffs)
+
+
 # -- manifold construction and validation ----------------------------------------
 
 def test_from_brackets_antisymmetrizes():
@@ -157,6 +169,29 @@ def test_parametric_arguments_split_by_monomial():
         if row:
             want[key] = row
     assert dq and dq == want
+
+
+def test_parametric_accessors_divide_exactly():
+    """nabla_vec, R.apply and covariant_derivative_endo divide their kernel's
+    sums exactly, for a vector and an endomorphism of plain ints, on a frame
+    whose Gamma has denominator 6."""
+    M = parse_manifold("manifold t dim 3\nbracket e1 e2 = e3\n"
+                       "bracket e1 e3 = e1\nmetric g 1 1 = 3\n"
+                       "metric g 2 2 = 1\nmetric g 3 3 = 1\n").manifold
+    assert M.conn.gamma_int[1] == 6
+    v, e2 = FrameVector((1, 1, 1)), FrameVector.basis(3, 1)
+    nv = M.conn.nabla_vec(1, v)
+    assert nv.coeffs == (sc("1/6"), sc(0), sc("-1/2"))
+    assert nv.render() == "1/6*e1 + -1/2*e3"
+    rv = M.riem.apply(v, e2, v)
+    assert rv.coeffs == (sc("-1/4"), sc("2/3"), sc("1/12"))
+    assert rv.render() == "-1/4*e1 + 2/3*e2 + 1/12*e3"
+    dq = covariant_derivative_endo(M, M.conn, ((1, 0, 0), (0, 2, 0), (0, 0, 3)))
+    assert list(dq.items()) == [
+        ((0, 0), {2: sc(6)}), ((0, 1), {2: sc("-1/2")}),
+        ((0, 2), {0: sc(2), 1: sc("-1/2")}), ((1, 0), {2: sc(1)}),
+        ((1, 2), {0: sc("1/3")}), ((2, 0), {1: sc("1/2")}),
+        ((2, 1), {0: sc("1/6")})]
 
 
 def test_validate_pass():
@@ -903,11 +938,29 @@ def test_covariant_derivative_endo_matches_the_naive_nabla_q(case, data):
     """The sparse rows of nabla Q, in ascending (i, j) and k order, hold
     exactly the nonzero entries of oracle.endo_derivative over every pair
     (i, j), on random frames with m <= 7: for a rational Q, and for
-    Q = p A + B, whose entries carry p times A's and B's naive entries."""
+    Q = p A + B, whose entries carry p times A's and B's naive entries.
+    On the same frames, nabla_vec and R.apply of fields with coefficients
+    a + p b + q c equal oracle.nabla and the trilinear sum over
+    oracle.naive_curvature, whose products hold p*q and monomials that
+    several products share."""
     c, g = case
     m = len(g)
     M = FrameManifold("f", m, table_of(c), g)
     gamma = dense_of(M.conn.gamma, m)
+    zero, p_, q_ = (ParamScalar.rational(0), ParamScalar.param("p"),
+                    ParamScalar.param("q"))
+    triples = st.lists(st.tuples(coefficients, coefficients, coefficients),
+                       min_size=m, max_size=m)
+    x, y, z = ([u + p_ * v + q_ * w for u, v, w in data.draw(triples)]
+               for _ in range(3))
+    for i in range(m):
+        assert M.conn.nabla_vec(i, FrameVector(x)).coeffs == \
+            tuple(oracle.nabla(gamma, i, x))
+    R = oracle.naive_curvature(c, gamma)
+    assert M.riem.apply(*map(FrameVector, (x, y, z))).coeffs == tuple(
+        sum((x[i] * sum((y[j] * sum((z[k] * R[i][j][k][l] for k in range(m)),
+                                    zero) for j in range(m)), zero)
+             for i in range(m)), zero) for l in range(m))
     square = st.lists(st.lists(coefficients, min_size=m, max_size=m),
                       min_size=m, max_size=m)
     A, B = ([[Fraction(x) for x in row] for row in data.draw(square)]

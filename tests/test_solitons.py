@@ -191,16 +191,16 @@ def test_zero_field_lambda_is_the_scalar_curvature_over_m_property(alg):
 def test_one_solve_computes_the_lie_derivative_once(monkeypatch):
     """solve_lambda_trace takes the trace and the residual from one L_X g;
     soliton_residual also computes it once. L_X g reaches the soliton layer
-    only as lie_derivative_parts."""
+    only as LieDerivativeParts."""
     calls = []
-    fn = framecalc.solitons.lie_derivative_parts
+    init = framecalc.geometry.LieDerivativeParts.__init__
 
-    def counted(*args):
+    def counted(self, *args):
         calls.append(args)
-        return fn(*args)
+        init(self, *args)
 
     assert not hasattr(framecalc.solitons, "lie_derivative_metric")
-    monkeypatch.setattr(framecalc.solitons, "lie_derivative_parts", counted)
+    monkeypatch.setattr(framecalc.geometry.LieDerivativeParts, "__init__", counted)
     doc, M, conn, R_, ric = setup("heisenberg5")
     X = FrameVector.from_values([P, 0, Q, 0, 1])
     for flavor in SolitonFlavor:
