@@ -297,7 +297,7 @@ def _check_gradient(doc: ManifoldDocument, args) -> CheckReport:
 
     report = CheckReport(f"{M.name} gradient soliton [{flavor.value}] "
                          f"lambda = {lam.render()}")
-    defects = integrability_defects(M, df)
+    defects = integrability_defects(M, gd)
     report.add_check("df integrable", [f"({i + 1},{j + 1}): {d}"
                                        for (i, j), d in defects])
     if not defects:

@@ -15,10 +15,9 @@ from functools import cached_property
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, RicciTensor, add_to, apply_columns as _apply,
-                       bracket_sum, check_indices, check_lengths, columns,
-                       compare, dense, divided, divided_columns,
-                       endo_derivative_int, integer_map, render_vector,
-                       vector_of)
+                       bracket_sum, check_lengths, columns, compare, dense,
+                       divided, divided_columns, endo_derivative_int,
+                       integer_map, render_vector)
 from .record import Record
 from .reports import PASS, PRECONDITION, CheckItem, CheckReport
 from .scalars import format_rational
@@ -41,14 +40,12 @@ class AlmostContactData(Record):
             phi = {(a, j): x for j, col in phi.items() for a, x in col.items()}
         self.phi_int = columns(m, phi if self.square else {}, ContactError, "phi")
 
-    @classmethod
-    def from_values(cls, phi, xi) -> "AlmostContactData":
-        return cls(phi, tuple(Fraction(x) for x in xi))
-
     @property
     def dim(self) -> int:
         return len(self.xi)
 
+    # Fraction views: record equality reads phi, and tests and the oracle
+    # read both
     phi_cols = cached_property(lambda self: divided_columns(*self.phi_int))
     phi = cached_property(lambda self: dense(self.phi_cols))
 
@@ -58,16 +55,8 @@ class AlmostContactData(Record):
             self._on = ContactDerivation(M, self)
         return self._on
 
-    def eta(self, M: FrameManifold) -> tuple:
-        """eta(e_i) = g(e_i, xi)."""
-        _, _, eta, de = self.on(M).xi_eta
-        return tuple(Fraction(eta.get(i, 0), de) for i in range(M.dim))
-
     def xi_vector(self) -> FrameVector:
         return FrameVector.from_values(self.xi)
-
-    def phi_column(self, j: int) -> FrameVector:
-        return vector_of(self.dim, self.phi_cols[j])
 
 
 class ContactDerivation:
@@ -98,14 +87,6 @@ class ContactDerivation:
                 add_to(rhs, (i, j), xi, x * de)
         self.g_xi_minus_eta = rhs, dg * dx * de
         self.axioms = axiom_items(self)
-
-
-def d_eta(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> Fraction:
-    """d eta(e_i, e_j) = -1/2 eta([e_i, e_j]) for frame-constant eta."""
-    check_indices(M.dim, i, j, error=ContactError)
-    eta = D.eta(M)
-    return -sum((eta[k] * x for k, x in M.brackets.get((i, j), {}).items()),
-                Fraction(0)) / 2
 
 
 def axiom_items(on: ContactDerivation) -> list:
@@ -170,20 +151,6 @@ def check_sasakian(M: FrameManifold, conn: ConnectionTable,
     report.add_check("(nabla_X phi)Y = g(X,Y)xi - eta(Y)X", compare(
         *endo_derivative_int(conn, on.phi, on.phi_int[1]), *on.g_xi_minus_eta))
     return report
-
-
-def nijenhuis(M: FrameManifold, D: AlmostContactData, i: int, j: int) -> tuple:
-    """[phi, phi](e_i, e_j) =
-    phi^2 [e_i,e_j] + [phi e_i, phi e_j] - phi[phi e_i, e_j] - phi[e_i, phi e_j]."""
-    check_indices(M.dim, i, j, error=ContactError)
-    (cols, dp), (table, dc) = D.on(M).phi_int, M.brackets_int
-    n = _apply(cols, _apply(cols, table.get((i, j), {})))
-    for sign, v in ((1, bracket_sum(table, cols[i], cols[j])),
-                    (-1, _apply(cols, bracket_sum(table, cols[i], {j: 1}))),
-                    (-1, _apply(cols, bracket_sum(table, {i: 1}, cols[j])))):
-        for k, x in v.items():
-            n[k] = n.get(k, 0) + sign * x
-    return tuple(Fraction(n.get(k, 0), dp * dp * dc) for k in range(M.dim))
 
 
 def check_normality(M: FrameManifold, D: AlmostContactData) -> CheckReport:
@@ -279,6 +246,8 @@ def check_reeb_ricci(M: FrameManifold, ric_t: RicciTensor,
     return report
 
 
+# kept though no command calls it yet: a planned "contact phi = -nabla xi"
+# statement will fill phi from it
 def derive_phi(M: FrameManifold, conn: ConnectionTable, xi) -> tuple:
     """Recover phi from the connection by phi(Y) = -nabla_Y xi, on the
     integer Gamma. On a Sasakian presentation this reproduces the declared

@@ -18,12 +18,12 @@ contact.py), which list their defects through one comparer, compare. One
 elimination per manifold gives g^{-1} and the leading minors. Every vector
 text is rendered from a sparse map (render_vector), as are the parser's
 expect nabla and riem values, maps {k: int | Fraction}. ParamScalar and
-FrameVector appear only in the accessors and where a caller's field or
-scalar brings in parameters. L_X g, the one parametric contraction that
-the commands run, is split by the monomials of X and built on ints one
-monomial part at a time, on the part's first read (LieDerivativeParts);
-nabla_vec, R.apply and covariant_derivative_endo run their integer kernel
-once on ParamScalar coefficients and divide each nonzero entry once.
+FrameVector appear only where a caller's field or scalar brings in
+parameters, and in RicciTensor.entry. L_X g, the one parametric
+contraction, is split by the monomials of X and built on ints one
+monomial part at a time, on the part's first read (LieDerivativeParts).
+The package holds what a command or the benchmark reaches; the few names
+that neither reaches say why they stay.
 """
 from __future__ import annotations
 
@@ -54,11 +54,6 @@ def _as_scalar(x) -> ParamScalar:
 # -- sparse helpers -----------------------------------------------------------
 # Sparse coefficient maps {index: value} hold Fractions, or ParamScalars where
 # a caller's data is parametric.
-
-def vector_of(dim: int, coeffs: dict) -> "FrameVector":
-    """FrameVector with the given sparse coefficients (zeros allowed)."""
-    return FrameVector(tuple(coeffs.get(k, ZERO) for k in range(dim)))
-
 
 def matrix_of(dim: int, entries: dict) -> tuple:
     """m x m matrix of ParamScalars with the given sparse entries."""
@@ -135,6 +130,9 @@ def columns(dim: int, mat, error, name: str) -> tuple:
     return integer_rows(cols)
 
 
+# divided_columns and dense build the Fraction views g_cols, g, g_inv,
+# phi_cols and phi, which tests, the oracle and perfbench/ read
+
 def divided_columns(cols: dict, d: int) -> dict:
     """The Fraction columns of integer ones over d (columns), all kept."""
     return {j: divided(col, d) for j, col in cols.items()}
@@ -209,23 +207,6 @@ def check_lengths(dim: int, what: str, *values, error=GeometryError) -> None:
             raise error(f"{what} has {len(v)} entries, not {dim}")
 
 
-def check_indices(dim: int, *indices, error=GeometryError) -> None:
-    """error naming the first of the frame indices outside 0..dim-1."""
-    for i in indices:
-        if not 0 <= i < dim:
-            raise error(f"index {i} out of range 0..{dim - 1}")
-
-
-def field_map(dim: int, kernel, *vectors) -> "FrameVector":
-    """The vector of kernel(*maps) -> (vec, d), run once on the maps {k: c} of
-    the nonzero ParamScalar coefficients of vectors, once each has dim
-    entries; each nonzero entry of vec is divided by d once."""
-    check_lengths(dim, "vector", *(v.coeffs for v in vectors))
-    vec, d = kernel(*({k: c for k, c in enumerate(v.coeffs) if c}
-                      for v in vectors))
-    return vector_of(dim, {k: x / d for k, x in vec.items() if x})
-
-
 class FrameVector(Record):
     """A vector field with constant coefficients in the frame, each held as
     a ParamScalar."""
@@ -235,31 +216,11 @@ class FrameVector(Record):
 
     @classmethod
     def from_values(cls, values) -> "FrameVector":
+        # kept: the CLI and perfbench/workloads.py build their fields with it
         return cls(values)
-
-    @classmethod
-    def basis(cls, dim: int, i: int) -> "FrameVector":
-        return cls.from_values(tuple(1 if k == i else 0 for k in range(dim)))
-
-    @classmethod
-    def zero(cls, dim: int) -> "FrameVector":
-        return cls.from_values((0,) * dim)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def rational_coeffs(self) -> tuple:
-        return tuple(c.constant_value() for c in self.coeffs)
 
     def render(self) -> str:
         return render_vector(dict(enumerate(self.coeffs)))
-
-    def __str__(self):
-        return self.render()
 
 
 # -- the manifold ------------------------------------------------------------
@@ -272,11 +233,13 @@ class FrameManifold:
     table {(i, j): {k: int}}, 0-based, with both orders of every pair, in
     ascending order of (i, j) and of k; g_int holds g by columns (columns).
     The constructor takes a bracket table of rationals with both orders,
-    and g as a dense matrix or as a map {(i, j): g_ij}; from_brackets
-    builds the table from the pairs i < j, and given takes the integer
-    forms as they are. brackets, g_cols, g and c are views built on read.
+    and g as a dense matrix or as a map {(i, j): g_ij}; given takes the
+    integer forms as they are. brackets, g_cols, g and c are views built on
+    read.
     """
 
+    # kept though no command calls it: the library's checked constructor,
+    # for a caller that holds rational tables (the parser uses given)
     def __init__(self, name: str, dim: int, brackets: dict, g, params=()):
         if dim < 1:
             raise GeometryError("dimension must be positive")
@@ -305,25 +268,15 @@ class FrameManifold:
         M.brackets_int, M.g_int = brackets_int, g_int
         return M
 
-    @classmethod
-    def from_brackets(cls, name: str, dim: int, brackets: dict,
-                      g=None, params=()) -> "FrameManifold":
-        """brackets: {(i, j): {k: coeff}} for i < j, all 0-based."""
-        table = {}
-        for (i, j), row in brackets.items():
-            table[i, j] = row
-            table[j, i] = {k: -x for k, x in row.items()}
-        if g is None:
-            g = dict.fromkeys(((i, i) for i in range(dim)), 1)
-        return cls(name, dim, table, g, params)
-
-    # Fraction views of the integer forms, built when first read
+    # Fraction views of the integer forms, built when first read; tests,
+    # the oracle and perfbench/ read them, no kernel does
     brackets = cached_property(lambda self: divided_rows(*self.brackets_int))
     g_cols = cached_property(lambda self: divided_columns(*self.g_int))
 
     @cached_property
     def c(self) -> tuple:
-        """Dense view c[i][j][k] of the bracket table, built when first read."""
+        """Dense view c[i][j][k] of the bracket table, built when first read;
+        perfbench/workloads.py reads it."""
         m = self.dim
         zero = Fraction(0)
         return tuple(tuple(tuple(self.brackets.get((i, j), {}).get(k, zero)
@@ -382,17 +335,13 @@ class FrameManifold:
     def ric(self) -> "RicciTensor":
         return ricci(self, self.riem)
 
-    def bracket(self, i: int, j: int) -> FrameVector:
-        return vector_of(self.dim, self.brackets.get((i, j), {}))
-
+    # kept: ManifoldDocument equality, which the round-trip tests compare,
+    # reads it
     def __eq__(self, other):
         if not isinstance(other, FrameManifold):
             return NotImplemented
         return (self.name, self.dim, self.brackets_int, self.g_int, self.params) == \
                (other.name, other.dim, other.brackets_int, other.g_int, other.params)
-
-    def __repr__(self):
-        return f"FrameManifold({self.name!r}, dim={self.dim})"
 
 
 def bracket_sum(table: dict, x: dict, y: dict) -> dict:
@@ -453,19 +402,6 @@ def entry_defects(parts: dict, limit: int | None = None) -> list:
 
 # -- validation ---------------------------------------------------------------
 
-def jacobi_defect(M: FrameManifold, i: int, j: int, k: int) -> FrameVector:
-    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]; zero iff the
-    bracket satisfies the Jacobi identity on this triple."""
-    check_indices(M.dim, i, j, k)
-    table, dc = M.brackets_int
-    out = {}
-    for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
-        for s, x in table.get((a, b), {}).items():
-            for l, y in table.get((s, z), {}).items():
-                out[l] = out.get(l, 0) + x * y
-    return vector_of(M.dim, divided(out, dc * dc))
-
-
 def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
     """Check antisymmetry of the structure constants and symmetry plus
     positive-definiteness of the metric. Strict mode also requires the
@@ -524,6 +460,7 @@ class ConnectionTable(Record):
         self.gamma_int = gamma_int    # {(i, j): {k: Gamma_ij^k * d}}
         self.koszul_int = koszul_int  # {(i, j, l): g(nabla_{e_i} e_j, e_l) * d}
 
+    # Fraction views, read by the table reports, tests and the oracle
     gamma = cached_property(lambda self: divided_rows(*self.gamma_int))
     koszul = cached_property(lambda self: divided(*self.koszul_int))
 
@@ -551,18 +488,9 @@ class ConnectionTable(Record):
             by_second.setdefault(a, []).append((i, row))
         return by_first, by_second
 
-    def entry(self, i: int, j: int) -> FrameVector:
-        return vector_of(self.manifold.dim, self.gamma.get((i, j), {}))
-
-    def nabla_vec(self, i: int, v: FrameVector) -> FrameVector:
-        """nabla_{e_i} of a frame-constant vector field."""
-        table, dg = self.gamma_int
-        return field_map(self.manifold.dim,
-                         lambda x: (bracket_sum(table, {i: 1}, x), dg), v)
-
     def nonzero(self):
-        for (i, j) in sorted(self.gamma):
-            yield i, j, self.entry(i, j)
+        # kept: perfbench/tracing.py counts conn_nnz through it
+        yield from sorted(self.gamma.items())
 
 
 def levi_civita(M: FrameManifold) -> ConnectionTable:
@@ -589,8 +517,9 @@ def levi_civita(M: FrameManifold) -> ConnectionTable:
 
 
 class CurvatureTensor(Record):
-    """The curvature of conn. Its table comp is built on first read; apply
-    and ricci work from Gamma and c alone."""
+    """The curvature of conn. Its table comp is built on first read; ricci
+    and the Reeb and gradient curvature identities work from Gamma and c
+    alone."""
 
     def __init__(self, manifold: FrameManifold, conn: ConnectionTable):
         self.manifold = manifold
@@ -600,30 +529,9 @@ class CurvatureTensor(Record):
     def comp(self) -> dict:  # {(i, j, k): {l: R_ijk^l}}, R(e_i, e_j) e_k = R_ijk^l e_l
         return _curvature_components(self.manifold, self.conn)
 
-    def entry(self, i: int, j: int, k: int) -> FrameVector:
-        return vector_of(self.manifold.dim, self.comp.get((i, j, k), {}))
-
-    def apply_int(self, x: dict, y: dict, z: dict) -> tuple:
-        """(numerators, d): R(x, y) z for coefficient maps of ints or
-        ParamScalars, straight from the integer Gamma over dg and c over dc,
-        with d = dg^2 dc."""
-        gamma, dg = self.conn.gamma_int
-        brackets, dc = self.manifold.brackets_int
-        out = {}
-        for vec, w in ((bracket_sum(gamma, x, bracket_sum(gamma, y, z)), dc),
-                       (bracket_sum(gamma, y, bracket_sum(gamma, x, z)), -dc),
-                       (bracket_sum(gamma, bracket_sum(brackets, x, y), z), -dg)):
-            for l, v in vec.items():
-                out[l] = out.get(l, 0) + w * v
-        return out, dg * dg * dc
-
-    def apply(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
-        """Trilinear extension of R to frame-constant vector fields."""
-        return field_map(self.manifold.dim, self.apply_int, x, y, z)
-
     def nonzero(self):
-        for (i, j, k) in sorted(self.comp):
-            yield i, j, k, self.entry(i, j, k)
+        # kept: perfbench/tracing.py counts curv_nnz through it
+        yield from sorted(self.comp.items())
 
 
 def curvature(M: FrameManifold, conn: ConnectionTable) -> CurvatureTensor:
@@ -664,14 +572,11 @@ class RicciTensor(Record):
         self.manifold = manifold
         self.ric_int = ric_int  # {(j, k): int}, ric(e_j, e_k) over d, nonzero only
 
-    ric = cached_property(lambda self: divided(*self.ric_int))
+    ric = cached_property(lambda self: divided(*self.ric_int))  # a Fraction view
 
     def entry(self, j: int, k: int) -> ParamScalar:
+        # kept: perfbench/checks.py reads the audit's Ricci tensor with it
         return ParamScalar.rational(self.ric.get((j, k), 0))
-
-    def nonzero(self):
-        for (j, k) in sorted(self.ric):
-            yield j, k, self.entry(j, k)
 
 
 def ricci(M: FrameManifold, R: CurvatureTensor) -> RicciTensor:
@@ -769,21 +674,6 @@ class LieDerivativeParts(Mapping):
         return acc, dl * d
 
 
-def lie_derivative_metric(M: FrameManifold, conn: ConnectionTable,
-                          X: FrameVector) -> tuple:
-    """(L_X g)(e_i, e_j) = g(nabla_{e_i} X, e_j) + g(e_i, nabla_{e_j} X),
-    one ParamScalar per nonzero entry."""
-    check_lengths(M.dim, "X", X.coeffs)
-    return matrix_of(M.dim, joined(LieDerivativeParts(conn, X)))
-
-
-def is_killing(M: FrameManifold, conn: ConnectionTable, X: FrameVector):
-    """Return (flag, defect table) where the defect is L_X g."""
-    lx = lie_derivative_metric(M, conn, X)
-    ok = all(entry.is_zero() for row in lx for entry in row)
-    return ok, lx
-
-
 def endo_derivative_int(conn: ConnectionTable, q: dict, dq: int) -> tuple:
     """({(i, j): {k: ((nabla_{e_i} Q) e_j)_k}}, d) on ints over d, zeros kept,
     for a frame-constant endomorphism given on ints over dq as {(a, j): int}:
@@ -808,6 +698,8 @@ def endo_derivative_int(conn: ConnectionTable, q: dict, dq: int) -> tuple:
     return acc, dg * dq
 
 
+# kept though nothing in the package calls it: perfbench/tracing.py looks
+# it up by name for its covariant_derivative_endo layer
 def covariant_derivative_endo(M: FrameManifold, conn: ConnectionTable,
                               Q: tuple) -> dict:
     """(nabla_{e_i} Q) e_j = nabla_{e_i}(Q e_j) - Q(nabla_{e_i} e_j) for a

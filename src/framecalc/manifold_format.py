@@ -47,8 +47,7 @@ import re
 from fractions import Fraction
 
 from .contact import AlmostContactData
-from .geometry import (FrameManifold, FrameVector, integer_rows, render_vector,
-                       vector_of)
+from .geometry import FrameManifold, FrameVector, integer_rows, render_vector
 from .record import Record
 from .scalars import (_INTEGER, _ONE, MAX_DIGITS, Scanner, _number,
                       as_fraction, format_rational)
@@ -461,8 +460,9 @@ class _Document:
 def parse_vector_text(text: str, dim: int) -> FrameVector:
     m = re.fullmatch(_VECTOR_EXPR + r"[ \t]*", text)
     v = _vector(m.group(1) or "", dim) if m else None
-    return vector_of(dim, _vector_by_tokens(_Scanner(text, 1), dim)
-                     if v is None else v)
+    if v is None:
+        v = _vector_by_tokens(_Scanner(text, 1), dim)
+    return FrameVector(tuple(v.get(k, 0) for k in range(dim)))
 
 
 def parse_manifold(text: str) -> ManifoldDocument:

@@ -1,7 +1,7 @@
 """Ricci soliton equations on frame manifolds: residuals, trace solving for
-lambda, shrinking/steady/expanding classification, gradient (potential
-function) variants, and the closed-form constants for a concurrent potential
-field.
+lambda, shrinking/steady/expanding classification, the gradient (potential
+function) residual and curvature identity, and the closed-form constants for
+a concurrent potential field.
 
 Soliton flavors all share the shape L_X g + 2 ric = s g with s = 2 s',
 s' = lambda - shift; gradient variants replace L_X g / 2 by the Hessian of
@@ -18,10 +18,6 @@ one denominator. s and s' are {monomial: Fraction} maps. Every decision is
 taken on these integer tables, and a ParamScalar is built only for an entry
 that a caller reads or prints.
 
-The constancy checks compare df[i] + dlambda[i] with 0 over every frame
-index or over the contact distribution (eta(e_i) = 0), where g(Df, e_i) =
-df[i] for any metric, so neither g nor its inverse is read.
-
 The trace solve reads the trace of L_X g from the brackets: nabla is metric
 and torsion-free, so g^{ij} (L_X g)_ij = 2 div X = -2 sum_a x_a tr ad_{e_a}
 (Milnor, "Curvatures of left invariant metrics on Lie groups", Adv. Math.
@@ -36,9 +32,10 @@ the first monomial holding a nonzero entry, so it builds the L_X g parts
 only up to that monomial; the first read of LambdaSolve.residual builds the
 parts still missing, then the residual parts and matrix.
 
-df and dlambda are converted with as_fraction, which keeps a Fraction as
-it is; integrability is decided on the integer brackets and df, and a
-Fraction is built only for a defect.
+GradientData builds the integer forms ({k: int}, d) of df and dlambda
+once, on first read, and every gradient kernel reads them; integrability
+is decided on the integer brackets and df, and a Fraction is built only for
+a defect.
 """
 from __future__ import annotations
 
@@ -50,9 +47,9 @@ from math import lcm
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, LieDerivativeParts, RicciTensor, add_to,
                        apply_columns, bracket_sum, check_lengths, compare,
-                       divided, endo_derivative_int, entry_defects,
-                       integer_map, joined, matrix_of, ricci_operator_int,
-                       scalar_curvature_int, vector_of)
+                       endo_derivative_int, entry_defects, integer_map,
+                       joined, matrix_of, ricci_operator_int,
+                       scalar_curvature_int)
 from .record import Record
 from .reports import PRECONDITION, CheckItem, CheckReport
 from .scalars import (LinearForm, ParamScalar, ScalarError, as_fraction,
@@ -150,6 +147,8 @@ def _residual_monomials(M: FrameManifold, parts: dict, ric_int: tuple,
 
 
 class LambdaSolve(Record):
+    # the four-argument constructor and residual are kept as they are:
+    # perfbench/test_perfbench.py reads residual and rebuilds solves
     def __init__(self, lam: ParamScalar, form: LinearForm, status: str,
                  residual):
         self.lam = lam
@@ -243,7 +242,9 @@ def classify(lam: ParamScalar) -> Classification:
 
 class GradientData(Record):
     """Frame-constant first derivatives df of the potential and, when known,
-    dlambda of the soliton function lambda."""
+    dlambda of the soliton function lambda. df_int and dlambda_int, the
+    integer forms ({k: int}, d) of their nonzero entries, are built once,
+    on first read, for every gradient kernel."""
 
     def __init__(self, df: tuple, dlambda: tuple | None = None):
         self.df = df
@@ -251,16 +252,25 @@ class GradientData(Record):
 
     @classmethod
     def from_values(cls, df, dlambda=None) -> "GradientData":
+        # the CLI and perfbench/workloads.py build their gradient data with it
         return cls(tuple(as_fraction(x) for x in df),
                    None if dlambda is None else tuple(as_fraction(x) for x in dlambda))
 
+    df_int = cached_property(lambda self: _integer_form(self.df))
+    dlambda_int = cached_property(lambda self: _integer_form(self.dlambda))
 
-def integrability_defects(M: FrameManifold, df) -> list:
+
+def _integer_form(values) -> tuple:
+    """({k: int}, d) of the nonzero entries of values."""
+    return integer_map({k: as_fraction(x) for k, x in enumerate(values) if x})
+
+
+def integrability_defects(M: FrameManifold, gd: GradientData) -> list:
     """Pairs (i, j) with sum_k df[k] c[i][j][k] nonzero. A frame-constant df
     is a genuine differential only when all of these vanish."""
-    check_lengths(M.dim, "df", df, error=SolitonError)
+    check_lengths(M.dim, "df", gd.df, error=SolitonError)
     table, dc = M.brackets_int
-    dfi, dd = _df_int(df)
+    dfi, dd = gd.df_int
     out = []
     for (i, j), row in table.items():
         if i < j and (d := sum(x * dfi[k] for k, x in row.items() if k in dfi)):
@@ -281,44 +291,20 @@ def _gradient_preamble(M: FrameManifold, gd: GradientData,
     return gd.dlambda is not None
 
 
-def _constancy_defects(gd: GradientData, indices) -> list:
-    """"e{i}: df[i] + dlambda[i]" for each i of indices where the sum is
-    not 0."""
-    return [f"e{i + 1}: {format_rational(v)}" for i in indices
-            if (v := gd.df[i] + gd.dlambda[i])]
-
-
-def _df_int(df) -> tuple:
-    """({k: int}, d) of the nonzero entries of df."""
-    return integer_map({k: as_fraction(x) for k, x in enumerate(df) if x})
-
-
-def _hessian_int(conn: ConnectionTable, df) -> tuple:
+def _hessian_int(conn: ConnectionTable, gd: GradientData) -> tuple:
     """({(i, j): int}, d): Hess f(e_i, e_j) = -(nabla_{e_i} e_j) f =
     -sum_k Gamma[i][j][k] df[k] = int / d, on the integer Gamma."""
     gamma, dg = conn.gamma_int
-    dfi, dd = _df_int(df)
+    dfi, dd = gd.df_int
     return {key: -sum(x * dfi[k] for k, x in row.items() if k in dfi)
             for key, row in gamma.items()}, dg * dd
 
 
-def hessian(M: FrameManifold, conn: ConnectionTable, df) -> tuple:
-    """Hess f as an exact matrix."""
-    check_lengths(M.dim, "df", df, error=SolitonError)
-    return matrix_of(M.dim, divided(*_hessian_int(conn, df)))
-
-
-def _gradient_int(M: FrameManifold, df) -> tuple:
+def _gradient_int(M: FrameManifold, gd: GradientData) -> tuple:
     """({a: int}, d): Df = g^{-1} df on the integer g^{-1} columns."""
     gi_cols, dgi = M.g_inv_int
-    dfi, dd = _df_int(df)
+    dfi, dd = gd.df_int
     return apply_columns(gi_cols, dfi), dgi * dd
-
-
-def gradient_vector(M: FrameManifold, df) -> FrameVector:
-    """Df = g^{-1} df, the metric dual of the differential."""
-    check_lengths(M.dim, "df", df, error=SolitonError)
-    return vector_of(M.dim, divided(*_gradient_int(M, df)))
 
 
 def gradient_soliton_residual(M: FrameManifold, conn: ConnectionTable,
@@ -326,7 +312,7 @@ def gradient_soliton_residual(M: FrameManifold, conn: ConnectionTable,
                               lam: ParamScalar, flavor: SolitonFlavor) -> tuple:
     """Hess f + ric - s' g; df must be integrable."""
     _gradient_preamble(M, gd)
-    if bad := integrability_defects(M, gd.df):
+    if bad := integrability_defects(M, gd):
         raise IntegrabilityError(bad)
     return matrix_of(M.dim, joined(gradient_residual_parts(M, conn, ric_t, gd,
                                                            lam, flavor)))
@@ -337,7 +323,7 @@ def gradient_residual_parts(M: FrameManifold, conn: ConnectionTable,
                             lam: ParamScalar, flavor: SolitonFlavor) -> dict:
     """gradient_soliton_residual as integer parts {monomial: ({(i, j): int},
     d)}, for a df already found integrable."""
-    return dict(_residual_monomials(M, {(): _hessian_int(conn, gd.df)},
+    return dict(_residual_monomials(M, {(): _hessian_int(conn, gd)},
                                     ric_t.ric_int, 1,
                                     _gradient_scale(flavor, lam, M.dim)))
 
@@ -353,7 +339,7 @@ def check_gradient_curvature_identity(M: FrameManifold, conn: ConnectionTable,
     report = CheckReport(f"{M.name} gradient curvature identity")
     if not _gradient_preamble(M, gd, report):
         return report
-    if bad := integrability_defects(M, gd.df):
+    if bad := integrability_defects(M, gd):
         report.add_item(CheckItem("df integrable", PRECONDITION,
                                   str(IntegrabilityError(bad))))
     else:
@@ -373,7 +359,7 @@ def add_identity_check(report: CheckReport, M: FrameManifold,
         return
     gamma, dg = conn.gamma_int
     brackets, dc = M.brackets_int
-    df_vec, dd = _gradient_int(M, gd.df)
+    df_vec, dd = _gradient_int(M, gd)
     # nab[b] = nabla_{e_b} Df over dg dd; lhs[i, j] = R(e_i, e_j) Df =
     # nabla_i nab[j] - nabla_j nab[i] - sum_b c_ij^b nab[b] over dg^2 dc dd,
     # swept over the nonzero Gamma and c entries
@@ -388,7 +374,7 @@ def add_identity_check(report: CheckReport, M: FrameManifold,
         add_to(lhs, key, apply_columns(nab, row), -dg)
     # rhs[i, j] = dlam_i e_j - dlam_j e_i - (nabla_i Q) e_j + (nabla_j Q) e_i
     q_tab, dq = endo_derivative_int(conn, *ricci_operator_int(M, ric_t))
-    dlam, dl = _df_int(gd.dlambda)
+    dlam, dl = gd.dlambda_int
     rhs = {}
     for (i, j), vec in q_tab.items():
         add_to(rhs, (i, j), vec, -dl)
@@ -400,69 +386,6 @@ def add_identity_check(report: CheckReport, M: FrameManifold,
     report.add_check(
         "R(X,Y)Df = (X lam)Y - (Y lam)X - (nabla_X Q)Y + (nabla_Y Q)X",
         compare(lhs, dg * dg * dc * dd, rhs, dq * dl))
-
-
-def distribution_constant(m: int) -> Fraction:
-    """The constant k = -2/m - 2(m - 1) attached to the distribution-level
-    gradient check in dimension m."""
-    return Fraction(-2, m) - 2 * (m - 1)
-
-
-def check_distribution_gradient(M: FrameManifold, D, gd: GradientData,
-                                lam: ParamScalar | None = None) -> CheckReport:
-    """On the contact distribution (frame vectors with eta = 0) the potential
-    and lambda move together: g(Df, e_i) + dlambda[i] = 0. When lambda is
-    exactly p/2 and dlambda vanishes, df itself must vanish there."""
-    k = distribution_constant(M.dim)
-    report = CheckReport(f"{M.name} distribution gradient check "
-                         f"(k = {format_rational(k)})")
-    if not _gradient_preamble(M, gd, report):
-        return report
-    dist = [i for i, x in enumerate(D.eta(M)) if x == 0]
-    # g(Df, e_i) = g(g^{-1} df, e_i) = df[i] for any metric
-    report.add_check("g(Df, e_i) + dlambda[i] = 0 on the distribution",
-                     _constancy_defects(gd, dist))
-
-    if lam is not None and lam == P / 2 and not any(gd.dlambda):
-        still = [f"e{i + 1}: df = {format_rational(gd.df[i])}"
-                 for i in dist if gd.df[i] != 0]
-        report.add_check("lambda = p/2 forces df = 0 on the distribution",
-                         still)
-    return report
-
-
-def check_lambda_f_constant(M: FrameManifold, gd: GradientData) -> CheckReport:
-    """df + dlambda = 0 in every frame direction, i.e. lambda + f is constant."""
-    report = CheckReport(f"{M.name} lambda + f constancy")
-    if not _gradient_preamble(M, gd, report):
-        return report
-    report.add_check("df[i] + dlambda[i] = 0 for every i",
-                     _constancy_defects(gd, range(M.dim)))
-    if not any(gd.dlambda):
-        # corollary: constant lambda leaves no room for a varying potential
-        still = [f"e{i + 1}: {format_rational(gd.df[i])}"
-                 for i in range(M.dim) if gd.df[i] != 0]
-        report.add_check("constant lambda forces constant f", still)
-    return report
-
-
-def concurrent_check(M: FrameManifold, conn: ConnectionTable,
-                     V: FrameVector) -> CheckReport:
-    """A concurrent field satisfies nabla_X V = X. Frame-constant coefficient
-    vectors can only satisfy this through the connection table, which the
-    check verifies directly, and then L_V g = 2 g."""
-    m = M.dim
-    check_lengths(m, "V", V.coeffs, error=SolitonError)
-    report = CheckReport(f"{M.name} concurrent field check")
-    nv = [conn.nabla_vec(i, V) for i in range(m)]
-    bad = [f"e{i + 1}: nabla V = {nv[i].render()}"
-           for i in range(m) if nv[i] != FrameVector.basis(m, i)]
-    report.add_check("nabla_{e_i} V = e_i", bad[:6])
-    # L_V g - 2 g, with no Ricci term
-    lv = dict(_residual_monomials(M, LieDerivativeParts(conn, V), ({}, 1), 0,
-                                  {(): Fraction(2)}))
-    report.add_check("L_V g = 2 g", entry_defects(lv, 6))
-    return report
 
 
 # -- closed-form constants for a concurrent potential ---------------------------

@@ -212,6 +212,15 @@ def table_of(c) -> dict:
             for i in range(m) for j in range(m) if any(c[i][j])}
 
 
+def both_orders(brackets: dict) -> dict:
+    """The table FrameManifold takes, from brackets {(i, j): {k: c_ij^k}}
+    given for one order of each pair: [e_j, e_i] = -[e_i, e_j] added."""
+    table = dict(brackets)
+    for (i, j), row in brackets.items():
+        table[j, i] = {k: -x for k, x in row.items()}
+    return table
+
+
 def dense_of(table: dict, m: int) -> list:
     c = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
     for (i, j), row in table.items():

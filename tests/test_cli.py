@@ -667,13 +667,20 @@ def test_bad_lambda_expression(capsys, builtin, field, lam, want):
     assert (code, out, errtext) == (3, "", f"error: {want}\n")
 
 
+def malformed_argvs(text: str) -> list:
+    """The check-soliton calls with the malformed scalar text as --lambda
+    and as a component of --field."""
+    return [["check-soliton", "--builtin", "heisenberg5", "--flavor",
+             "conformal", *argv]
+            for argv in (("--field", "xi", "--lambda", text),
+                         ("--field", f"{text},0,0,0,0", "--lambda", "0"))]
+
+
 @pytest.mark.parametrize("text", [t for t, _ in MALFORMED_SCALARS],
                          ids=[repr(t[:12]) for t, _ in MALFORMED_SCALARS])
 def test_malformed_scalar_argument_exits_3(capsys, text):
-    for argv in (("--field", "xi", "--lambda", text),
-                 ("--field", f"{text},0,0,0,0", "--lambda", "0")):
-        code, out, errtext = run(capsys, "check-soliton", "--builtin",
-                                 "heisenberg5", "--flavor", "conformal", *argv)
+    for argv in malformed_argvs(text):
+        code, out, errtext = run(capsys, *argv)
         assert code == 3
         assert out == ""
         assert errtext.startswith("error: ")

@@ -14,7 +14,7 @@ from framecalc.contact import (AlmostContactData, ContactError,
                                check_almost_contact,
                                check_contact_metric, check_curvature_identity,
                                check_normality, check_reeb_ricci,
-                               check_sasakian, d_eta, derive_phi, nijenhuis)
+                               check_sasakian, derive_phi)
 from framecalc.geometry import (FrameManifold, FrameVector, curvature,
                                 levi_civita, ricci, ricci_operator,
                                 scalar_curvature, validate)
@@ -60,7 +60,7 @@ def test_h5_almost_contact_passes():
 
 def test_eta_is_metric_dual():
     M, D, _ = setup_h5()
-    assert D.eta(M) == (0, 0, 1, 0, 0)
+    assert D.on(M).xi_eta == ({2: 1}, 1, {2: 1}, 1)  # xi, its d, eta, its d
 
 
 def test_bad_xi_fails_axioms():
@@ -80,25 +80,6 @@ def test_unnormalized_xi_fails_eta_axiom():
     item = next(i for i in rep.items if i.name == "eta(xi) = 1")
     assert item.status == "fail"
     assert "eta(xi) = 4" in item.defect
-
-
-# -- d eta -------------------------------------------------------------------------
-
-def test_d_eta_values():
-    M, D, _ = setup_h5()
-    assert d_eta(M, D, 0, 1) == -1
-    assert d_eta(M, D, 1, 0) == 1
-    assert d_eta(M, D, 3, 4) == -1
-    assert d_eta(M, D, 0, 2) == 0
-
-
-@pytest.mark.parametrize("i, j, bad", [(0, 9, 9), (-1, 0, -1), (5, 1, 5)])
-def test_d_eta_refuses_an_index_out_of_range(i, j, bad):
-    """An index past either end of the frame is named with the range, not
-    read as a zero bracket."""
-    M, D, _ = setup_h5()
-    with pytest.raises(ContactError, match=f"^index {bad} out of range 0..4$"):
-        d_eta(M, D, i, j)
 
 
 # -- sasakian ------------------------------------------------------------------------
@@ -132,22 +113,6 @@ def test_abelian_not_sasakian():
 def test_h5_normality_passes():
     M, D, _ = setup_h5()
     assert check_normality(M, D).overall == "pass"
-
-
-def test_nijenhuis_values_h5():
-    M, D, _ = setup_h5()
-    # [phi,phi](e1,e2) = phi^2[e1,e2] = -2 e3 ... cancelled by 2 d eta xi = -2 e3
-    assert nijenhuis(M, D, 0, 1) == (0, 0, 2, 0, 0)
-    assert d_eta(M, D, 0, 1) * 2 == -2
-
-
-@pytest.mark.parametrize("i, j, bad", [(0, 9, 9), (-1, 0, -1), (5, 1, 5)])
-def test_nijenhuis_refuses_an_index_out_of_range(i, j, bad):
-    """An index past either end of the frame is named with the range, not a
-    bare KeyError or a wrapped-around row."""
-    M, D, _ = setup_h5()
-    with pytest.raises(ContactError, match=f"^index {bad} out of range 0..4$"):
-        nijenhuis(M, D, i, j)
 
 
 def test_flipped_phi_still_normal_but_not_contact_metric():
@@ -250,12 +215,11 @@ def test_derive_phi_refuses_a_xi_of_another_length(xi):
 def test_swept_checks_print_the_per_pair_reference_reports(case):
     """Each check sweeps the nonzero bracket, Gamma, phi, g and Ricci
     entries; its report text equals, byte for byte, that of oracle's loops
-    over every frame pair, and nijenhuis (per pair) equals the oracle's
-    vector."""
+    over every frame pair."""
     table, g, phi, xi = case
     m = len(g)
     M = FrameManifold("f", m, table, g)
-    D = AlmostContactData.from_values(phi, xi)
+    D = AlmostContactData(phi, tuple(xi))
     c = dense_of(table, m)
     conn = levi_civita(M)
     assert check_almost_contact(M, D).render_text() == \
@@ -271,10 +235,6 @@ def test_swept_checks_print_the_per_pair_reference_reports(case):
         oracle.curvature_identity_text("f", c, g, phi, xi)
     assert check_reeb_ricci(M, ricci(M, R), D).render_text() == \
         oracle.reeb_ricci_text("f", c, g, xi)
-    for i in range(m):
-        for j in range(m):
-            assert list(nijenhuis(M, D, i, j)) == \
-                oracle.nijenhuis_vector(c, phi, i, j), (i, j)
 
 
 def test_builtin_checks_print_the_per_pair_reference_reports():
@@ -355,7 +315,7 @@ def test_dense_and_sparse_phi_give_one_structure(case, data):
                if phi[a][j]}
         if col or data.draw(st.booleans()):
             cols[j] = col
-    dense = AlmostContactData.from_values(phi, xi)
+    dense = AlmostContactData(phi, tuple(xi))
     sparse = AlmostContactData(cols, dense.xi)
     assert dense == sparse
     assert [list(row) for row in sparse.phi] == [list(row) for row in phi]
@@ -402,14 +362,12 @@ def test_an_audit_builds_no_dense_or_fraction_view():
 # -- one derivation per (manifold, structure) pair ----------------------------------
 
 def every_check(M, D) -> list:
-    """Calls of the six checks of D on M, then of d_eta, nijenhuis and eta."""
+    """Calls of the six checks of D on M."""
     return [lambda: check_almost_contact(M, D),
             lambda: check_sasakian(M, M.conn, D),
             lambda: check_normality(M, D), lambda: check_contact_metric(M, D),
             lambda: check_curvature_identity(M, M.riem, D),
-            lambda: check_reeb_ricci(M, M.ric, D),
-            lambda: d_eta(M, D, 0, 1), lambda: nijenhuis(M, D, 0, 1),
-            lambda: D.eta(M)]
+            lambda: check_reeb_ricci(M, M.ric, D)]
 
 
 def test_the_axioms_run_once_for_every_check_of_one_pair(monkeypatch):
@@ -419,7 +377,7 @@ def test_the_axioms_run_once_for_every_check_of_one_pair(monkeypatch):
                         lambda on: calls.append(on) or kernel(on))
     doc = load_builtin("heisenberg5")
     results = [call() for call in every_check(doc.manifold, doc.contact)]
-    assert [r.overall for r in results[:6]] == ["pass"] * 6
+    assert [r.overall for r in results] == ["pass"] * 6
     assert len(calls) == 1
 
 
@@ -444,7 +402,7 @@ def test_one_structure_on_two_manifolds_gets_a_verdict_for_each():
 
 def test_passing_axioms_write_no_defect_text(monkeypatch):
     calls = []
-    monkeypatch.setattr(contact, "vector_of",
+    monkeypatch.setattr(contact, "render_vector",
                         lambda *args: calls.append(args) or None)
     doc = load_builtin("heisenberg5")
     assert check_almost_contact(doc.manifold, doc.contact).overall == "pass"

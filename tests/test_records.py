@@ -20,9 +20,9 @@ def _pairs():
     return [
         (FrameVector.from_values([1, HALF]), FrameVector.from_values([1, HALF]),
          FrameVector.from_values([1, 0])),
-        (AlmostContactData.from_values([[0, -1], [1, 0]], [0, 1]),
-         AlmostContactData.from_values([[0, -1], [1, 0]], [0, 1]),
-         AlmostContactData.from_values([[0, -1], [1, 0]], [1, 0])),
+        (AlmostContactData(((0, -1), (1, 0)), (0, 1)),
+         AlmostContactData(((0, -1), (1, 0)), (0, 1)),
+         AlmostContactData(((0, -1), (1, 0)), (1, 0))),
         (ExpectedValues(lam=((one, "s"),)), ExpectedValues((), (), (), ((one, "s"),)),
          ExpectedValues(lam=((two, "s"),))),
         (CheckItem("a", "pass"), CheckItem("a", "pass", None),

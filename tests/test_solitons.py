@@ -1,5 +1,5 @@
-"""Soliton residuals, lambda solving, gradient machinery, and the
-closed-form concurrent-potential constants."""
+"""Soliton residuals, lambda solving, the gradient residual and curvature
+identity, and the closed-form concurrent-potential constants."""
 import random
 import sys
 from decimal import Decimal
@@ -16,11 +16,11 @@ import framecalc.scalars
 import framecalc.solitons
 import oracle
 from framecalc.catalog import builtin_names, load_builtin
-from framecalc.contact import AlmostContactData
-from frames import (contact_frames, gram_plus_identity, heisenberg, identity,
-                    lie_algebras, small, sparse_brackets, table_of)
-from framecalc.geometry import (FrameManifold, FrameVector, curvature,
-                                levi_civita, lie_derivative_metric, ricci,
+from frames import (gram_plus_identity, heisenberg, identity, lie_algebras,
+                    small, sparse_brackets, table_of)
+from framecalc.geometry import (FrameManifold, FrameVector,
+                                LieDerivativeParts, curvature, joined,
+                                levi_civita, matrix_of, ricci,
                                 scalar_curvature)
 from framecalc.manifold_format import parse_manifold
 from framecalc.reports import CheckReport
@@ -28,14 +28,11 @@ from framecalc.scalars import ParamScalar
 from framecalc.solitons import (Classification, GradientData,
                                 IntegrabilityError, LambdaSolve, SolitonError,
                                 SolitonFlavor, add_identity_check,
-                                check_distribution_gradient,
-                                check_gradient_curvature_identity,
-                                check_lambda_f_constant, classify,
-                                concurrent_check, concurrent_soliton_constants,
-                                distribution_constant,
-                                gradient_soliton_residual, gradient_vector,
-                                hessian, integrability_defects,
-                                solve_lambda_trace, soliton_residual)
+                                check_gradient_curvature_identity, classify,
+                                concurrent_soliton_constants,
+                                gradient_soliton_residual,
+                                integrability_defects, solve_lambda_trace,
+                                soliton_residual)
 
 P = ParamScalar.param("p")
 
@@ -54,6 +51,14 @@ def setup(name):
 
 def zero_table(t) -> bool:
     return all(e.is_zero() for row in t for e in row)
+
+
+def basis(m: int, i: int) -> FrameVector:
+    return FrameVector(tuple(int(k == i) for k in range(m)))
+
+
+def zero(m: int) -> FrameVector:
+    return FrameVector((0,) * m)
 
 
 # -- the soliton layer against a naive reference ------------------------------------
@@ -114,12 +119,12 @@ def same_table(table, ref) -> bool:
 
 
 def check_against_reference(name: str, X: FrameVector, lams) -> None:
-    """lie_derivative_metric, the solved lambda, its residual and status,
-    and the residual at each of lams, against the naive loops."""
+    """L_X g (LieDerivativeParts), the solved lambda, its residual and
+    status, and the residual at each of lams, against the naive loops."""
     M, conn, ric, gamma, ric_ref, g = reference_geometry(name)
     m = M.dim
     lx = oracle.naive_lie_derivative(gamma, g, list(X.coeffs))
-    assert same_table(lie_derivative_metric(M, conn, X), lx), name
+    assert same_table(matrix_of(m, joined(LieDerivativeParts(conn, X))), lx), name
     for flavor in SolitonFlavor:
         shift = P + Fraction(2, m) if flavor.is_conformal else 0
         solve = solve_lambda_trace(M, conn, ric, X, flavor)
@@ -184,7 +189,7 @@ def test_zero_field_lambda_is_the_scalar_curvature_over_m_property(alg):
     assert scalar_curvature(M, ric_t) == sc(r)
     for flavor in SolitonFlavor:
         want = P / 2 + sc((r + 1) / m) if flavor.is_conformal else sc(r / m)
-        assert solve_lambda_trace(M, conn, ric_t, FrameVector.zero(m),
+        assert solve_lambda_trace(M, conn, ric_t, zero(m),
                                   flavor).lam == want, flavor
 
 
@@ -233,7 +238,7 @@ def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
                     mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, counted)
     statuses = set()
-    for X in (FrameVector.zero(5), FrameVector.from_values([P, 0, Q, 0, 1]),
+    for X in (zero(5), FrameVector.from_values([P, 0, Q, 0, 1]),
               FrameVector.from_values([0, 0, Q, 0, 0])):
         for flavor in SolitonFlavor:
             calls.clear()
@@ -258,7 +263,7 @@ def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
                 f"status={solve.status!r}, residual=((ParamScalar(")
     assert statuses == {"einstein_exact" if name == "abelian5"
                         else "trace_only"}, name
-    assert solve_lambda_trace(M, conn, ric, FrameVector.zero(5),
+    assert solve_lambda_trace(M, conn, ric, zero(5),
                               SolitonFlavor.RICCI).status == (
         "einstein_exact" if name == "abelian5" else "trace_only")
 
@@ -332,7 +337,7 @@ def test_gradient_residual_matches_the_naive_reference(name):
         a = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in closed]
         df = [sum((x * v[k] for x, v in zip(a, closed)), Fraction(0))
               for k in range(m)]
-        assert integrability_defects(M, df) == []
+        assert integrability_defects(M, GradientData.from_values(df)) == []
         hess = oracle.naive_hessian(gamma, df)
         for flavor in SolitonFlavor:
             lam = random_scalar(rng) + Q * Fraction(rng.randint(1, 3))
@@ -359,7 +364,7 @@ def test_soliton_layer_does_no_per_entry_polynomial_arithmetic(monkeypatch):
 
     def counts(n: int) -> list:
         m, c, g, xi, phi = heisenberg(n)
-        M = FrameManifold.from_brackets(f"h{m}", m, sparse_brackets(c), g)
+        M = FrameManifold(f"h{m}", m, table_of(c), g)
         conn = levi_civita(M)
         ric = ricci(M, curvature(M, conn))
         zeros = [0] * (n - 1)
@@ -409,7 +414,7 @@ def test_h5_ricci_flavor_solve():
 
 def test_abelian_einstein_exact():
     doc, M, conn, R, ric = setup("abelian5")
-    for X in (FrameVector.zero(5), FrameVector.basis(5, 1)):
+    for X in (zero(5), basis(5, 1)):
         solve = solve_lambda_trace(M, conn, ric, X, SolitonFlavor.RICCI)
         assert solve.lam == sc(0)
         assert solve.status == "einstein_exact"
@@ -422,9 +427,9 @@ def test_non_unimodular_solve_values():
     M, conn, ric = reference_geometry("semidirect4")[:3]
     assert all(ric.entry(i, j) == sc(-3 if i == j else 0)
                for i in range(4) for j in range(4))
-    e1 = FrameVector.basis(4, 0)
+    e1 = basis(4, 0)
     for X, flavor, lam, status in (
-            (FrameVector.zero(4), SolitonFlavor.RICCI, sc(-3), "einstein_exact"),
+            (zero(4), SolitonFlavor.RICCI, sc(-3), "einstein_exact"),
             (e1, SolitonFlavor.RICCI, sc(Fraction(-15, 4)), "trace_only"),
             (e1, SolitonFlavor.CONFORMAL, P / 2 - Fraction(7, 2), "trace_only")):
         solve = solve_lambda_trace(M, conn, ric, X, flavor)
@@ -448,7 +453,7 @@ def test_no_float_enters_a_solve(monkeypatch, name):
         return iter(seen[-1][1].items())
     monkeypatch.setattr(framecalc.solitons, "_residual_monomials", recorded)
     rng = random.Random(name)
-    fields = [FrameVector.zero(m), FrameVector.basis(m, 0),
+    fields = [zero(m), basis(m, 0),
               *(FrameVector(tuple(random_scalar(rng) for _ in range(m)))
                 for _ in range(2))]
 
@@ -479,7 +484,7 @@ def test_solved_lambda_kills_the_trace():
     for name in ("heisenberg5", "heisenberg3", "abelian3", "nonjacobi3"):
         doc, M, conn, R, ric = setup(name)
         for idx in range(M.dim):
-            X = FrameVector.basis(M.dim, idx)
+            X = basis(M.dim, idx)
             for flavor in SolitonFlavor:
                 solve = solve_lambda_trace(M, conn, ric, X, flavor)
                 gi = M.g_inv
@@ -494,7 +499,7 @@ def test_solved_lambda_kills_the_trace():
 def test_flavor_shift_invariant():
     # the conformal equation at lambda + p/2 + 1/m matches the plain one at lambda
     doc, M, conn, R, ric = setup("heisenberg5")
-    X = FrameVector.basis(5, 0)
+    X = basis(5, 0)
     lam = P * 2 + Fraction(1, 3)
     shifted = lam + P / 2 + Fraction(1, 5)
     a = soliton_residual(M, conn, ric, X, lam, SolitonFlavor.RICCI)
@@ -506,7 +511,7 @@ def test_flavor_shift_invariant():
 
 def test_almost_flavors_share_the_residual_form():
     doc, M, conn, R, ric = setup("heisenberg3")
-    X = FrameVector.basis(3, 2)
+    X = basis(3, 2)
     lam = P - 1
     a = soliton_residual(M, conn, ric, X, lam, SolitonFlavor.RICCI)
     b = soliton_residual(M, conn, ric, X, lam, SolitonFlavor.ALMOST_RICCI)
@@ -556,40 +561,25 @@ def test_classify_unsupported():
 
 def test_integrability():
     doc, M, conn, R, ric = setup("heisenberg5")
-    assert integrability_defects(M, (1, 0, 0, 0, 0)) == []
-    defects = integrability_defects(M, (0, 0, 1, 0, 0))
+    assert integrability_defects(M, GradientData.from_values((1, 0, 0, 0, 0))) == []
+    defects = integrability_defects(M, GradientData.from_values((0, 0, 1, 0, 0)))
     assert defects == [((0, 1), Fraction(2)), ((3, 4), Fraction(2))]
     doc, A, *_ = setup("abelian5")
-    assert integrability_defects(A, (3, -7, 1, 2, 5)) == []
-
-
-def test_hessian_values_and_symmetry():
-    doc, M, conn, R, ric = setup("heisenberg5")
-    h = hessian(M, conn, (1, 0, 0, 0, 0))
-    for i in range(5):
-        for j in range(5):
-            want = sc(-1) if {i, j} == {1, 2} else sc(0)
-            assert h[i][j] == want, (i, j)
+    assert integrability_defects(A, GradientData.from_values((3, -7, 1, 2, 5))) == []
 
 
 def test_hessian_asymmetry_tracks_integrability():
-    # h[i][j] - h[j][i] = -sum_k c[i][j][k] df[k], so the raw Hessian is
-    # symmetric exactly when df is integrable
+    # h[i][j] - h[j][i] = -sum_k c[i][j][k] df[k] for the naive Hessian on
+    # the naive Gamma, so it is symmetric exactly where
+    # integrability_defects lists no pair
     doc, M, conn, R, ric = setup("heisenberg5")
+    gamma = reference_geometry("heisenberg5")[3]
     for df in ((1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (2, -1, 3, 0, 5)):
-        h = hessian(M, conn, df)
-        defects = dict(integrability_defects(M, df))
+        h = oracle.naive_hessian(gamma, [Fraction(x) for x in df])
+        defects = dict(integrability_defects(M, GradientData.from_values(df)))
         for i in range(5):
             for j in range(i + 1, 5):
-                gap = h[i][j] - h[j][i]
-                want = -defects.get((i, j), Fraction(0))
-                assert gap == ParamScalar.rational(want), (df, i, j)
-
-
-def test_gradient_vector_identity_metric():
-    doc, M, conn, R, ric = setup("heisenberg5")
-    assert gradient_vector(M, (1, 0, -2, 0, 0)) == FrameVector.from_values(
-        (1, 0, -2, 0, 0))
+                assert h[i][j] - h[j][i] == -defects.get((i, j), 0), (df, i, j)
 
 
 class _Rational(Fraction):
@@ -598,9 +588,9 @@ class _Rational(Fraction):
 
 def test_gradient_data_reads_ints_fractions_and_mixed_alike():
     """df given as ints, as Fractions or mixed gives the same gradient data,
-    integrability defects, Hessian, gradient vector and gradient residual;
-    any other value converts as Fraction(x) converts it, and a value
-    Fraction refuses is refused."""
+    integer forms, integrability defects and gradient residual; any other
+    value converts as Fraction(x) converts it, and a value Fraction refuses
+    is refused."""
     M, conn, ric = reference_geometry("heisenberg5")[:3]
     lam = P / 2 - Fraction(3, 5)
     for values in ((2, -1, 0, 3, 1), (0, 0, 1, 0, -4)):
@@ -610,9 +600,8 @@ def test_gradient_data_reads_ints_fractions_and_mixed_alike():
                          for i, x in enumerate(values))):
             gd = GradientData.from_values(df, df)
             assert all(type(x) is Fraction for x in gd.df + gd.dlambda)
-            got = (gd, integrability_defects(M, df), hessian(M, conn, df),
-                   gradient_vector(M, df))
-            if not got[1]:
+            got = (gd, gd.df_int, gd.dlambda_int, integrability_defects(M, gd))
+            if not got[3]:
                 got += (gradient_soliton_residual(M, conn, ric, gd, lam,
                                                   SolitonFlavor.CONFORMAL),)
             assert got == (want := want or got), df
@@ -639,18 +628,15 @@ def test_gradient_functions_reject_data_of_another_length(what, df, dlambda, n):
     runs = [lambda: gradient_soliton_residual(M, conn, ric, gd, lam,
                                               SolitonFlavor.CONFORMAL),
             lambda: check_gradient_curvature_identity(
-                M, conn, R, ric, gd, lam, SolitonFlavor.CONFORMAL),
-            lambda: check_distribution_gradient(M, doc.contact, gd, lam),
-            lambda: check_lambda_f_constant(M, gd)]
+                M, conn, R, ric, gd, lam, SolitonFlavor.CONFORMAL)]
     if what == "df":
-        runs += [lambda: integrability_defects(M, df),
-                 lambda: hessian(M, conn, df), lambda: gradient_vector(M, df)]
+        runs.append(lambda: integrability_defects(M, gd))
     for run in runs:
         with pytest.raises(SolitonError, match=f"^{what} has {n} entries, not 5$"):
             run()
     if what == "df":  # a missing dlambda does not hide a wrong df
         gd = GradientData.from_values(df)
-        for run in runs[:4]:
+        for run in runs:
             with pytest.raises(SolitonError, match=f"^df has {n} entries"):
                 run()
 
@@ -661,14 +647,12 @@ def test_soliton_functions_reject_a_field_of_another_length(values):
     both lengths named, instead of solved with some entries dropped."""
     doc, M, conn, R, ric = setup("heisenberg5")
     X = FrameVector.from_values(values)
-    runs = [lambda: soliton_residual(M, conn, ric, X, P, SolitonFlavor.RICCI),
-            lambda: concurrent_check(M, conn, X)]
+    runs = [lambda: soliton_residual(M, conn, ric, X, P, SolitonFlavor.RICCI)]
     runs += [lambda flavor=flavor: solve_lambda_trace(M, conn, ric, X, flavor)
              for flavor in SolitonFlavor]
-    for i, run in enumerate(runs):
-        what = "V" if i == 1 else "X"
+    for run in runs:
         with pytest.raises(SolitonError,
-                           match=f"^{what} has {len(values)} entries, not 5$"):
+                           match=f"^X has {len(values)} entries, not 5$"):
             run()
 
 
@@ -873,170 +857,6 @@ def test_identity_sweep_matches_the_per_pair_loop_on_every_path():
     res = gradient_soliton_residual(M, conn, ric, GradientData.from_values(
         [1, 2, 0, -1]), P, SolitonFlavor.RICCI)
     assert sum(not e.is_zero() for row in res for e in row) == 16
-
-
-# -- distribution-level and constancy checks ---------------------------------------------
-
-def test_distribution_constant():
-    assert distribution_constant(5) == Fraction(-42, 5)
-    assert distribution_constant(3) == Fraction(-14, 3)
-
-
-def test_distribution_gradient_check():
-    doc, M, conn, R, ric = setup("heisenberg5")
-    D = doc.contact
-    gd = GradientData.from_values((0, 0, 7, 0, 0), (0, 0, 0, 0, 0))
-    rep = check_distribution_gradient(M, D, gd)
-    assert rep.overall == "pass"
-    assert "(k = -42/5)" in rep.subject
-
-    gd = GradientData.from_values((1, 0, 0, 0, 0), (-1, 0, 0, 0, 0))
-    assert check_distribution_gradient(M, D, gd).overall == "pass"
-
-    gd = GradientData.from_values((1, 0, 0, 0, 0), (0, 0, 0, 0, 0))
-    rep = check_distribution_gradient(M, D, gd)
-    assert rep.overall == "fail"
-    assert "e1: 1" in rep.items[0].defect
-
-
-def test_distribution_gradient_corollary():
-    doc, M, conn, R, ric = setup("heisenberg5")
-    D = doc.contact
-    gd = GradientData.from_values((0, 0, 3, 0, 0), (0, 0, 0, 0, 0))
-    rep = check_distribution_gradient(M, D, gd, lam=P / 2)
-    names = [i.name for i in rep.items]
-    assert "lambda = p/2 forces df = 0 on the distribution" in names
-    assert rep.overall == "pass"
-
-    gd = GradientData.from_values((2, 0, 0, 0, 0), (0, 0, 0, 0, 0))
-    rep = check_distribution_gradient(M, D, gd, lam=P / 2)
-    assert rep.overall == "fail"
-
-
-def test_distribution_gradient_needs_dlambda():
-    doc, M, conn, R, ric = setup("heisenberg5")
-    rep = check_distribution_gradient(M, doc.contact,
-                                      GradientData.from_values((0,) * 5))
-    assert rep.items[0].status == "precondition_violated"
-
-
-def test_lambda_f_constancy():
-    doc, M, conn, R, ric = setup("heisenberg5")
-    gd = GradientData.from_values((1, 2, 0, 0, 0), (-1, -2, 0, 0, 0))
-    rep = check_lambda_f_constant(M, gd)
-    assert rep.overall == "pass"
-    assert [i.name for i in rep.items] == ["df[i] + dlambda[i] = 0 for every i"]
-
-    gd = GradientData.from_values((0, 0, 0, 0, 0), (0, 0, 0, 0, 0))
-    rep = check_lambda_f_constant(M, gd)
-    assert rep.overall == "pass"
-    assert [i.name for i in rep.items] == [
-        "df[i] + dlambda[i] = 0 for every i",
-        "constant lambda forces constant f",
-    ]
-
-    gd = GradientData.from_values((1, 0, 0, 0, 0), (0, 0, 0, 0, 0))
-    rep = check_lambda_f_constant(M, gd)
-    assert rep.overall == "fail"
-    assert "e1: 1" in rep.items[0].defect
-
-
-def test_lambda_f_constancy_random_iff():
-    rng = random.Random(20260814)
-    doc, M, conn, R, ric = setup("heisenberg5")
-    for _ in range(100):
-        df = tuple(Fraction(rng.randint(-10 * d, 10 * d), d)
-                   for d in (rng.randint(1, 10) for _ in range(5)))
-        gd = GradientData.from_values(df, tuple(-x for x in df))
-        assert check_lambda_f_constant(M, gd).overall == "pass"
-        idx = rng.randrange(5)
-        bumped = list(gd.dlambda)
-        bumped[idx] += Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        assert check_lambda_f_constant(
-            M, GradientData(gd.df, tuple(bumped))).overall == "fail"
-
-
-@given(contact_frames(), st.data())
-def test_constancy_checks_print_the_oracle_texts_on_any_metric(case, data):
-    """On random frames, metrics other than the identity among them, with
-    random df and dlambda (missing, random, -df or zero) and lambda p/2 or
-    not, each constancy report's text is the oracle's: df[i] + dlambda[i]
-    listed over the i with g(e_i, xi) = 0, or over every i."""
-    table, g, phi, xi = case
-    m = len(g)
-    M = FrameManifold("f", m, table, g)
-    D = AlmostContactData.from_values(phi, xi)
-    entries = st.lists(st.one_of(st.just(Fraction(0)), small),
-                       min_size=m, max_size=m)
-    df = data.draw(entries)
-    dlambda = data.draw(st.one_of(st.none(), entries, st.just([-x for x in df]),
-                                  st.just([Fraction(0)] * m)))
-    half_p = data.draw(st.booleans())
-    gd = GradientData.from_values(df, dlambda)
-    assert check_distribution_gradient(
-        M, D, gd, P / 2 if half_p else P / 2 + 1).render_text() == \
-        oracle.distribution_gradient_text("f", g, xi, df, dlambda, half_p)
-    assert check_lambda_f_constant(M, gd).render_text() == \
-        oracle.lambda_f_constant_text("f", df, dlambda)
-
-
-# heisenberg3 deformed D-homothetically with a = 2: g = 2 g_0 + 2 eta_0^2,
-# xi = xi_0 / 2, phi unchanged; still Sasakian, eta = (0, 0, 2)
-DH3 = ("manifold dh3 dim 3\nbracket e1 e2 = 2e3\nmetric g 1 1 = 2\n"
-       "metric g 2 2 = 2\nmetric g 3 3 = 4\ncontact xi = 1/2e3\n"
-       "contact phi e1 = e2\ncontact phi e2 = -e1\n")
-
-
-@pytest.mark.parametrize("text, metric, xi", [
-    (DH3, [[2, 0, 0], [0, 2, 0], [0, 0, 4]], [0, 0, Fraction(1, 2)]),
-    # a singular metric: no Df exists, the checks still read df and dlambda
-    ("manifold s dim 3\nbracket e1 e2 = e3\nmetric g 1 1 = 1\n"
-     "metric g 2 2 = 1\ncontact xi = e1\n",
-     [[1, 0, 0], [0, 1, 0], [0, 0, 0]], [1, 0, 0])], ids=["dh3", "singular"])
-def test_constancy_checks_on_fixed_metrics(text, metric, xi):
-    doc = parse_manifold(text)
-    M, D = doc.manifold, doc.contact
-    df, dlambda = (1, 2, 3), (-1, 0, 5)
-    gd = GradientData.from_values(df, dlambda)
-    rep = check_distribution_gradient(M, D, gd)
-    assert rep.render_text() == oracle.distribution_gradient_text(
-        M.name, metric, xi, df, dlambda, False)
-    assert rep.items[0].defect == ("e2: 2" if M.name == "dh3"
-                                   else "e2: 2; e3: 8")
-    rep = check_lambda_f_constant(M, gd)
-    assert rep.render_text() == oracle.lambda_f_constant_text(M.name, df,
-                                                              dlambda)
-    assert rep.items[0].defect == "e2: 2; e3: 8"
-
-
-# -- concurrent fields ----------------------------------------------------------------
-
-def test_concurrent_check_fails_on_catalog_fields():
-    doc, M, conn, R, ric = setup("heisenberg5")
-    rep = concurrent_check(M, conn, FrameVector.basis(5, 2))
-    assert rep.overall == "fail"
-    assert "e1: nabla V = -e2" in rep.items[0].defect
-
-    doc, A, aconn, *_ = setup("abelian3")
-    rep = concurrent_check(A, aconn, FrameVector.from_values((1, 1, 1)))
-    assert rep.overall == "fail"
-
-
-@pytest.mark.parametrize("name", REFERENCE_NAMES)
-def test_concurrent_check_lie_derivative_matches_the_naive_reference(name):
-    """The L_V g = 2 g item lists the first six nonzero entries of L_V g - 2 g
-    from oracle.naive_lie_derivative, for parametric V."""
-    M, conn, ric, gamma, ric_ref, g = reference_geometry(name)
-    m = M.dim
-    rng = random.Random(name)
-    for _ in range(3):
-        V = FrameVector(tuple(random_scalar(rng) if rng.random() < 0.7
-                              else sc(0) for _ in range(m)))
-        lv = oracle.naive_lie_derivative(gamma, g, list(V.coeffs))
-        bad = [f"({i + 1},{j + 1}): {d}" for i in range(m) for j in range(m)
-               if (d := lv[i][j] - 2 * g[i][j]) != 0]
-        assert concurrent_check(M, conn, V).items[1].defect == (
-            "; ".join(bad[:6]) if bad else None), name
 
 
 # -- concurrent-potential constants ------------------------------------------------------
