@@ -1,9 +1,8 @@
 """Exact-arithmetic curvature and Ricci soliton computations for manifolds
 presented by an orthonormal-style frame with constant structure constants."""
 
-from .scalars import (LinearForm, ParamScalar, Rational, ScalarError,
-                      EvaluationError, format_rational, parse_rational,
-                      parse_scalar)
+from .scalars import (LinearForm, ParamScalar, ScalarError, format_rational,
+                      parse_rational, parse_scalar)
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, GeometryError, RicciTensor,
                        covariant_derivative_endo, curvature, levi_civita,
@@ -28,10 +27,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AlmostContactData", "CheckItem", "CheckReport", "Classification",
     "ConcurrentSolitonResult", "ConnectionTable", "ContactError",
-    "CurvatureTensor", "EvaluationError", "FrameManifold", "FrameVector",
+    "CurvatureTensor", "FrameManifold", "FrameVector",
     "GeometryError", "GradientData", "IntegrabilityError", "LambdaSolve",
     "LedgerEntry", "LinearForm", "ManifoldDocument", "ParamScalar",
-    "ParseError", "Rational", "RicciTensor", "ScalarError", "SolitonError",
+    "ParseError", "RicciTensor", "ScalarError", "SolitonError",
     "SolitonFlavor", "builtin_names",
     "check_almost_contact", "check_contact_metric",
     "check_curvature_identity", "check_gradient_curvature_identity",

@@ -131,12 +131,12 @@ def _require_contact(doc: ManifoldDocument):
 def _parse_field(text: str, doc: ManifoldDocument) -> FrameVector:
     M = doc.manifold
     if text.strip() == "xi":
-        return FrameVector.from_values(_require_contact(doc).xi)
+        return FrameVector(_require_contact(doc).xi)
     parts = text.split(",")
     if len(parts) != M.dim:
         raise UsageError(f"--field needs {M.dim} comma-separated components")
     coeffs = [parse_scalar(s) for s in parts]  # all parsed, then checked
-    return FrameVector.from_values([_declared(c, M, "field") for c in coeffs])
+    return FrameVector([_declared(c, M, "field") for c in coeffs])
 
 
 def _declared(c, M: FrameManifold, where: str):
@@ -291,7 +291,7 @@ def _check_gradient(doc: ManifoldDocument, args) -> CheckReport:
     df = _parse_fraction_list(args.df, M.dim, "--df")
     dlam = (None if args.dlambda is None
             else _parse_fraction_list(args.dlambda, M.dim, "--dlambda"))
-    gd = GradientData.from_values(df, dlam)
+    gd = GradientData(df, dlam)
     lam = _parse_lambda(args.lam, M)
     flavor = SolitonFlavor(args.flavor)
 

@@ -11,13 +11,11 @@ pairs; one comparer, geometry.compare, lists the defects of every check.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from .geometry import (ConnectionTable, CurvatureTensor, FrameManifold,
                        FrameVector, RicciTensor, add_to, apply_columns as _apply,
-                       bracket_sum, check_lengths, columns, compare, dense,
-                       divided, divided_columns, endo_derivative_int,
-                       integer_map, render_vector)
+                       bracket_sum, check_lengths, columns, compare, divided,
+                       endo_derivative_int, integer_map, render_vector)
 from .record import Record
 from .reports import PASS, PRECONDITION, CheckItem, CheckReport
 from .scalars import format_rational
@@ -31,7 +29,10 @@ class AlmostContactData(Record):
     """phi[a][j] = coefficient of e_a in phi(e_j); xi = Reeb vector coeffs.
     phi, dense or by columns {j: {a: phi_aj}}, is stored only as phi_int,
     integer columns over one denominator (columns); a dense phi not of xi's
-    size fails every check. phi_cols and phi are views built on read."""
+    size fails every check, so square, whether it is of that size, is a
+    field: equality and repr read phi_int, xi and square."""
+
+    _fields = ("phi_int", "xi", "square")
 
     def __init__(self, phi, xi: tuple):
         self.xi, m = xi, len(xi)
@@ -44,11 +45,6 @@ class AlmostContactData(Record):
     def dim(self) -> int:
         return len(self.xi)
 
-    # Fraction views: record equality reads phi, and tests and the oracle
-    # read both
-    phi_cols = cached_property(lambda self: divided_columns(*self.phi_int))
-    phi = cached_property(lambda self: dense(self.phi_cols))
-
     def on(self, M: FrameManifold) -> "ContactDerivation":
         """This structure on M, derived once for the last manifold asked for."""
         if getattr(self, "_on", None) is None or self._on.manifold is not M:
@@ -56,7 +52,7 @@ class AlmostContactData(Record):
         return self._on
 
     def xi_vector(self) -> FrameVector:
-        return FrameVector.from_values(self.xi)
+        return FrameVector(self.xi)
 
 
 class ContactDerivation:

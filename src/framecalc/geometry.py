@@ -11,8 +11,9 @@ brackets, and a constant symmetric metric g on the frame. All indices are
 Tensors are sparse: a dict from an index tuple to a number, or to a sparse
 vector {k: number} for the upper index, holding nonzero entries only. The
 geometry is built from c and g alone, so it is rational; each stage stores
-and hands on integer tables over one denominator, (table, d), and Fraction
-tables are built only when read. Kernels cost time in proportion to the
+and hands on integer tables over one denominator, (table, d). The Fraction
+tables the reports print (conn.gamma, R.comp, ric.ric) and the dense M.c
+are built only when read. Kernels cost time in proportion to the
 nonzero entries they combine, and so do the checks (validate here,
 contact.py), which list their defects through one comparer, compare. One
 elimination per manifold gives g^{-1} and the leading minors. Every vector
@@ -37,9 +38,6 @@ from .record import Record
 from .reports import CheckReport
 from .scalars import (ParamScalar, ZERO, as_fraction, format_rational,
                       join_parts, monomial_parts)
-
-Matrix = tuple  # tuple of tuples of Fraction
-
 
 class GeometryError(ValueError):
     pass
@@ -130,21 +128,6 @@ def columns(dim: int, mat, error, name: str) -> tuple:
     return integer_rows(cols)
 
 
-# divided_columns and dense build the Fraction views g_cols, g, g_inv,
-# phi_cols and phi, which tests, the oracle and perfbench/ read
-
-def divided_columns(cols: dict, d: int) -> dict:
-    """The Fraction columns of integer ones over d (columns), all kept."""
-    return {j: divided(col, d) for j, col in cols.items()}
-
-
-def dense(cols: dict) -> Matrix:
-    """The dense matrix of a square one's Fraction columns."""
-    zero = Fraction(0)
-    return tuple(tuple(col.get(i, zero) for col in cols.values())
-                 for i in range(len(cols)))
-
-
 def apply_columns(cols, v: dict) -> dict:
     """The endomorphism with coefficient-map columns cols, applied to v."""
     out = {}
@@ -216,7 +199,7 @@ class FrameVector(Record):
 
     @classmethod
     def from_values(cls, values) -> "FrameVector":
-        # kept: the CLI and perfbench/workloads.py build their fields with it
+        # kept: perfbench/workloads.py builds its fields with it
         return cls(values)
 
     def render(self) -> str:
@@ -234,8 +217,7 @@ class FrameManifold:
     ascending order of (i, j) and of k; g_int holds g by columns (columns).
     The constructor takes a bracket table of rationals with both orders,
     and g as a dense matrix or as a map {(i, j): g_ij}; given takes the
-    integer forms as they are. brackets, g_cols, g and c are views built on
-    read.
+    integer forms as they are. c is a dense view built on read.
     """
 
     # kept though no command calls it: the library's checked constructor,
@@ -268,23 +250,16 @@ class FrameManifold:
         M.brackets_int, M.g_int = brackets_int, g_int
         return M
 
-    # Fraction views of the integer forms, built when first read; tests,
-    # the oracle and perfbench/ read them, no kernel does
-    brackets = cached_property(lambda self: divided_rows(*self.brackets_int))
-    g_cols = cached_property(lambda self: divided_columns(*self.g_int))
-
     @cached_property
     def c(self) -> tuple:
-        """Dense view c[i][j][k] of the bracket table, built when first read;
-        perfbench/workloads.py reads it."""
-        m = self.dim
+        """Dense view c[i][j][k] of the bracket table, Fractions, built when
+        first read; perfbench/workloads.py reads it."""
+        (table, d), m = self.brackets_int, self.dim
         zero = Fraction(0)
-        return tuple(tuple(tuple(self.brackets.get((i, j), {}).get(k, zero)
-                                 for k in range(m)) for j in range(m))
+        return tuple(tuple(tuple(Fraction(row[k], d) if k in row else zero
+                                 for k in range(m))
+                           for row in (table.get((i, j), {}) for j in range(m)))
                      for i in range(m))
-
-    g = cached_property(lambda self: dense(self.g_cols))
-    g_inv = cached_property(lambda self: dense(divided_columns(*self.g_inv_int)))
 
     @cached_property
     def elimination(self) -> tuple:
@@ -451,8 +426,8 @@ def validate(M: FrameManifold, strict: bool = False) -> CheckReport:
 
 class ConnectionTable(Record):
     """Gamma, nabla_{e_i} e_j = sum_k Gamma_ij^k e_k, and the Koszul table,
-    stored only as integer forms (table, d) in lowest terms; gamma and
-    koszul are Fraction views built on read."""
+    stored only as integer forms (table, d) in lowest terms; gamma is a
+    Fraction view built on read."""
 
     def __init__(self, manifold: FrameManifold, gamma_int: tuple,
                  koszul_int: tuple):
@@ -460,9 +435,8 @@ class ConnectionTable(Record):
         self.gamma_int = gamma_int    # {(i, j): {k: Gamma_ij^k * d}}
         self.koszul_int = koszul_int  # {(i, j, l): g(nabla_{e_i} e_j, e_l) * d}
 
-    # Fraction views, read by the table reports, tests and the oracle
+    # a Fraction view, read by the connection report and nonzero
     gamma = cached_property(lambda self: divided_rows(*self.gamma_int))
-    koszul = cached_property(lambda self: divided(*self.koszul_int))
 
     @cached_property
     def lie_int(self) -> tuple:

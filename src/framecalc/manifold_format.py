@@ -47,7 +47,8 @@ import re
 from fractions import Fraction
 
 from .contact import AlmostContactData
-from .geometry import FrameManifold, FrameVector, integer_rows, render_vector
+from .geometry import (FrameManifold, FrameVector, divided, integer_rows,
+                       render_vector)
 from .record import Record
 from .scalars import (_INTEGER, _ONE, MAX_DIGITS, Scanner, _number,
                       as_fraction, format_rational)
@@ -76,9 +77,6 @@ class ExpectedValues(Record):
         self.riem = riem    # (i, j, k, {k: int | Fraction}, source)
         self.ricci = ricci  # (i, j, int or Fraction, source)
         self.lam = lam      # (ParamScalar, source)
-
-    def is_empty(self) -> bool:
-        return not (self.nabla or self.riem or self.ricci or self.lam)
 
 
 class ManifoldDocument(Record):
@@ -483,12 +481,15 @@ def render_manifold(doc: ManifoldDocument) -> str:
     lines = [f"manifold {M.name} dim {M.dim}"]
     for p in sorted(M.params - {"p"}):
         lines.append(f"param {p}")
-    for (i, j), row in M.brackets.items():
+    table, dc = M.brackets_int
+    for (i, j), row in table.items():
         if i < j:
-            lines.append(f"bracket e{i + 1} e{j + 1} = {render_vector(row)}")
-    upper = sorted((i, j, x) for j, col in M.g_cols.items()
+            lines.append(f"bracket e{i + 1} e{j + 1} = "
+                         f"{render_vector(divided(row, dc))}")
+    cols, dg = M.g_int
+    upper = sorted((i, j, Fraction(x, dg)) for j, col in cols.items()
                    for i, x in col.items() if i <= j)
-    if all(col == {j: 1} for j, col in M.g_cols.items()):
+    if all(col == {j: dg} for j, col in cols.items()):
         lines.append("metric identity")
     else:
         for i, j, x in upper:
@@ -497,9 +498,11 @@ def render_manifold(doc: ManifoldDocument) -> str:
             lines.append("metric g 1 1 = 0")
     if doc.contact is not None:
         lines.append(f"contact xi = {render_vector(dict(enumerate(doc.contact.xi)))}")
-        for j, col in doc.contact.phi_cols.items():
+        cols, dp = doc.contact.phi_int
+        for j, col in cols.items():
             if col:
-                lines.append(f"contact phi e{j + 1} = {render_vector(col)}")
+                lines.append(f"contact phi e{j + 1} = "
+                             f"{render_vector(divided(col, dp))}")
     for kind, entries in (("nabla", doc.expected.nabla),
                           ("riem", doc.expected.riem)):
         for *idx, v, src in entries:

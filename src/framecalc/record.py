@@ -1,14 +1,15 @@
 """Value semantics for plain record classes, which keep ``dataclasses`` and
 ``inspect`` out of every CLI call's start-up. A record's fields are the
-parameters of its ``__init__``, which stores each under its own name;
-equality, hash and repr follow them in order, as a frozen dataclass's do.
-A mutable record sets ``__hash__ = None``."""
+``_fields`` its class declares, else the parameters of its ``__init__``,
+which stores each under its own name; equality, hash and repr follow them
+in order, as a frozen dataclass's do. A mutable record sets
+``__hash__ = None``."""
 
 
 class Record:
     def __init_subclass__(cls):
         code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._fields = vars(cls).get("_fields", code.co_varnames[1:code.co_argcount])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

@@ -4,6 +4,11 @@ and the printed form of a linear equation in one unknown (LinearForm).
 Rationals are stdlib fractions.Fraction (arbitrary precision, auto-normalized
 to lowest terms with positive denominator); no floats anywhere.
 
+ParamScalar holds what the soliton layer, the parser and the reports use:
++, -, * and division by a constant, the queries they read (is_constant,
+constant_value, symbols, affine_in, terms) and render. A power p^k enters
+only as a parsed monomial; nothing evaluates a scalar at a point.
+
 A ParamScalar has one canonical form: a dict from monomials to coefficients
 in which every monomial is a sorted tuple of (symbol, exponent) pairs with
 exponents >= 1 (the empty tuple is the constant monomial) and every
@@ -46,18 +51,12 @@ from fractions import Fraction
 
 from .record import Record
 
-Rational = Fraction
-
 # Monomial: sorted tuple of (symbol, exponent) pairs, exponents >= 1.
 # The empty tuple is the constant monomial.
 Monomial = tuple
 
 
 class ScalarError(ValueError):
-    pass
-
-
-class EvaluationError(ScalarError):
     pass
 
 
@@ -214,9 +213,6 @@ class ParamScalar:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -230,11 +226,6 @@ class ParamScalar:
 
     def symbols(self) -> frozenset:
         return frozenset(sym for mono in self._terms for sym, _ in mono)
-
-    def degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(_mono_degree(m) for m in self._terms)
 
     def affine_in(self, sym: str) -> tuple:
         """Return (a, b) with self == a*sym + b, both Fractions.
@@ -251,18 +242,6 @@ class ParamScalar:
             else:
                 raise ScalarError(f"not affine in {sym}: {self}")
         return a, b
-
-    def evaluate(self, bindings: dict) -> Fraction:
-        """Substitute rationals for every parameter; missing ones are errors."""
-        total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            val = coeff
-            for sym, exp in mono:
-                if sym not in bindings:
-                    raise EvaluationError(f"unbound parameter: {sym}")
-                val *= Fraction(bindings[sym]) ** exp
-            total += val
-        return total
 
     # -- arithmetic ------------------------------------------------------
 
@@ -312,19 +291,6 @@ class ParamScalar:
         if q == 0:
             raise ScalarError("division by zero")
         return ParamScalar._of({m: c / q for m, c in self._terms.items()})
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ScalarError("only non-negative integer powers")
-        out = ParamScalar.rational(1)
-        base = self
-        while n:  # repeated squaring
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     @_operand
     def __eq__(self, o):

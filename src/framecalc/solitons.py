@@ -252,7 +252,7 @@ class GradientData(Record):
 
     @classmethod
     def from_values(cls, df, dlambda=None) -> "GradientData":
-        # the CLI and perfbench/workloads.py build their gradient data with it
+        # kept: perfbench/workloads.py builds its gradient data with it
         return cls(tuple(as_fraction(x) for x in df),
                    None if dlambda is None else tuple(as_fraction(x) for x in dlambda))
 

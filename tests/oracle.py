@@ -132,12 +132,12 @@ def ricci_via_ginv(R, g):
 
 def ricci_via_metric(M, R):
     """ric[j][k] through g^{-1} and the lowered tensor, for an engine
-    manifold M and its curvature R, read through their Fraction views
-    M.g and R.comp only."""
+    manifold M and its curvature R, read through the metric's integer
+    columns M.g_int and the Fraction table R.comp only."""
     n = M.dim
     Rd = [[[[R.comp.get((i, j, k), {}).get(l, F(0)) for l in range(n)]
             for k in range(n)] for j in range(n)] for i in range(n)]
-    return ricci_via_ginv(Rd, [list(row) for row in M.g])
+    return ricci_via_ginv(Rd, dense(M.g_int))
 
 
 def mk_c(n, entries):
@@ -150,6 +150,14 @@ def mk_c(n, entries):
 
 def ident(n):
     return [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+
+
+def dense(form):
+    """The dense Fraction matrix a[i][j] = cols[j][i] / d of an integer
+    column form (cols, d), as the engine stores g, g^{-1} and phi."""
+    cols, d = form
+    n = len(cols)
+    return [[F(cols[j].get(i, 0), d) for j in range(n)] for i in range(n)]
 
 
 # Reference linear algebra: one Fraction elimination per leading minor, and
@@ -733,6 +741,17 @@ class LineError(ValueError):
         self.lineno = lineno
         self.col = col
         self.message = message
+
+
+def evaluate(scalar, env):
+    """The value of a ParamScalar at the rationals env gives its
+    parameters, summed over its terms()."""
+    total = F(0)
+    for mono, coeff in scalar.terms().items():
+        for sym, exp in mono:
+            coeff *= F(env[sym]) ** exp
+        total += coeff
+    return total
 
 
 def canonical_monomial(pairs):

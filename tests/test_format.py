@@ -14,8 +14,9 @@ from readers import token_reads
 from framecalc.catalog import FIXTURES, builtin_names, load_builtin
 from framecalc.cli import main
 from framecalc.geometry import FrameVector
-from framecalc.manifold_format import (MAX_DIM, ParseError, parse_manifold,
-                                       parse_vector_text, render_manifold)
+from framecalc.manifold_format import (MAX_DIM, ExpectedValues, ParseError,
+                                       parse_manifold, parse_vector_text,
+                                       render_manifold)
 from framecalc.scalars import (ParamScalar, ScalarError, parse_rational,
                                parse_scalar)
 
@@ -67,9 +68,9 @@ def test_minimal_document():
     doc = parse_manifold(MINIMAL)
     assert doc.manifold.name == "t"
     assert doc.manifold.dim == 2
-    assert doc.manifold.g == tuple(map(tuple, oracle.ident(2)))
+    assert oracle.dense(doc.manifold.g_int) == oracle.ident(2)
     assert doc.contact is None
-    assert doc.expected.is_empty()
+    assert doc.expected == ExpectedValues()
 
 
 def test_comments_blanklines_crlf():
@@ -102,7 +103,7 @@ metric g 1 1 = 2
 metric g 1 2 = -1/2
 metric g 2 2 = 3
 """)
-    g = doc.manifold.g
+    g = oracle.dense(doc.manifold.g_int)
     assert g[0][0] == 2 and g[1][1] == 3
     assert g[0][1] == g[1][0] == Fraction(-1, 2)
 
@@ -116,7 +117,7 @@ def test_contact_block():
     doc = load_builtin("heisenberg3")
     D = doc.contact
     assert D.xi == (0, 0, 1)
-    assert D.phi_cols == {0: {1: 1}, 1: {0: -1}, 2: {}}
+    assert D.phi_int == ({0: {1: 1}, 1: {0: -1}, 2: {}}, 1)
 
 
 def test_expect_blocks_heisenberg5():
@@ -311,7 +312,8 @@ def test_expect_error_columns(line, col, message):
 
 # Statement errors pinned with their exact position and message; each also
 # ends a validate --file run with exit 3 and one located message.
-@pytest.mark.parametrize("text, lineno, col, message", [
+# tests/test_reach.py runs them as commands too.
+STATEMENT_ERRORS = [
     ("manifold t dim 2\nmanifold u dim 2\nmetric identity\n", 2, 9,
      "duplicate manifold declaration"),
     ("manifold t dim 2\nmetric identity\nmetric identity\n", 3, 16,
@@ -325,9 +327,18 @@ def test_expect_error_columns(line, col, message):
      "expected 'xi' or 'phi'"),
     ("manifold t dim 2\nmetric g 0 1 = 1\n", 2, 10,
      "index 0 out of range 1..2"),
-], ids=["second-manifold", "identity-twice", "identity-trailing",
-        "metric-g-trailing", "expect-ricci-trailing", "metric-foo",
-        "contact-foo", "metric-index-0"])
+    ("manifold t dimension 2\n", 1, 11, "expected 'dim', found 'dimension'"),
+    ("manifold t dim 3\nmetric identity\nbracket e1 e2 = e3 e1\n", 3, 20,
+     "expected '+' or '-' between terms"),
+]
+
+
+@pytest.mark.parametrize("text, lineno, col, message", STATEMENT_ERRORS,
+                         ids=["second-manifold", "identity-twice",
+                              "identity-trailing", "metric-g-trailing",
+                              "expect-ricci-trailing", "metric-foo",
+                              "contact-foo", "metric-index-0",
+                              "manifold-dimension", "vector-without-sign"])
 def test_statement_errors(tmp_path, capsys, text, lineno, col, message):
     e = err(text)
     assert (e.lineno, e.col, e.message) == (lineno, col, message)
@@ -468,8 +479,9 @@ def test_blanks_and_tabs_inside_a_rational():
                          "metric g 2 2 = 1\nmetric g 3 3 = 1\n"
                          "bracket e1 e2 = 1 / 2 e3 + 5\t*e1\n"
                          'expect lambda = 1\xa0/\xa02 p source "s"\n')
-    assert doc.manifold.g[0][0] == Fraction(3, 4)
-    assert doc.manifold.brackets[0, 1] == {0: Fraction(5), 2: Fraction(1, 2)}
+    assert doc.manifold.g_int[0][0] == {0: 3} and doc.manifold.g_int[1] == 4
+    assert doc.manifold.brackets_int[0][0, 1] == {0: 10, 2: 1}
+    assert doc.manifold.brackets_int[1] == 2
     assert doc.expected.lam[0][0] == ParamScalar.param("p") / 2
 
 
@@ -592,11 +604,16 @@ def documents(draw):
 
 def document_view(doc):
     """A ManifoldDocument in the reference's terms."""
-    M, e = doc.manifold, doc.expected
-    contact = doc.contact and (doc.contact.phi, doc.contact.xi)
+    M, e, D = doc.manifold, doc.expected, doc.contact
+    table, d = M.brackets_int
+
+    def dense(form):
+        return tuple(map(tuple, oracle.dense(form)))
     return (M.name, M.dim, M.params,
-            {key: row for key, row in M.brackets.items() if key[0] < key[1]},
-            M.g, contact, e.nabla, e.riem, e.ricci,
+            {key: {k: Fraction(x, d) for k, x in row.items()}
+             for key, row in table.items() if key[0] < key[1]},
+            dense(M.g_int), D and (dense(D.phi_int), D.xi),
+            e.nabla, e.riem, e.ricci,
             tuple((lam.terms(), src) for lam, src in e.lam))
 
 

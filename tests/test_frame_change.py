@@ -12,6 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from frames import (change_frame, document, elementary_change,
                     elementary_steps, heisenberg, matvec, small)
 from framecalc.catalog import load_builtin
@@ -44,7 +45,7 @@ def _nonnormal5() -> tuple:
 def _nonjacobi3() -> tuple:
     M = load_builtin("nonjacobi3").manifold
     return 3, [[list(row) for row in plane] for plane in M.c], \
-        [list(row) for row in M.g]
+        oracle.dense(M.g_int)
 
 
 @st.composite
@@ -98,7 +99,7 @@ def _derive(text: str, field) -> dict:
     out = {"M": M, "conn": conn, "R": R, "ric": ric,
            "r": scalar_curvature(M, ric),
            "validate": validate(M, strict=True).overall}
-    X = FrameVector.from_values(field)
+    X = FrameVector(field)
     out["lambdas"] = [solve_lambda_trace(M, conn, ric, X, flavor).lam
                       for flavor in SolitonFlavor]
     if D is not None:
@@ -133,8 +134,10 @@ def test_frame_change_invariance(case):
 
     # no float may slip into a table through an int / int division
     M = new["M"]
-    values = [*new["conn"].koszul.values(), *new["ric"].ric.values(),
-              *_flat(new["conn"].gamma).values(), *_flat(new["R"].comp).values(),
-              *(x for row in M.g_inv for x in row)]
+    values = [*new["ric"].ric.values(), *_flat(new["conn"].gamma).values(),
+              *_flat(new["R"].comp).values()]
     assert all(type(x) is Fraction for x in values)
+    ints = [*new["conn"].koszul_int[0].values(),
+            *(x for col in M.g_inv_int[0].values() for x in col.values())]
+    assert all(type(x) is int for x in ints)
     assert all(type(x) in (int, Fraction) for x in M.elimination[0])

@@ -52,7 +52,7 @@ def sc(q) -> ParamScalar:
 
 
 def vec(*coeffs) -> FrameVector:
-    return FrameVector.from_values([Fraction(c) for c in coeffs])
+    return FrameVector([Fraction(c) for c in coeffs])
 
 
 # -- frame vectors -------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_render_vector_of_parametric_coefficients(values, text):
     """ParamScalar coefficients print as FrameVector.render has printed them:
     in parentheses when they have more than one term."""
     coeffs = [parse_scalar(v) for v in values]
-    assert FrameVector.from_values(coeffs).render() == text
+    assert FrameVector(coeffs).render() == text
     assert render_vector(dict(reversed(list(enumerate(coeffs))))) == text
 
 
@@ -113,7 +113,8 @@ def test_builtin_brackets_are_antisymmetric():
     M = man("heisenberg5")
     assert M.c[0][1][2] == 2 and M.c[1][0][2] == -2
     assert M.c[3][4][2] == 2 and M.c[4][3][2] == -2
-    assert M.brackets[0, 1] == {2: 2} and M.brackets[1, 0] == {2: -2}
+    assert M.brackets_int == ({(0, 1): {2: 2}, (1, 0): {2: -2},
+                               (3, 4): {2: 2}, (4, 3): {2: -2}}, 1)
 
 
 def test_parametric_endomorphism_splits_by_monomial():
@@ -134,7 +135,7 @@ def test_parametric_endomorphism_splits_by_monomial():
     for key in da.keys() | db.keys():
         a, b = da.get(key, {}), db.get(key, {})
         row = {k: x for k in a.keys() | b.keys()
-               if not (x := P * a.get(k, zero) + b.get(k, zero)).is_zero()}
+               if (x := P * a.get(k, zero) + b.get(k, zero))}
         if row:
             want[key] = row
     assert dq and dq == want
@@ -206,8 +207,8 @@ def test_bracket_index_out_of_range():
 def test_bracket_table_is_sparse_and_c_is_a_view():
     M = FrameManifold("h3", 3, both_orders({(0, 1): {2: 2, 0: 0}}),
                       oracle.ident(3))
-    assert M.brackets == {(0, 1): {2: 2}, (1, 0): {2: -2}}
-    assert list(M.brackets) == [(0, 1), (1, 0)]
+    assert M.brackets_int == ({(0, 1): {2: 2}, (1, 0): {2: -2}}, 1)
+    assert list(M.brackets_int[0]) == [(0, 1), (1, 0)]
     assert "c" not in vars(M)
     assert M.c[0][1] == (0, 0, 2) and M.c[1][0] == (0, 0, -2)
     assert M.c[2][2] == (0, 0, 0)
@@ -238,10 +239,12 @@ def test_metric_leading_minors():
 
 def test_metric_inverse():
     g = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2)))
-    assert FrameManifold("g", 2, {}, g).g_inv == oracle.gauss_jordan_inverse(g) == \
+    assert FrameManifold("g", 2, {}, g).g_inv_int == ({0: {0: 2, 1: -1},
+                                                      1: {0: -1, 1: 2}}, 3)
+    assert oracle.gauss_jordan_inverse(g) == \
         ((Fraction(2, 3), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(2, 3)))
     with pytest.raises(GeometryError, match="metric is singular"):
-        FrameManifold("g", 2, {}, ((1, 1), (1, 1))).g_inv
+        FrameManifold("g", 2, {}, ((1, 1), (1, 1))).g_inv_int
 
 
 entry = st.one_of(st.just(Fraction(0)),
@@ -285,19 +288,13 @@ def test_fraction_free_elimination_matches_oracle(g):
     want = oracle.gauss_jordan_inverse(g)
     if want is None:
         with pytest.raises(GeometryError, match="metric is singular"):
-            M.g_inv
-        with pytest.raises(GeometryError, match="metric is singular"):
             M.g_inv_int
     else:
-        gi = M.g_inv
-        assert gi == want
-        assert all(type(x) is Fraction for row in gi for x in row)
         cols, d = M.g_inv_int
         assert d > 0 and gcd(d, *(x for col in cols.values()
                                   for x in col.values())) == 1
         assert all(x for col in cols.values() for x in col.values())
-        assert [[Fraction(cols[j].get(i, 0), d) for j in range(len(g))]
-                for i in range(len(g))] == [list(row) for row in want]
+        assert oracle.dense(M.g_inv_int) == [list(row) for row in want]
 
 
 def test_one_elimination_per_manifold(monkeypatch):
@@ -320,7 +317,7 @@ def test_one_elimination_per_manifold(monkeypatch):
     M = FrameManifold("z", 3, {}, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     assert validate(M).items[-1].defect == "leading minor 1 has determinant 0"
     assert M.elimination[0] == [0] and len(calls) == 1
-    assert M.g_inv == M.g and len(calls) == 1
+    assert M.g_inv_int == M.g_int and len(calls) == 1
 
 
 @st.composite
@@ -418,9 +415,8 @@ def test_dense_and_sparse_metrics_give_one_manifold(case, zeros, rng):
     dense, sparse = (FrameManifold("f", n, table, g),
                      FrameManifold("f", n, table, entries))
     assert dense == sparse
-    assert ordered(dense.g_cols) == ordered(sparse.g_cols)
-    assert all(list(col) == sorted(col) for col in sparse.g_cols.values())
-    assert [list(row) for row in sparse.g] == [list(row) for row in g]
+    assert all(list(col) == sorted(col) for col in sparse.g_int[0].values())
+    assert oracle.dense(sparse.g_int) == [list(row) for row in g]
     assert dense.elimination == sparse.elimination
     assert ordered(dense.g_int) == ordered(sparse.g_int)
     assert validate(dense, strict=True).render_text() == \
@@ -434,8 +430,9 @@ def test_dense_and_sparse_metrics_give_one_manifold(case, zeros, rng):
     conn = levi_civita(sparse)
     ric = ricci(sparse, curvature(sparse, conn))
     assert "gamma" not in vars(conn) and "ric" not in vars(ric)
-    again = ConnectionTable(sparse, integer_rows(conn.gamma),
-                            integer_map(conn.koszul))
+    koszul, dk = conn.koszul_int
+    again = ConnectionTable(sparse, integer_rows(conn.gamma), integer_map(
+        {key: Fraction(x, dk) for key, x in koszul.items()}))
     ric_again = RicciTensor(sparse, integer_map(ric.ric))
     assert conn == again and ric == ric_again
     for attr in ("gamma_int", "koszul_int", "lie_int"):
@@ -515,8 +512,7 @@ def test_cached_derivation_matches_kernels(name):
 def test_c_g_and_phi_are_stored_as_integer_tables():
     """c, g and phi are stored only as integer tables over their least
     denominator: a parsed integer document gives tables of ints with d = 1,
-    and int, Fraction and float input gives tables whose Fraction views,
-    brackets, g_cols and phi_cols, equal the tables given."""
+    and int, Fraction and float input gives tables of the values given."""
     doc = parse_manifold("manifold t dim 3\nbracket e2 e1 = e1 - 2e3\n"
                          "metric g 3 1 = -1\nmetric g 1 1 = 2\n"
                          "metric g 2 2 = 1\nmetric g 3 3 = 1\n"
@@ -538,16 +534,12 @@ def test_c_g_and_phi_are_stored_as_integer_tables():
     assert M.brackets_int == ({(0, 1): {2: 2}, (0, 2): {1: 6},
                                (1, 0): {2: -2}, (2, 0): {1: -6}}, 3)
     assert M.g_int == ({0: {0: 6}, 1: {1: 3}, 2: {2: 4}}, 6)
-    assert M.brackets == {(0, 1): {2: q}, (0, 2): {1: 2},
-                          (1, 0): {2: -q}, (2, 0): {1: -2}}
-    assert M.g_cols == {0: {0: 1}, 1: {1: Fraction(1, 2)}, 2: {2: q}}
+    assert (M.c[0][1][2], M.c[0][2][1], M.c[1][0][2], M.c[2][0][1]) == (q, 2, -q, -2)
+    assert oracle.dense(M.g_int) == [[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, q]]
     D = AlmostContactData([[0, -1.0, 0], [q, 0, 0], [0, 0, 0]],
                           (Fraction(0), Fraction(0), Fraction(1)))
     assert D.phi_int == ({0: {1: 2}, 1: {0: -3}, 2: {}}, 3)
-    assert D.phi_cols == {0: {1: q}, 1: {0: -1}, 2: {}}
-    for view in (M.brackets, M.g_cols, D.phi_cols):
-        assert all(type(x) is Fraction for row in view.values()
-                   for x in row.values())
+    assert oracle.dense(D.phi_int) == [[0, -1, 0], [q, 0, 0], [0, 0, 0]]
 
 
 # -- identities that hold for every antisymmetric bracket ---------------------------
@@ -557,7 +549,7 @@ def dense_tables(M: FrameManifold) -> tuple:
     last from oracle.lower, of the engine's tables."""
     conn = levi_civita(M)
     R = dense_curvature(curvature(M, conn).comp, M.dim)
-    return dense_of(conn.gamma, M.dim), R, oracle.lower(R, M.g)
+    return dense_of(conn.gamma, M.dim), R, oracle.lower(R, oracle.dense(M.g_int))
 
 
 def bianchi_sum(R: list, i: int, j: int, k: int) -> list:
@@ -575,10 +567,10 @@ def test_torsion_free_all():
 
 def test_metric_compatibility_all():
     for M in ALL:
-        gamma, m = dense_tables(M)[0], M.dim
+        gamma, m, g = dense_tables(M)[0], M.dim, oracle.dense(M.g_int)
         for k, i, j in product(range(m), repeat=3):
-            d = (oracle.g_of(M.g, gamma[k][i], oracle.basis(m, j))
-                 + oracle.g_of(M.g, oracle.basis(m, i), gamma[k][j]))
+            d = (oracle.g_of(g, gamma[k][i], oracle.basis(m, j))
+                 + oracle.g_of(g, oracle.basis(m, i), gamma[k][j]))
             assert d == 0, (M.name, k, i, j)
 
 
@@ -662,7 +654,7 @@ def test_stretched_h3_ricci():
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert ric.entry(i, j).is_zero()
+                assert not ric.entry(i, j)
     assert scalar_curvature(M, ric) == sc(-8)
 
 
@@ -723,7 +715,7 @@ def test_ricci_via_metric_agrees():
 def oracle_tables(M: FrameManifold):
     c = [[[Fraction(M.c[i][j][k]) for k in range(M.dim)]
           for j in range(M.dim)] for i in range(M.dim)]
-    g = [[Fraction(M.g[i][j]) for j in range(M.dim)] for i in range(M.dim)]
+    g = oracle.dense(M.g_int)
     gamma = oracle.naive_koszul(c, g)
     R = oracle.naive_curvature(c, gamma)
     return gamma, R, g

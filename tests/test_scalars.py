@@ -1,5 +1,6 @@
 """Exact scalar arithmetic, parsing, rendering, and linear solving."""
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +10,9 @@ import oracle
 from frames import MALFORMED_SCALARS, scalar_texts
 from readers import token_reads
 from framecalc.manifold_format import ParseError, parse_manifold
-from framecalc.scalars import (MAX_DIGITS, ZERO, EvaluationError,
-                               LinearForm, ParamScalar, ScalarError,
-                               format_rational, parse_rational, parse_scalar)
+from framecalc.scalars import (MAX_DIGITS, ZERO, LinearForm, ParamScalar,
+                               ScalarError, format_rational, parse_rational,
+                               parse_scalar)
 
 P = ParamScalar.param("p")
 Q = ParamScalar.param("q")
@@ -50,7 +51,7 @@ def test_format_rational_builds_no_fraction(monkeypatch):
 
 def metric_entry(text: str) -> Fraction:
     doc = parse_manifold(f"manifold t dim 1\nmetric g 1 1 = {text}\n")
-    return doc.manifold.g[0][0]
+    return oracle.dense(doc.manifold.g_int)[0][0]
 
 
 def test_parse_rational():
@@ -91,10 +92,9 @@ def test_literal_digit_limit():
 
 def test_constant_queries():
     c = ParamScalar.rational(Fraction(3, 4))
-    assert c.is_constant() and not c.is_zero()
+    assert c.is_constant()
     assert c.constant_value() == Fraction(3, 4)
     assert c.symbols() == frozenset()
-    assert ParamScalar.rational(0).is_zero()
     assert c and P - P + 1 and not ParamScalar.rational(0) and not P - P
 
 
@@ -102,7 +102,6 @@ def test_param_queries():
     s = P / 2 + Fraction(9, 5)
     assert not s.is_constant()
     assert s.symbols() == {"p"}
-    assert s.degree() == 1
     with pytest.raises(ScalarError):
         s.constant_value()
 
@@ -115,14 +114,6 @@ def test_affine_in():
         (P * P).affine_in("p")
     with pytest.raises(ScalarError):
         (P + Q).affine_in("p")
-
-
-def test_evaluate():
-    s = P / 2 + Fraction(9, 5)
-    assert s.evaluate({"p": 2}) == Fraction(14, 5)
-    assert (P * Q - 1).evaluate({"p": Fraction(1, 2), "q": 4}) == 1
-    with pytest.raises(EvaluationError, match="unbound parameter: p"):
-        s.evaluate({})
 
 
 def test_division_by_scalar_constant_only():
@@ -149,10 +140,6 @@ def test_rational_operands_on_either_side():
 
 
 def test_power():
-    assert P ** 0 == ParamScalar.rational(1)
-    assert P ** 3 == P * P * P
-    assert (P + 1) ** 5 == (P + 1) * (P + 1) * (P + 1) * (P + 1) * (P + 1)
-    assert (P ** 5000000).terms() == {(("p", 5000000),): 1}
     assert parse_scalar("p^5000000*q^2").terms() == {(("p", 5000000), ("q", 2)): 1}
     assert parse_scalar("p^0") == ParamScalar.rational(1)
 
@@ -169,7 +156,7 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + ParamScalar.rational(0) == a
     assert a * ParamScalar.rational(1) == a
-    assert (a - a).is_zero()
+    assert not a - a
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,8 +164,9 @@ def test_ring_axioms(a, b, c):
 def test_evaluation_is_a_homomorphism(a, x):
     env = {"p": x, "q": x + 1}
     b = P * 2 - Q
-    assert (a + b).evaluate(env) == a.evaluate(env) + b.evaluate(env)
-    assert (a * b).evaluate(env) == a.evaluate(env) * b.evaluate(env)
+    ev = oracle.evaluate
+    assert ev(a + b, env) == ev(a, env) + ev(b, env)
+    assert ev(a * b, env) == ev(a, env) * ev(b, env)
 
 
 # -- the canonical form (property-based) -----------------------------------------
@@ -187,7 +175,8 @@ def polys():
     """Polynomials in p, q and r, built with ParamScalar arithmetic from up
     to five terms c * p^a * q^b * r^e."""
     powers = st.integers(0, 2)
-    term = st.builds(lambda c, a, b, e: c * P ** a * Q ** b * R ** e,
+    term = st.builds(lambda c, a, b, e: prod([P] * a + [Q] * b + [R] * e,
+                                             start=ParamScalar.rational(c)),
                      rationals, powers, powers, powers)
     return st.lists(term, max_size=5).map(
         lambda ts: sum(ts, ParamScalar.rational(0)))
@@ -203,11 +192,10 @@ def assert_canonical(s: ParamScalar) -> None:
 
 
 @settings(deadline=None)
-@given(polys(), polys(), rationals.filter(bool), st.integers(0, 3))
-def test_arithmetic_keeps_the_canonical_form(a, b, q, n):
+@given(polys(), polys(), rationals.filter(bool))
+def test_arithmetic_keeps_the_canonical_form(a, b, q):
     for s in (a, a + b, a - b, -a, a * b, a / q, a / ParamScalar.rational(q),
-              a * q, q * a, a + q, q + a, a - q, q - a, 3 * a, a - 2,
-              a ** n):
+              a * q, q * a, a + q, q + a, a - q, q - a, 3 * a, a - 2, a * a):
         assert_canonical(s)
 
 
@@ -215,7 +203,7 @@ def test_arithmetic_keeps_the_canonical_form(a, b, q, n):
 @given(polys())
 def test_sum_with_negation_is_zero(a):
     z = a + (-a)
-    assert z == ZERO and z.is_zero()
+    assert z == ZERO and not z
     assert hash(z) == hash(ZERO)
     assert a - a == ZERO and hash(a - a) == hash(ZERO)
 
@@ -284,7 +272,8 @@ def sum_of_terms(draw):
         mono = []
         for name, exp in factors:
             mono.append(name if exp is None else f"{name}^{exp}")
-            factor = factor * names[name] ** (1 if exp is None else exp)
+            factor = prod([names[name]] * (1 if exp is None else exp),
+                          start=factor)
         if not factors:
             joint = coeff
         elif not coeff:
@@ -352,7 +341,7 @@ def test_parse_gives_the_canonical_form():
         assert_canonical(parsed)
     assert parse_scalar("q*p") == parse_scalar("p*q")
     assert hash(parse_scalar("q*p")) == hash(parse_scalar("p*q")) == hash(P * Q)
-    assert parse_scalar("2p - 2p").is_zero()
+    assert not parse_scalar("2p - 2p")
     assert parse_scalar("p + q - p") == Q
     assert parse_scalar("1\xa0/\xa02 p") == P / 2
 

@@ -50,7 +50,7 @@ def setup(name):
 
 
 def zero_table(t) -> bool:
-    return all(e.is_zero() for row in t for e in row)
+    return not any(e for row in t for e in row)
 
 
 def basis(m: int, i: int) -> FrameVector:
@@ -87,7 +87,7 @@ def reference_geometry(name: str) -> tuple:
         M = parse_manifold(text).manifold
     m = M.dim
     c = [[list(M.c[i][j]) for j in range(m)] for i in range(m)]
-    g = [list(row) for row in M.g]
+    g = oracle.dense(M.g_int)
     gamma = oracle.naive_koszul(c, g)
     conn = levi_civita(M)
     return (M, conn, ricci(M, curvature(M, conn)), gamma,
@@ -207,7 +207,7 @@ def test_one_solve_computes_the_lie_derivative_once(monkeypatch):
     assert not hasattr(framecalc.solitons, "lie_derivative_metric")
     monkeypatch.setattr(framecalc.geometry.LieDerivativeParts, "__init__", counted)
     doc, M, conn, R_, ric = setup("heisenberg5")
-    X = FrameVector.from_values([P, 0, Q, 0, 1])
+    X = FrameVector([P, 0, Q, 0, 1])
     for flavor in SolitonFlavor:
         calls.clear()
         solve_lambda_trace(M, conn, ric, X, flavor)
@@ -238,8 +238,8 @@ def test_a_solve_builds_its_residual_matrix_only_when_read(monkeypatch, name):
                     mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, counted)
     statuses = set()
-    for X in (zero(5), FrameVector.from_values([P, 0, Q, 0, 1]),
-              FrameVector.from_values([0, 0, Q, 0, 0])):
+    for X in (zero(5), FrameVector([P, 0, Q, 0, 1]),
+              FrameVector([0, 0, Q, 0, 0])):
         for flavor in SolitonFlavor:
             calls.clear()
             solve = solve_lambda_trace(M, conn, ric, X, flavor)
@@ -286,7 +286,7 @@ def test_a_solve_builds_each_lie_derivative_part_at_most_once(monkeypatch):
             ("abelian5", [P, Q / 2 - 1, 0, R, Fraction(1, 3)],
              "einstein_exact", 4, 4)):
         M, conn, ric = reference_geometry(name)[:3]
-        X = FrameVector.from_values(X)
+        X = FrameVector(X)
         for flavor in SolitonFlavor:
             built.clear()
             solve = solve_lambda_trace(M, conn, ric, X, flavor)
@@ -368,7 +368,7 @@ def test_soliton_layer_does_no_per_entry_polynomial_arithmetic(monkeypatch):
         conn = levi_civita(M)
         ric = ricci(M, curvature(M, conn))
         zeros = [0] * (n - 1)
-        X = FrameVector.from_values([Q + 1, *zeros, P / 2 - Q, *zeros, R])
+        X = FrameVector([Q + 1, *zeros, P / 2 - Q, *zeros, R])
         lam = P / 3 + Q - 1
         gd = GradientData.from_values([1, *zeros, 0, *zeros, 2])
         out = []
@@ -389,7 +389,7 @@ def test_soliton_layer_does_no_per_entry_polynomial_arithmetic(monkeypatch):
 
 def test_h5_conformal_solve():
     doc, M, conn, R, ric = setup("heisenberg5")
-    xi = FrameVector.from_values(doc.contact.xi)
+    xi = FrameVector(doc.contact.xi)
     solve = solve_lambda_trace(M, conn, ric, xi, SolitonFlavor.CONFORMAL)
     assert solve.lam == P / 2 - Fraction(3, 5)
     assert solve.lam.render() == "1/2*p + -3/5"
@@ -405,7 +405,7 @@ def test_h5_conformal_solve():
 
 def test_h5_ricci_flavor_solve():
     doc, M, conn, R, ric = setup("heisenberg5")
-    xi = FrameVector.from_values(doc.contact.xi)
+    xi = FrameVector(doc.contact.xi)
     solve = solve_lambda_trace(M, conn, ric, xi, SolitonFlavor.RICCI)
     # trace of 2 ric = -8, so 10 lambda = -8
     assert solve.lam == sc(Fraction(-4, 5))
@@ -487,13 +487,13 @@ def test_solved_lambda_kills_the_trace():
             X = basis(M.dim, idx)
             for flavor in SolitonFlavor:
                 solve = solve_lambda_trace(M, conn, ric, X, flavor)
-                gi = M.g_inv
+                gi = oracle.dense(M.g_inv_int)
                 tr = sc(0)
                 for i in range(M.dim):
                     for j in range(M.dim):
                         if gi[i][j]:
                             tr = tr + solve.residual[i][j] * gi[i][j]
-                assert tr.is_zero(), (name, idx, flavor)
+                assert not tr, (name, idx, flavor)
 
 
 def test_flavor_shift_invariant():
@@ -646,7 +646,7 @@ def test_soliton_functions_reject_a_field_of_another_length(values):
     """A field X with fewer or more entries than the frame is refused with
     both lengths named, instead of solved with some entries dropped."""
     doc, M, conn, R, ric = setup("heisenberg5")
-    X = FrameVector.from_values(values)
+    X = FrameVector(values)
     runs = [lambda: soliton_residual(M, conn, ric, X, P, SolitonFlavor.RICCI)]
     runs += [lambda flavor=flavor: solve_lambda_trace(M, conn, ric, X, flavor)
              for flavor in SolitonFlavor]
@@ -856,7 +856,7 @@ def test_identity_sweep_matches_the_per_pair_loop_on_every_path():
     M, conn, R, ric = _engine(flat4, gram4)
     res = gradient_soliton_residual(M, conn, ric, GradientData.from_values(
         [1, 2, 0, -1]), P, SolitonFlavor.RICCI)
-    assert sum(not e.is_zero() for row in res for e in row) == 16
+    assert sum(bool(e) for row in res for e in row) == 16
 
 
 # -- concurrent-potential constants ------------------------------------------------------
@@ -889,7 +889,7 @@ def test_concurrent_soliton_constants_sign_probe():
         r = concurrent_soliton_constants(m)
         for num in range(-40, 41, 7):
             p0 = Fraction(num, 3)
-            val = r.lam.evaluate({"p": p0})
+            val = oracle.evaluate(r.lam, {"p": p0})
             ref = m * p0 + 2 * m * m + 2
             assert (val > 0) == (ref > 0) and (val == 0) == (ref == 0)
 
